@@ -8,12 +8,14 @@ Subpackages:
     liealg   -- structure-constant Lie algebras and the doubled model
     piaq     -- canonical connections of twistor-pair structures
     gxg      -- the two-parameter metric family on a doubled group
+    tensors  -- the structure-tensor contractions liealg, piaq and gxg share
     cli      -- command-line interface
 """
 
-from . import errors, fourdim, gxg, liealg, piaq, quat, scalars, spinor
+from . import (errors, fourdim, gxg, liealg, piaq, quat, scalars, spinor,
+               tensors)
 
 __all__ = ["errors", "fourdim", "gxg", "liealg", "piaq", "quat", "scalars",
-           "spinor"]
+           "spinor", "tensors"]
 
 __version__ = "0.1.0"

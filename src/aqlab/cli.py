@@ -5,13 +5,16 @@ keys ``command``, ``inputs``, ``outputs`` and ``tolerances``; diagnostics go
 to standard error.  Exit status is 0 whenever a verdict was computed (true
 or false alike) and nonzero only for usage or precondition errors.
 
-The ``verify`` subcommand re-ingests such a document and reproduces its
-outputs, so every result is checkable by a second run.
+The ``inputs`` of every document include ``argv``, the arguments the
+document was made from; the ``verify`` subcommand parses them again and
+compares the outputs, so every result is checkable by a second run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -24,13 +27,13 @@ from . import liealg as la
 from . import piaq as pq
 from . import quat as qt
 from . import spinor as sp
-from .errors import AqlabError
+from .errors import AqlabError, InvalidModel
 from .gxg import MetricFamily, classify_einstein, einstein_sweep
 
 DEFAULT_TOL = 1e-9
 
 
-def _tolerance(args, default: float = DEFAULT_TOL) -> float:
+def _tolerance(default: float = DEFAULT_TOL) -> float:
     env = os.environ.get("AQLAB_TOL")
     if env is not None:
         return float(env)
@@ -82,36 +85,44 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _load_file(path: str, twistor: bool):
+    """The algebra in an ``--algebra`` file, or with ``twistor`` the model
+    in a ``--model`` file, with every schema fault raised as InvalidModel.
+
+    Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
+    model file may omit ``brackets`` for the zero bracket.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidModel(f"{path}: expected a JSON object")
+    for key in ("dim", "alpha", "I", "J") if twistor else ("dim", "brackets"):
+        if key not in data:
+            raise InvalidModel(f"{path}: missing field {key!r}")
+    try:
+        entries = []
+        for rec in data.get("brackets", []):
+            vals = ([rec.get(k) for k in ("i", "j", "k", "value")]
+                    if isinstance(rec, dict) else rec)
+            if not isinstance(vals, list) or len(vals) != 4 or None in vals:
+                raise InvalidModel(
+                    f"{path}: bracket record {rec!r} is not [i, j, k, value]")
+            entries.append(vals)
+        alg = la.from_brackets(int(data["dim"]), entries,
+                               name=str(data.get("name", "")))
+        if not twistor:
+            return alg
+        return pq.PiAQModel(alg.dim, alg.c, np.asarray(data["I"], float),
+                            np.asarray(data["J"], float), int(data["alpha"]),
+                            name=alg.name)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModel(f"{path}: {exc}") from None
+
+
 def _load_algebra(args) -> la.LieAlgebraModel:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return la.CATALOG[args.catalog]()
-    with open(args.algebra) as fh:
-        data = json.load(fh)
-    return _algebra_from_dict(data)
-
-
-def _algebra_from_dict(data: dict) -> la.LieAlgebraModel:
-    entries = []
-    for rec in data["brackets"]:
-        if isinstance(rec, dict):
-            entries.append((rec["i"], rec["j"], rec["k"], rec["value"]))
-        else:
-            entries.append(tuple(rec))
-    return la.from_brackets(int(data["dim"]), entries,
-                            name=data.get("name", ""))
-
-
-def _load_piaq_model(args) -> pq.PiAQModel:
-    if getattr(args, "doubled", None):
-        return la.doubled(la.CATALOG[args.doubled]()).as_piaq()
-    with open(args.model) as fh:
-        data = json.load(fh)
-    base = _algebra_from_dict(data) if "brackets" in data else None
-    dim = int(data["dim"])
-    c = base.c if base is not None else np.zeros((dim, dim, dim))
-    return pq.PiAQModel(dim, c, np.asarray(data["I"], float),
-                        np.asarray(data["J"], float), int(data["alpha"]),
-                        name=data.get("name", ""))
+    return _load_file(args.algebra, twistor=False)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +147,7 @@ def cmd_pauli(args) -> dict:
 
 def cmd_spinbasis(args) -> dict:
     alpha = args.alpha
-    tol = _tolerance(args)
+    tol = _tolerance()
     triples = [_parse_floats(getattr(args, name), 3, name)
                for name in ("j1", "j2", "j3")]
     js = [qt.from_coeffs([0.0, *t], alpha) for t in triples]
@@ -175,7 +186,7 @@ def cmd_selfdual(args) -> dict:
 
 
 def cmd_einstein(args) -> dict:
-    tol = _tolerance(args)
+    tol = _tolerance()
     base = _load_algebra(args)
     model = la.doubled(base)
     inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
@@ -222,8 +233,9 @@ def cmd_einstein(args) -> dict:
 
 
 def cmd_piaq(args) -> dict:
-    tol = _tolerance(args, default=pq.PRED_TOL)
-    model = _load_piaq_model(args)
+    tol = _tolerance(default=pq.PRED_TOL)
+    model = (la.doubled(la.CATALOG[args.doubled]()).as_piaq() if args.doubled
+             else _load_file(args.model, twistor=True))
     report = pq.predicate_report(model, args.predicate, lam=args.eigenvalue,
                                  f_name=args.operator, mu=args.mu, tol=tol)
     inputs = {
@@ -243,60 +255,37 @@ def cmd_piaq(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    source = sys.stdin if args.document == "-" else open(args.document)
-    with source if source is not sys.stdin else source as fh:
-        doc = json.load(fh)
-    rerun = _dispatch_doc(doc)
+    if args.document == "-":
+        doc = json.load(sys.stdin)
+    else:
+        with open(args.document) as fh:
+            doc = json.load(fh)
+    inputs = doc.get("inputs") if isinstance(doc, dict) else None
+    argv = inputs.get("argv") if isinstance(inputs, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise AqlabError("document has no inputs.argv; regenerate it")
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rerun_args = build_parser().parse_args(argv)
+    except SystemExit:
+        lines = err.getvalue().strip().splitlines() or ["no detail"]
+        raise AqlabError(f"stored argv does not parse: {lines[-1]}") from None
+    if rerun_args.subcommand == "verify":
+        raise AqlabError("a verify document cannot be verified again")
+    if getattr(rerun_args, "csv", None):
+        rerun_args.csv = None  # compare outputs only; never rewrite files
+    rerun = rerun_args.func(rerun_args)
     match = _compare(doc.get("outputs"), rerun.get("outputs"),
-                     tol=_tolerance(args))
+                     tol=_tolerance())
     return {
         "command": "verify",
         "inputs": {"document": args.document,
                    "verified_command": doc.get("command")},
         "outputs": {"match": match},
-        "tolerances": {"comparison": _tolerance(args)},
+        "tolerances": {"comparison": _tolerance()},
     }
-
-
-def _dispatch_doc(doc: dict) -> dict:
-    cmd = doc.get("command")
-    ins = doc.get("inputs", {})
-    ns = argparse.Namespace()
-    if cmd == "pauli":
-        ns.alpha = int(ins["alpha"])
-        return cmd_pauli(ns)
-    if cmd == "spinbasis":
-        ns.alpha = int(ins["alpha"])
-        for key in ("j1", "j2", "j3"):
-            vals = ins[key]
-            setattr(ns, key, ",".join(str(v) for v in vals))
-        return cmd_spinbasis(ns)
-    if cmd == "selfdual":
-        ns.alpha = int(ins["alpha"])
-        ns.omega = ",".join(str(v) for v in ins["omega"])
-        return cmd_selfdual(ns)
-    if cmd == "einstein":
-        name = ins.get("algebra")
-        ns.catalog = name if name in la.CATALOG else None
-        ns.algebra = None if ns.catalog else name
-        ns.lam = ins.get("lambda")
-        ns.mu = ins.get("mu")
-        ns.sweep = ins.get("sweep")
-        ns.classify = ns.sweep is None and ns.lam is None
-        ns.csv = None
-        return cmd_einstein(ns)
-    if cmd == "piaq":
-        name = ins.get("model", "")
-        if name.startswith("doubled:"):
-            ns.doubled, ns.model = name.split(":", 1)[1], None
-        else:
-            ns.doubled, ns.model = None, name
-        ns.predicate = ins["predicate"]
-        ns.operator = ins.get("operator")
-        ns.eigenvalue = ins.get("eigenvalue")
-        ns.mu = ins.get("mu")
-        return cmd_piaq(ns)
-    raise AqlabError(f"cannot verify documents of command {cmd!r}")
 
 
 def _compare(a, b, tol: float) -> bool:
@@ -345,7 +334,7 @@ def cmd_check(args) -> dict:
                                  - fam.ricci_contracted(X)).max()))
     results["metric_family_oracle_agreement"] = worst
 
-    tol = _tolerance(args)
+    tol = _tolerance()
     passed = all(v <= max(tol, 1e-8) for v in results.values())
     return {
         "command": "check",
@@ -433,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
         doc = args.func(args)
     except AqlabError as exc:
@@ -443,6 +432,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    doc["inputs"]["argv"] = argv
     _emit(doc)
     if doc["command"] == "verify" and not doc["outputs"]["match"]:
         return 1

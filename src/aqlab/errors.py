@@ -72,5 +72,9 @@ class Degenerate(AqlabError):
     """Metric family parameters lie on the degeneracy circle."""
 
 
+class InvalidResolution(AqlabError):
+    """Sweep resolution is not finite or below the supported minimum."""
+
+
 class NonLieBracket(UserWarning):
     """Curvature requested on a bracket that fails the Jacobi identity."""

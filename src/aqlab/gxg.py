@@ -27,16 +27,20 @@ agreement.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, InvalidModel, NotSemisimple
+from .errors import Degenerate, InvalidModel, InvalidResolution, NotSemisimple
 from .liealg import DoubledModel, is_semisimple
+from .tensors import curvature as compose_curvature, post, transport
 
 DEGENERACY_TOL = 1e-12
 EINSTEIN_TOL = 1e-9
+# Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
+# 4e6 here (3.1e6 of them inside the disc).
+MIN_SWEEP_RES = 1e-3
 
 
 class HermitianStructure(NamedTuple):
@@ -110,15 +114,6 @@ class MetricFamily:
     def _q(self) -> float:
         return self.lam * self.mu / (2.0 * self.d0)
 
-    def _tb(self, P, Q) -> np.ndarray:
-        """Tensor of [P e_a, Q e_b] over the doubled bracket."""
-        t = self.model.c2
-        if P is not None:
-            t = np.einsum("ia,ijk->ajk", P, t)
-        if Q is not None:
-            t = np.einsum("jb,ajk->abk", Q, t)
-        return t
-
     @cached_property
     def nabla(self) -> np.ndarray:
         """Levi-Civita tensor N[a, b, l] in closed form:
@@ -127,7 +122,7 @@ class MetricFamily:
         p = (mu^2 + mu)/(2 d0), q = lam mu / (2 d0).
         """
         m = self.model
-        t = self._tb
+        t = partial(transport, m.c2)
         return (0.5 * t(None, None)
                 + self._p * (t(None, m.J) - t(m.J, None))
                 + self._q * (t(m.K, None) - t(None, m.K)))
@@ -156,10 +151,7 @@ class MetricFamily:
     @cached_property
     def curvature_tensor(self) -> np.ndarray:
         """Compositional R[a, b, c, l] from the connection tensor."""
-        n = self.nabla
-        dd = np.einsum("ajl,bcj->abcl", n, n)
-        return (dd - dd.transpose(1, 0, 2, 3)
-                - np.einsum("abk,kcl->abcl", self.model.c2, n))
+        return compose_curvature(self.model.c2, self.nabla)
 
     def curvature(self, X, Y, Z) -> np.ndarray:
         return np.einsum("a,b,c,abcl->l", np.asarray(X, float),
@@ -231,35 +223,12 @@ class MetricFamily:
             raise NotSemisimple("closed-form Ricci requires a semisimple base")
 
     def ricci_closed(self, X) -> np.ndarray:
-        """Ricci operator through the four-coefficient closed form.
-
-        The sum over both index families is evaluated literally; the terms
-        that vanish for product reasons are left to vanish numerically.
-        """
-        self._require_closed_ricci()
-        m = self.model
-        A, Bc, C, D = self.ricci_coefficients()
-        X = np.asarray(X, float)
-        JX = m.J @ X
-        n = m.n
-        total = np.zeros(m.dim2)
-        for a in range(n):
-            for e_a, jfam in ((np.eye(m.dim2)[a], False),
-                              (np.eye(m.dim2)[n + a], True)):
-                w = m.eps[a]
-                t1 = m.bracket2(m.bracket2(X, e_a), e_a)
-                t2 = m.bracket2(m.bracket2(JX, e_a), e_a)
-                if not jfam:
-                    total += w * (A * t1 + C * t2)
-                else:
-                    total += w * (Bc * t1 + D * t2)
-        return total / self.d0
+        """Ricci operator through the four-coefficient closed form."""
+        return self.ricci_matrix(closed=True) @ np.asarray(X, float)
 
     def ricci_contracted(self, X) -> np.ndarray:
         """Ricci operator as the metric trace of the compositional curvature."""
-        rt = self.curvature_tensor
-        x = np.asarray(X, float)
-        return np.einsum("ij,a,aijl->l", self.sheaf_inverse, x, rt)
+        return self.ricci_matrix(closed=False) @ np.asarray(X, float)
 
     def ricci(self, X) -> np.ndarray:
         if self.model.killing_base and is_semisimple(self.model.base):
@@ -267,12 +236,23 @@ class MetricFamily:
         return self.ricci_contracted(X)
 
     def ricci_matrix(self, closed: bool = True) -> np.ndarray:
-        dim = self.model.dim2
-        cols = []
-        for a in range(dim):
-            e = np.eye(dim)[a]
-            cols.append(self.ricci_closed(e) if closed else self.ricci_contracted(e))
-        return np.column_stack(cols)
+        """Matrix of the Ricci operator.
+
+        Closed: (A C1 + B C2 + (C C1 + D C2) J) / d0 with C1, C2 the sums
+        of eps_a ad(e_a)^2 over the basis of the first and second factor;
+        the terms that vanish for product reasons are left to vanish
+        numerically.  Otherwise the metric trace g^{ij} R(., e_i) e_j of
+        the compositional curvature.
+        """
+        if not closed:
+            return np.einsum("ij,aijl->la", self.sheaf_inverse,
+                             self.curvature_tensor)
+        self._require_closed_ricci()
+        m = self.model
+        A, Bc, C, D = self.ricci_coefficients()
+        ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
+        C1, C2 = np.tensordot(np.kron(np.eye(2), m.eps), ads @ ads, 1)
+        return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / self.d0
 
     def einstein_check(self, tol: float = EINSTEIN_TOL):
         """Return the Ricci constant when r = eps * id over a basis sweep."""
@@ -338,8 +318,7 @@ class MetricFamily:
     def nabla_calJ_tensor(self, sign: int = 1) -> np.ndarray:
         """D[a, b, l] = (nabla_{e_a}(calJ) e_b)^l from the connection tensor."""
         calJ = self.hermitian_structure(sign).calJ
-        return (np.einsum("jb,ajl->abl", calJ, self.nabla)
-                - np.einsum("abk,lk->abl", self.nabla, calJ))
+        return transport(self.nabla, None, calJ) - post(calJ, self.nabla)
 
     def hermitian_class_checks(self, sign: int = 1, tol: float = EINSTEIN_TOL) -> dict:
         """Membership booleans {nearly_kahler, quasi_kahler, g1}.
@@ -354,10 +333,8 @@ class MetricFamily:
         dt = self.nabla_calJ_tensor(sign)
         scale = tol * (1.0 + np.abs(self.model.c2).max()) / abs(self.d0)
         nk = np.abs(dt + dt.transpose(1, 0, 2)).max() <= scale
-        qk_t = np.einsum("ia,jb,ijl->abl", calJ, calJ, dt) + dt
-        qk = np.abs(qk_t).max() <= scale
-        comp = (np.einsum("jb,ajl->abl", calJ, dt)
-                + np.einsum("ia,ibl->abl", calJ, dt))
+        qk = np.abs(transport(dt, calJ, calJ) + dt).max() <= scale
+        comp = transport(dt, None, calJ) + transport(dt, calJ)
         g1 = np.abs(comp + comp.transpose(1, 0, 2)).max() <= scale
         return {"nearly_kahler": bool(nk), "quasi_kahler": bool(qk),
                 "g1": bool(g1)}
@@ -464,8 +441,12 @@ def einstein_sweep(res: float = 0.01, margin: float = 1e-9,
     ``einstein_points`` of (lam, mu, ricci constant) found by shrinking
     local grids around every coarse near-minimum until the Einstein defect
     clears 1e-8 relative to the Ricci scale.  Base independent, hence no
-    model argument.
+    model argument.  ``res`` must be finite and at least ``MIN_SWEEP_RES``.
     """
+    if not (math.isfinite(res) and res >= MIN_SWEEP_RES):
+        raise InvalidResolution(
+            f"sweep resolution must be finite and >= {MIN_SWEEP_RES:g}, "
+            f"got {res!r}")
     k = int(np.floor((1.0 - 1e-12) / res))
     ticks = res * np.arange(-k, k + 1)  # single products avoid drift at 0
     lam, mu = np.meshgrid(ticks, ticks, indexing="ij")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInner, InvalidModel, NotSemisimple
+from .tensors import jacobiator, post, transport
 
 JACOBI_TOL = 1e-10
 SEMISIMPLE_TOL = 1e-9
@@ -47,7 +48,7 @@ class LieAlgebraModel:
         scale = max(1.0, np.abs(c).max())
         if np.abs(c + c.transpose(1, 0, 2)).max() > JACOBI_TOL * scale:
             raise InvalidModel("structure constants are not antisymmetric")
-        jac = _jacobiator(c)
+        jac = jacobiator(c)
         if np.abs(jac).max() > JACOBI_TOL * scale * scale:
             raise InvalidModel(
                 f"Jacobi identity fails by {np.abs(jac).max():.3e}"
@@ -60,12 +61,6 @@ class LieAlgebraModel:
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x): y -> [x, y]."""
         return np.einsum("i,ijk->kj", np.asarray(x, float), self.c)
-
-
-def _jacobiator(c: np.ndarray) -> np.ndarray:
-    """[[x,y],z] cyclic sum as a rank-4 tensor; zero for Lie brackets."""
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
 
 
 def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
@@ -165,7 +160,7 @@ def pseudo_orthonormalize(A: LieAlgebraModel, inner: np.ndarray | None = None):
     eps = np.sign(w)
     basis = qmat / np.sqrt(np.abs(w))
     binv = np.linalg.inv(basis)
-    c_new = np.einsum("ia,jb,ijm,km->abk", basis, basis, A.c, binv)
+    c_new = post(binv, transport(A.c, basis, basis))
     model = LieAlgebraModel(A.dim, c_new, name=A.name)
     return model, eps, basis
 

@@ -21,7 +21,7 @@ are all phrased through it.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
+from .tensors import curvature as compose_curvature, jacobiator, post, transport
 
 STRUCT_TOL = 1e-9
 PRED_TOL = 1e-10
@@ -79,45 +80,27 @@ class PiAQModel:
 
     @cached_property
     def jacobi_defect(self) -> float:
-        t = np.einsum("ijm,mkl->ijkl", self.c, self.c)
-        jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-        return float(np.abs(jac).max())
+        return float(np.abs(jacobiator(self.c)).max())
 
     @property
     def is_lie(self) -> bool:
         return self.jacobi_defect <= 1e-9 * max(1.0, np.abs(self.c).max()) ** 2
-
-    # -- tensor helpers -----------------------------------------------------
-
-    def _tb(self, P, Q) -> np.ndarray:
-        """Tensor of [P e_a, Q e_b] for matrices P, Q (identity = None)."""
-        t = self.c
-        if P is not None:
-            t = np.einsum("ia,ijk->ajk", P, t)
-        if Q is not None:
-            t = np.einsum("jb,ajk->abk", Q, t)
-        return t
-
-    @staticmethod
-    def _post(F, t) -> np.ndarray:
-        """Apply F to the value slot of a (a, b, k) tensor."""
-        return np.einsum("abk,lk->abl", t, F)
 
     @cached_property
     def nabla(self) -> np.ndarray:
         """Connection tensor N[a, b, l] = (nabla_{e_a} e_b)^l, eight-term form."""
         a = float(self.alpha)
         I, J, K = self.I, self.J, self.K
-        t = self._tb
+        t = partial(transport, self.c)
         total = (
             t(None, None)
             - a * t(I, I)
-            + a * self._post(J, t(None, J))
-            - self._post(J, t(I, K))
-            - a * self._post(I, t(I, None))
-            + a * self._post(I, t(None, I))
-            - self._post(K, t(None, K))
-            + self._post(K, t(I, J))
+            + a * post(J, t(None, J))
+            - post(J, t(I, K))
+            - a * post(I, t(I, None))
+            + a * post(I, t(None, I))
+            - post(K, t(None, K))
+            + post(K, t(I, J))
         )
         return 0.25 * total
 
@@ -131,9 +114,7 @@ class PiAQModel:
     def curvature_tensor(self) -> np.ndarray:
         """R[a, b, c, l] of R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
         - nabla_{[X, Y]} Z."""
-        n = self.nabla
-        dd = np.einsum("ajl,bcj->abcl", n, n)
-        return dd - dd.transpose(1, 0, 2, 3) - np.einsum("abk,kcl->abcl", self.c, n)
+        return compose_curvature(self.c, self.nabla)
 
 
 def canonical_connection(M: PiAQModel, X, Y) -> np.ndarray:
@@ -233,33 +214,51 @@ def _scale(M: PiAQModel) -> float:
     return (1.0 + np.abs(M.c).max()) ** 2
 
 
+# Each predicate is decided by one ``_decide_*`` function returning the
+# verdict together with the nonnegative defect tensor it was decided on;
+# the ``is_*`` functions and :func:`predicate_report` both read that pair,
+# so no defect is computed twice.
+
+def _within(M: PiAQModel, defect: np.ndarray, tol: float):
+    return bool(defect.max() <= tol * _scale(M)), defect
+
+
 def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
     """Pointwise failure of I(X*Y) = I(X)*Y = X*I(Y) on basis pairs."""
     S = M.torsion_tensor
-    lhs = M._post(M.I, S)
-    mid = np.einsum("ia,ijk->ajk", M.I, S)
-    rhs = np.einsum("jb,ajk->abk", M.I, S)
-    return np.maximum(np.abs(lhs - mid), np.abs(lhs - rhs))
+    lhs = post(M.I, S)
+    return np.maximum(np.abs(lhs - transport(S, M.I)),
+                      np.abs(lhs - transport(S, None, M.I)))
 
 
-def _three_web_defect(M: PiAQModel) -> np.ndarray:
-    """Failure of the second involution acting as an automorphism of *."""
+def _decide_three_web(M: PiAQModel, tol: float):
+    if M.alpha != 1:
+        raise WrongSignature("webs live in the split signature alpha = +1")
     S = M.torsion_tensor
-    lhs = M._post(M.J, S)
-    rhs = np.einsum("ia,jb,ijk->abk", M.J, M.J, S)
-    return np.abs(lhs - rhs)
+    # failure of the second involution acting as an automorphism of *
+    web = np.abs(post(M.J, S) - transport(S, M.J, M.J))
+    return _within(M, np.maximum(_semiholonomic_defect(M), web), tol)
+
+
+def _decide_integrable(M: PiAQModel, tol: float):
+    s = tol * _scale(M)
+    ds, dr = np.abs(M.torsion_tensor), np.abs(M.curvature_tensor)
+    verdict = bool(ds.max() <= s and dr.max() <= s * _scale(M))
+    return verdict, (ds if ds.max() >= dr.max() else dr)
 
 
 def is_integrable(M: PiAQModel, tol: float = PRED_TOL) -> bool:
     """True when both torsion and curvature of the canonical connection vanish."""
-    s = tol * _scale(M)
-    return bool(np.abs(M.torsion_tensor).max() <= s
-                and np.abs(M.curvature_tensor).max() <= s * _scale(M))
+    return _decide_integrable(M, tol)[0]
+
+
+def _decide_semiholonomic(M: PiAQModel, tol: float):
+    return _within(M, _semiholonomic_defect(M), tol)
 
 
 def is_semiholonomic(M: PiAQModel, tol: float = PRED_TOL) -> bool:
     """I(X*Y) = I(X)*Y = X*I(Y) over a basis sweep; equivalent to N_I = 0."""
-    return bool(_semiholonomic_defect(M).max() <= tol * _scale(M))
+    return _decide_semiholonomic(M, tol)[0]
 
 
 _EIGEN_NAMES = {"1": 1.0, "+1": 1.0, "-1": -1.0,
@@ -286,10 +285,12 @@ def fundamental_involutive(M: PiAQModel, F_name: str, lam,
     with an imaginary eigenvalue the real and imaginary parts are tested
     separately, which is what evaluation over the scalar extension amounts to.
     """
-    return bool(_involutive_defect(M, F_name, lam).max() <= tol * _scale(M))
+    return _decide_involutive(M, F_name, lam, tol)[0]
 
 
-def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
+def _decide_involutive(M: PiAQModel, F_name: str, lam, tol: float):
+    if F_name is None or lam is None:
+        raise NotEigenvalue("involutivity needs --operator and --eigenvalue")
     F_name = F_name.upper()
     if F_name not in ("I", "J", "K"):
         raise NotEigenvalue("operator must be one of I, J, K")
@@ -306,26 +307,26 @@ def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
         f3 = fsq * F  # F^3 = (F^2 scalar) F
         pi_plus = 0.5 * (ident + lamc * f3)
         pi_minus = ident - pi_plus
-        t = np.einsum("ia,ijk->ajk", pi_plus, S.astype(complex))
-        t = np.einsum("abk,lk->abl", t, pi_minus)
-        return np.abs(t)
-    lhs = np.einsum("ia,jb,ijk->abk", F, F, S).astype(complex)
-    rhs = lamc * M._post(F, S)
-    return np.abs(lhs - rhs)
+        defect = np.abs(post(pi_minus, transport(S, pi_plus)))
+    else:
+        defect = np.abs(transport(S, F, F) - lamc * post(F, S))
+    return _within(M, defect, tol)
 
 
-def _isoclinic_defect(M: PiAQModel, mu: float) -> np.ndarray:
+def _decide_isoclinic(M: PiAQModel, mu: float, tol: float):
+    if mu is None or abs(mu - 1.0) <= 1e-12 or abs(mu + 1.0) <= 1e-12:
+        raise InvalidMu("slope must differ from +1 and -1")
+    if not _decide_semiholonomic(M, tol)[0]:
+        raise InvalidModel("model is not semiholonomic")
     ident = np.eye(M.dim, dtype=complex)
     if M.alpha == 1:
         pi_plus = 0.5 * (ident + M.I)
     else:
         pi_plus = 0.5 * (ident - 1j * M.I)  # projector for eigenvalue +i
-    S = M.torsion_tensor.astype(complex)
-    sp = np.einsum("ia,jb,ijk->abk", pi_plus, pi_plus, S)
-    lhs = np.einsum("abk,lk->abl", sp, M.J.astype(complex))
-    jp = (M.J.astype(complex)) @ pi_plus
-    rhs = mu * np.einsum("ia,jb,ijk->abk", jp, jp, S)
-    return np.abs(lhs - rhs)
+    S = M.torsion_tensor
+    lhs = post(M.J, transport(S, pi_plus, pi_plus))
+    jp = M.J @ pi_plus
+    return _within(M, np.abs(lhs - mu * transport(S, jp, jp)), tol)
 
 
 def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float,
@@ -336,11 +337,7 @@ def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float,
     constant slope the obstruction one-form of the non-constant theory
     vanishes identically, so this identity alone decides the property.
     """
-    if mu is None or abs(mu - 1.0) <= 1e-12 or abs(mu + 1.0) <= 1e-12:
-        raise InvalidMu("slope must differ from +1 and -1")
-    if not is_semiholonomic(M, tol=tol):
-        raise InvalidModel("model is not semiholonomic")
-    return bool(_isoclinic_defect(M, mu).max() <= tol * _scale(M))
+    return _decide_isoclinic(M, mu, tol)[0]
 
 
 def is_three_web(M: PiAQModel, tol: float = PRED_TOL) -> bool:
@@ -352,11 +349,7 @@ def is_three_web(M: PiAQModel, tol: float = PRED_TOL) -> bool:
     involutive distributions are then the two eigenspaces of I and the
     diagonal one of J.
     """
-    if M.alpha != 1:
-        raise WrongSignature("webs live in the split signature alpha = +1")
-    if not is_semiholonomic(M, tol=tol):
-        return False
-    return bool(_three_web_defect(M).max() <= tol * _scale(M))
+    return _decide_three_web(M, tol)[0]
 
 
 def abelian_model(dim: int, I, J, alpha: int, name: str = "abelian") -> PiAQModel:
@@ -368,8 +361,13 @@ def abelian_model(dim: int, I, J, alpha: int, name: str = "abelian") -> PiAQMode
 # Predicate reports with witnesses
 # ---------------------------------------------------------------------------
 
-PREDICATES = ("integrable", "semiholonomic", "three_web", "involutive",
-              "isoclinic_geodesic")
+_DECIDE = {"integrable": _decide_integrable,
+           "semiholonomic": _decide_semiholonomic,
+           "three_web": _decide_three_web,
+           "involutive": _decide_involutive,
+           "isoclinic_geodesic": _decide_isoclinic}
+
+PREDICATES = tuple(_DECIDE)
 
 
 def _witness(defect: np.ndarray):
@@ -386,31 +384,11 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None,
     tensor) and, when the verdict is false, ``witness`` holding 0-based
     basis indices of the worst-failing pair (triple for curvature).
     """
-    scale = tol * _scale(M)
-    if name == "integrable":
-        ds, dr = np.abs(M.torsion_tensor), np.abs(M.curvature_tensor)
-        verdict = is_integrable(M, tol=tol)
-        defect = ds if ds.max() >= dr.max() else dr
-    elif name == "semiholonomic":
-        defect = _semiholonomic_defect(M)
-        verdict = bool(defect.max() <= scale)
-    elif name == "three_web":
-        if M.alpha != 1:
-            raise WrongSignature("webs live in the split signature alpha = +1")
-        defect = np.maximum(_semiholonomic_defect(M), _three_web_defect(M))
-        verdict = bool(defect.max() <= scale)
-    elif name == "involutive":
-        if f_name is None or lam is None:
-            raise NotEigenvalue(
-                "involutivity needs --operator and --eigenvalue")
-        defect = _involutive_defect(M, f_name, lam)
-        verdict = bool(defect.max() <= scale)
-    elif name == "isoclinic_geodesic":
-        verdict = is_isoclinic_geodesic_const_mu(M, mu, tol=tol)
-        defect = _isoclinic_defect(M, mu)
-    else:
+    if name not in _DECIDE:
         raise InvalidModel(f"unknown predicate {name!r}")
-    out = {"verdict": verdict, "residual": float(np.abs(defect).max())}
+    args = {"involutive": (f_name, lam), "isoclinic_geodesic": (mu,)}
+    verdict, defect = _DECIDE[name](M, *args.get(name, ()), tol)
+    out = {"verdict": verdict, "residual": float(defect.max())}
     if not verdict:
-        out["witness"] = _witness(np.abs(defect))
+        out["witness"] = _witness(defect)
     return out

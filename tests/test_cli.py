@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from aqlab import liealg as la
 from aqlab.cli import main
 
 SU2_FILE = {
@@ -16,6 +17,26 @@ SU2_FILE = {
         [3, 1, 2, 1.0],
     ],
 }
+
+
+FLAT_MODEL = {
+    "dim": 4,
+    "alpha": 1,
+    "name": "flat",
+    "brackets": [],
+    "I": np.diag([1.0, 1.0, -1.0, -1.0]).tolist(),
+    "J": np.block([[np.zeros((2, 2)), np.eye(2)],
+                   [np.eye(2), np.zeros((2, 2))]]).tolist(),
+}
+
+
+def doubled_su2_file() -> dict:
+    """Model file of the doubled su(2), a twistor pair with torsion."""
+    M = la.doubled(la.su2()).as_piaq()
+    recs = [[int(i) + 1, int(j) + 1, int(k) + 1, float(M.c[i, j, k])]
+            for i, j, k in zip(*np.nonzero(M.c)) if i < j]
+    return {"dim": M.dim, "alpha": M.alpha, "brackets": recs,
+            "I": M.I.tolist(), "J": M.J.tolist()}
 
 
 def run(capsys, *argv):
@@ -163,6 +184,14 @@ class TestEinstein:
             assert abs(gl - wl) < 1e-8 and abs(gm - wm) < 1e-8
             assert abs(ge - we) < 1e-8
 
+    @pytest.mark.parametrize("res", ["0", "-0.1", "nan", "inf", "1e-4"])
+    def test_bad_sweep_resolution(self, capsys, res):
+        code, doc, err = run(capsys, "einstein", "--catalog", "su2",
+                             "--sweep", res)
+        assert code == 1 and doc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "InvalidResolution" in lines[0]
+
     def test_missing_mode_is_error(self, capsys):
         code, doc, err = run(capsys, "einstein", "--catalog", "su2")
         assert code == 1
@@ -196,20 +225,48 @@ class TestPiaq:
         assert "InvalidMu" in err
 
     def test_model_file(self, capsys, tmp_path):
-        model = {
-            "dim": 4,
-            "alpha": 1,
-            "name": "flat",
-            "brackets": [],
-            "I": np.diag([1.0, 1.0, -1.0, -1.0]).tolist(),
-            "J": np.block([[np.zeros((2, 2)), np.eye(2)],
-                           [np.eye(2), np.zeros((2, 2))]]).tolist(),
-        }
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
+        path.write_text(json.dumps(FLAT_MODEL))
         code, doc, _ = run(capsys, "piaq", "--model", str(path),
                            "--predicate", "integrable")
         assert code == 0 and doc["outputs"]["verdict"] is True
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+MALFORMED = [
+    ("einstein", "not json"),
+    ("einstein", [SU2_FILE]),
+    ("einstein", _without(SU2_FILE, "dim")),
+    ("einstein", _without(SU2_FILE, "brackets")),
+    ("einstein", dict(SU2_FILE, brackets=[[1, 2, 3]])),
+    ("einstein", dict(SU2_FILE, brackets=[{"i": 1, "j": 2, "k": 3}])),
+    ("einstein", dict(SU2_FILE, brackets=7)),
+    ("einstein", dict(SU2_FILE, dim=[3])),
+    ("piaq", _without(FLAT_MODEL, "I")),
+    ("piaq", _without(FLAT_MODEL, "J")),
+    ("piaq", _without(FLAT_MODEL, "alpha")),
+    ("piaq", _without(FLAT_MODEL, "dim")),
+    ("piaq", dict(FLAT_MODEL, alpha=[1])),
+    ("piaq", dict(FLAT_MODEL, I=[[1, 0], [0]])),
+    ("piaq", dict(FLAT_MODEL, brackets=[[1, 2, 3, 1.0, 5]])),
+]
+
+
+@pytest.mark.parametrize("command,data", MALFORMED)
+def test_malformed_file_is_one_error_line(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    if command == "einstein":
+        argv = ("einstein", "--algebra", str(path), "--classify")
+    else:
+        argv = ("piaq", "--model", str(path), "--predicate", "integrable")
+    code, doc, err = run(capsys, *argv)
+    assert code == 1 and doc is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestVerify:
@@ -222,10 +279,19 @@ class TestVerify:
         ("einstein", "--catalog", "sl2r", "--classify"),
         ("einstein", "--catalog", "su2", "--sweep", "0.25"),
         ("piaq", "--doubled", "su2", "--predicate", "semiholonomic"),
+        ("check", "--seed", "3", "--samples", "5"),
+        ("einstein", "--algebra", "{algebra}", "--classify"),
+        ("piaq", "--model", "{model}", "--predicate", "integrable"),
     ])
     def test_roundtrip(self, capsys, tmp_path, argv):
+        files = {"algebra": SU2_FILE, "model": doubled_su2_file()}
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files})
+                for a in argv]
         code, doc, _ = run(capsys, *argv)
         assert code == 0
+        assert doc["inputs"]["argv"] == argv
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, vdoc, _ = run(capsys, "verify", str(path))
@@ -241,6 +307,39 @@ class TestVerify:
         code, vdoc, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert vdoc["outputs"]["match"] is False
+
+    def test_csv_is_not_rewritten(self, capsys, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        code, doc, _ = run(capsys, "einstein", "--catalog", "su2",
+                           "--sweep", "0.25", "--csv", str(csv))
+        assert code == 0
+        csv.write_text("kept\n")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, vdoc, _ = run(capsys, "verify", str(path))
+        assert code == 0 and vdoc["outputs"]["match"] is True
+        assert csv.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("case", ["no_argv", "verify_doc", "bad_choice",
+                                      "bad_float", "help"])
+    def test_unverifiable_document(self, capsys, tmp_path, case):
+        code, doc, _ = run(capsys, "pauli", "--alpha", "1")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        if case == "verify_doc":
+            code, doc, _ = run(capsys, "verify", str(path))
+        else:
+            doc["inputs"]["argv"] = {
+                "no_argv": None,
+                "bad_choice": ["einstein", "--catalog", "nope", "--classify"],
+                "bad_float": ["einstein", "--catalog", "su2", "--sweep", "x"],
+                "help": ["pauli", "--help"],
+            }[case]
+        path.write_text(json.dumps(doc))
+        code, vdoc, err = run(capsys, "verify", str(path))
+        assert code == 1 and vdoc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestCheck:

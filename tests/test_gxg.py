@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from aqlab import liealg as la
-from aqlab.errors import Degenerate, InvalidModel, NotSemisimple
+from aqlab.errors import Degenerate, InvalidModel, InvalidResolution, NotSemisimple
 from aqlab.gxg import (
+    MIN_SWEEP_RES,
     MetricFamily,
     classify_einstein,
     einstein_residuals,
@@ -26,6 +27,26 @@ def dsu2():
 @pytest.fixture(scope="module")
 def dsl2r():
     return la.doubled(la.sl2r())
+
+
+def ricci_loop(fam, X):
+    """The closed-form Ricci operator as a literal sum over both basis
+    families; the reference for the one-contraction ``ricci_matrix``."""
+    m = fam.model
+    A, Bc, C, D = fam.ricci_coefficients()
+    X = np.asarray(X, float)
+    JX = m.J @ X
+    total = np.zeros(m.dim2)
+    for a in range(m.n):
+        for e_a, jfam in ((np.eye(m.dim2)[a], False),
+                          (np.eye(m.dim2)[m.n + a], True)):
+            t1 = m.bracket2(m.bracket2(X, e_a), e_a)
+            t2 = m.bracket2(m.bracket2(JX, e_a), e_a)
+            if not jfam:
+                total += m.eps[a] * (A * t1 + C * t2)
+            else:
+                total += m.eps[a] * (Bc * t1 + D * t2)
+    return total / fam.d0
 
 
 def sample_disc(rng, bound=0.9):
@@ -211,14 +232,27 @@ class TestRicci:
         assert b == pytest.approx(-1.0 / 6.0, abs=1e-15)
 
     def test_closed_equals_contracted(self, dsu2, dsl2r, rng):
-        for model in (dsu2, dsl2r):
+        # the last base is no catalog algebra: an indefinite direct sum
+        mixed = la.doubled(la.direct_sum(la.su2(), la.sl2r()))
+        for model in (dsu2, dsl2r, mixed):
             for _ in range(15):
                 lam, mu = sample_disc(rng)
                 fam = MetricFamily(model, lam, mu)
-                x = rng.normal(size=6)
+                x = rng.normal(size=model.dim2)
                 a = fam.ricci_closed(x)
                 b = fam.ricci_contracted(x)
                 assert np.abs(a - b).max() < 1e-9 * (1 + np.abs(a).max())
+                ra, rb = fam.ricci_matrix(True), fam.ricci_matrix(False)
+                assert np.abs(ra - rb).max() < 1e-9 * (1 + np.abs(ra).max())
+
+    def test_matrix_equals_basis_sum(self, dsu2, dsl2r, rng):
+        for model in (dsu2, dsl2r, la.doubled(la.so4())):
+            lam, mu = sample_disc(rng)
+            fam = MetricFamily(model, lam, mu)
+            want = np.column_stack([ricci_loop(fam, e)
+                                    for e in np.eye(model.dim2)])
+            got = fam.ricci_matrix(True)
+            assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(want).max())
 
     def test_non_einstein_point(self, dsu2):
         assert MetricFamily(dsu2, 0.2, 0.3).einstein_check() is None
@@ -281,6 +315,12 @@ class TestClassification:
         for (gl, gm, ge), (wl, wm, we) in zip(pts, EXACT_POINTS):
             assert np.hypot(gl - wl, gm - wm) < 1e-8
             assert abs(ge - we) < 1e-8
+
+    @pytest.mark.parametrize("res", [0.0, -0.1, np.nan, np.inf,
+                                     0.5 * MIN_SWEEP_RES])
+    def test_sweep_resolution_is_bounded(self, res):
+        with pytest.raises(InvalidResolution):
+            einstein_sweep(res=res)
 
     def test_residual_vector_form(self):
         off, aniso = einstein_residuals([0.0, 0.2], [-0.5, 0.3])

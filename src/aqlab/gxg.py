@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import Degenerate, InvalidModel, InvalidResolution, NotSemisimple
 from .liealg import DoubledModel, is_semisimple
-from .tensors import curvature as compose_curvature, post, transport
+from .tensors import apply, curvature as compose_curvature, post, transport
 
 DEGENERACY_TOL = 1e-12
 EINSTEIN_TOL = 1e-9
@@ -139,12 +139,10 @@ class MetricFamily:
         return 0.5 * np.einsum("lm,abm->abl", self.sheaf_inverse, rhs)
 
     def levi_civita(self, X, Y) -> np.ndarray:
-        return np.einsum("a,b,abl->l", np.asarray(X, float),
-                         np.asarray(Y, float), self.nabla)
+        return apply(self.nabla, X, Y)
 
     def levi_civita_koszul(self, X, Y) -> np.ndarray:
-        return np.einsum("a,b,abl->l", np.asarray(X, float),
-                         np.asarray(Y, float), self.nabla_koszul)
+        return apply(self.nabla_koszul, X, Y)
 
     # -- curvature ------------------------------------------------------------
 
@@ -154,9 +152,7 @@ class MetricFamily:
         return compose_curvature(self.model.c2, self.nabla)
 
     def curvature(self, X, Y, Z) -> np.ndarray:
-        return np.einsum("a,b,c,abcl->l", np.asarray(X, float),
-                         np.asarray(Y, float), np.asarray(Z, float),
-                         self.curvature_tensor)
+        return apply(self.curvature_tensor, X, Y, Z)
 
     def curvature_closed(self, X, Y, Z) -> np.ndarray:
         """Closed-form expansion of R(X, Y)Z in iterated brackets.
@@ -269,16 +265,12 @@ class MetricFamily:
     def nabla_endo(self, T: np.ndarray, X, Y) -> np.ndarray:
         """Definitional oracle nabla_X(T) Y = nabla_X(TY) - T nabla_X Y."""
         T = np.asarray(T, float)
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
         return self.levi_civita(X, T @ Y) - T @ self.levi_civita(X, Y)
 
     def nabla_endo_closed(self, which: str, X, Y, sign: int = 1) -> np.ndarray:
         """Closed-form displays of nabla(I), nabla(J), nabla(K), nabla(calJ)."""
         m = self.model
         B = m.bracket2
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
         lam, mu, d0 = self.lam, self.mu, self.d0
         cp = (mu ** 2 + mu) / d0
         cq = lam * mu / d0
@@ -344,15 +336,15 @@ class MetricFamily:
 
         On product models the pure basis vectors annihilate the quadratic
         form for block reasons, so the sweep includes e_i + e_j, which is
-        equivalent to polarizing over basis pairs.
+        equivalent to polarizing over basis pairs.  Both are read from the
+        tensor D = nabla(calJ): D(e_i, e_i) = D[i, i] and D(e_i + e_j,
+        e_i + e_j) = D[i, i] + D[j, j] + D[i, j] + D[j, i].
         """
-        dt = self.nabla_calJ_tensor()
-        dim = self.model.dim2
-        es = np.eye(dim)
-        vecs = [es[i] for i in range(dim)]
-        vecs += [es[i] + es[j] for i in range(dim) for j in range(i + 1, dim)]
-        return max(float(np.abs(np.einsum("a,b,abl->l", v, v, dt)).max())
-                   for v in vecs)
+        dt = self.nabla_calJ_tensor(sign)
+        q = np.diagonal(dt).T  # q[i] = D(e_i, e_i)
+        pairs = q[:, None] + q[None, :] + dt + dt.transpose(1, 0, 2)
+        i, j = np.triu_indices(len(q), 1)
+        return float(max(np.abs(q).max(), np.abs(pairs[i, j]).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInner, InvalidModel, NotSemisimple
-from .tensors import jacobiator, post, transport
+from .tensors import apply, jacobiator, post, transport
 
 JACOBI_TOL = 1e-10
 SEMISIMPLE_TOL = 1e-9
@@ -55,12 +55,11 @@ class LieAlgebraModel:
             )
 
     def bracket(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(x, float),
-                         np.asarray(y, float), self.c)
+        return apply(self.c, x, y)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x): y -> [x, y]."""
-        return np.einsum("i,ijk->kj", np.asarray(x, float), self.c)
+        return apply(self.c, x).T
 
 
 def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
@@ -137,9 +136,8 @@ def lemma2_check(A: LieAlgebraModel, X, tol: float = SEMISIMPLE_TOL) -> np.ndarr
     if not is_semisimple(A, tol=tol):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     kinv = np.linalg.inv(killing_form(A))
-    x = np.asarray(X, dtype=float)
-    inner = np.einsum("a,aik->ik", x, A.c)          # [X, e_i]
-    return np.einsum("ij,ik,kjl->l", kinv, inner, A.c)
+    inner = apply(A.c, X)  # inner[i] = [X, e_i]
+    return np.tensordot(inner.T @ kinv, A.c, 2)
 
 
 def pseudo_orthonormalize(A: LieAlgebraModel, inner: np.ndarray | None = None):
@@ -207,8 +205,7 @@ class DoubledModel:
 
     def bracket2(self, X, Y) -> np.ndarray:
         """Componentwise bracket; mixed-factor arguments commute."""
-        return np.einsum("i,j,ijk->k", np.asarray(X, float),
-                         np.asarray(Y, float), self.c2)
+        return apply(self.c2, X, Y)
 
     def as_piaq(self):
         """View as a parallelizable twistor-pair model (alpha = +1)."""

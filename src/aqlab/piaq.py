@@ -33,7 +33,8 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
-from .tensors import curvature as compose_curvature, jacobiator, post, transport
+from .tensors import (apply, curvature as compose_curvature, jacobiator,
+                      post, transport)
 
 STRUCT_TOL = 1e-9
 PRED_TOL = 1e-10
@@ -75,8 +76,7 @@ class PiAQModel:
         self.K = self.I @ self.J
 
     def bracket(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(x, float),
-                         np.asarray(y, float), self.c)
+        return apply(self.c, x, y)
 
     @cached_property
     def jacobi_defect(self) -> float:
@@ -119,8 +119,7 @@ class PiAQModel:
 
 def canonical_connection(M: PiAQModel, X, Y) -> np.ndarray:
     """nabla_X Y by the eight-term expansion."""
-    return np.einsum("a,b,abl->l", np.asarray(X, float), np.asarray(Y, float),
-                     M.nabla)
+    return apply(M.nabla, X, Y)
 
 
 def canonical_connection_split(M: PiAQModel, X, Y) -> np.ndarray:
@@ -170,8 +169,7 @@ def canonical_connection_split(M: PiAQModel, X, Y) -> np.ndarray:
 
 def torsion(M: PiAQModel, X, Y) -> np.ndarray:
     """Torsion S(X, Y), which is also the adjoint-algebra product X * Y."""
-    return np.einsum("a,b,abl->l", np.asarray(X, float), np.asarray(Y, float),
-                     M.torsion_tensor)
+    return apply(M.torsion_tensor, X, Y)
 
 
 adjoint_product = torsion
@@ -186,9 +184,7 @@ def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
             NonLieBracket,
             stacklevel=2,
         )
-    return np.einsum("a,b,c,abcl->l", np.asarray(X, float),
-                     np.asarray(Y, float), np.asarray(Z, float),
-                     M.curvature_tensor)
+    return apply(M.curvature_tensor, X, Y, Z)
 
 
 def nijenhuis(M: PiAQModel, F, X, Y, tol: float = STRUCT_TOL) -> np.ndarray:
@@ -371,8 +367,10 @@ PREDICATES = tuple(_DECIDE)
 
 
 def _witness(defect: np.ndarray):
-    """Basis index tuple of the largest defect entry (value slot dropped)."""
-    idx = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    """Basis index tuple of the first entry within a relative 1e-12 of the
+    largest defect (value slot dropped), so rounding cannot pick among ties."""
+    top = defect >= (1.0 - 1e-12) * defect.max()
+    idx = np.unravel_index(int(np.argmax(top)), defect.shape)
     return [int(t) for t in idx[:-1]]
 
 

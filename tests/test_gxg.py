@@ -49,6 +49,17 @@ def ricci_loop(fam, X):
     return total / fam.d0
 
 
+def nearly_kahler_loop(fam, sign=1):
+    """max |nabla_X(calJ) X| as a literal sweep over e_i and e_i + e_j;
+    the reference for the array expression in ``nearly_kahler_defect``."""
+    dt = fam.nabla_calJ_tensor(sign)
+    es = np.eye(fam.model.dim2)
+    vecs = list(es) + [es[i] + es[j] for i in range(len(es))
+                       for j in range(i + 1, len(es))]
+    return max(float(np.abs(np.einsum("a,b,abl->l", v, v, dt)).max())
+               for v in vecs)
+
+
 def sample_disc(rng, bound=0.9):
     while True:
         lam, mu = rng.uniform(-bound, bound, size=2)
@@ -366,6 +377,14 @@ class TestStructureDerivatives:
     def test_off_point_defect_is_visible(self, dsu2):
         assert MetricFamily(dsu2, 0.05, -0.5).nearly_kahler_defect() > 1e-3
         assert MetricFamily(dsu2, 0.0, -0.45).nearly_kahler_defect() > 1e-3
+
+    @pytest.mark.parametrize("base", [la.su2, la.sl2r, la.so4])
+    @pytest.mark.parametrize("point", [(0.0, -0.5), (0.3, 0.1), (-0.2, -0.6)])
+    def test_defect_equals_vector_loop(self, base, point):
+        fam = MetricFamily(la.doubled(base()), *point)
+        for sign in (1, -1):
+            want = nearly_kahler_loop(fam, sign)
+            assert abs(fam.nearly_kahler_defect(sign) - want) <= 1e-12 * (1 + want)
 
 
 class TestHermitianClasses:

@@ -13,7 +13,8 @@ from aqlab.errors import (
     NotTwistor,
     WrongSignature,
 )
-from conftest import random_piaq_model, standard_pair
+from conftest import (_well_conditioned, conjugate_structure, random_piaq_model,
+                      standard_pair)
 
 ALPHAS = (-1, 1)
 
@@ -252,3 +253,29 @@ class TestPredicateReport:
     def test_isoclinic_report(self, doubled_su2):
         rep = pq.predicate_report(doubled_su2, "isoclinic_geodesic", mu=0.5)
         assert rep["verdict"] is False and rep["residual"] > 0.01
+
+    def test_witness_is_first_of_rounding_ties(self):
+        defect = np.zeros((3, 3, 2))
+        defect[2, 0, 1] = 1.0
+        defect[0, 1, 0] = 1.0 - 1e-15  # the same maximum up to rounding
+        assert pq._witness(defect) == [0, 1]
+        defect[0, 1, 0] = 1.0 - 1e-9  # a smaller entry, not a tie
+        assert pq._witness(defect) == [2, 0]
+
+    @pytest.mark.parametrize("base", [la.su2, la.so4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_on_conjugated_doubled_models(self, base, seed):
+        """Antisymmetric pairs tie on doubled models in a random basis; the
+        report names the first of them, whatever rounding left largest."""
+        A = la.direct_sum(base(), base())
+        t = _well_conditioned(np.random.default_rng(seed), A.dim)
+        tinv = np.linalg.inv(t)
+        I, J = standard_pair(A.dim, 1)
+        M = pq.PiAQModel(A.dim, conjugate_structure(A.c, t), tinv @ I @ t,
+                         tinv @ J @ t, 1)
+        for name, kw in (("integrable", {}), ("isoclinic_geodesic", {"mu": 0.3})):
+            defect = pq._DECIDE[name](M, *kw.values(), pq.PRED_TOL)[1]
+            ties = np.argwhere(defect >= (1.0 - 1e-9) * defect.max())
+            assert len(ties) >= 2
+            rep = pq.predicate_report(M, name, **kw)
+            assert rep["witness"] == ties[0][:-1].tolist()

@@ -33,21 +33,27 @@ def test_post_and_basis_change(rng):
                  np.einsum("ia,jb,ijm,km->abk", s, s, c, sinv))
 
 
+def jacobiator_ref(c):
+    return (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+            + np.einsum("kim,mjl->ijkl", c, c))
+
+
+def curvature_ref(c, n):
+    return (np.einsum("ajl,bcj->abcl", n, n) - np.einsum("bjl,acj->abcl", n, n)
+            - np.einsum("abk,kcl->abcl", c, n))
+
+
 def test_jacobiator(rng):
     c = rng.normal(size=(4, 4, 4))
-    want = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c))
-    assert close(tensors.jacobiator(c), want)
+    assert close(tensors.jacobiator(c), jacobiator_ref(c))
     assert np.abs(tensors.jacobiator(la.so4().c)).max() == 0.0
 
 
 def test_curvature(rng):
     c = rng.normal(size=(4, 4, 4))
     n = rng.normal(size=(4, 4, 4))
-    want = (np.einsum("ajl,bcj->abcl", n, n) - np.einsum("bjl,acj->abcl", n, n)
-            - np.einsum("abk,kcl->abcl", c, n))
     R = tensors.curvature(c, n)
-    assert close(R, want)
+    assert close(R, curvature_ref(c, n))
 
     def nab(x, y):
         return np.einsum("a,b,abl->l", x, y, n)
@@ -56,3 +62,37 @@ def test_curvature(rng):
     direct = (nab(X, nab(Y, Z)) - nab(Y, nab(X, Z))
               - nab(np.einsum("i,j,ijk->k", X, Y, c), Z))
     assert close(np.einsum("a,b,c,abcl->l", X, Y, Z, R), direct)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_kernels_across_dimensions(rng, d, layout):
+    """Real tensors with complex operators (the projectors of I are
+    complex), in C order and as transposed views that are not contiguous."""
+    def arr(*shape, cplx=False):
+        a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0)
+        return a.T if layout == "transposed" else a
+
+    t, n = arr(d, d, d), arr(d, d, d)
+    P, Q, F = arr(d, d, cplx=True), arr(d, d, cplx=True), arr(d, d, cplx=True)
+    assert t.flags.c_contiguous == (layout == "contiguous" or d == 1)
+    assert close(tensors.transport(t, P, Q), np.einsum("ia,jb,ijk->abk", P, Q, t))
+    assert close(tensors.transport(t, P), np.einsum("ia,ijk->ajk", P, t))
+    assert close(tensors.transport(t, None, Q), np.einsum("jb,ajk->abk", Q, t))
+    assert close(tensors.post(F, t), np.einsum("lk,abk->abl", F, t))
+    assert close(tensors.jacobiator(t), jacobiator_ref(t))
+    assert close(tensors.curvature(t, n), curvature_ref(t, n))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_apply(rng, d):
+    t3, t4 = rng.normal(size=(d,) * 3), rng.normal(size=(d,) * 4)
+    X, Y, Z = rng.normal(size=(3, d))
+    assert close(tensors.apply(t3, X, Y), np.einsum("a,b,abl->l", X, Y, t3))
+    assert close(tensors.apply(t3, X), np.einsum("a,abl->bl", X, t3))
+    assert close(tensors.apply(t4, X, Y, Z),
+                 np.einsum("a,b,c,abcl->l", X, Y, Z, t4))
+    assert close(tensors.apply(t4.T, X, Y, Z),
+                 np.einsum("a,b,c,abcl->l", X, Y, Z, t4.T))
+    assert close(tensors.apply(t3, X.tolist(), Y.tolist()),
+                 np.einsum("a,b,abl->l", X, Y, t3))

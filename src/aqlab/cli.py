@@ -26,18 +26,17 @@ from . import fourdim as fd
 from . import liealg as la
 from . import piaq as pq
 from . import quat as qt
+from . import scalars as sk
 from . import spinor as sp
 from .errors import AqlabError, InvalidModel
-from .gxg import MetricFamily, classify_einstein, einstein_sweep
+from .gxg import EINSTEIN_TOL, MetricFamily, classify_einstein, einstein_sweep
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  #: verify/check comparison tolerance unless AQLAB_TOL is set
+CHECK_FLOOR = 1e-8  #: least bound on check's worst residuals
 
 
-def _tolerance(default: float = DEFAULT_TOL) -> float:
-    env = os.environ.get("AQLAB_TOL")
-    if env is not None:
-        return float(env)
-    return default
+def _tolerance() -> float:
+    return float(os.environ.get("AQLAB_TOL", DEFAULT_TOL))
 
 
 def _rationalize(x: float, tol: float = 1e-12):
@@ -147,11 +146,10 @@ def cmd_pauli(args) -> dict:
 
 def cmd_spinbasis(args) -> dict:
     alpha = args.alpha
-    tol = _tolerance()
     triples = [_parse_floats(getattr(args, name), 3, name)
                for name in ("j1", "j2", "j3")]
     js = [qt.from_coeffs([0.0, *t], alpha) for t in triples]
-    result = sp.spinbasis(sp.IQBasis(*js), tol=tol)
+    result = sp.spinbasis(sp.IQBasis(*js))
     return {
         "command": "spinbasis",
         "inputs": {"alpha": alpha, "j1": triples[0], "j2": triples[1],
@@ -160,7 +158,7 @@ def cmd_spinbasis(args) -> dict:
             "change_matrix": _smat_doc(result.matrix),
             "orientation_sign": result.sign,
         },
-        "tolerances": {"isotropy": tol},
+        "tolerances": {"isotropy": sk.ISOTROPY_TOL},
     }
 
 
@@ -186,12 +184,11 @@ def cmd_selfdual(args) -> dict:
 
 
 def cmd_einstein(args) -> dict:
-    tol = _tolerance()
     base = _load_algebra(args)
     model = la.doubled(base)
     inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
     if args.classify:
-        points = classify_einstein(model, tol=tol)
+        points = classify_einstein(model)
         rows = [{"lambda": _with_exact(l), "mu": _with_exact(m),
                  "epsilon": _with_exact(e)} for l, m, e in points]
         outputs = {"einstein_points": rows, "count": len(rows)}
@@ -219,7 +216,7 @@ def cmd_einstein(args) -> dict:
         if args.lam is None or args.mu is None:
             raise AqlabError("either --lambda/--mu, --classify or --sweep is required")
         fam = MetricFamily(model, args.lam, args.mu)
-        eps = fam.einstein_check(tol=tol)
+        eps = fam.einstein_check()
         A, B, C, D = fam.ricci_coefficients()
         inputs.update({"lambda": args.lam, "mu": args.mu})
         outputs = {
@@ -229,15 +226,14 @@ def cmd_einstein(args) -> dict:
                                    "D": _f(D)},
         }
     return {"command": "einstein", "inputs": inputs, "outputs": outputs,
-            "tolerances": {"einstein": tol}}
+            "tolerances": {"einstein": EINSTEIN_TOL}}
 
 
 def cmd_piaq(args) -> dict:
-    tol = _tolerance(default=pq.PRED_TOL)
     model = (la.doubled(la.CATALOG[args.doubled]()).as_piaq() if args.doubled
              else _load_file(args.model, twistor=True))
     report = pq.predicate_report(model, args.predicate, lam=args.eigenvalue,
-                                 f_name=args.operator, mu=args.mu, tol=tol)
+                                 f_name=args.operator, mu=args.mu)
     inputs = {
         "model": args.model or f"doubled:{args.doubled}",
         "dim": model.dim,
@@ -251,7 +247,7 @@ def cmd_piaq(args) -> dict:
     if args.mu is not None:
         inputs["mu"] = args.mu
     return {"command": "piaq", "inputs": inputs, "outputs": report,
-            "tolerances": {"predicate": tol}}
+            "tolerances": {"predicate": pq.PRED_TOL}}
 
 
 def cmd_verify(args) -> dict:
@@ -277,14 +273,14 @@ def cmd_verify(args) -> dict:
     if getattr(rerun_args, "csv", None):
         rerun_args.csv = None  # compare outputs only; never rewrite files
     rerun = rerun_args.func(rerun_args)
-    match = _compare(doc.get("outputs"), rerun.get("outputs"),
-                     tol=_tolerance())
+    tol = _tolerance()
+    match = _compare(doc.get("outputs"), rerun.get("outputs"), tol)
     return {
         "command": "verify",
         "inputs": {"document": args.document,
                    "verified_command": doc.get("command")},
         "outputs": {"match": match},
-        "tolerances": {"comparison": _tolerance()},
+        "tolerances": {"comparison": tol},
     }
 
 
@@ -334,13 +330,13 @@ def cmd_check(args) -> dict:
                                  - fam.ricci_contracted(X)).max()))
     results["metric_family_oracle_agreement"] = worst
 
-    tol = _tolerance()
-    passed = all(v <= max(tol, 1e-8) for v in results.values())
+    bound = max(_tolerance(), CHECK_FLOOR)
+    passed = all(v <= bound for v in results.values())
     return {
         "command": "check",
         "inputs": {"seed": args.seed, "samples": n},
         "outputs": {"passed": passed, "worst_residuals": results},
-        "tolerances": {"bound": max(tol, 1e-8)},
+        "tolerances": {"bound": bound},
     }
 
 

@@ -36,8 +36,9 @@ from .errors import Degenerate, InvalidModel, InvalidResolution, NotSemisimple
 from .liealg import DoubledModel, is_semisimple
 from .tensors import apply, curvature as compose_curvature, post, transport
 
-DEGENERACY_TOL = 1e-12
-EINSTEIN_TOL = 1e-9
+DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
+EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to (1 + |c|)/d0
+DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
 MIN_SWEEP_RES = 1e-3
@@ -250,13 +251,13 @@ class MetricFamily:
         C1, C2 = np.tensordot(np.kron(np.eye(2), m.eps), ads @ ads, 1)
         return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / self.d0
 
-    def einstein_check(self, tol: float = EINSTEIN_TOL):
+    def einstein_check(self):
         """Return the Ricci constant when r = eps * id over a basis sweep."""
         closed = self.model.killing_base and is_semisimple(self.model.base)
         r = self.ricci_matrix(closed=closed)
         dim = self.model.dim2
         eps = float(np.trace(r)) / dim
-        if np.abs(r - eps * np.eye(dim)).max() <= tol * max(1.0, abs(eps)):
+        if np.abs(r - eps * np.eye(dim)).max() <= EINSTEIN_TOL * max(1.0, abs(eps)):
             return eps
         return None
 
@@ -312,7 +313,7 @@ class MetricFamily:
         calJ = self.hermitian_structure(sign).calJ
         return transport(self.nabla, None, calJ) - post(calJ, self.nabla)
 
-    def hermitian_class_checks(self, sign: int = 1, tol: float = EINSTEIN_TOL) -> dict:
+    def hermitian_class_checks(self, sign: int = 1) -> dict:
         """Membership booleans {nearly_kahler, quasi_kahler, g1}.
 
         Uses the definitional covariant derivative of the almost Hermitian
@@ -323,7 +324,7 @@ class MetricFamily:
             raise Degenerate("class checks apply to the elliptic regime")
         calJ = self.hermitian_structure(sign).calJ
         dt = self.nabla_calJ_tensor(sign)
-        scale = tol * (1.0 + np.abs(self.model.c2).max()) / abs(self.d0)
+        scale = EINSTEIN_TOL * (1.0 + np.abs(self.model.c2).max()) / abs(self.d0)
         nk = np.abs(dt + dt.transpose(1, 0, 2)).max() <= scale
         qk = np.abs(transport(dt, calJ, calJ) + dt).max() <= scale
         comp = transport(dt, None, calJ) + transport(dt, calJ)
@@ -376,7 +377,7 @@ def einstein_residuals(lam, mu):
     return off, aniso
 
 
-def classify_einstein(model: DoubledModel, tol: float = EINSTEIN_TOL):
+def classify_einstein(model: DoubledModel):
     """The exact solutions of C = D = 0, A = B with lam^2 + mu^2 != 1.
 
     The difference C - D factors as lam mu (3 mu + 2) / (2 d0), which splits
@@ -400,20 +401,20 @@ def classify_einstein(model: DoubledModel, tol: float = EINSTEIN_TOL):
     out = []
     for lam, mu in candidates:
         fam = MetricFamily(model, lam, mu)
-        eps = fam.einstein_check(tol=tol)
+        eps = fam.einstein_check()
         if eps is not None:
             out.append((lam, mu, eps))
     return out
 
 
-def _refine_minimum(lam: float, mu: float, half: float, margin: float = 1e-9):
+def _refine_minimum(lam: float, mu: float, half: float):
     """Iteratively shrink a local grid around a defect minimum."""
     while half > 1e-9:
         ls = lam + np.linspace(-half, half, 21)
         ms = mu + np.linspace(-half, half, 21)
         gl, gm = np.meshgrid(ls, ms, indexing="ij")
         off, aniso = einstein_residuals(gl, gm)
-        defect = np.where(gl ** 2 + gm ** 2 < 1.0 - margin,
+        defect = np.where(gl ** 2 + gm ** 2 < 1.0 - DISC_MARGIN,
                           off + aniso, np.inf)
         i, j = np.unravel_index(int(np.argmin(defect)), defect.shape)
         lam, mu = float(gl[i, j]), float(gm[i, j])
@@ -424,12 +425,11 @@ def _refine_minimum(lam: float, mu: float, half: float, margin: float = 1e-9):
     return lam, mu
 
 
-def einstein_sweep(res: float = 0.01, margin: float = 1e-9,
-                   refine: bool = True):
+def einstein_sweep(res: float = 0.01, refine: bool = True):
     """Grid scan of the open disc by the closed coefficient formulas.
 
     Returns flat arrays (lam, mu, off, aniso) over all grid points with
-    lam^2 + mu^2 < 1 - margin, plus, when ``refine`` is set, the list
+    lam^2 + mu^2 < 1 - DISC_MARGIN, plus, when ``refine`` is set, the list
     ``einstein_points`` of (lam, mu, ricci constant) found by shrinking
     local grids around every coarse near-minimum until the Einstein defect
     clears 1e-8 relative to the Ricci scale.  Base independent, hence no
@@ -442,7 +442,7 @@ def einstein_sweep(res: float = 0.01, margin: float = 1e-9,
     k = int(np.floor((1.0 - 1e-12) / res))
     ticks = res * np.arange(-k, k + 1)  # single products avoid drift at 0
     lam, mu = np.meshgrid(ticks, ticks, indexing="ij")
-    inside = lam ** 2 + mu ** 2 < 1.0 - margin
+    inside = lam ** 2 + mu ** 2 < 1.0 - DISC_MARGIN
     lam, mu = lam[inside], mu[inside]
     off, aniso = einstein_residuals(lam, mu)
     out = {"lam": lam, "mu": mu, "off": off, "aniso": aniso}
@@ -459,7 +459,7 @@ def einstein_sweep(res: float = 0.01, margin: float = 1e-9,
         centers.append((l, m))
     points = []
     for l, m in centers:
-        rl, rm = _refine_minimum(l, m, res, margin)
+        rl, rm = _refine_minimum(l, m, res)
         o, a = einstein_residuals(rl, rm)
         d0 = 1.0 - rl ** 2 - rm ** 2
         eps = -ricci_coefficients(rl, rm)[0] / d0

@@ -25,8 +25,10 @@ import numpy as np
 from .errors import DegenerateInner, InvalidModel, NotSemisimple
 from .tensors import apply, jacobiator, post, transport
 
-JACOBI_TOL = 1e-10
-SEMISIMPLE_TOL = 1e-9
+JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
+SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
+SYMMETRY_TOL = 1e-10  #: inner product asymmetry, rel. to max(1, its largest entry)
+KILLING_BASE_TOL = 1e-10  #: inner is K when gap <= this * max(1, |K|) + 1e-5 |K_ij|
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,18 @@ def killing_form(A: LieAlgebraModel) -> np.ndarray:
     return -np.einsum("iab,jba->ij", A.c, A.c)
 
 
-def is_semisimple(A: LieAlgebraModel, tol: float = SEMISIMPLE_TOL) -> bool:
+def is_semisimple(A: LieAlgebraModel) -> bool:
     k = killing_form(A)
     s = np.linalg.svd(k, compute_uv=False)
-    return bool(s[-1] > tol * max(1.0, s[0]))
+    return bool(s[-1] > SEMISIMPLE_TOL * max(1.0, s[0]))
 
 
-def lemma2_check(A: LieAlgebraModel, X, tol: float = SEMISIMPLE_TOL) -> np.ndarray:
+def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
     """The contraction g^{ij} [[X, e_i], e_j] with the trace-form metric.
 
     Equals -X on every semisimple algebra, independently of the basis.
     """
-    if not is_semisimple(A, tol=tol):
+    if not is_semisimple(A):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     kinv = np.linalg.inv(killing_form(A))
     inner = apply(A.c, X)  # inner[i] = [X, e_i]
@@ -150,7 +152,7 @@ def pseudo_orthonormalize(A: LieAlgebraModel, inner: np.ndarray | None = None):
     if inner is None:
         inner = killing_form(A)
     inner = np.asarray(inner, dtype=float)
-    if np.abs(inner - inner.T).max() > 1e-10 * max(1.0, np.abs(inner).max()):
+    if np.abs(inner - inner.T).max() > SYMMETRY_TOL * max(1.0, np.abs(inner).max()):
         raise DegenerateInner("inner product must be symmetric")
     w, qmat = np.linalg.eigh(inner)
     if np.abs(w).min() <= SEMISIMPLE_TOL * max(1.0, np.abs(w).max()):
@@ -181,10 +183,9 @@ class DoubledModel:
         self.obase = obase
         self.eps = eps
         self.basis = basis
-        self.killing_base = inner is None or bool(
-            np.allclose(np.asarray(inner, float), killing_form(base),
-                        atol=1e-10 * max(1.0, np.abs(killing_form(base)).max()))
-        )
+        self.killing_base = inner is None or bool(np.allclose(
+            np.asarray(inner, float), killing_form(base),
+            atol=KILLING_BASE_TOL * max(1.0, np.abs(killing_form(base)).max())))
         n = base.dim
         self.n = n
         self.dim2 = 2 * n

@@ -36,8 +36,11 @@ from .errors import (
 from .tensors import (apply, curvature as compose_curvature, jacobiator,
                       post, transport)
 
-STRUCT_TOL = 1e-9
-PRED_TOL = 1e-10
+STRUCT_TOL = 1e-9  #: antisymmetry rel. to max(1, |c|); I, J, F squares to max(1, |F|)^2
+PRED_TOL = 1e-10  #: predicate defects rel. to (1 + |c|)^2, curvature to (1 + |c|)^4
+LIE_TOL = 1e-9  #: bracket is Lie when its Jacobiator <= this * max(1, |c|)^2
+VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
+TIE_TOL = 1e-12  #: defects within this fraction of the largest tie for the witness
 
 
 class PiAQModel:
@@ -84,7 +87,7 @@ class PiAQModel:
 
     @property
     def is_lie(self) -> bool:
-        return self.jacobi_defect <= 1e-9 * max(1.0, np.abs(self.c).max()) ** 2
+        return self.jacobi_defect <= LIE_TOL * max(1.0, np.abs(self.c).max()) ** 2
 
     @cached_property
     def nabla(self) -> np.ndarray:
@@ -187,21 +190,21 @@ def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
     return apply(M.curvature_tensor, X, Y, Z)
 
 
-def nijenhuis(M: PiAQModel, F, X, Y, tol: float = STRUCT_TOL) -> np.ndarray:
+def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
     """Nijenhuis tensor s[X,Y] + [FX,FY] - F[FX,Y] - F[X,FY], s = scalar of F^2."""
     F = np.asarray(F, dtype=float)
-    s = _square_scalar(F, tol)
+    s = _square_scalar(F)
     FX, FY = F @ np.asarray(X, float), F @ np.asarray(Y, float)
     return (s * M.bracket(X, Y) + M.bracket(FX, FY)
             - F @ M.bracket(FX, Y) - F @ M.bracket(X, FY))
 
 
-def _square_scalar(F: np.ndarray, tol: float) -> float:
+def _square_scalar(F: np.ndarray) -> float:
     m = F.shape[0]
     sq = F @ F
     s = float(np.trace(sq) / m)
     s = 1.0 if s > 0 else -1.0
-    if np.abs(sq - s * np.eye(m)).max() > tol * max(1.0, np.abs(F).max() ** 2):
+    if np.abs(sq - s * np.eye(m)).max() > STRUCT_TOL * max(1.0, np.abs(F).max() ** 2):
         raise NotTwistor("operator does not square to a +/- identity multiple")
     return s
 
@@ -215,8 +218,8 @@ def _scale(M: PiAQModel) -> float:
 # the ``is_*`` functions and :func:`predicate_report` both read that pair,
 # so no defect is computed twice.
 
-def _within(M: PiAQModel, defect: np.ndarray, tol: float):
-    return bool(defect.max() <= tol * _scale(M)), defect
+def _within(M: PiAQModel, defect: np.ndarray):
+    return bool(defect.max() <= PRED_TOL * _scale(M)), defect
 
 
 def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
@@ -227,34 +230,34 @@ def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
                       np.abs(lhs - transport(S, None, M.I)))
 
 
-def _decide_three_web(M: PiAQModel, tol: float):
+def _decide_three_web(M: PiAQModel):
     if M.alpha != 1:
         raise WrongSignature("webs live in the split signature alpha = +1")
     S = M.torsion_tensor
     # failure of the second involution acting as an automorphism of *
     web = np.abs(post(M.J, S) - transport(S, M.J, M.J))
-    return _within(M, np.maximum(_semiholonomic_defect(M), web), tol)
+    return _within(M, np.maximum(_semiholonomic_defect(M), web))
 
 
-def _decide_integrable(M: PiAQModel, tol: float):
-    s = tol * _scale(M)
+def _decide_integrable(M: PiAQModel):
+    s = PRED_TOL * _scale(M)
     ds, dr = np.abs(M.torsion_tensor), np.abs(M.curvature_tensor)
     verdict = bool(ds.max() <= s and dr.max() <= s * _scale(M))
     return verdict, (ds if ds.max() >= dr.max() else dr)
 
 
-def is_integrable(M: PiAQModel, tol: float = PRED_TOL) -> bool:
+def is_integrable(M: PiAQModel) -> bool:
     """True when both torsion and curvature of the canonical connection vanish."""
-    return _decide_integrable(M, tol)[0]
+    return _decide_integrable(M)[0]
 
 
-def _decide_semiholonomic(M: PiAQModel, tol: float):
-    return _within(M, _semiholonomic_defect(M), tol)
+def _decide_semiholonomic(M: PiAQModel):
+    return _within(M, _semiholonomic_defect(M))
 
 
-def is_semiholonomic(M: PiAQModel, tol: float = PRED_TOL) -> bool:
+def is_semiholonomic(M: PiAQModel) -> bool:
     """I(X*Y) = I(X)*Y = X*I(Y) over a basis sweep; equivalent to N_I = 0."""
-    return _decide_semiholonomic(M, tol)[0]
+    return _decide_semiholonomic(M)[0]
 
 
 _EIGEN_NAMES = {"1": 1.0, "+1": 1.0, "-1": -1.0,
@@ -270,8 +273,7 @@ def _parse_eigenvalue(lam) -> complex:
     return complex(lam)
 
 
-def fundamental_involutive(M: PiAQModel, F_name: str, lam,
-                           tol: float = PRED_TOL) -> bool:
+def fundamental_involutive(M: PiAQModel, F_name: str, lam) -> bool:
     """Involutivity test for the eigendistribution of I, J or K.
 
     For the principal operator I the distribution is involutive exactly when
@@ -281,10 +283,10 @@ def fundamental_involutive(M: PiAQModel, F_name: str, lam,
     with an imaginary eigenvalue the real and imaginary parts are tested
     separately, which is what evaluation over the scalar extension amounts to.
     """
-    return _decide_involutive(M, F_name, lam, tol)[0]
+    return _decide_involutive(M, F_name, lam)[0]
 
 
-def _decide_involutive(M: PiAQModel, F_name: str, lam, tol: float):
+def _decide_involutive(M: PiAQModel, F_name: str, lam):
     if F_name is None or lam is None:
         raise NotEigenvalue("involutivity needs --operator and --eigenvalue")
     F_name = F_name.upper()
@@ -293,7 +295,7 @@ def _decide_involutive(M: PiAQModel, F_name: str, lam, tol: float):
     F = {"I": M.I, "J": M.J, "K": M.K}[F_name]
     lamc = _parse_eigenvalue(lam)
     fsq = -1.0 if F_name == "K" else float(M.alpha)
-    if abs(lamc * lamc - fsq) > 1e-12:
+    if abs(lamc * lamc - fsq) > VALUE_TOL:
         raise NotEigenvalue(
             f"{lam!r} is not an eigenvalue of {F_name} (square must be {fsq:g})"
         )
@@ -306,13 +308,13 @@ def _decide_involutive(M: PiAQModel, F_name: str, lam, tol: float):
         defect = np.abs(post(pi_minus, transport(S, pi_plus)))
     else:
         defect = np.abs(transport(S, F, F) - lamc * post(F, S))
-    return _within(M, defect, tol)
+    return _within(M, defect)
 
 
-def _decide_isoclinic(M: PiAQModel, mu: float, tol: float):
-    if mu is None or abs(mu - 1.0) <= 1e-12 or abs(mu + 1.0) <= 1e-12:
+def _decide_isoclinic(M: PiAQModel, mu: float):
+    if mu is None or abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
         raise InvalidMu("slope must differ from +1 and -1")
-    if not _decide_semiholonomic(M, tol)[0]:
+    if not _decide_semiholonomic(M)[0]:
         raise InvalidModel("model is not semiholonomic")
     ident = np.eye(M.dim, dtype=complex)
     if M.alpha == 1:
@@ -322,21 +324,20 @@ def _decide_isoclinic(M: PiAQModel, mu: float, tol: float):
     S = M.torsion_tensor
     lhs = post(M.J, transport(S, pi_plus, pi_plus))
     jp = M.J @ pi_plus
-    return _within(M, np.abs(lhs - mu * transport(S, jp, jp)), tol)
+    return _within(M, np.abs(lhs - mu * transport(S, jp, jp)))
 
 
-def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float,
-                                   tol: float = PRED_TOL) -> bool:
+def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float) -> bool:
     """Constant-slope isoclinic-geodesic test J(X*Y) = mu (JX * JY).
 
     Checked for X, Y spanning a principal eigendistribution of I.  For
     constant slope the obstruction one-form of the non-constant theory
     vanishes identically, so this identity alone decides the property.
     """
-    return _decide_isoclinic(M, mu, tol)[0]
+    return _decide_isoclinic(M, mu)[0]
 
 
-def is_three_web(M: PiAQModel, tol: float = PRED_TOL) -> bool:
+def is_three_web(M: PiAQModel) -> bool:
     """Split-signature web criterion.
 
     The adjoint product must be linear over the first involution
@@ -345,7 +346,7 @@ def is_three_web(M: PiAQModel, tol: float = PRED_TOL) -> bool:
     involutive distributions are then the two eigenspaces of I and the
     diagonal one of J.
     """
-    return _decide_three_web(M, tol)[0]
+    return _decide_three_web(M)[0]
 
 
 def abelian_model(dim: int, I, J, alpha: int, name: str = "abelian") -> PiAQModel:
@@ -367,15 +368,14 @@ PREDICATES = tuple(_DECIDE)
 
 
 def _witness(defect: np.ndarray):
-    """Basis index tuple of the first entry within a relative 1e-12 of the
-    largest defect (value slot dropped), so rounding cannot pick among ties."""
-    top = defect >= (1.0 - 1e-12) * defect.max()
+    """Basis index tuple of the first entry within a relative ``TIE_TOL`` of
+    the largest defect (value slot dropped), so rounding cannot pick among ties."""
+    top = defect >= (1.0 - TIE_TOL) * defect.max()
     idx = np.unravel_index(int(np.argmax(top)), defect.shape)
     return [int(t) for t in idx[:-1]]
 
 
-def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None,
-                     mu=None, tol: float = PRED_TOL) -> dict:
+def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) -> dict:
     """Verdict plus a failing basis pair for the CLI surface.
 
     Returns a dict with ``verdict``, ``residual`` (sup norm of the defect
@@ -385,7 +385,7 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None,
     if name not in _DECIDE:
         raise InvalidModel(f"unknown predicate {name!r}")
     args = {"involutive": (f_name, lam), "isoclinic_geodesic": (mu,)}
-    verdict, defect = _DECIDE[name](M, *args.get(name, ()), tol)
+    verdict, defect = _DECIDE[name](M, *args.get(name, ()))
     out = {"verdict": verdict, "residual": float(defect.max())}
     if not verdict:
         out["witness"] = _witness(defect)

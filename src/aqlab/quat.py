@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars as sk
-from .errors import IsotropicScalar, NotPurelyImaginary, SignatureMismatch
+from .errors import NotPurelyImaginary, SignatureMismatch
 from .scalars import ScalarKA
 
-#: Relative tolerance for the purely-imaginary test: |a| < tol * (1 + max|coeff|).
-PURE_IMAG_TOL = 1e-9
+PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * (1 + max|coeff|)
 
 
 @dataclass(frozen=True)
@@ -132,22 +131,15 @@ def qnormsq(q: QuaternionA) -> float:
     return q.a * q.a - q.alpha * (q.b * q.b + q.c * q.c) + q.d * q.d
 
 
-def qinv(q: QuaternionA, tol: float = sk.ISOTROPY_TOL) -> QuaternionA:
-    n = qnormsq(q)
-    if abs(n) <= tol:
-        raise IsotropicScalar(f"quaternion norm {n:.3e} below tolerance")
-    return scale(1.0 / n, qconj(q))
-
-
 def scalar_product(p: QuaternionA, q: QuaternionA) -> float:
     """Polarization of the norm: <p, q> = (conj(p) q + conj(q) p) / 2."""
     _check(p, q)
     return p.a * q.a - p.alpha * (p.b * q.b + p.c * q.c) + p.d * q.d
 
 
-def is_purely_imaginary(q: QuaternionA, tol: float = PURE_IMAG_TOL) -> bool:
+def is_purely_imaginary(q: QuaternionA) -> bool:
     sup = max(abs(q.a), abs(q.b), abs(q.c), abs(q.d))
-    return abs(q.a) <= tol * (1.0 + sup)
+    return abs(q.a) <= PURE_IMAG_TOL * (1.0 + sup)
 
 
 def _require_imaginary(q: QuaternionA):
@@ -210,8 +202,8 @@ class SpinMatrix:
         """Sum of real parts of the diagonal entries."""
         return self.m[0][0].re + self.m[1][1].re
 
-    def inv(self, tol: float = sk.ISOTROPY_TOL) -> "SpinMatrix":
-        dinv = sk.inv(self.det(), tol=tol)
+    def inv(self) -> "SpinMatrix":
+        dinv = sk.inv(self.det())
         return SpinMatrix((
             (sk.mul(dinv, self.m[1][1]), sk.mul(dinv, sk.neg(self.m[0][1]))),
             (sk.mul(dinv, sk.neg(self.m[1][0])), sk.mul(dinv, self.m[0][0])),

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from .errors import IsotropicScalar, SignatureMismatch
 
-#: Absolute tolerance on |z|^2 below which an element counts as isotropic.
-#: Chosen to separate genuine zero divisors from roundoff at unit scale.
-ISOTROPY_TOL = 1e-9
+# Chosen to separate genuine zero divisors from roundoff at unit scale.
+ISOTROPY_TOL = 1e-9  #: absolute: z is isotropic (no inverse) when |z|^2 <= this
 
 
 @dataclass(frozen=True)
@@ -112,20 +111,20 @@ def normsq(x: ScalarKA) -> float:
     return x.re * x.re - x.alpha * x.im * x.im
 
 
-def is_isotropic(x: ScalarKA, tol: float = ISOTROPY_TOL) -> bool:
-    """True when |z|^2 vanishes within ``tol`` (zero divisor or zero)."""
-    return abs(normsq(x)) <= tol
+def is_isotropic(x: ScalarKA) -> bool:
+    """True when |z|^2 vanishes within ``ISOTROPY_TOL`` (zero divisor or zero)."""
+    return abs(normsq(x)) <= ISOTROPY_TOL
 
 
-def inv(x: ScalarKA, tol: float = ISOTROPY_TOL) -> ScalarKA:
+def inv(x: ScalarKA) -> ScalarKA:
     """Multiplicative inverse conj(z)/|z|^2.
 
     Raises:
-        IsotropicScalar: when |z|^2 is below ``tol`` in absolute value.
+        IsotropicScalar: when |z|^2 is at most ``ISOTROPY_TOL`` in absolute value.
     """
     n = normsq(x)
-    if abs(n) <= tol:
-        raise IsotropicScalar(f"normsq {n:.3e} below tolerance {tol:.1e}")
+    if abs(n) <= ISOTROPY_TOL:
+        raise IsotropicScalar(f"normsq {n:.3e} below tolerance {ISOTROPY_TOL:.1e}")
     return ScalarKA(x.re / n, -x.im / n, x.alpha)
 
 

@@ -28,6 +28,11 @@ from .errors import (
 from .quat import QuaternionA, SpinMatrix
 from .scalars import ScalarKA
 
+GRAM_TOL = 1e-9  #: absolute (not scale-aware): Gram-entry error of an input triple
+CONJ_TOL = 1e-7  #: absolute: entries of P^-1 [j_m] P against the Pauli matrices
+RANK_TOL = 1e-8  #: orbit rank counts singular values > this * the largest
+RELATION_TOL = 1e-8  #: I, J twistor relations rel. to 1 + max(|I|, |J|)^2
+
 
 @dataclass(frozen=True)
 class SpinVector:
@@ -124,7 +129,7 @@ class SpinBasisResult(NamedTuple):
     sign: int           # +1 when the input triple is oriented like (i, j, k)
 
 
-def check_iq_basis(basis: IQBasis, tol: float = 1e-9):
+def check_iq_basis(basis: IQBasis):
     """Validate the orthonormality pattern; raise with the failing entry."""
     js = list(basis)
     alpha = js[0].alpha
@@ -138,7 +143,7 @@ def check_iq_basis(basis: IQBasis, tol: float = 1e-9):
         for c in range(3):
             val = qt.scalar_product(js[r], js[c])
             want = expected[r] if r == c else 0.0
-            if abs(val - want) > tol:
+            if abs(val - want) > GRAM_TOL:
                 raise OrthonormalityViolated(
                     f"Gram entry ({r + 1},{c + 1}) = {val:.6e}, expected {want:g}",
                     entry=(r, c, val),
@@ -163,7 +168,7 @@ def _seed_vectors(alpha: int):
     ]
 
 
-def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector, tol: float):
+def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
     """One attempt of the eigenvector construction; None when the seed fails."""
     j1, j2, j3 = basis
     alpha = j1.alpha
@@ -175,7 +180,7 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector, tol: float):
     ep2 = X - scalar_mul(ialpha, W)
     n1 = hermitian_form(ep1, ep1).re
     n2 = hermitian_form(ep2, ep2).re
-    if abs(n1) <= tol or abs(n2) <= tol:
+    if abs(n1) <= sk.ISOTROPY_TOL or abs(n2) <= sk.ISOTROPY_TOL:
         return None  # eigenvector seed or isotropic normalization denominator
 
     ep1 = scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
@@ -186,42 +191,34 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector, tol: float):
         ep1 = scalar_mul(i, ep1)
     if hermitian_form(ep2, ep2).re * float(alpha) > 0:
         ep2 = scalar_mul(i, ep2)
-    if hermitian_form(ep1, ep1).re < 0 or hermitian_form(ep2, ep2).re * alpha > 0:
-        return None
 
     # [j2] ep1 = a ep2 with |a|^2 = 1; the second basis operator becomes
     # [[0, alpha], [1, 0]] exactly after rescaling the second vector by a.
     w = apply(j2, ep1)
     a = sk.scale(-float(alpha), hermitian_form(ep2, w))
-    resid = w - scalar_mul(a, ep2)
-    if resid.max_abs() > 1e-7 * (1.0 + w.max_abs()):
-        return None
-    if abs(sk.normsq(a)) <= tol:
-        return None
     e1, e2 = ep1, scalar_mul(a, ep2)
 
     P = SpinMatrix(((e1.x1, e2.x1), (e1.x2, e2.x2)))
-    if abs(sk.normsq(P.det())) <= tol:
+    if abs(sk.normsq(P.det())) <= sk.ISOTROPY_TOL:
         return None
-    Pinv = P.inv(tol=tol)
+    Pinv = P.inv()
 
     s1, s2, s3 = qt.pauli_matrices(alpha)
     m1 = Pinv @ qt.spin_matrix(j1) @ P
     m2 = Pinv @ qt.spin_matrix(j2) @ P
     m3 = Pinv @ qt.spin_matrix(j3) @ P
-    ctol = 1e-7
-    if not (qt.smat_close(m1, s1, tol=ctol) and qt.smat_close(m2, s2, tol=ctol)):
+    if not (qt.smat_close(m1, s1, CONJ_TOL) and qt.smat_close(m2, s2, CONJ_TOL)):
         return None
     # -sigma3 = [[0, -alpha*i], [i, 0]]
     neg_s3 = qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha)
-    if qt.smat_close(m3, s3, tol=ctol):
+    if qt.smat_close(m3, s3, CONJ_TOL):
         return SpinBasisResult(P, +1)
-    if qt.smat_close(m3, neg_s3, tol=ctol):
+    if qt.smat_close(m3, neg_s3, CONJ_TOL):
         return SpinBasisResult(P, -1)
     return None
 
 
-def spinbasis(basis: IQBasis, tol: float = sk.ISOTROPY_TOL) -> SpinBasisResult:
+def spinbasis(basis: IQBasis) -> SpinBasisResult:
     """Construct the basis of S that represents the triple by Pauli matrices.
 
     Sweeps a fixed list of seed vectors, takes the first one that is not an
@@ -239,10 +236,10 @@ def spinbasis(basis: IQBasis, tol: float = sk.ISOTROPY_TOL) -> SpinBasisResult:
         DegenerateEigenvector: every seed hits an isotropic denominator
             (possible only for alpha = +1).
     """
-    check_iq_basis(basis, tol=max(tol, 1e-9))
+    check_iq_basis(basis)
     alpha = basis.j1.alpha
     for X in _seed_vectors(alpha):
-        result = _try_spinbasis_from_seed(basis, X, tol)
+        result = _try_spinbasis_from_seed(basis, X)
         if result is not None:
             return result
     raise DegenerateEigenvector(
@@ -250,19 +247,17 @@ def spinbasis(basis: IQBasis, tol: float = sk.ISOTROPY_TOL) -> SpinBasisResult:
     )
 
 
-def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult,
-                        tol: float = sk.ISOTROPY_TOL) -> SpinMatrix:
+def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
     """Conjugate the matrix of q into the constructed basis."""
     P = result.matrix
-    return P.inv(tol=tol) @ qt.spin_matrix(q) @ P
+    return P.inv() @ qt.spin_matrix(q) @ P
 
 
 # ---------------------------------------------------------------------------
 # Orbit dimension of a represented quaternion algebra
 # ---------------------------------------------------------------------------
 
-def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray,
-                    rank_tol: float = 1e-8, struct_tol: float = 1e-8) -> int:
+def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     """Real dimension of the orbit {q(X)} of a represented algebra.
 
     ``I`` and ``J`` must satisfy I^2 = J^2 = alpha id and IJ + JI = 0 for a
@@ -270,7 +265,7 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray,
     the rank of that column family.  The value is always 2 or 4, and it is 2
     exactly when X lies in the kernel of an isotropic quaternion.
 
-    Singular values below ``rank_tol`` times the largest count as zero.
+    Singular values at or below ``RANK_TOL`` times the largest count as zero.
     """
     I = np.asarray(I, dtype=float)
     J = np.asarray(J, dtype=float)
@@ -281,22 +276,21 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray,
     ident = np.eye(n)
     al = np.trace(I @ I) / n
     alpha = 1 if al > 0 else -1
-    scale = 1.0 + max(np.abs(I).max(), np.abs(J).max()) ** 2
-    if (np.abs(I @ I - alpha * ident).max() > struct_tol * scale
-            or np.abs(J @ J - alpha * ident).max() > struct_tol * scale
-            or np.abs(I @ J + J @ I).max() > struct_tol * scale):
+    bound = RELATION_TOL * (1.0 + max(np.abs(I).max(), np.abs(J).max()) ** 2)
+    if (np.abs(I @ I - alpha * ident).max() > bound
+            or np.abs(J @ J - alpha * ident).max() > bound
+            or np.abs(I @ J + J @ I).max() > bound):
         raise NotAQStructure("operators fail the anticommuting twistor relations")
     if np.abs(X).max() == 0.0:
         raise ZeroVector("orbit of the zero vector is not defined")
     cols = np.column_stack([X, I @ X, J @ X, I @ (J @ X)])
     svals = np.linalg.svd(cols, compute_uv=False)
-    return int(np.sum(svals > rank_tol * svals[0]))
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
-def isotropic_kernel_member(I: np.ndarray, J: np.ndarray, X: np.ndarray,
-                            tol: float = 1e-8) -> bool:
+def isotropic_kernel_member(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> bool:
     """Membership test: is X annihilated by some isotropic quaternion?
 
     Equivalent to the orbit being 2-dimensional.
     """
-    return orbit_dimension(I, J, X, rank_tol=tol) == 2
+    return orbit_dimension(I, J, X) == 2

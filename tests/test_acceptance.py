@@ -124,7 +124,7 @@ def test_criterion_05_g1_membership_and_quasi_kahler():
             lam, mu = rng.uniform(-0.95, 0.95, size=2)
             if lam * lam + mu * mu < 0.9:
                 break
-        checks = MetricFamily(model, lam, mu).hermitian_class_checks(tol=1e-9)
+        checks = MetricFamily(model, lam, mu).hermitian_class_checks()
         g1_ok = g1_ok and checks["g1"]
     qk_ok = True
     for lam, mu in _disc_grid(0.05):

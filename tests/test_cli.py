@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from aqlab import gxg
 from aqlab import liealg as la
+from aqlab import piaq as pq
+from aqlab import scalars as sk
 from aqlab.cli import main
 
 SU2_FILE = {
@@ -350,8 +353,29 @@ class TestCheck:
         assert doc1["outputs"] == doc2["outputs"]
         assert doc1["outputs"]["passed"] is True
 
-    def test_tolerance_override(self, capsys, monkeypatch):
+    def test_tolerance_override(self, capsys, monkeypatch, tmp_path):
+        """AQLAB_TOL sets check's bound and verify's comparison only; the
+        verdicts of spinbasis, einstein and piaq keep the library constants."""
+        decisions = {
+            ("spinbasis", "--alpha", "1", "--j1", "1,0,0", "--j2", "0,1,0",
+             "--j3", "0,0,1"): {"isotropy": sk.ISOTROPY_TOL},
+            ("einstein", "--catalog", "su2", "--classify"):
+                {"einstein": gxg.EINSTEIN_TOL},
+            ("piaq", "--doubled", "su2", "--predicate", "integrable"):
+                {"predicate": pq.PRED_TOL},
+        }
+        plain = {argv: run(capsys, *argv)[1] for argv in decisions}
+        _, doc, _ = run(capsys, "pauli", "--alpha", "1")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
         monkeypatch.setenv("AQLAB_TOL", "1e-2")
         code, doc, _ = run(capsys, "check", "--seed", "1", "--samples", "5")
         assert code == 0
-        assert doc["tolerances"]["bound"] == pytest.approx(1e-2)
+        assert doc["tolerances"]["bound"] == 1e-2
+        code, doc, _ = run(capsys, "verify", str(path))
+        assert code == 0 and doc["tolerances"] == {"comparison": 1e-2}
+        for argv, tolerances in decisions.items():
+            code, doc, _ = run(capsys, *argv)
+            assert code == 0
+            assert doc["tolerances"] == plain[argv]["tolerances"] == tolerances
+            assert doc["outputs"] == plain[argv]["outputs"]

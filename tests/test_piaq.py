@@ -274,7 +274,7 @@ class TestPredicateReport:
         M = pq.PiAQModel(A.dim, conjugate_structure(A.c, t), tinv @ I @ t,
                          tinv @ J @ t, 1)
         for name, kw in (("integrable", {}), ("isoclinic_geodesic", {"mu": 0.3})):
-            defect = pq._DECIDE[name](M, *kw.values(), pq.PRED_TOL)[1]
+            defect = pq._DECIDE[name](M, *kw.values())[1]
             ties = np.argwhere(defect >= (1.0 - 1e-9) * defect.max())
             assert len(ties) >= 2
             rep = pq.predicate_report(M, name, **kw)

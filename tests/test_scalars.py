@@ -101,11 +101,19 @@ class TestInv:
         assert sk.close(got, z(2 / 3, -1 / 3, 1), tol=1e-15)
         assert sk.close(sk.mul(z(2, 1, 1), got), sk.one(1), tol=1e-15)
 
-    def test_tolerance_is_configurable(self):
-        nearly = z(1, 1 + 1e-7, 1)  # normsq about -2e-7
+    def test_isotropy_boundary(self):
+        """ISOTROPY_TOL (1e-9) is absolute: |z|^2 at 8e-10 raises, 2e-9 inverts."""
+        assert sk.ISOTROPY_TOL == 1e-9
+        inside = z(1, 1 + 4e-10, 1)  # normsq about -8e-10
+        assert -1e-9 < sk.normsq(inside) < -6e-10
         with pytest.raises(IsotropicScalar):
-            sk.inv(nearly, tol=1e-3)
-        sk.inv(nearly, tol=1e-9)
+            sk.inv(inside)
+        assert sk.is_isotropic(inside)
+        outside = z(1, 1 + 1e-9, 1)  # normsq about -2e-9
+        assert -3e-9 < sk.normsq(outside) < -1e-9
+        got = sk.inv(outside)
+        assert not sk.is_isotropic(outside)
+        assert sk.close(sk.mul(outside, got), sk.one(1), tol=1e-6)
 
     def test_isotropy_predicate(self):
         assert sk.is_isotropic(z(1, 1, 1))

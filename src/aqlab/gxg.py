@@ -44,6 +44,37 @@ DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 MIN_SWEEP_RES = 1e-3
 
 
+# R(X, Y)Z is the sum of k p^i q^j [u, [v, w]] over the rows (k, i, j, "u v w");
+# each of the first twenty rows also subtracts its term with X and Y swapped,
+# and the last five are the [[., .], .] terms, written as -[w, [u, v]].
+_CURVATURE_TERMS = (
+    (0.5, 1, 0, "X Y JZ"), (-0.5, 1, 0, "X JY Z"), (0.5, 0, 1, "X KY Z"),
+    (-0.5, 0, 1, "X Y KZ"), (0.5, 1, 0, "X JY JZ"), (-1.0, 2, 0, "X Y JZ"),
+    (1.0, 2, 0, "X JY Z"), (-0.5, 1, 0, "JX Y Z"), (-1.0, 2, 0, "JX Y JZ"),
+    (1.0, 2, 0, "JX JY Z"), (-1.0, 1, 1, "JX KY Z"), (1.0, 1, 1, "JX Y KZ"),
+    (0.5, 0, 1, "KX Y Z"), (1.0, 1, 1, "KX Y JZ"), (-1.0, 1, 1, "KX JY Z"),
+    (1.0, 0, 2, "KX KY Z"), (-1.0, 0, 2, "KX Y KZ"), (-0.5, 0, 1, "X KY JZ"),
+    (1.0, 0, 2, "X Y JZ"), (-1.0, 0, 2, "X JY Z"),
+    (0.25, 0, 0, "Z X Y"), (1.0, 1, 0, "JZ X Y"), (-1.0, 1, 0, "Z JX JY"),
+    (-1.0, 0, 1, "KZ X Y"), (1.0, 0, 1, "Z KX JY"),
+)
+_STACK = "X Y Z JX JY JZ KX KY KZ".split()
+
+
+def _curvature_rows(terms):
+    """The table with the swapped copies of its first twenty rows appended,
+    as the columns (k, i, j, u, v, w), where u, v, w index ``_STACK``."""
+    swap = str.maketrans("XY", "YX")
+    rows = terms + tuple((-k, i, j, uvw.translate(swap))
+                         for k, i, j, uvw in terms[:20])
+    k, i, j, uvw = zip(*rows)
+    u, v, w = np.array([[_STACK.index(s) for s in t.split()] for t in uvw]).T
+    return np.array(k), np.array(i), np.array(j), u, v, w
+
+
+_CURVATURE_ROWS = _curvature_rows(_CURVATURE_TERMS)
+
+
 class HermitianStructure(NamedTuple):
     calJ: np.ndarray
     sign: int
@@ -158,46 +189,20 @@ class MetricFamily:
     def curvature_closed(self, X, Y, Z) -> np.ndarray:
         """Closed-form expansion of R(X, Y)Z in iterated brackets.
 
-        Twenty-odd grouped terms in p and q; an independent code path from
-        :meth:`curvature`, which composes the connection tensor.
+        Sums the rows k p^i q^j [u, [v, w]] of ``_CURVATURE_TERMS``, all
+        inner brackets in one stacked product and all outer ones in a
+        second; an independent code path from :meth:`curvature`, which
+        composes the connection tensor.
         """
         m = self.model
-        B = m.bracket2
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
-        Z = np.asarray(Z, float)
-        JX, JY, JZ = m.J @ X, m.J @ Y, m.J @ Z
-        KX, KY, KZ = m.K @ X, m.K @ Y, m.K @ Z
-        p, q = self._p, self._q
-
-        def asym(u1, v1, w1, u2, v2, w2):
-            # [u1, [v1, w1]] - [u2, [v2, w2]], the X <-> Y swapped pair
-            return B(u1, B(v1, w1)) - B(u2, B(v2, w2))
-
-        r = -0.25 * B(B(X, Y), Z)
-        r = r + 0.5 * p * asym(X, Y, JZ, Y, X, JZ)
-        r = r - 0.5 * p * asym(X, JY, Z, Y, JX, Z)
-        r = r + 0.5 * q * asym(X, KY, Z, Y, KX, Z)
-        r = r - 0.5 * q * asym(X, Y, KZ, Y, X, KZ)
-        r = r + 0.5 * p * asym(X, JY, JZ, Y, JX, JZ)
-        r = r - p * p * asym(X, Y, JZ, Y, X, JZ)
-        r = r + p * p * asym(X, JY, Z, Y, JX, Z)
-        r = r - 0.5 * p * asym(JX, Y, Z, JY, X, Z)
-        r = r - p * p * asym(JX, Y, JZ, JY, X, JZ)
-        r = r + p * p * asym(JX, JY, Z, JY, JX, Z)
-        r = r - p * q * asym(JX, KY, Z, JY, KX, Z)
-        r = r + p * q * asym(JX, Y, KZ, JY, X, KZ)
-        r = r + 0.5 * q * asym(KX, Y, Z, KY, X, Z)
-        r = r + p * q * asym(KX, Y, JZ, KY, X, JZ)
-        r = r - p * q * asym(KX, JY, Z, KY, JX, Z)
-        r = r + q * q * asym(KX, KY, Z, KY, KX, Z)
-        r = r - q * q * asym(KX, Y, KZ, KY, X, KZ)
-        r = r - 0.5 * q * asym(X, KY, JZ, Y, KX, JZ)
-        r = r + q * q * asym(X, Y, JZ, Y, X, JZ)
-        r = r - q * q * asym(X, JY, Z, Y, JX, Z)
-        r = r - p * (B(B(X, Y), JZ) - B(B(JX, JY), Z))
-        r = r + q * (B(B(X, Y), KZ) - B(B(KX, JY), Z))
-        return r
+        d = m.dim2
+        xyz = np.array([X, Y, Z], float)
+        vecs = np.concatenate([xyz, xyz @ m.J.T, xyz @ m.K.T])
+        c = m.c2.reshape(d, d * d)
+        k, i, j, u, v, w = _CURVATURE_ROWS
+        inner = vecs[w, None] @ (vecs[v] @ c).reshape(-1, d, d)
+        outer = inner @ (vecs[u] @ c).reshape(-1, d, d)
+        return (k * self._p ** i * self._q ** j) @ outer[:, 0]
 
     # -- Ricci ---------------------------------------------------------------
 

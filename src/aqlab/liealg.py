@@ -28,7 +28,7 @@ from .tensors import apply, jacobiator, post, transport
 JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
 SYMMETRY_TOL = 1e-10  #: inner product asymmetry, rel. to max(1, its largest entry)
-KILLING_BASE_TOL = 1e-10  #: inner is K when gap <= this * max(1, |K|) + 1e-5 |K_ij|
+KILLING_BASE_TOL = 1e-10  #: inner is K when every entry gap <= this * max(1, |K|)
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,10 @@ class DoubledModel:
         self.obase = obase
         self.eps = eps
         self.basis = basis
+        kf = killing_form(base)
         self.killing_base = inner is None or bool(np.allclose(
-            np.asarray(inner, float), killing_form(base),
-            atol=KILLING_BASE_TOL * max(1.0, np.abs(killing_form(base)).max())))
+            np.asarray(inner, float), kf, rtol=0.0,
+            atol=KILLING_BASE_TOL * max(1.0, np.abs(kf).max())))
         n = base.dim
         self.n = n
         self.dim2 = 2 * n

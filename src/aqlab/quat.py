@@ -26,7 +26,7 @@ from .scalars import ScalarKA
 PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * (1 + max|coeff|)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuaternionA:
     """Quaternion ``a + i b + j c + k d`` with signature ``alpha`` in {-1, +1}."""
 
@@ -100,25 +100,22 @@ def scale(t: float, q: QuaternionA) -> QuaternionA:
 
 def to_pair(q: QuaternionA) -> tuple[ScalarKA, ScalarKA]:
     """Split q = z1 + j z2 into (z1, z2) = (a + ib, c - id)."""
-    return (ScalarKA(q.a, q.b, q.alpha), ScalarKA(q.c, -q.d, q.alpha))
-
-
-def from_pair(z1: ScalarKA, z2: ScalarKA) -> QuaternionA:
-    if z1.alpha != z2.alpha:
-        raise SignatureMismatch("pair components carry different signatures")
-    return QuaternionA(z1.re, z1.im, z2.re, -z2.im, z1.alpha)
+    return (sk._mk(q.a, q.b, q.alpha), sk._mk(q.c, -q.d, q.alpha))
 
 
 def qmul(p: QuaternionA, q: QuaternionA) -> QuaternionA:
     """Associative product of the doubling construction."""
     _check(p, q)
-    z1, z2 = to_pair(p)
-    w1, w2 = to_pair(q)
-    alpha = float(p.alpha)
-    # (z1, z2)(w1, w2) = (z1 w1 + alpha w2 conj(z2), conj(z1) w2 + w1 z2)
-    u1 = sk.add(sk.mul(z1, w1), sk.scale(alpha, sk.mul(w2, sk.conj(z2))))
-    u2 = sk.add(sk.mul(sk.conj(z1), w2), sk.mul(w1, z2))
-    return from_pair(u1, u2)
+    # (z1, z2)(w1, w2) = (z1 w1 + alpha w2 conj(z2), conj(z1) w2 + w1 z2),
+    # written out on the fields and grouped as the scalar operations round it
+    al = p.alpha
+    a, b, c, d = p.a, p.b, p.c, p.d
+    e, f, g, h = q.a, q.b, q.c, q.d
+    return QuaternionA(
+        (a * e + al * b * f) + al * (g * c + al * -h * d),
+        (a * f + b * e) + al * (g * d + -h * c),
+        (a * g + al * -b * -h) + (e * c + al * f * -d),
+        -((a * -h + -b * g) + (e * -d + f * c)), al)
 
 
 def qconj(q: QuaternionA) -> QuaternionA:
@@ -158,11 +155,16 @@ def iq_commutator(p: QuaternionA, q: QuaternionA) -> QuaternionA:
 # 2x2 spin representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpinMatrix:
     """2x2 matrix over the scalar ring, the defining representation space."""
 
     m: tuple  # ((ScalarKA, ScalarKA), (ScalarKA, ScalarKA))
+
+    def __post_init__(self):
+        (a, b), (c, d) = self.m
+        if not a.alpha == b.alpha == c.alpha == d.alpha:
+            raise SignatureMismatch("matrix entries carry different signatures")
 
     @property
     def alpha(self) -> int:
@@ -173,14 +175,11 @@ class SpinMatrix:
         return self.m[r][c]
 
     def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
-        rows = []
-        for r in range(2):
-            row = []
-            for c in range(2):
-                row.append(sk.add(sk.mul(self.m[r][0], other.m[0][c]),
-                                  sk.mul(self.m[r][1], other.m[1][c])))
-            rows.append(tuple(row))
-        return SpinMatrix((rows[0], rows[1]))
+        _check(self, other)
+        (a, b), (c, d) = self.m
+        (e, f), (g, h) = other.m
+        return SpinMatrix(((sk._dot(a, e, b, g), sk._dot(a, f, b, h)),
+                           (sk._dot(c, e, d, g), sk._dot(c, f, d, h))))
 
     def __add__(self, other: "SpinMatrix") -> "SpinMatrix":
         return SpinMatrix(tuple(
@@ -193,7 +192,11 @@ class SpinMatrix:
             for r in range(2)))
 
     def det(self) -> ScalarKA:
-        return sk.mul(self.m[0][0], self.m[1][1]) - sk.mul(self.m[0][1], self.m[1][0])
+        (a, b), (c, d) = self.m
+        al = a.alpha
+        return sk._mk(
+            (a.re * d.re + al * a.im * d.im) - (b.re * c.re + al * b.im * c.im),
+            (a.re * d.im + a.im * d.re) - (b.re * c.im + b.im * c.re), al)
 
     def trace(self) -> ScalarKA:
         return sk.add(self.m[0][0], self.m[1][1])
@@ -203,11 +206,14 @@ class SpinMatrix:
         return self.m[0][0].re + self.m[1][1].re
 
     def inv(self) -> "SpinMatrix":
-        dinv = sk.inv(self.det())
+        z = sk.inv(self.det())
+        (a, b), (c, d) = self.m
+        al, u, v = z.alpha, z.re, z.im
         return SpinMatrix((
-            (sk.mul(dinv, self.m[1][1]), sk.mul(dinv, sk.neg(self.m[0][1]))),
-            (sk.mul(dinv, sk.neg(self.m[1][0])), sk.mul(dinv, self.m[0][0])),
-        ))
+            (sk._mk(u * d.re + al * v * d.im, u * d.im + v * d.re, al),
+             sk._mk(u * -b.re + al * v * -b.im, u * -b.im + v * -b.re, al)),
+            (sk._mk(u * -c.re + al * v * -c.im, u * -c.im + v * -c.re, al),
+             sk._mk(u * a.re + al * v * a.im, u * a.im + v * a.re, al))))
 
     def max_abs(self) -> float:
         return max(sk.abs2norm(self.m[r][c]) for r in range(2) for c in range(2))
@@ -240,10 +246,9 @@ def spin_matrix(q: QuaternionA) -> SpinMatrix:
     it is an algebra homomorphism and det = qnormsq(q).
     """
     z1, z2 = to_pair(q)
-    return SpinMatrix((
-        (z1, sk.scale(float(q.alpha), sk.conj(z2))),
-        (z2, sk.conj(z1)),
-    ))
+    al = q.alpha
+    return SpinMatrix(((z1, sk._mk(al * q.c, al * q.d, al)),
+                       (z2, sk._mk(q.a, -q.b, al))))
 
 
 def pauli_matrices(alpha: int) -> tuple[SpinMatrix, SpinMatrix, SpinMatrix]:

@@ -19,7 +19,7 @@ from .errors import IsotropicScalar, SignatureMismatch
 ISOTROPY_TOL = 1e-9  #: absolute: z is isotropic (no inverse) when |z|^2 <= this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarKA:
     """Element ``re + i*im`` with ``i**2 = alpha``, ``alpha`` in ``{-1, +1}``."""
 
@@ -50,6 +50,26 @@ class ScalarKA:
         return f"({self.re:g} {sign} {abs(self.im):g}i | a={self.alpha:+d})"
 
 
+_SET_RE, _SET_IM, _SET_ALPHA = (ScalarKA.re.__set__, ScalarKA.im.__set__,
+                                ScalarKA.alpha.__set__)
+
+
+def _mk(re: float, im: float, alpha: int) -> ScalarKA:
+    """Unvalidated constructor for floats of an already validated alpha."""
+    z = object.__new__(ScalarKA)
+    _SET_RE(z, re)
+    _SET_IM(z, im)
+    _SET_ALPHA(z, alpha)
+    return z
+
+
+def _dot(x: ScalarKA, y: ScalarKA, z: ScalarKA, w: ScalarKA) -> ScalarKA:
+    """x y + z w, as add(mul(x, y), mul(z, w)) rounds it; no signature check."""
+    al = x.alpha
+    return _mk((x.re * y.re + al * x.im * y.im) + (z.re * w.re + al * z.im * w.im),
+               (x.re * y.im + x.im * y.re) + (z.re * w.im + z.im * w.re), al)
+
+
 def from_real(x: float, alpha: int) -> ScalarKA:
     return ScalarKA(x, 0.0, alpha)
 
@@ -76,11 +96,11 @@ def _check_signatures(x: ScalarKA, y: ScalarKA):
 
 def add(x: ScalarKA, y: ScalarKA) -> ScalarKA:
     _check_signatures(x, y)
-    return ScalarKA(x.re + y.re, x.im + y.im, x.alpha)
+    return _mk(x.re + y.re, x.im + y.im, x.alpha)
 
 
 def neg(x: ScalarKA) -> ScalarKA:
-    return ScalarKA(-x.re, -x.im, x.alpha)
+    return _mk(-x.re, -x.im, x.alpha)
 
 
 def scale(t: float, x: ScalarKA) -> ScalarKA:
@@ -91,16 +111,13 @@ def scale(t: float, x: ScalarKA) -> ScalarKA:
 def mul(x: ScalarKA, y: ScalarKA) -> ScalarKA:
     """(a + ib)(c + id) = (ac + alpha*bd) + i(ad + bc)."""
     _check_signatures(x, y)
-    return ScalarKA(
-        x.re * y.re + x.alpha * x.im * y.im,
-        x.re * y.im + x.im * y.re,
-        x.alpha,
-    )
+    return _mk(x.re * y.re + x.alpha * x.im * y.im,
+               x.re * y.im + x.im * y.re, x.alpha)
 
 
 def conj(x: ScalarKA) -> ScalarKA:
     """The ring involution a + ib -> a - ib."""
-    return ScalarKA(x.re, -x.im, x.alpha)
+    return _mk(x.re, -x.im, x.alpha)
 
 
 def normsq(x: ScalarKA) -> float:
@@ -125,7 +142,7 @@ def inv(x: ScalarKA) -> ScalarKA:
     n = normsq(x)
     if abs(n) <= ISOTROPY_TOL:
         raise IsotropicScalar(f"normsq {n:.3e} below tolerance {ISOTROPY_TOL:.1e}")
-    return ScalarKA(x.re / n, -x.im / n, x.alpha)
+    return _mk(x.re / n, -x.im / n, x.alpha)
 
 
 def close(x: ScalarKA, y: ScalarKA, tol: float = 1e-12) -> bool:

@@ -34,7 +34,7 @@ RANK_TOL = 1e-8  #: orbit rank counts singular values > this * the largest
 RELATION_TOL = 1e-8  #: I, J twistor relations rel. to 1 + max(|I|, |J|)^2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpinVector:
     """Pair (x1, x2) of scalars sharing one signature parameter."""
 
@@ -83,9 +83,11 @@ def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
     """
     if X.alpha != Y.alpha:
         raise SignatureMismatch("spin vectors carry different signatures")
-    al = float(X.alpha)
-    return sk.add(sk.mul(sk.conj(X.x1), Y.x1),
-                  sk.scale(-al, sk.mul(sk.conj(X.x2), Y.x2)))
+    # on the fields, grouped as the nested scalar operations round it
+    al, a, b, c, d = X.alpha, X.x1.re, X.x1.im, Y.x1.re, Y.x1.im
+    e, f, g, h = X.x2.re, X.x2.im, Y.x2.re, Y.x2.im
+    return sk._mk((a * c + al * -b * d) + -al * (e * g + al * -f * h),
+                  (a * d + -b * c) + -al * (e * h + -f * g), al)
 
 
 def real_inner(X: SpinVector, Y: SpinVector) -> float:
@@ -95,17 +97,14 @@ def real_inner(X: SpinVector, Y: SpinVector) -> float:
 
 def apply(q: QuaternionA, X: SpinVector) -> SpinVector:
     """Action of a quaternion on a spin vector via its 2x2 matrix."""
-    if q.alpha != X.alpha:
-        raise SignatureMismatch("quaternion and spin vector signatures differ")
-    m = qt.spin_matrix(q)
-    return apply_matrix(m, X)
+    return apply_matrix(qt.spin_matrix(q), X)
 
 
 def apply_matrix(m: SpinMatrix, X: SpinVector) -> SpinVector:
-    return SpinVector(
-        sk.add(sk.mul(m[0, 0], X.x1), sk.mul(m[0, 1], X.x2)),
-        sk.add(sk.mul(m[1, 0], X.x1), sk.mul(m[1, 1], X.x2)),
-    )
+    if m.alpha != X.alpha:
+        raise SignatureMismatch("matrix and spin vector signatures differ")
+    (a, b), (c, d) = m.m
+    return SpinVector(sk._dot(a, X.x1, b, X.x2), sk._dot(c, X.x1, d, X.x2))
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +153,11 @@ def _seed_vectors(alpha: int):
     i = sk.imag_unit(alpha)
     o = sk.one(alpha)
     z = sk.zero(alpha)
-    return [
-        SpinVector(o, z),
-        SpinVector(z, o),
-        SpinVector(o, o),
-        SpinVector(o, sk.neg(o)),
-        SpinVector(o, i),
-        SpinVector(i, o),
-        SpinVector(o, sk.from_real(2.0, alpha)),
-        SpinVector(sk.from_real(2.0, alpha), o),
-        SpinVector(o, sk.add(o, i)),
-        SpinVector(sk.add(o, i), sk.from_real(3.0, alpha)),
-    ]
+    # a generator: spinbasis usually stops at the first seed
+    pairs = ((o, z), (z, o), (o, o), (o, sk.neg(o)), (o, i), (i, o),
+             (o, sk.from_real(2.0, alpha)), (sk.from_real(2.0, alpha), o),
+             (o, sk.add(o, i)), (sk.add(o, i), sk.from_real(3.0, alpha)))
+    return (SpinVector(x1, x2) for x1, x2 in pairs)
 
 
 def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
@@ -209,10 +201,10 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
     m3 = Pinv @ qt.spin_matrix(j3) @ P
     if not (qt.smat_close(m1, s1, CONJ_TOL) and qt.smat_close(m2, s2, CONJ_TOL)):
         return None
-    # -sigma3 = [[0, -alpha*i], [i, 0]]
-    neg_s3 = qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha)
     if qt.smat_close(m3, s3, CONJ_TOL):
         return SpinBasisResult(P, +1)
+    # -sigma3 = [[0, -alpha*i], [i, 0]]
+    neg_s3 = qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha)
     if qt.smat_close(m3, neg_s3, CONJ_TOL):
         return SpinBasisResult(P, -1)
     return None

@@ -2,9 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from aqlab import liealg as la
 from aqlab import piaq as pq
+
+_coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+#: (re, im) of a ring value: unrestricted, or within a relative 1e-9 of the
+#: isotropic cone re = +-im of the double numbers
+ring_pairs = st.one_of(
+    st.tuples(_coord, _coord),
+    st.builds(lambda r, s, t: (r, s * r * (1.0 + t)), _coord,
+              st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)))
+
+
+def bits(*values):
+    """Exact fields of scalars, spin vectors and spin matrices: the type and
+    the hex form of every re and im, and alpha; bit-equal values agree here
+    (signed zeros included), and a numpy scalar field does not."""
+    out = []
+    for v in values:
+        if hasattr(v, "m"):
+            out += bits(*v.m[0], *v.m[1])
+        elif hasattr(v, "x1"):
+            out += bits(v.x1, v.x2)
+        else:
+            out.append((type(v.re), v.re.hex(), type(v.im), v.im.hex(), v.alpha))
+    return out
 
 
 @pytest.fixture

@@ -60,6 +60,46 @@ def nearly_kahler_loop(fam, sign=1):
                for v in vecs)
 
 
+def curvature_expanded(fam, X, Y, Z):
+    """R(X, Y)Z as the closed form written out term by term, one bracket
+    call each; the reference for the term table in ``curvature_closed``."""
+    m = fam.model
+    B = m.bracket2
+    X, Y, Z = (np.asarray(v, float) for v in (X, Y, Z))
+    JX, JY, JZ = m.J @ X, m.J @ Y, m.J @ Z
+    KX, KY, KZ = m.K @ X, m.K @ Y, m.K @ Z
+    p, q = fam._p, fam._q
+
+    def asym(u1, v1, w1, u2, v2, w2):
+        # [u1, [v1, w1]] - [u2, [v2, w2]], the X <-> Y swapped pair
+        return B(u1, B(v1, w1)) - B(u2, B(v2, w2))
+
+    r = -0.25 * B(B(X, Y), Z)
+    r = r + 0.5 * p * asym(X, Y, JZ, Y, X, JZ)
+    r = r - 0.5 * p * asym(X, JY, Z, Y, JX, Z)
+    r = r + 0.5 * q * asym(X, KY, Z, Y, KX, Z)
+    r = r - 0.5 * q * asym(X, Y, KZ, Y, X, KZ)
+    r = r + 0.5 * p * asym(X, JY, JZ, Y, JX, JZ)
+    r = r - p * p * asym(X, Y, JZ, Y, X, JZ)
+    r = r + p * p * asym(X, JY, Z, Y, JX, Z)
+    r = r - 0.5 * p * asym(JX, Y, Z, JY, X, Z)
+    r = r - p * p * asym(JX, Y, JZ, JY, X, JZ)
+    r = r + p * p * asym(JX, JY, Z, JY, JX, Z)
+    r = r - p * q * asym(JX, KY, Z, JY, KX, Z)
+    r = r + p * q * asym(JX, Y, KZ, JY, X, KZ)
+    r = r + 0.5 * q * asym(KX, Y, Z, KY, X, Z)
+    r = r + p * q * asym(KX, Y, JZ, KY, X, JZ)
+    r = r - p * q * asym(KX, JY, Z, KY, JX, Z)
+    r = r + q * q * asym(KX, KY, Z, KY, KX, Z)
+    r = r - q * q * asym(KX, Y, KZ, KY, X, KZ)
+    r = r - 0.5 * q * asym(X, KY, JZ, Y, KX, JZ)
+    r = r + q * q * asym(X, Y, JZ, Y, X, JZ)
+    r = r - q * q * asym(X, JY, Z, Y, JX, Z)
+    r = r - p * (B(B(X, Y), JZ) - B(B(JX, JY), Z))
+    r = r + q * (B(B(X, Y), KZ) - B(B(KX, JY), Z))
+    return r
+
+
 def sample_disc(rng, bound=0.9):
     while True:
         lam, mu = rng.uniform(-bound, bound, size=2)
@@ -210,6 +250,19 @@ class TestCurvature:
                 b = fam.curvature_closed(x, y, z)
                 assert np.abs(a - b).max() < 1e-9 * (1 + np.abs(a).max())
 
+    @pytest.mark.parametrize("base", [
+        la.su2, la.sl2r, la.so4, lambda: la.direct_sum(la.su2(), la.sl2r())])
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.0, -0.5), (0.3, 0.1),
+                                       (-0.2, -0.6), (1.2, 0.3)])
+    def test_term_table_equals_expansion(self, base, point, rng):
+        model = la.doubled(base())
+        fam = MetricFamily(model, *point)
+        for _ in range(5):
+            x, y, z = rng.normal(size=(3, model.dim2))
+            want = curvature_expanded(fam, x, y, z)
+            got = fam.curvature_closed(x, y, z)
+            assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
     def test_antisymmetry_and_first_bianchi(self, dsu2, rng):
         for _ in range(10):
             lam, mu = sample_disc(rng)
@@ -343,6 +396,19 @@ class TestClassification:
         dm = la.doubled(la.su2(), np.eye(3))
         with pytest.raises(InvalidModel):
             classify_einstein(dm)
+
+    def test_killing_base_bound_has_no_relative_slack(self):
+        """A trace form off by 8e-6 in one entry is not the trace form (the
+        old comparison let a relative 1e-5 through and returned [])."""
+        K = la.killing_form(la.su2())
+        for factor in (1.0, 1.0 + 1e-13):
+            dm = la.doubled(la.su2(), K * factor)
+            assert dm.killing_base
+            assert len(classify_einstein(dm)) == 4
+        off = K.copy()
+        off[0, 0] *= 1.0 + 8e-6
+        with pytest.raises(InvalidModel):
+            classify_einstein(la.doubled(la.su2(), off))
 
 
 class TestStructureDerivatives:

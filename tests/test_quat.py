@@ -1,13 +1,23 @@
 """Generalized quaternion algebra and its spin representation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlab import quat as qt
 from aqlab import scalars as sk
-from aqlab.errors import NotPurelyImaginary, SignatureMismatch
+from aqlab.errors import IsotropicScalar, NotPurelyImaginary, SignatureMismatch
+from conftest import bits, ring_pairs
 
 ALPHAS = (-1, 1)
+
+
+alphas = st.sampled_from(ALPHAS)
+quats = st.tuples(ring_pairs, ring_pairs)  # coefficients ((a, b), (c, d))
+matrices = st.tuples(ring_pairs, ring_pairs, ring_pairs, ring_pairs)
 
 
 def units(alpha):
@@ -203,3 +213,94 @@ class TestCommutator:
     def test_rejects_non_imaginary(self):
         with pytest.raises(NotPurelyImaginary):
             qt.iq_commutator(qt.one(-1), qt.i_(-1))
+
+
+# The composite operations as they were written before they were fused:
+# nested calls of the scalar operations, the references for bit equality.
+
+def qmul_nested(p, q):
+    z1, z2 = qt.to_pair(p)
+    w1, w2 = qt.to_pair(q)
+    alpha = float(p.alpha)
+    u1 = sk.add(sk.mul(z1, w1), sk.scale(alpha, sk.mul(w2, sk.conj(z2))))
+    u2 = sk.add(sk.mul(sk.conj(z1), w2), sk.mul(w1, z2))
+    return qt.QuaternionA(u1.re, u1.im, u2.re, -u2.im, p.alpha)
+
+
+def spin_matrix_nested(q):
+    z1, z2 = qt.to_pair(q)
+    return qt.SpinMatrix(((z1, sk.scale(float(q.alpha), sk.conj(z2))),
+                          (z2, sk.conj(z1))))
+
+
+def matmul_nested(x, y):
+    return qt.SpinMatrix(tuple(
+        tuple(sk.add(sk.mul(x.m[r][0], y.m[0][c]), sk.mul(x.m[r][1], y.m[1][c]))
+              for c in range(2)) for r in range(2)))
+
+
+def det_nested(x):
+    return sk.mul(x.m[0][0], x.m[1][1]) - sk.mul(x.m[0][1], x.m[1][0])
+
+
+def inv_nested(x):
+    dinv = sk.inv(det_nested(x))
+    return qt.SpinMatrix((
+        (sk.mul(dinv, x.m[1][1]), sk.mul(dinv, sk.neg(x.m[0][1]))),
+        (sk.mul(dinv, sk.neg(x.m[1][0])), sk.mul(dinv, x.m[0][0]))))
+
+
+def quat_of(pairs, alpha):
+    return qt.from_coeffs([*pairs[0], *pairs[1]], alpha)
+
+
+class TestFusedOperations:
+    """Fused products match the nested formulas bit for bit."""
+
+    @given(alphas, quats, quats)
+    @settings(max_examples=300)
+    def test_qmul_and_spin_matrix(self, alpha, p, q):
+        p, q = quat_of(p, alpha), quat_of(q, alpha)
+        got, want = qt.qmul(p, q), qmul_nested(p, q)
+        assert [x.hex() for x in got.coeffs()] == [x.hex() for x in want.coeffs()]
+        assert all(type(x) is float for x in (got.a, got.b, got.c, got.d))
+        assert bits(qt.spin_matrix(p)) == bits(spin_matrix_nested(p))
+
+    @given(alphas, matrices, matrices)
+    @settings(max_examples=300)
+    def test_matmul_det_inv(self, alpha, x, y):
+        x, y = qt.smat((x[:2], x[2:]), alpha), qt.smat((y[:2], y[2:]), alpha)
+        assert bits(x @ y) == bits(matmul_nested(x, y))
+        assert bits(x.det()) == bits(det_nested(x))
+        if sk.is_isotropic(det_nested(x)):
+            with pytest.raises(IsotropicScalar):
+                x.inv()
+        else:
+            assert bits(x.inv()) == bits(inv_nested(x))
+
+    @given(alphas, quats)
+    @settings(max_examples=200)
+    def test_near_isotropic_quaternion_matrix(self, alpha, q):
+        """det of spin_matrix(q) is qnormsq(q), which vanishes on the cone."""
+        m = qt.spin_matrix(quat_of(q, alpha))
+        assert bits(m.det()) == bits(det_nested(m))
+        if not sk.is_isotropic(m.det()):
+            assert bits(m.inv()) == bits(inv_nested(m))
+
+    def test_caller_values_are_coerced(self):
+        q = qt.from_coeffs(np.array([1.0, 2.0, 3.0, 4.0]), 1)
+        assert all(type(x) is float for x in (q.a, q.b, q.c, q.d))
+
+    def test_fields_are_frozen(self):
+        q = qt.QuaternionA(1, 2, 3, 4, -1)
+        for name in ("a", "b", "c", "d", "alpha"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qt.spin_matrix(q).m = ()
+
+    def test_mixed_signatures_rejected(self):
+        with pytest.raises(SignatureMismatch):
+            qt.spin_matrix(qt.i_(1)) @ qt.spin_matrix(qt.i_(-1))
+        with pytest.raises(SignatureMismatch):
+            qt.SpinMatrix(((sk.one(1), sk.zero(-1)), (sk.zero(1), sk.one(1))))

@@ -1,14 +1,17 @@
 """Ring arithmetic of the complex and double numbers."""
 
+import dataclasses
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqlab import scalars as sk
 from aqlab.errors import IsotropicScalar, SignatureMismatch
+from conftest import bits, ring_pairs
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 alphas = st.sampled_from([-1, 1])
@@ -35,6 +38,8 @@ class TestMul:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
             sk.mul(z(1, 0, -1), z(1, 0, 1))
+        with pytest.raises(SignatureMismatch):
+            sk.add(z(1, 0, -1), z(1, 0, 1))
 
     @given(alphas, *(finite,) * 6)
     @settings(max_examples=300)
@@ -138,3 +143,40 @@ class TestBulkRandomSweep:
             assert xy.re == yx.re and xy.im == yx.im
             nprod = sk.normsq(x) * sk.normsq(y)
             assert abs(sk.normsq(xy) - nprod) < 1e-10 * (1 + abs(nprod))
+
+
+class TestUnvalidatedResults:
+    """Operations build their results without revalidating the fields; the
+    references are the formulas through the validating constructor."""
+
+    @given(alphas, ring_pairs, ring_pairs)
+    @settings(max_examples=300)
+    def test_bit_equal_to_validated_construction(self, alpha, p, q):
+        x, y = z(*p, alpha), z(*q, alpha)
+        assert bits(sk.mul(x, y)) == bits(z(x.re * y.re + x.alpha * x.im * y.im,
+                                            x.re * y.im + x.im * y.re, alpha))
+        assert bits(sk.add(x, y), sk.neg(x), sk.conj(x)) == bits(
+            z(x.re + y.re, x.im + y.im, alpha), z(-x.re, -x.im, alpha),
+            z(x.re, -x.im, alpha))
+        n = sk.normsq(x)
+        if abs(n) <= sk.ISOTROPY_TOL:
+            with pytest.raises(IsotropicScalar):
+                sk.inv(x)
+        else:
+            assert bits(sk.inv(x)) == bits(z(x.re / n, -x.im / n, alpha))
+
+    def test_caller_values_are_coerced(self):
+        x = sk.scale(np.float64(2.0), z(1.5, -0.5, 1))
+        assert type(x.re) is float and type(x.im) is float
+        y = z(np.float64(1.0), np.int64(2), -1)
+        assert type(y.re) is float and type(y.im) is float
+
+    def test_fields_are_frozen(self):
+        x = z(1, 2, -1)
+        for name in ("re", "im", "alpha"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 0)
+
+    def test_invalid_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            z(1, 0, 0)

@@ -1,13 +1,18 @@
 """Spin vectors, spin bases, and orbit dimensions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlab import quat as qt
 from aqlab import scalars as sk
 from aqlab import spinor as sp
-from aqlab.errors import NotAQStructure, OrthonormalityViolated, ZeroVector
-from conftest import random_aq_pair, random_pseudo_rotation
+from aqlab.errors import (NotAQStructure, OrthonormalityViolated,
+                          SignatureMismatch, ZeroVector)
+from conftest import bits, random_aq_pair, random_pseudo_rotation, ring_pairs
 
 ALPHAS = (-1, 1)
 
@@ -19,6 +24,54 @@ def rand_vec(rng, alpha):
 
 def rand_quat(rng, alpha):
     return qt.from_coeffs(rng.normal(size=4), alpha)
+
+
+alphas = st.sampled_from(ALPHAS)
+vectors = st.tuples(ring_pairs, ring_pairs)
+
+
+# The fused operations as they were written before: nested calls of the
+# scalar operations, the references for bit equality.
+
+def hermitian_form_nested(X, Y):
+    al = float(X.alpha)
+    return sk.add(sk.mul(sk.conj(X.x1), Y.x1),
+                  sk.scale(-al, sk.mul(sk.conj(X.x2), Y.x2)))
+
+
+def apply_matrix_nested(m, X):
+    return sp.SpinVector(sk.add(sk.mul(m[0, 0], X.x1), sk.mul(m[0, 1], X.x2)),
+                         sk.add(sk.mul(m[1, 0], X.x1), sk.mul(m[1, 1], X.x2)))
+
+
+class TestFusedOperations:
+    @given(alphas, vectors, vectors)
+    @settings(max_examples=300)
+    def test_bit_equal_to_nested_formulas(self, alpha, x, y):
+        X, Y = sp.svec(*x, alpha), sp.svec(*y, alpha)
+        assert bits(sp.hermitian_form(X, Y)) == bits(hermitian_form_nested(X, Y))
+        m = qt.smat((x, y), alpha)
+        assert bits(sp.apply_matrix(m, X)) == bits(apply_matrix_nested(m, X))
+        q = qt.from_coeffs([*x[0], *y[1]], alpha)
+        assert bits(sp.apply(q, Y)) == bits(
+            apply_matrix_nested(qt.spin_matrix(q), Y))
+
+    def test_fields_are_frozen(self):
+        X = sp.svec(1, 0, -1)
+        for name in ("x1", "x2"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(X, name, sk.one(-1))
+
+    def test_mixed_signatures_rejected(self):
+        X, Y = sp.svec(1, 0, -1), sp.svec(1, 0, 1)
+        with pytest.raises(SignatureMismatch):
+            sp.hermitian_form(X, Y)
+        with pytest.raises(SignatureMismatch):
+            sp.scalar_mul(sk.one(1), X)
+        with pytest.raises(SignatureMismatch):
+            sp.apply(qt.i_(1), X)
+        with pytest.raises(SignatureMismatch):
+            sp.SpinVector(sk.one(1), sk.one(-1))
 
 
 class TestHermitianForm:

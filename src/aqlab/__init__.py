@@ -10,12 +10,20 @@ Subpackages:
     gxg      -- the two-parameter metric family on a doubled group
     tensors  -- the structure-tensor contractions liealg, piaq and gxg share
     cli      -- command-line interface
+
+Importing the package loads none of them: each is imported on first
+attribute access (PEP 562), so a caller pays only for the layers it uses.
 """
 
-from . import (errors, fourdim, gxg, liealg, piaq, quat, scalars, spinor,
-               tensors)
+import importlib
 
 __all__ = ["errors", "fourdim", "gxg", "liealg", "piaq", "quat", "scalars",
            "spinor", "tensors"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,9 @@ or false alike) and nonzero only for usage or precondition errors.
 The ``inputs`` of every document include ``argv``, the arguments the
 document was made from; the ``verify`` subcommand parses them again and
 compares the outputs, so every result is checkable by a second run.
+
+Each subcommand imports only the layers it runs, so ``pauli`` and
+``spinbasis`` (and ``verify`` of their documents) never load numpy.
 """
 
 from __future__ import annotations
@@ -20,17 +23,13 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import fourdim as fd
-from . import liealg as la
-from . import piaq as pq
-from . import quat as qt
-from . import scalars as sk
-from . import spinor as sp
 from .errors import AqlabError, InvalidModel
-from .gxg import EINSTEIN_TOL, MetricFamily, classify_einstein, einstein_sweep
 
+#: the parser's choices, spelled out so that parsing argv loads no layer;
+#: tests pin them to sorted(liealg.CATALOG) and sorted(piaq.PREDICATES)
+CATALOG_NAMES = ("sl2r", "so4", "su2")
+PREDICATE_NAMES = ("integrable", "involutive", "isoclinic_geodesic",
+                   "semiholonomic", "three_web")
 DEFAULT_TOL = 1e-9  #: verify/check comparison tolerance unless AQLAB_TOL is set
 CHECK_FLOOR = 1e-8  #: least bound on check's worst residuals
 
@@ -69,6 +68,7 @@ def _smat_doc(m) -> list:
 
 
 def _array_doc(a) -> list:
+    import numpy as np
     return (np.asarray(a, dtype=float) + 0.0).tolist()
 
 
@@ -91,6 +91,7 @@ def _load_file(path: str, twistor: bool):
     Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
     model file may omit ``brackets`` for the zero bracket.
     """
+    from . import liealg as la
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -107,10 +108,12 @@ def _load_file(path: str, twistor: bool):
                 raise InvalidModel(
                     f"{path}: bracket record {rec!r} is not [i, j, k, value]")
             entries.append(vals)
-        alg = la.from_brackets(int(data["dim"]), entries,
+        alg = la.from_brackets(data["dim"], entries,
                                name=str(data.get("name", "")))
         if not twistor:
             return alg
+        import numpy as np
+        from . import piaq as pq
         return pq.PiAQModel(alg.dim, alg.c, np.asarray(data["I"], float),
                             np.asarray(data["J"], float), int(data["alpha"]),
                             name=alg.name)
@@ -118,7 +121,8 @@ def _load_file(path: str, twistor: bool):
         raise InvalidModel(f"{path}: {exc}") from None
 
 
-def _load_algebra(args) -> la.LieAlgebraModel:
+def _load_algebra(args):
+    from . import liealg as la
     if args.catalog:
         return la.CATALOG[args.catalog]()
     return _load_file(args.algebra, twistor=False)
@@ -129,6 +133,7 @@ def _load_algebra(args) -> la.LieAlgebraModel:
 # ---------------------------------------------------------------------------
 
 def cmd_pauli(args) -> dict:
+    from . import quat as qt
     alpha = args.alpha
     s1, s2, s3 = qt.pauli_matrices(alpha)
     return {
@@ -145,6 +150,9 @@ def cmd_pauli(args) -> dict:
 
 
 def cmd_spinbasis(args) -> dict:
+    from . import quat as qt
+    from . import scalars as sk
+    from . import spinor as sp
     alpha = args.alpha
     triples = [_parse_floats(getattr(args, name), 3, name)
                for name in ("j1", "j2", "j3")]
@@ -163,6 +171,7 @@ def cmd_spinbasis(args) -> dict:
 
 
 def cmd_selfdual(args) -> dict:
+    from . import fourdim as fd
     alpha = args.alpha
     comps = _parse_floats(args.omega, 6, "--omega")
     g = fd.Metric4(alpha)
@@ -184,6 +193,9 @@ def cmd_selfdual(args) -> dict:
 
 
 def cmd_einstein(args) -> dict:
+    from . import liealg as la
+    from .gxg import (EINSTEIN_TOL, MetricFamily, classify_einstein,
+                      einstein_sweep)
     base = _load_algebra(args)
     model = la.doubled(base)
     inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
@@ -230,6 +242,8 @@ def cmd_einstein(args) -> dict:
 
 
 def cmd_piaq(args) -> dict:
+    from . import liealg as la
+    from . import piaq as pq
     model = (la.doubled(la.CATALOG[args.doubled]()).as_piaq() if args.doubled
              else _load_file(args.model, twistor=True))
     report = pq.predicate_report(model, args.predicate, lam=args.eigenvalue,
@@ -299,6 +313,10 @@ def _compare(a, b, tol: float) -> bool:
 
 def cmd_check(args) -> dict:
     """Randomized property verification across the modules."""
+    import numpy as np
+    from . import liealg as la
+    from . import quat as qt
+    from .gxg import MetricFamily
     rng = np.random.default_rng(args.seed)
     n = args.samples
     results = {}
@@ -377,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("einstein",
                        help="metric family verdicts on a doubled group")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--catalog", choices=sorted(la.CATALOG),
+    src.add_argument("--catalog", choices=CATALOG_NAMES,
                      help="built-in algebra")
     src.add_argument("--algebra", metavar="FILE",
                      help="structure-constant file (JSON)")
@@ -393,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("piaq", help="integrability predicates of a model")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", metavar="FILE", help="model file (JSON)")
-    src.add_argument("--doubled", choices=sorted(la.CATALOG),
+    src.add_argument("--doubled", choices=CATALOG_NAMES,
                      help="doubled catalog algebra")
     p.add_argument("--predicate", required=True,
-                   choices=sorted(pq.PREDICATES),
+                   choices=PREDICATE_NAMES,
                    help="which property to decide")
     p.add_argument("--operator", choices=("I", "J", "K"),
                    help="structure operator for involutivity tests")

@@ -29,6 +29,7 @@ JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its squar
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
 SYMMETRY_TOL = 1e-10  #: inner product asymmetry, rel. to max(1, its largest entry)
 KILLING_BASE_TOL = 1e-10  #: inner is K when every entry gap <= this * max(1, |K|)
+MAX_DIM = 32  #: largest from_brackets dim: a doubled curvature is then <= 64^4 floats
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,15 @@ def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
 
     ``entries`` is an iterable of (i, j, k, value) with 1-based indices
     meaning [e_i, e_j] contains value * e_k; the antisymmetric counterpart
-    is filled in automatically and omitted entries are zero.
+    is filled in automatically and omitted entries are zero.  ``dim`` must be
+    an integer (an integral float counts) from 1 to ``MAX_DIM``; it is checked
+    before anything is allocated.
     """
+    if (isinstance(dim, bool) or not isinstance(dim, (int, float))
+            or not 1 <= dim <= MAX_DIM or dim != int(dim)):
+        raise InvalidModel(f"dim must be an integer from 1 to {MAX_DIM}, "
+                           f"got {dim!r}")
+    dim = int(dim)
     c = np.zeros((dim, dim, dim))
     for rec in entries:
         i, j, k, v = rec

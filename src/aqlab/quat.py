@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import scalars as sk
 from .errors import NotPurelyImaginary, SignatureMismatch
 from .scalars import ScalarKA
@@ -59,6 +57,7 @@ class QuaternionA:
         return qmul(self, other)
 
     def coeffs(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.a, self.b, self.c, self.d])
 
     def __repr__(self):
@@ -269,6 +268,7 @@ def ad_matrix(q: QuaternionA) -> np.ndarray:
          [-2 alpha c, 0, 2 alpha a],
          [-2 b, 2 a, 0]]
     """
+    import numpy as np
     _require_imaginary(q)
     a, b, c = q.b, q.c, q.d
     al = float(q.alpha)

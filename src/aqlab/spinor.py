@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import quat as qt
 from . import scalars as sk
 from .errors import (
@@ -160,6 +158,13 @@ def _seed_vectors(alpha: int):
     return (SpinVector(x1, x2) for x1, x2 in pairs)
 
 
+#: per alpha, the targets of the seed conjugation: the Pauli triple and
+#: -sigma3 = [[0, -alpha*i], [i, 0]], whose match flips the orientation sign
+_PAULI = {alpha: (*qt.pauli_matrices(alpha),
+                  qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))
+          for alpha in (-1, 1)}
+
+
 def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
     """One attempt of the eigenvector construction; None when the seed fails."""
     j1, j2, j3 = basis
@@ -195,7 +200,7 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
         return None
     Pinv = P.inv()
 
-    s1, s2, s3 = qt.pauli_matrices(alpha)
+    s1, s2, s3, neg_s3 = _PAULI[alpha]
     m1 = Pinv @ qt.spin_matrix(j1) @ P
     m2 = Pinv @ qt.spin_matrix(j2) @ P
     m3 = Pinv @ qt.spin_matrix(j3) @ P
@@ -203,8 +208,6 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
         return None
     if qt.smat_close(m3, s3, CONJ_TOL):
         return SpinBasisResult(P, +1)
-    # -sigma3 = [[0, -alpha*i], [i, 0]]
-    neg_s3 = qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha)
     if qt.smat_close(m3, neg_s3, CONJ_TOL):
         return SpinBasisResult(P, -1)
     return None
@@ -259,6 +262,7 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
 
     Singular values at or below ``RANK_TOL`` times the largest count as zero.
     """
+    import numpy as np
     I = np.asarray(I, dtype=float)
     J = np.asarray(J, dtype=float)
     X = np.asarray(X, dtype=float)

@@ -1,11 +1,16 @@
 """The command-line surface and its result documents."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from aqlab import gxg
+import aqlab
+from aqlab import cli, gxg
 from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab import scalars as sk
@@ -255,6 +260,9 @@ MALFORMED = [
     ("piaq", dict(FLAT_MODEL, alpha=[1])),
     ("piaq", dict(FLAT_MODEL, I=[[1, 0], [0]])),
     ("piaq", dict(FLAT_MODEL, brackets=[[1, 2, 3, 1.0, 5]])),
+    # dims outside 1..MAX_DIM, or not integers, fail before any allocation
+    *((command, dict(data, dim=dim)) for dim in (10**6, 0, -3, True, 2.5)
+      for command, data in (("einstein", SU2_FILE), ("piaq", FLAT_MODEL))),
 ]
 
 
@@ -379,3 +387,78 @@ class TestCheck:
             assert code == 0
             assert doc["tolerances"] == plain[argv]["tolerances"] == tolerances
             assert doc["outputs"] == plain[argv]["outputs"]
+
+
+class TestLazyStartup:
+    """Each subcommand imports only the layers it runs."""
+
+    PROBE = """if True:
+        import contextlib, io, json, sys
+        from aqlab.cli import main
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m == "numpy" or m.startswith("aqlab"))))
+    """
+
+    @staticmethod
+    def fresh(code: str, *args: str) -> str:
+        """Stdout of ``code`` run in a new interpreter that imports this aqlab."""
+        src = str(pathlib.Path(aqlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def loaded(self, *argvs) -> set:
+        out = self.fresh(self.PROBE, json.dumps(argvs))
+        return set(json.loads(out)) - {"aqlab", "aqlab.cli", "aqlab.errors"}
+
+    @pytest.mark.parametrize("argv,layers", [
+        (("pauli", "--alpha", "1"), {"quat", "scalars"}),
+        (("spinbasis", "--alpha", "-1", "--j1", "1,0,0", "--j2", "0,1,0",
+          "--j3", "0,0,1"), {"quat", "scalars", "spinor"}),
+        (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
+         {"numpy", "fourdim"}),
+        (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
+         {"numpy", "liealg", "tensors", "gxg"}),
+        (("piaq", "--doubled", "su2", "--predicate", "three_web"),
+         {"numpy", "liealg", "tensors", "piaq"}),
+        (("check", "--seed", "1", "--samples", "2"),
+         {"numpy", "quat", "scalars", "liealg", "tensors", "gxg"}),
+    ])
+    def test_subcommand_loads_only_its_layers(self, argv, layers):
+        want = {m if m == "numpy" else f"aqlab.{m}" for m in layers}
+        assert self.loaded(argv) == want
+
+    def test_spin_commands_and_their_verify_never_load_numpy(self, capsys,
+                                                              tmp_path):
+        argv = ("spinbasis", "--alpha", "1", "--j1", "1,0,0", "--j2", "0,1,0",
+                "--j3", "0,0,-1")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(run(capsys, *argv)[1]))
+        loaded = self.loaded(("pauli", "--alpha", "1"), argv,
+                             ("verify", str(path)))
+        assert "numpy" not in loaded
+
+    def test_import_aqlab_is_lazy(self):
+        self.fresh("""if True:
+            import sys, aqlab
+            assert not [m for m in sys.modules
+                        if m == "numpy" or m.startswith("aqlab.")]
+            assert aqlab.gxg is sys.modules["aqlab.gxg"]
+            from aqlab import liealg as la
+            assert la is sys.modules["aqlab.liealg"]
+            from aqlab import *
+            assert all(globals()[name] is sys.modules[f"aqlab.{name}"]
+                       for name in aqlab.__all__)
+        """)
+        with pytest.raises(AttributeError, match="nope"):
+            aqlab.nope
+
+    def test_parser_choices_match_the_layers(self):
+        assert cli.CATALOG_NAMES == tuple(sorted(la.CATALOG))
+        assert cli.PREDICATE_NAMES == tuple(sorted(pq.PREDICATES))

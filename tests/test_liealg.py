@@ -22,6 +22,16 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             la.from_brackets(2, [(1, 3, 1, 1.0)])
 
+    @pytest.mark.parametrize("dim", [la.MAX_DIM + 1, 10**6, 0, -3, True, 2.5,
+                                     float("nan"), float("inf"), "3", None])
+    def test_dim_outside_bound_rejected_before_allocation(self, dim):
+        with pytest.raises(InvalidModel, match="dim must be an integer"):
+            la.from_brackets(dim, [])
+
+    def test_integral_float_dim_accepted(self):
+        assert la.from_brackets(3.0, [(1, 2, 3, 1.0), (2, 3, 1, 1.0),
+                                      (3, 1, 2, 1.0)]).dim == 3
+
     def test_bracket_and_ad(self):
         m = la.su2()
         assert np.allclose(m.bracket([1, 0, 0], [0, 1, 0]), [0, 0, 1])

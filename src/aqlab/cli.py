@@ -19,8 +19,10 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from .errors import AqlabError, InvalidModel
@@ -40,7 +42,7 @@ def _tolerance() -> float:
 
 def _rationalize(x: float, tol: float = 1e-12):
     """Return [num, den] when x is within tol of a small-denominator rational."""
-    frac = Fraction(x).limit_denominator(1000)
+    frac = Fraction(x).limit_denominator(1000) if math.isfinite(x) else x
     if abs(float(frac) - x) < tol:
         return [frac.numerator, frac.denominator]
     return None
@@ -73,7 +75,7 @@ def _array_doc(a) -> list:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -85,8 +87,9 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _load_file(path: str, twistor: bool):
-    """The algebra in an ``--algebra`` file, or with ``twistor`` the model
-    in a ``--model`` file, with every schema fault raised as InvalidModel.
+    """The algebra in an ``--algebra`` file, or with ``twistor`` the model in
+    a ``--model`` file (Jacobi not required), every schema fault raised as
+    InvalidModel.
 
     Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
     model file may omit ``brackets`` for the zero bracket.
@@ -108,15 +111,15 @@ def _load_file(path: str, twistor: bool):
                 raise InvalidModel(
                     f"{path}: bracket record {rec!r} is not [i, j, k, value]")
             entries.append(vals)
-        alg = la.from_brackets(data["dim"], entries,
-                               name=str(data.get("name", "")))
+        c = la.bracket_tensor(data["dim"], entries)
+        name = str(data.get("name", ""))
         if not twistor:
-            return alg
+            return la.LieAlgebraModel(len(c), c, name=name)
         import numpy as np
         from . import piaq as pq
-        return pq.PiAQModel(alg.dim, alg.c, np.asarray(data["I"], float),
+        return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
                             np.asarray(data["J"], float), int(data["alpha"]),
-                            name=alg.name)
+                            name=name)
     except (TypeError, ValueError) as exc:
         raise InvalidModel(f"{path}: {exc}") from None
 
@@ -317,8 +320,10 @@ def cmd_check(args) -> dict:
     from . import liealg as la
     from . import quat as qt
     from .gxg import MetricFamily
-    rng = np.random.default_rng(args.seed)
     n = args.samples
+    if n < 1 or args.seed < 0:
+        raise AqlabError("check needs --samples >= 1 and --seed >= 0")
+    rng = np.random.default_rng(args.seed)
     results = {}
 
     worst = 0.0
@@ -439,14 +444,20 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        doc = args.func(args)
-    except AqlabError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            doc = args.func(args)
+        doc["inputs"]["argv"] = argv
+        if not _compare(doc, doc, 0.0):  # False only for a NaN or an infinity
+            raise AqlabError("result is not finite: the document holds NaN or inf")
+    except (AqlabError, ArithmeticError, RuntimeWarning) as exc:
+        if not isinstance(exc, AqlabError):  # overflow or an invalid operation
+            exc = AqlabError(f"result is not finite: {exc}")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc["inputs"]["argv"] = argv
     _emit(doc)
     if doc["command"] == "verify" and not doc["outputs"]["match"]:
         return 1

@@ -69,7 +69,7 @@ class WrongSignature(AqlabError):
 
 
 class Degenerate(AqlabError):
-    """Metric family parameters lie on the degeneracy circle."""
+    """Metric family parameters not finite, degenerate, or in the wrong regime."""
 
 
 class InvalidResolution(AqlabError):

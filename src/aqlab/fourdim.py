@@ -18,7 +18,6 @@ import numpy as np
 
 # Two-form components are stored in this fixed pair order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 _PARITY = {}
 for _perm in permutations(range(4)):
@@ -42,11 +41,6 @@ class Metric4:
     def __post_init__(self):
         if self.alpha not in (-1, 1):
             raise ValueError(f"alpha must be -1 or +1, got {self.alpha!r}")
-
-    @property
-    def index(self) -> int:
-        """Negative inertia index: 0 (Euclidean) or 2 (neutral)."""
-        return 1 + self.alpha
 
     def matrix(self) -> np.ndarray:
         a = float(self.alpha)
@@ -88,16 +82,6 @@ class TwoForm4:
             m[i, j] = v
             m[j, i] = -v
         return m
-
-    def entry(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if (i, j) in _PAIR_INDEX:
-            return self.comp[_PAIR_INDEX[(i, j)]]
-        return -self.comp[_PAIR_INDEX[(j, i)]]
-
-    def max_abs(self) -> float:
-        return max(abs(x) for x in self.comp)
 
 
 def form_from_matrix(m: np.ndarray) -> TwoForm4:

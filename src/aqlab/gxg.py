@@ -75,6 +75,17 @@ def _curvature_rows(terms):
 _CURVATURE_ROWS = _curvature_rows(_CURVATURE_TERMS)
 
 
+def _closed_ricci_error(model: DoubledModel):
+    """Why the closed-form Ricci does not apply to ``model``, or None: it
+    needs the trace form as base inner product and a semisimple base."""
+    if not model.killing_base:
+        return InvalidModel("closed-form Ricci requires the trace form as "
+                            "base inner product")
+    if not is_semisimple(model.base):
+        return NotSemisimple("closed-form Ricci requires a semisimple base")
+    return None
+
+
 class HermitianStructure(NamedTuple):
     calJ: np.ndarray
     sign: int
@@ -91,6 +102,8 @@ class MetricFamily:
         self.model = model
         self.lam = float(lam)
         self.mu = float(mu)
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise Degenerate(f"lam and mu must be finite, got {lam!r}, {mu!r}")
         self.d0 = 1.0 - self.lam ** 2 - self.mu ** 2
         if abs(self.d0) <= DEGENERACY_TOL:
             raise Degenerate(
@@ -216,14 +229,6 @@ class MetricFamily:
         """
         return ricci_coefficients(self.lam, self.mu)
 
-    def _require_closed_ricci(self):
-        if not self.model.killing_base:
-            raise InvalidModel(
-                "closed-form Ricci requires the trace form as base inner product"
-            )
-        if not is_semisimple(self.model.base):
-            raise NotSemisimple("closed-form Ricci requires a semisimple base")
-
     def ricci_closed(self, X) -> np.ndarray:
         """Ricci operator through the four-coefficient closed form."""
         return self.ricci_matrix(closed=True) @ np.asarray(X, float)
@@ -233,9 +238,8 @@ class MetricFamily:
         return self.ricci_matrix(closed=False) @ np.asarray(X, float)
 
     def ricci(self, X) -> np.ndarray:
-        if self.model.killing_base and is_semisimple(self.model.base):
-            return self.ricci_closed(X)
-        return self.ricci_contracted(X)
+        closed = _closed_ricci_error(self.model) is None
+        return self.ricci_matrix(closed=closed) @ np.asarray(X, float)
 
     def ricci_matrix(self, closed: bool = True) -> np.ndarray:
         """Matrix of the Ricci operator.
@@ -249,7 +253,8 @@ class MetricFamily:
         if not closed:
             return np.einsum("ij,aijl->la", self.sheaf_inverse,
                              self.curvature_tensor)
-        self._require_closed_ricci()
+        if err := _closed_ricci_error(self.model):
+            raise err
         m = self.model
         A, Bc, C, D = self.ricci_coefficients()
         ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
@@ -258,8 +263,7 @@ class MetricFamily:
 
     def einstein_check(self):
         """Return the Ricci constant when r = eps * id over a basis sweep."""
-        closed = self.model.killing_base and is_semisimple(self.model.base)
-        r = self.ricci_matrix(closed=closed)
+        r = self.ricci_matrix(closed=_closed_ricci_error(self.model) is None)
         dim = self.model.dim2
         eps = float(np.trace(r)) / dim
         if np.abs(r - eps * np.eye(dim)).max() <= EINSTEIN_TOL * max(1.0, abs(eps)):
@@ -391,10 +395,8 @@ def classify_einstein(model: DoubledModel):
     mu = -2/3 forces lam^2 = 1/9.  Each solution is verified on the model
     and returned with its Ricci constant.
     """
-    if not model.killing_base:
-        raise InvalidModel("classification requires the trace-form base metric")
-    if not is_semisimple(model.base):
-        raise NotSemisimple("classification requires a semisimple base")
+    if err := _closed_ricci_error(model):
+        raise err
     candidates = [(0.0, 0.0)]
     # lam = 0 branch: roots of 2 mu^2 + 3 mu + 1 = 0
     for mu in sorted(np.roots([2.0, 3.0, 1.0]).real, reverse=True):

@@ -29,7 +29,7 @@ JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its squar
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
 SYMMETRY_TOL = 1e-10  #: inner product asymmetry, rel. to max(1, its largest entry)
 KILLING_BASE_TOL = 1e-10  #: inner is K when every entry gap <= this * max(1, |K|)
-MAX_DIM = 32  #: largest from_brackets dim: a doubled curvature is then <= 64^4 floats
+MAX_DIM = 32  #: largest bracket_tensor dim: a doubled curvature is then <= 64^4 floats
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,14 @@ class LieAlgebraModel:
         return apply(self.c, x).T
 
 
-def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
-    """Build a model from sparse bracket records.
+def bracket_tensor(dim: int, entries) -> np.ndarray:
+    """Structure tensor of sparse bracket records, unchecked for Jacobi.
 
     ``entries`` is an iterable of (i, j, k, value) with 1-based indices
-    meaning [e_i, e_j] contains value * e_k; the antisymmetric counterpart
-    is filled in automatically and omitted entries are zero.  ``dim`` must be
-    an integer (an integral float counts) from 1 to ``MAX_DIM``; it is checked
-    before anything is allocated.
+    meaning [e_i, e_j] contains value * e_k, a finite float; the
+    antisymmetric counterpart is filled in and omitted entries are zero.
+    ``dim`` must be an integer (an integral float counts) from 1 to
+    ``MAX_DIM``; it is checked before anything is allocated.
     """
     if (isinstance(dim, bool) or not isinstance(dim, (int, float))
             or not 1 <= dim <= MAX_DIM or dim != int(dim)):
@@ -82,12 +82,18 @@ def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
     c = np.zeros((dim, dim, dim))
     for rec in entries:
         i, j, k, v = rec
-        i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+        i, j, k, v = int(i) - 1, int(j) - 1, int(k) - 1, float(v)
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim and np.isfinite(v)):
             raise InvalidModel(f"bracket record {rec!r} out of range")
-        c[i, j, k] += float(v)
-        c[j, i, k] -= float(v)
-    return LieAlgebraModel(dim, c, name=name)
+        c[i, j, k] += v
+        c[j, i, k] -= v
+    return c
+
+
+def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
+    """The Lie algebra of :func:`bracket_tensor`'s records."""
+    c = bracket_tensor(dim, entries)
+    return LieAlgebraModel(len(c), c, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +193,9 @@ class DoubledModel:
 
     def __init__(self, base: LieAlgebraModel, inner: np.ndarray | None = None):
         self.base = base
-        obase, eps, basis = pseudo_orthonormalize(base, inner)
-        self.obase = obase
-        self.eps = eps
-        self.basis = basis
         kf = killing_form(base)
+        self.obase, self.eps, self.basis = pseudo_orthonormalize(
+            base, kf if inner is None else inner)
         self.killing_base = inner is None or bool(np.allclose(
             np.asarray(inner, float), kf, rtol=0.0,
             atol=KILLING_BASE_TOL * max(1.0, np.abs(kf).max())))
@@ -199,15 +203,15 @@ class DoubledModel:
         self.n = n
         self.dim2 = 2 * n
         c2 = np.zeros((2 * n, 2 * n, 2 * n))
-        c2[:n, :n, :n] = obase.c
-        c2[n:, n:, n:] = obase.c
+        c2[:n, :n, :n] = self.obase.c
+        c2[n:, n:, n:] = self.obase.c
         self.c2 = c2
         eye = np.eye(n)
         zero = np.zeros((n, n))
         self.I = np.block([[eye, zero], [zero, -eye]])
         self.J = np.block([[zero, eye], [eye, zero]])
         self.K = self.I @ self.J
-        self.g0 = np.diag(np.concatenate([eps, eps]))
+        self.g0 = np.diag(np.concatenate([self.eps, self.eps]))
 
     @property
     def name(self) -> str:

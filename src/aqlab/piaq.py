@@ -108,6 +108,26 @@ class PiAQModel:
         return 0.25 * total
 
     @cached_property
+    def nabla_split(self) -> np.ndarray:
+        """The same tensor through the eigenspace projectors V, H of I:
+
+            V{[HX, VY] + J^3 [VX, J VY]} + H{[VX, HY] + J^3 [HX, J HY]}
+
+        over the scalar extension R + iR, i^2 = alpha, realified as pairs
+        (u, v) = u + iv on R^2m; X, Y and the value are the real block.
+        """
+        a, m = float(self.alpha), self.dim
+        ring = np.array([[[1.0, 0.0], [0.0, 1.0]],  # ring[p, q]: e_p e_q in
+                         [[0.0, 1.0], [a, 0.0]]])   # the basis (1, i)
+        c = np.kron(ring, self.c)
+        J = np.kron(np.eye(2), self.J)
+        V = 0.5 * (np.eye(2 * m) + np.kron([[0.0, a], [1.0, 0.0]], a * self.I))
+        H = np.eye(2 * m) - V
+        n = (post(V, transport(c, H, V) + post(a * J, transport(c, V, J @ V)))
+             + post(H, transport(c, V, H) + post(a * J, transport(c, H, J @ H))))
+        return n[:m, :m, :m]
+
+    @cached_property
     def torsion_tensor(self) -> np.ndarray:
         """S[a, b, l] = nabla_a b - nabla_b a - [a, b]."""
         n = self.nabla
@@ -126,56 +146,13 @@ def canonical_connection(M: PiAQModel, X, Y) -> np.ndarray:
 
 
 def canonical_connection_split(M: PiAQModel, X, Y) -> np.ndarray:
-    """nabla_X Y through the eigenspace projectors of I.
-
-    Works over the extension of scalars by a root of alpha, represented as
-    pairs of real vectors; the result of the projector formula
-
-        V{[HX, VY] + J^3 [VX, J VY]} + H{[VX, HY] + J^3 [HX, J HY]}
-
-    is real again and must coincide with the eight-term expansion.
-    """
-    al = float(M.alpha)
-    I3 = al * M.I
-    J3 = al * M.J
-
-    def i_mul(p):
-        u, v = p
-        return (al * v, u)
-
-    def mat(F, p):
-        return (F @ p[0], F @ p[1])
-
-    def brk(p, q):
-        u1, v1 = p
-        u2, v2 = q
-        return (M.bracket(u1, u2) + al * M.bracket(v1, v2),
-                M.bracket(u1, v2) + M.bracket(v1, u2))
-
-    def add(p, q):
-        return (p[0] + q[0], p[1] + q[1])
-
-    def proj(p, sign):
-        w = i_mul(mat(I3, p))
-        return (0.5 * (p[0] + sign * w[0]), 0.5 * (p[1] + sign * w[1]))
-
-    z = np.zeros(M.dim)
-    Xc = (np.asarray(X, float), z)
-    Yc = (np.asarray(Y, float), z)
-    vx, hx = proj(Xc, +1), proj(Xc, -1)
-    vy, hy = proj(Yc, +1), proj(Yc, -1)
-    upper = add(brk(hx, vy), mat(J3, brk(vx, mat(M.J, vy))))
-    lower = add(brk(vx, hy), mat(J3, brk(hx, mat(M.J, hy))))
-    result = add(proj(upper, +1), proj(lower, -1))
-    return result[0]
+    """nabla_X Y through the eigenspace projectors of I (``M.nabla_split``)."""
+    return apply(M.nabla_split, X, Y)
 
 
 def torsion(M: PiAQModel, X, Y) -> np.ndarray:
     """Torsion S(X, Y), which is also the adjoint-algebra product X * Y."""
     return apply(M.torsion_tensor, X, Y)
-
-
-adjoint_product = torsion
 
 
 def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:

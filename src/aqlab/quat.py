@@ -197,9 +197,6 @@ class SpinMatrix:
             (a.re * d.re + al * a.im * d.im) - (b.re * c.re + al * b.im * c.im),
             (a.re * d.im + a.im * d.re) - (b.re * c.im + b.im * c.re), al)
 
-    def trace(self) -> ScalarKA:
-        return sk.add(self.m[0][0], self.m[1][1])
-
     def real_trace(self) -> float:
         """Sum of real parts of the diagonal entries."""
         return self.m[0][0].re + self.m[1][1].re

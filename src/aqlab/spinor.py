@@ -140,7 +140,7 @@ def check_iq_basis(basis: IQBasis):
         for c in range(3):
             val = qt.scalar_product(js[r], js[c])
             want = expected[r] if r == c else 0.0
-            if abs(val - want) > GRAM_TOL:
+            if not abs(val - want) <= GRAM_TOL:  # NaN fails too
                 raise OrthonormalityViolated(
                     f"Gram entry ({r + 1},{c + 1}) = {val:.6e}, expected {want:g}",
                     entry=(r, c, val),

@@ -1,20 +1,27 @@
 """The command-line surface and its result documents."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqlab
 from aqlab import cli, gxg
 from aqlab import liealg as la
 from aqlab import piaq as pq
+from aqlab import errors
 from aqlab import scalars as sk
 from aqlab.cli import main
+from conftest import standard_pair
 
 SU2_FILE = {
     "dim": 3,
@@ -38,6 +45,16 @@ FLAT_MODEL = {
 }
 
 
+#: a twistor pair whose bracket fails the Jacobi identity by 1
+NON_LIE_MODEL = {
+    "dim": 4,
+    "alpha": -1,
+    "brackets": [[1, 2, 3, 1], [1, 3, 1, 1]],
+    "I": standard_pair(4, -1)[0].tolist(),
+    "J": standard_pair(4, -1)[1].tolist(),
+}
+
+
 def doubled_su2_file() -> dict:
     """Model file of the doubled su(2), a twistor pair with torsion."""
     M = la.doubled(la.su2()).as_piaq()
@@ -47,11 +64,25 @@ def doubled_su2_file() -> dict:
             "I": M.I.tolist(), "J": M.J.tolist()}
 
 
+def _no_constant(name):
+    raise AssertionError(f"document holds the non-JSON constant {name}")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
-    doc = json.loads(out.out) if out.out.strip() else None
+    doc = (json.loads(out.out, parse_constant=_no_constant)
+           if out.out.strip() else None)
     return code, doc, out.err
+
+
+def one_typed_error(err: str) -> str:
+    """The name of the AqlabError on the only stderr line."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    name = lines[0].split(":")[1].strip()
+    assert issubclass(getattr(errors, name), errors.AqlabError), lines[0]
+    return name
 
 
 class TestPauli:
@@ -232,6 +263,34 @@ class TestPiaq:
         assert code == 1
         assert "InvalidMu" in err
 
+    def test_mu_is_recorded(self, capsys):
+        code, doc, _ = run(capsys, "piaq", "--doubled", "su2", "--predicate",
+                           "isoclinic_geodesic", "--mu", "0.5")
+        assert code == 0 and doc["inputs"]["mu"] == 0.5
+        assert doc["outputs"] == pq.predicate_report(
+            la.doubled(la.su2()).as_piaq(), "isoclinic_geodesic", mu=0.5)
+
+    def test_unrecognized_eigenvalue(self, capsys):
+        code, doc, err = run(capsys, "piaq", "--doubled", "su2", "--predicate",
+                             "involutive", "--operator", "I",
+                             "--eigenvalue", "2i")
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "NotEigenvalue"
+
+    def test_model_bracket_need_not_be_lie(self, capsys, tmp_path):
+        """PiAQModel accepts a non-Lie bracket, and so does --model."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(NON_LIE_MODEL))
+        M = pq.PiAQModel(4, la.bracket_tensor(4, NON_LIE_MODEL["brackets"]),
+                         *standard_pair(4, -1), -1)
+        assert not M.is_lie
+        for predicate in ("semiholonomic", "integrable"):
+            code, doc, err = run(capsys, "piaq", "--model", str(path),
+                                 "--predicate", predicate)
+            assert code == 0 and err == ""
+            assert doc["outputs"] == pq.predicate_report(M, predicate)
+        assert doc["inputs"]["dim"] == 4
+
     def test_model_file(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(FLAT_MODEL))
@@ -263,6 +322,10 @@ MALFORMED = [
     # dims outside 1..MAX_DIM, or not integers, fail before any allocation
     *((command, dict(data, dim=dim)) for dim in (10**6, 0, -3, True, 2.5)
       for command, data in (("einstein", SU2_FILE), ("piaq", FLAT_MODEL))),
+    # non-finite numbers, written as the NaN and Infinity literals json reads
+    ("einstein", dict(SU2_FILE, brackets=[[1, 2, 3, float("nan")]])),
+    ("piaq", dict(FLAT_MODEL, brackets=[[1, 2, 3, float("inf")]])),
+    ("piaq", dict(FLAT_MODEL, I=np.full((4, 4), np.nan).tolist())),
 ]
 
 
@@ -353,7 +416,24 @@ class TestVerify:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+    def test_document_on_stdin(self, capsys, monkeypatch):
+        code, doc, _ = run(capsys, "selfdual", "--alpha", "1",
+                           "--omega", "1,2,3,4,5,6")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, vdoc, _ = run(capsys, "verify", "-")
+        assert code == 0 and vdoc["outputs"]["match"] is True
+        assert vdoc["inputs"] == {"document": "-", "verified_command": "selfdual",
+                                  "argv": ["verify", "-"]}
+
+
 class TestCheck:
+    @pytest.mark.parametrize("argv", [("--samples", "0"), ("--samples", "-5"),
+                                      ("--seed", "-1")])
+    def test_needs_samples_and_a_nonnegative_seed(self, capsys, argv):
+        code, doc, err = run(capsys, "check", *argv)
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "AqlabError"
+
     def test_deterministic_for_seed(self, capsys):
         code1, doc1, _ = run(capsys, "check", "--seed", "7", "--samples", "10")
         code2, doc2, _ = run(capsys, "check", "--seed", "7", "--samples", "10")
@@ -387,6 +467,91 @@ class TestCheck:
             assert code == 0
             assert doc["tolerances"] == plain[argv]["tolerances"] == tolerances
             assert doc["outputs"] == plain[argv]["outputs"]
+
+
+class TestNumbers:
+    """No document holds NaN or an infinity; every bad number is one typed
+    error line with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (("einstein", "--catalog", "su2", "--lambda", "nan", "--mu", "0"),
+         "Degenerate"),
+        (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "inf"),
+         "Degenerate"),
+        (("einstein", "--catalog", "su2", "--lambda", "1e200", "--mu", "0"),
+         "AqlabError"),
+        (("einstein", "--catalog", "su2", "--lambda", "1e150", "--mu", "1e150"),
+         "AqlabError"),
+        (("selfdual", "--alpha", "1", "--omega", "1e308,1e308,0,0,0,0"),
+         "AqlabError"),
+        (("selfdual", "--alpha", "-1", "--omega", "nan,0,0,0,0,0"),
+         "AqlabError"),
+        (("selfdual", "--alpha", "-1", "--omega", "1,2,3"), "AqlabError"),
+        (("spinbasis", "--alpha", "-1", "--j1", "nan,0,0", "--j2", "0,1,0",
+          "--j3", "0,0,1"), "OrthonormalityViolated"),
+        (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
+          "--mu", "nan"), "AqlabError"),
+        (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
+          "--mu=-inf"), "AqlabError"),
+    ])
+    def test_bad_number_is_one_typed_error_line(self, capsys, argv, error):
+        code, doc, err = run(capsys, *argv)
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == error
+
+    def test_main_raises_numpy_warnings_itself(self, capsys):
+        """Not only under this suite's filterwarnings setting: a plain
+        process prints no warning lines before the error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, doc, err = run(capsys, "einstein", "--catalog", "su2",
+                                 "--lambda", "1e150", "--mu", "1e150")
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "AqlabError" and "invalid value" in err
+
+    NUMBERS = st.one_of(
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308",
+                         "1e200", "5e-324", "-2.2e-308", "0", "-0.0", "1",
+                         "-1", "0.5", "-0.5"]),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    SAMPLES = st.sampled_from(["-5", "-1", "0", "1", "2"])
+    SEEDS = st.sampled_from(["-5", "-1", "0", "1", str(2 ** 64)])
+
+    @st.composite
+    def argvs(draw):
+        kind = draw(st.sampled_from(["einstein", "selfdual", "spinbasis",
+                                     "piaq", "check"]))
+        num = TestNumbers.NUMBERS
+        alpha = draw(st.sampled_from(["-1", "1"]))
+        # --name=value, so that argparse takes "-inf" for a value
+        if kind == "einstein":
+            return ["einstein", "--catalog", draw(st.sampled_from(["su2", "sl2r"])),
+                    f"--lambda={draw(num)}", f"--mu={draw(num)}"]
+        if kind == "selfdual":
+            return ["selfdual", "--alpha", alpha,
+                    "--omega=" + ",".join(draw(num) for _ in range(6))]
+        if kind == "spinbasis":
+            return ["spinbasis", "--alpha", alpha,
+                    *(f"--{name}=" + ",".join(draw(num) for _ in range(3))
+                      for name in ("j1", "j2", "j3"))]
+        if kind == "piaq":
+            return ["piaq", "--doubled", "su2", "--predicate",
+                    "isoclinic_geodesic", f"--mu={draw(num)}"]
+        return ["check", f"--samples={draw(TestNumbers.SAMPLES)}",
+                f"--seed={draw(TestNumbers.SEEDS)}"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_numeric_argv_is_strict_json_or_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            doc = json.loads(out.getvalue(), parse_constant=_no_constant)
+            assert doc["inputs"]["argv"] == argv and err.getvalue() == ""
+        else:
+            assert code == 1 and out.getvalue() == ""
+            one_typed_error(err.getvalue())
 
 
 class TestLazyStartup:

@@ -112,6 +112,12 @@ class TestSheafMetric:
         with pytest.raises(Degenerate):
             MetricFamily(dsu2, 0.6, 0.8)
 
+    @pytest.mark.parametrize("lam,mu", [(float("nan"), 0.0), (0.0, float("inf")),
+                                        (-float("inf"), 0.1)])
+    def test_non_finite_parameters_rejected(self, dsu2, lam, mu):
+        with pytest.raises(Degenerate, match="finite"):
+            MetricFamily(dsu2, lam, mu)
+
     def test_block_matrix_form(self, dsu2, dsl2r):
         for model in (dsu2, dsl2r):
             lam, mu = 0.3, -0.2
@@ -328,6 +334,15 @@ class TestRicci:
             fam.ricci_closed(np.ones(6))
         # the operator route still works
         assert fam.ricci(np.ones(6)).shape == (6,)
+
+    def test_ricci_takes_the_closed_path_on_a_trace_form_base(self, dsu2,
+                                                              monkeypatch):
+        fam = MetricFamily(dsu2, 0.2, -0.1)
+        x = np.arange(6.0)
+        want = fam.ricci_closed(x)
+        monkeypatch.setattr(MetricFamily, "curvature_tensor", property(
+            lambda self: pytest.fail("contracted route taken")))
+        assert np.array_equal(MetricFamily(dsu2, 0.2, -0.1).ricci(x), want)
 
     def test_closed_path_requires_semisimple(self):
         flat = la.LieAlgebraModel(2, np.zeros((2, 2, 2)), name="R2")

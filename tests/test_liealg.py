@@ -32,6 +32,40 @@ class TestModelValidation:
         assert la.from_brackets(3.0, [(1, 2, 3, 1.0), (2, 3, 1, 1.0),
                                       (3, 1, 2, 1.0)]).dim == 3
 
+    def test_bracket_tensor_skips_jacobi(self):
+        """The records of a non-Lie bracket give its tensor; only the model
+        checks the Jacobi identity."""
+        recs = [(1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0), (1, 2, 1, 0.5)]
+        c = la.bracket_tensor(3, recs)
+        assert c[0, 1, 0] == 0.5 and c[1, 0, 0] == -0.5
+        with pytest.raises(InvalidModel, match="Jacobi"):
+            la.LieAlgebraModel(3, c)
+        with pytest.raises(InvalidModel, match="dim must be an integer"):
+            la.bracket_tensor(la.MAX_DIM + 1, recs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e400])
+    def test_non_finite_bracket_value_rejected(self, value):
+        with pytest.raises(InvalidModel, match="out of range"):
+            la.bracket_tensor(3, [(1, 2, 3, value)])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InvalidModel, match="must be 3"):
+            la.LieAlgebraModel(3, np.zeros((3, 3, 2)))
+
+    def test_non_antisymmetric_rejected(self):
+        c = np.zeros((2, 2, 2))
+        c[0, 1, 0] = 1.0  # no [e_2, e_1] counterpart
+        with pytest.raises(InvalidModel, match="not antisymmetric"):
+            la.LieAlgebraModel(2, c)
+
+    def test_doubled_computes_the_trace_form_once(self, monkeypatch):
+        calls = []
+        real = la.killing_form
+        monkeypatch.setattr(la, "killing_form",
+                            lambda A: calls.append(A) or real(A))
+        la.doubled(la.su2())
+        assert len(calls) == 1
+
     def test_bracket_and_ad(self):
         m = la.su2()
         assert np.allclose(m.bracket([1, 0, 0], [0, 1, 0]), [0, 0, 1])

@@ -33,6 +33,18 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             pq.PiAQModel(4, np.zeros((4, 4, 4)), np.eye(4), np.eye(4), 1)
 
+    @pytest.mark.parametrize("alpha", [0, 2, -1.5])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(InvalidModel, match="alpha"):
+            pq.PiAQModel(4, np.zeros((4, 4, 4)), *standard_pair(4, 1), alpha)
+
+    def test_rejects_shape_mismatch(self):
+        I, J = standard_pair(4, 1)
+        with pytest.raises(InvalidModel, match="shape"):
+            pq.PiAQModel(4, np.zeros((4, 4, 3)), I, J, 1)
+        with pytest.raises(InvalidModel, match="shape"):
+            pq.PiAQModel(2, np.zeros((2, 2, 2)), I, J, 1)
+
     def test_rejects_asymmetric_bracket(self):
         c = np.zeros((4, 4, 4))
         c[0, 1, 2] = 1.0  # no antisymmetric counterpart
@@ -77,6 +89,24 @@ class TestCanonicalConnection:
                     1 + np.abs(direct).max())
 
     @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("kind", ("abelian", "u2", "gl2"))
+    def test_projector_tensor_equals_eight_term_tensor(self, alpha, kind, rng):
+        for _ in range(20):
+            m = random_piaq_model(rng, alpha, kind)
+            split = m.nabla_split
+            assert "nabla" not in vars(m)  # built without the eight-term tensor
+            assert np.abs(split - m.nabla).max() <= 1e-12 * max(
+                1.0, np.abs(m.nabla).max())
+
+    @pytest.mark.parametrize("name", sorted(la.CATALOG))
+    def test_projector_tensor_on_doubled_catalog(self, name):
+        m = la.doubled(la.CATALOG[name]()).as_piaq()
+        split = m.nabla_split
+        assert "nabla" not in vars(m)
+        assert np.abs(split - m.nabla).max() <= 1e-12 * max(
+            1.0, np.abs(m.nabla).max())
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_structure_operators_are_parallel(self, alpha, rng):
         for _ in range(10):
             m = random_piaq_model(rng, alpha)
@@ -104,7 +134,6 @@ class TestCanonicalConnection:
             s = pq.torsion(m, x, y)
             assert np.abs(s + pq.torsion(m, y, x)).max() < 1e-10 * (
                 1 + np.abs(s).max())
-        assert pq.adjoint_product is pq.torsion
 
 
 class TestCurvature:
@@ -249,6 +278,15 @@ class TestPredicateReport:
     def test_involutive_report_requires_operator(self, doubled_su2):
         with pytest.raises(NotEigenvalue):
             pq.predicate_report(doubled_su2, "involutive")
+
+    def test_unknown_predicate(self, doubled_su2):
+        with pytest.raises(InvalidModel, match="unknown predicate"):
+            pq.predicate_report(doubled_su2, "holonomic")
+
+    @pytest.mark.parametrize("lam", ["2i", "j", "one"])
+    def test_unrecognized_eigenvalue_literal(self, doubled_su2, lam):
+        with pytest.raises(NotEigenvalue, match="unrecognized"):
+            pq.predicate_report(doubled_su2, "involutive", lam=lam, f_name="I")
 
     def test_isoclinic_report(self, doubled_su2):
         rep = pq.predicate_report(doubled_su2, "isoclinic_geodesic", mu=0.5)

@@ -166,6 +166,22 @@ class TestSpinBasis:
             sp.spinbasis(bad)
         assert err.value.entry is not None
 
+    def test_gram_check_fails_on_nan(self):
+        """NaN compares false, so a bound written as a failure test let it by."""
+        bad = sp.IQBasis(qt.from_coeffs([0.0, float("nan"), 0.0, 0.0], -1),
+                         qt.j_(-1), qt.k_(-1))
+        with pytest.raises(OrthonormalityViolated, match="nan"):
+            sp.check_iq_basis(bad)
+
+    def test_mixed_signatures_rejected(self):
+        with pytest.raises(SignatureMismatch):
+            sp.check_iq_basis(sp.IQBasis(qt.i_(-1), qt.j_(1), qt.k_(-1)))
+
+    def test_non_imaginary_member_rejected(self):
+        real_part = qt.from_coeffs([1.0, 1.0, 0.0, 0.0], -1)
+        with pytest.raises(OrthonormalityViolated, match="purely imaginary"):
+            sp.check_iq_basis(sp.IQBasis(real_part, qt.j_(-1), qt.k_(-1)))
+
     def test_exhausted_seeds_raise(self, monkeypatch):
         """Only-eigenvector seeds surface the degenerate branch."""
         from aqlab.errors import DegenerateEigenvector

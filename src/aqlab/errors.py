@@ -44,10 +44,6 @@ class NotSemisimple(AqlabError):
     """The trace form of the algebra is degenerate."""
 
 
-class DegenerateInner(AqlabError):
-    """Supplied inner product is degenerate or not symmetric."""
-
-
 class InvalidModel(AqlabError):
     """Model data violates a structural invariant."""
 

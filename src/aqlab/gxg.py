@@ -1,8 +1,8 @@
 """Two-parameter metric family on a doubled Lie group and its curvature.
 
-On the doubled model m + m of a Lie algebra with inner product the block
-metric g0 = diag(eps, eps) combines with the involutions I and J into the
-family
+On the doubled model m + m of a semisimple Lie algebra the block metric
+g0 = diag(eps, eps) of its trace form combines with the involutions I and J
+into the family
 
     <X, Y> = g0(X, Y) + lam g0(X, IY) + mu g0(X, JY),
 
@@ -10,8 +10,8 @@ nondegenerate exactly off the circle lam^2 + mu^2 = 1.  Everything
 downstream is closed-form in (lam, mu): the torsion-free metric connection,
 its curvature, the Ricci operator with its four scalar coefficients, the
 compatible almost Hermitian operators (mu I - lam J + K)/sqrt(1 - lam^2 -
-mu^2), and the resulting classifications.  With the trace form as base
-inner product the family contains exactly four Einstein points,
+mu^2), and the resulting classifications.  The family contains exactly
+four Einstein points,
 
     (0, 0), (0, -1/2), (1/3, -2/3), (-1/3, -2/3)
 
@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, InvalidModel, InvalidResolution, NotSemisimple
-from .liealg import DoubledModel, is_semisimple
+from .errors import Degenerate, InvalidResolution
+from .liealg import DoubledModel
 from .tensors import apply, curvature as compose_curvature, post, transport
 
 DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
@@ -73,17 +73,6 @@ def _curvature_rows(terms):
 
 
 _CURVATURE_ROWS = _curvature_rows(_CURVATURE_TERMS)
-
-
-def _closed_ricci_error(model: DoubledModel):
-    """Why the closed-form Ricci does not apply to ``model``, or None: it
-    needs the trace form as base inner product and a semisimple base."""
-    if not model.killing_base:
-        return InvalidModel("closed-form Ricci requires the trace form as "
-                            "base inner product")
-    if not is_semisimple(model.base):
-        return NotSemisimple("closed-form Ricci requires a semisimple base")
-    return None
 
 
 class HermitianStructure(NamedTuple):
@@ -203,7 +192,7 @@ class MetricFamily:
         """Closed-form expansion of R(X, Y)Z in iterated brackets.
 
         Sums the rows k p^i q^j [u, [v, w]] of ``_CURVATURE_TERMS``, all
-        inner brackets in one stacked product and all outer ones in a
+        brackets [v, w] in one stacked product and all outer ones in a
         second; an independent code path from :meth:`curvature`, which
         composes the connection tensor.
         """
@@ -213,8 +202,8 @@ class MetricFamily:
         vecs = np.concatenate([xyz, xyz @ m.J.T, xyz @ m.K.T])
         c = m.c2.reshape(d, d * d)
         k, i, j, u, v, w = _CURVATURE_ROWS
-        inner = vecs[w, None] @ (vecs[v] @ c).reshape(-1, d, d)
-        outer = inner @ (vecs[u] @ c).reshape(-1, d, d)
+        vw = vecs[w, None] @ (vecs[v] @ c).reshape(-1, d, d)
+        outer = vw @ (vecs[u] @ c).reshape(-1, d, d)
         return (k * self._p ** i * self._q ** j) @ outer[:, 0]
 
     # -- Ricci ---------------------------------------------------------------
@@ -237,10 +226,6 @@ class MetricFamily:
         """Ricci operator as the metric trace of the compositional curvature."""
         return self.ricci_matrix(closed=False) @ np.asarray(X, float)
 
-    def ricci(self, X) -> np.ndarray:
-        closed = _closed_ricci_error(self.model) is None
-        return self.ricci_matrix(closed=closed) @ np.asarray(X, float)
-
     def ricci_matrix(self, closed: bool = True) -> np.ndarray:
         """Matrix of the Ricci operator.
 
@@ -253,8 +238,6 @@ class MetricFamily:
         if not closed:
             return np.einsum("ij,aijl->la", self.sheaf_inverse,
                              self.curvature_tensor)
-        if err := _closed_ricci_error(self.model):
-            raise err
         m = self.model
         A, Bc, C, D = self.ricci_coefficients()
         ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
@@ -262,8 +245,8 @@ class MetricFamily:
         return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / self.d0
 
     def einstein_check(self):
-        """Return the Ricci constant when r = eps * id over a basis sweep."""
-        r = self.ricci_matrix(closed=_closed_ricci_error(self.model) is None)
+        """Return the Ricci constant when the closed Ricci matrix is eps * id."""
+        r = self.ricci_matrix()
         dim = self.model.dim2
         eps = float(np.trace(r)) / dim
         if np.abs(r - eps * np.eye(dim)).max() <= EINSTEIN_TOL * max(1.0, abs(eps)):
@@ -395,8 +378,6 @@ def classify_einstein(model: DoubledModel):
     mu = -2/3 forces lam^2 = 1/9.  Each solution is verified on the model
     and returned with its Ricci constant.
     """
-    if err := _closed_ricci_error(model):
-        raise err
     candidates = [(0.0, 0.0)]
     # lam = 0 branch: roots of 2 mu^2 + 3 mu + 1 = 0
     for mu in sorted(np.roots([2.0, 3.0, 1.0]).real, reverse=True):

@@ -22,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInner, InvalidModel, NotSemisimple
+from .errors import InvalidModel, NotSemisimple
 from .tensors import apply, jacobiator, post, transport
 
 JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
-SYMMETRY_TOL = 1e-10  #: inner product asymmetry, rel. to max(1, its largest entry)
-KILLING_BASE_TOL = 1e-10  #: inner is K when every entry gap <= this * max(1, |K|)
 MAX_DIM = 32  #: largest bracket_tensor dim: a doubled curvature is then <= 64^4 floats
 
 
@@ -49,10 +47,10 @@ class LieAlgebraModel:
             raise InvalidModel(f"structure tensor must be {self.dim}^3")
         object.__setattr__(self, "c", c)
         scale = max(1.0, np.abs(c).max())
-        if np.abs(c + c.transpose(1, 0, 2)).max() > JACOBI_TOL * scale:
+        if not np.abs(c + c.transpose(1, 0, 2)).max() <= JACOBI_TOL * scale:
             raise InvalidModel("structure constants are not antisymmetric")
         jac = jacobiator(c)
-        if np.abs(jac).max() > JACOBI_TOL * scale * scale:
+        if not np.abs(jac).max() <= JACOBI_TOL * scale * scale:
             raise InvalidModel(
                 f"Jacobi identity fails by {np.abs(jac).max():.3e}"
             )
@@ -152,25 +150,21 @@ def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
     if not is_semisimple(A):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     kinv = np.linalg.inv(killing_form(A))
-    inner = apply(A.c, X)  # inner[i] = [X, e_i]
-    return np.tensordot(inner.T @ kinv, A.c, 2)
+    xe = apply(A.c, X)  # xe[i] = [X, e_i]
+    return np.tensordot(xe.T @ kinv, A.c, 2)
 
 
-def pseudo_orthonormalize(A: LieAlgebraModel, inner: np.ndarray | None = None):
-    """Basis in which a symmetric inner product becomes diag(+/-1).
+def pseudo_orthonormalize(A: LieAlgebraModel):
+    """Basis in which the trace form becomes diag(+/-1).
 
     Returns ``(model, eps, basis)`` where ``basis`` columns express the new
     basis in the old one, ``eps`` holds the signs, and ``model`` carries the
-    transformed structure constants.  Defaults to the trace form.
+    transformed structure constants.  Raises :class:`NotSemisimple` when the
+    trace form is degenerate.
     """
-    if inner is None:
-        inner = killing_form(A)
-    inner = np.asarray(inner, dtype=float)
-    if np.abs(inner - inner.T).max() > SYMMETRY_TOL * max(1.0, np.abs(inner).max()):
-        raise DegenerateInner("inner product must be symmetric")
-    w, qmat = np.linalg.eigh(inner)
+    w, qmat = np.linalg.eigh(killing_form(A))
     if np.abs(w).min() <= SEMISIMPLE_TOL * max(1.0, np.abs(w).max()):
-        raise DegenerateInner("inner product is degenerate")
+        raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     eps = np.sign(w)
     basis = qmat / np.sqrt(np.abs(w))
     binv = np.linalg.inv(basis)
@@ -186,19 +180,14 @@ def pseudo_orthonormalize(A: LieAlgebraModel, inner: np.ndarray | None = None):
 class DoubledModel:
     """The space m + m with componentwise bracket and its three involutions.
 
-    The working basis is pseudo-orthonormal for the supplied inner product
-    (trace form by default), so the base metric of the doubled space is the
+    The base must be semisimple.  The working basis is pseudo-orthonormal
+    for its trace form, so the base metric of the doubled space is the
     block matrix diag(eps, eps).  Instances are immutable by convention.
     """
 
-    def __init__(self, base: LieAlgebraModel, inner: np.ndarray | None = None):
+    def __init__(self, base: LieAlgebraModel):
         self.base = base
-        kf = killing_form(base)
-        self.obase, self.eps, self.basis = pseudo_orthonormalize(
-            base, kf if inner is None else inner)
-        self.killing_base = inner is None or bool(np.allclose(
-            np.asarray(inner, float), kf, rtol=0.0,
-            atol=KILLING_BASE_TOL * max(1.0, np.abs(kf).max())))
+        self.obase, self.eps, self.basis = pseudo_orthonormalize(base)
         n = base.dim
         self.n = n
         self.dim2 = 2 * n
@@ -228,10 +217,7 @@ class DoubledModel:
                          name=self.name)
 
 
-def doubled(A: LieAlgebraModel, inner: np.ndarray | None = None) -> DoubledModel:
-    """Construct the doubled model of a Lie algebra.
-
-    ``inner`` is a symmetric nondegenerate matrix on the base (defaults to
-    the trace form).
-    """
-    return DoubledModel(A, inner)
+def doubled(A: LieAlgebraModel) -> DoubledModel:
+    """Construct the doubled model of a semisimple Lie algebra, with the
+    trace form as base metric; :class:`NotSemisimple` otherwise."""
+    return DoubledModel(A)

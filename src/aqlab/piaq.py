@@ -68,13 +68,13 @@ class PiAQModel:
         if self.c.shape != (m, m, m) or self.I.shape != (m, m) or self.J.shape != (m, m):
             raise InvalidModel("shape mismatch between dim, c, I, J")
         cscale = max(1.0, np.abs(self.c).max())
-        if np.abs(self.c + self.c.transpose(1, 0, 2)).max() > STRUCT_TOL * cscale:
+        if not np.abs(self.c + self.c.transpose(1, 0, 2)).max() <= STRUCT_TOL * cscale:
             raise InvalidModel("bracket is not antisymmetric")
         ident = np.eye(m)
-        oscale = max(1.0, np.abs(self.I).max(), np.abs(self.J).max()) ** 2
-        if (np.abs(self.I @ self.I - alpha * ident).max() > STRUCT_TOL * oscale
-                or np.abs(self.J @ self.J - alpha * ident).max() > STRUCT_TOL * oscale
-                or np.abs(self.I @ self.J + self.J @ self.I).max() > STRUCT_TOL * oscale):
+        bound = STRUCT_TOL * max(1.0, np.abs(self.I).max(), np.abs(self.J).max()) ** 2
+        if not (np.abs(self.I @ self.I - alpha * ident).max() <= bound
+                and np.abs(self.J @ self.J - alpha * ident).max() <= bound
+                and np.abs(self.I @ self.J + self.J @ self.I).max() <= bound):
             raise InvalidModel("I, J fail the twistor-pair relations")
         self.K = self.I @ self.J
 
@@ -181,7 +181,8 @@ def _square_scalar(F: np.ndarray) -> float:
     sq = F @ F
     s = float(np.trace(sq) / m)
     s = 1.0 if s > 0 else -1.0
-    if np.abs(sq - s * np.eye(m)).max() > STRUCT_TOL * max(1.0, np.abs(F).max() ** 2):
+    bound = STRUCT_TOL * max(1.0, np.abs(F).max() ** 2)
+    if not np.abs(sq - s * np.eye(m)).max() <= bound:
         raise NotTwistor("operator does not square to a +/- identity multiple")
     return s
 

@@ -273,9 +273,9 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     al = np.trace(I @ I) / n
     alpha = 1 if al > 0 else -1
     bound = RELATION_TOL * (1.0 + max(np.abs(I).max(), np.abs(J).max()) ** 2)
-    if (np.abs(I @ I - alpha * ident).max() > bound
-            or np.abs(J @ J - alpha * ident).max() > bound
-            or np.abs(I @ J + J @ I).max() > bound):
+    if not (np.abs(I @ I - alpha * ident).max() <= bound
+            and np.abs(J @ J - alpha * ident).max() <= bound
+            and np.abs(I @ J + J @ I).max() <= bound):
         raise NotAQStructure("operators fail the anticommuting twistor relations")
     if np.abs(X).max() == 0.0:
         raise ZeroVector("orbit of the zero vector is not defined")

@@ -195,6 +195,18 @@ class TestEinstein:
         assert code == 1 and doc is None
         assert "Jacobi" in err
 
+    @pytest.mark.parametrize("data", [
+        {"dim": 3, "brackets": []},
+        {"dim": 3, "brackets": [[1, 2, 3, 1.0]]},
+        dict(SU2_FILE, dim=4)], ids=["abelian", "heisenberg", "u2"])
+    def test_non_semisimple_algebra_file(self, capsys, tmp_path, data):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        code, doc, err = run(capsys, "einstein", "--algebra", str(path),
+                             "--classify")
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "NotSemisimple"
+
     def test_sweep_with_csv(self, capsys, tmp_path):
         csv = tmp_path / "sweep.csv"
         code, doc, _ = run(capsys, "einstein", "--catalog", "su2",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aqlab import liealg as la
-from aqlab.errors import Degenerate, InvalidModel, InvalidResolution, NotSemisimple
+from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple
 from aqlab.gxg import (
     MIN_SWEEP_RES,
     MetricFamily,
@@ -240,12 +240,6 @@ class TestCurvature:
             assert np.abs(fam.curvature(x, y, z) - want).max() < 1e-13
             assert np.abs(fam.curvature_closed(x, y, z) - want).max() < 1e-13
 
-    def test_abelian_base_is_flat(self, rng):
-        flat = la.LieAlgebraModel(2, np.zeros((2, 2, 2)), name="R2")
-        dm = la.doubled(flat, np.eye(2))
-        fam = MetricFamily(dm, 0.3, 0.4)
-        assert np.abs(fam.curvature_tensor).max() == 0.0
-
     def test_closed_equals_compositional(self, dsu2, dsl2r, rng):
         for model in (dsu2, dsl2r):
             for _ in range(25):
@@ -327,29 +321,25 @@ class TestRicci:
     def test_non_einstein_point(self, dsu2):
         assert MetricFamily(dsu2, 0.2, 0.3).einstein_check() is None
 
-    def test_closed_path_requires_killing(self):
-        dm = la.doubled(la.su2(), np.eye(3))
-        fam = MetricFamily(dm, 0.1, 0.1)
-        with pytest.raises(InvalidModel):
-            fam.ricci_closed(np.ones(6))
-        # the operator route still works
-        assert fam.ricci(np.ones(6)).shape == (6,)
-
-    def test_ricci_takes_the_closed_path_on_a_trace_form_base(self, dsu2,
-                                                              monkeypatch):
-        fam = MetricFamily(dsu2, 0.2, -0.1)
-        x = np.arange(6.0)
-        want = fam.ricci_closed(x)
+    def test_einstein_verdicts_read_no_rank4_tensor(self, monkeypatch):
         monkeypatch.setattr(MetricFamily, "curvature_tensor", property(
-            lambda self: pytest.fail("contracted route taken")))
-        assert np.array_equal(MetricFamily(dsu2, 0.2, -0.1).ricci(x), want)
+            lambda self: pytest.fail("rank-4 curvature built")))
+        for base in (la.su2, la.sl2r, la.so4):
+            model = la.doubled(base())
+            got = [p[:2] for p in classify_einstein(model)]
+            assert np.allclose(got, [p[:2] for p in EXACT_POINTS],
+                               rtol=0.0, atol=1e-12)
+            assert MetricFamily(model, 0.0, 0.0).einstein_check() == (
+                pytest.approx(0.25))
+            assert MetricFamily(model, 0.2, 0.3).einstein_check() is None
 
     def test_closed_path_requires_semisimple(self):
-        flat = la.LieAlgebraModel(2, np.zeros((2, 2, 2)), name="R2")
-        dm = la.doubled(flat, np.eye(2))
-        dm.killing_base = True  # simulate a wrong-headed caller
+        """The closed Ricci needs a semisimple base, and no doubled model
+        has another: u(2) = su(2) + R, whose trace form is degenerate but
+        not zero, is refused at doubling."""
+        line = la.LieAlgebraModel(1, np.zeros((1, 1, 1)), name="R")
         with pytest.raises(NotSemisimple):
-            MetricFamily(dm, 0.1, 0.1).ricci_closed(np.ones(4))
+            la.doubled(la.direct_sum(la.su2(), line))
 
 
 class TestClassification:
@@ -406,24 +396,6 @@ class TestClassification:
         assert off.shape == (2,)
         assert off[0] < 1e-15 and aniso[0] < 1e-15
         assert off[1] > 1e-3
-
-    def test_requires_killing_base(self):
-        dm = la.doubled(la.su2(), np.eye(3))
-        with pytest.raises(InvalidModel):
-            classify_einstein(dm)
-
-    def test_killing_base_bound_has_no_relative_slack(self):
-        """A trace form off by 8e-6 in one entry is not the trace form (the
-        old comparison let a relative 1e-5 through and returned [])."""
-        K = la.killing_form(la.su2())
-        for factor in (1.0, 1.0 + 1e-13):
-            dm = la.doubled(la.su2(), K * factor)
-            assert dm.killing_base
-            assert len(classify_einstein(dm)) == 4
-        off = K.copy()
-        off[0, 0] *= 1.0 + 8e-6
-        with pytest.raises(InvalidModel):
-            classify_einstein(la.doubled(la.su2(), off))
 
 
 class TestStructureDerivatives:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aqlab import liealg as la
-from aqlab.errors import DegenerateInner, InvalidModel, NotSemisimple
+from aqlab.errors import InvalidModel, NotSemisimple
 
 
 class TestModelValidation:
@@ -57,6 +57,13 @@ class TestModelValidation:
         c[0, 1, 0] = 1.0  # no [e_2, e_1] counterpart
         with pytest.raises(InvalidModel, match="not antisymmetric"):
             la.LieAlgebraModel(2, c)
+
+    def test_nan_structure_constant_rejected(self):
+        """NaN compares false, so a bound written as a failure test let it by."""
+        c = la.su2().c.copy()
+        c[0, 1, 2] = c[1, 0, 2] = np.nan
+        with pytest.raises(InvalidModel):
+            la.LieAlgebraModel(3, c)
 
     def test_doubled_computes_the_trace_form_once(self, monkeypatch):
         calls = []
@@ -169,25 +176,19 @@ class TestDoubledModel:
         for name in ("su2", "sl2r"):
             dm = la.doubled(la.CATALOG[name]())
             assert np.allclose(dm.g0, np.diag(np.concatenate([dm.eps, dm.eps])))
-            assert dm.killing_base
-
-    def test_custom_inner(self):
-        dm = la.doubled(la.su2(), np.eye(3))
-        assert not dm.killing_base
-        assert np.allclose(dm.eps, 1.0)
 
     def test_degenerate_inner_rejected(self):
-        with pytest.raises(DegenerateInner):
-            la.doubled(la.su2(), np.zeros((3, 3)))
-        with pytest.raises(DegenerateInner):
-            la.doubled(la.su2(), np.array([[1.0, 2.0, 0], [0, 1, 0], [0, 0, 1]]))
+        """The base metric is the trace form, so a nilpotent base, whose
+        trace form is zero, is rejected as the contraction identity
+        rejects it."""
+        heis = la.from_brackets(3, [(1, 2, 3, 1.0)], name="heis")
+        with pytest.raises(NotSemisimple, match="heis: trace form is degenerate"):
+            la.doubled(heis)
 
-    def test_abelian_base_needs_explicit_inner(self):
+    def test_abelian_base_rejected(self):
         flat = la.LieAlgebraModel(2, np.zeros((2, 2, 2)), name="R2")
-        with pytest.raises(DegenerateInner):
+        with pytest.raises(NotSemisimple):
             la.doubled(flat)  # trace form is zero
-        dm = la.doubled(flat, np.eye(2))
-        assert dm.dim2 == 4
 
     def test_as_piaq_roundtrip(self):
         model = la.doubled(la.su2()).as_piaq()

@@ -52,6 +52,13 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             pq.PiAQModel(4, c, I, J, 1)
 
+    def test_rejects_nan(self):
+        I, J = standard_pair(4, -1)
+        with pytest.raises(InvalidModel, match="twistor-pair"):
+            pq.PiAQModel(4, np.zeros((4, 4, 4)), np.full((4, 4), np.nan), J, -1)
+        with pytest.raises(InvalidModel, match="antisymmetric"):
+            pq.PiAQModel(4, np.full((4, 4, 4), np.nan), I, J, -1)
+
     def test_jacobi_flag(self, rng):
         m = random_piaq_model(rng, 1)
         assert m.is_lie
@@ -201,6 +208,11 @@ class TestNijenhuis:
         with pytest.raises(NotTwistor):
             pq.nijenhuis(m, np.diag([1.0, 2.0, 1.0, 1.0]), np.eye(4)[0],
                          np.eye(4)[1])
+
+    def test_rejects_nan_operator(self, rng):
+        m = random_piaq_model(rng, 1)
+        with pytest.raises(NotTwistor):
+            pq.nijenhuis(m, np.full((4, 4), np.nan), np.eye(4)[0], np.eye(4)[1])
 
 
 class TestPredicates:

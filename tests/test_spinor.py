@@ -233,6 +233,12 @@ class TestOrbitDimension:
         with pytest.raises(NotAQStructure):
             sp.orbit_dimension(np.eye(4), np.eye(4), np.ones(4))
 
+    def test_rejects_nan_operator(self, rng):
+        I, J = random_aq_pair(rng, 4, -1)
+        I[0, 0] = np.nan
+        with pytest.raises(NotAQStructure):
+            sp.orbit_dimension(I, J, np.ones(4))
+
     def test_rejects_zero_vector(self, rng):
         I, J = random_aq_pair(rng, 4, -1)
         with pytest.raises(ZeroVector):

@@ -49,7 +49,7 @@ def _rationalize(x: float, tol: float = 1e-12):
 
 
 def _with_exact(x: float) -> dict:
-    out = {"value": float(x)}
+    out = {"value": _f(x)}
     exact = _rationalize(x)
     if exact is not None:
         out["exact"] = exact
@@ -186,8 +186,8 @@ def cmd_selfdual(args) -> dict:
         "inputs": {"alpha": alpha, "omega": comps,
                    "component_order": ["12", "13", "14", "23", "24", "34"]},
         "outputs": {
-            "omega_plus": list(wp.comp),
-            "omega_minus": list(wm.comp),
+            "omega_plus": [_f(x) for x in wp.comp],
+            "omega_minus": [_f(x) for x in wm.comp],
             "endomorphism": _array_doc(J),
             "lambda_sq": _with_exact(fd.lambda_sq(g, wp)),
         },
@@ -198,7 +198,7 @@ def cmd_selfdual(args) -> dict:
 def cmd_einstein(args) -> dict:
     from . import liealg as la
     from .gxg import (EINSTEIN_TOL, MetricFamily, classify_einstein,
-                      einstein_sweep)
+                      einstein_sweep, ricci_coefficients)
     base = _load_algebra(args)
     model = la.doubled(base)
     inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
@@ -232,7 +232,7 @@ def cmd_einstein(args) -> dict:
             raise AqlabError("either --lambda/--mu, --classify or --sweep is required")
         fam = MetricFamily(model, args.lam, args.mu)
         eps = fam.einstein_check()
-        A, B, C, D = fam.ricci_coefficients()
+        A, B, C, D = ricci_coefficients(fam.lam, fam.mu)
         inputs.update({"lambda": args.lam, "mu": args.mu})
         outputs = {
             "einstein": eps is not None,

@@ -12,24 +12,11 @@ signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 # Two-form components are stored in this fixed pair order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-_PARITY = {}
-for _perm in permutations(range(4)):
-    _inv = sum(1 for x in range(4) for y in range(x + 1, 4) if _perm[x] > _perm[y])
-    _PARITY[_perm] = -1.0 if _inv % 2 else 1.0
-
-
-def _eta(i, j, k, l) -> float:
-    """Components of the volume form, normalized by eta(0,1,2,3) = +1."""
-    if len({i, j, k, l}) < 4:
-        return 0.0
-    return _PARITY[(i, j, k, l)]
 
 
 @dataclass(frozen=True)
@@ -97,14 +84,12 @@ def star_matrix(g: Metric4) -> np.ndarray:
     """The 6x6 matrix of the star operator in the PAIRS component basis.
 
     (star w)_ij = (1/2) eta_ijkl g^{km} g^{lr} w_mr reduces on the diagonal
-    metric to a signed pairing of complementary index pairs.
+    metric to a signed pairing of complementary index pairs.  In the PAIRS
+    order the complement of pair r is pair 5 - r, and the signs
+    eta_ijkl g^kk g^ll of (ij) -> (kl) are -alpha, alpha, 1, 1, alpha, -alpha.
     """
-    gdiag = np.diag(g.matrix())
-    s = np.zeros((6, 6))
-    for r, (i, j) in enumerate(PAIRS):
-        for c, (k, l) in enumerate(PAIRS):
-            s[r, c] = _eta(i, j, k, l) * (1.0 / gdiag[k]) * (1.0 / gdiag[l])
-    return s
+    a = float(g.alpha)
+    return np.diag([-a, a, 1.0, 1.0, a, -a])[:, ::-1]
 
 
 def hodge_star(g: Metric4, w: TwoForm4) -> TwoForm4:
@@ -156,8 +141,7 @@ def form_to_endo(g: Metric4, w: TwoForm4) -> np.ndarray:
     J is skew-adjoint for the metric; when w is self-dual, J^2 is the scalar
     -lambda^2 with lambda^2 = -tr(J^2)/4 = |w|^2 / 2.
     """
-    ginv = np.linalg.inv(g.matrix())
-    return ginv @ w.matrix()
+    return g.matrix() @ w.matrix()  # diag(+-1) is its own inverse
 
 
 def endo_to_form(g: Metric4, J: np.ndarray) -> TwoForm4:

@@ -77,7 +77,6 @@ _CURVATURE_ROWS = _curvature_rows(_CURVATURE_TERMS)
 
 class HermitianStructure(NamedTuple):
     calJ: np.ndarray
-    sign: int
     elliptic: bool  # True inside the disc (calJ^2 = -id), False outside (+id)
 
 
@@ -120,23 +119,19 @@ class MetricFamily:
                            [-self.mu * e, (1 + self.lam) * e]])
         return blocks / self.d0
 
-    def sheaf_metric(self, X, Y) -> float:
-        return float(np.asarray(X, float) @ self.sheaf_matrix @ np.asarray(Y, float))
-
     # -- compatible almost Hermitian operators -------------------------------
 
-    def hermitian_structure(self, sign: int = 1) -> HermitianStructure:
-        """sign * (mu I - lam J + K) / sqrt(|1 - lam^2 - mu^2|).
+    def hermitian_structure(self) -> HermitianStructure:
+        """calJ = (mu I - lam J + K) / sqrt(|1 - lam^2 - mu^2|).
 
         Squares to -id inside the unit disc (elliptic) and to +id outside
         (hyperbolic); in both regimes it is an isometry of the sheaf metric.
+        Its partner -calJ has the negated derivative nabla(-calJ) =
+        -nabla(calJ), so every class verdict holds for both.
         """
-        if sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
         m = self.model
         num = self.mu * m.I - self.lam * m.J + m.K
-        return HermitianStructure(sign * num / math.sqrt(abs(self.d0)),
-                                  sign, self.d0 > 0)
+        return HermitianStructure(num / math.sqrt(abs(self.d0)), self.d0 > 0)
 
     # -- connection -----------------------------------------------------------
 
@@ -208,16 +203,6 @@ class MetricFamily:
 
     # -- Ricci ---------------------------------------------------------------
 
-    def ricci_coefficients(self) -> tuple[float, float, float, float]:
-        """The four scalars (A, B, C, D) of the contracted curvature.
-
-        In a trace-form orthonormal working basis the Ricci operator is
-
-            r(X) = (1/d0) sum_a eps_a { A [[X, e_a], e_a] + B [[X, Je_a], Je_a]
-                    + C [[JX, e_a], e_a] + D [[JX, Je_a], Je_a] }.
-        """
-        return ricci_coefficients(self.lam, self.mu)
-
     def ricci_closed(self, X) -> np.ndarray:
         """Ricci operator through the four-coefficient closed form."""
         return self.ricci_matrix(closed=True) @ np.asarray(X, float)
@@ -239,7 +224,7 @@ class MetricFamily:
             return np.einsum("ij,aijl->la", self.sheaf_inverse,
                              self.curvature_tensor)
         m = self.model
-        A, Bc, C, D = self.ricci_coefficients()
+        A, Bc, C, D = ricci_coefficients(self.lam, self.mu)
         ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
         C1, C2 = np.tensordot(np.kron(np.eye(2), m.eps), ads @ ads, 1)
         return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / self.d0
@@ -260,7 +245,7 @@ class MetricFamily:
         T = np.asarray(T, float)
         return self.levi_civita(X, T @ Y) - T @ self.levi_civita(X, Y)
 
-    def nabla_endo_closed(self, which: str, X, Y, sign: int = 1) -> np.ndarray:
+    def nabla_endo_closed(self, which: str, X, Y) -> np.ndarray:
         """Closed-form displays of nabla(I), nabla(J), nabla(K), nabla(calJ)."""
         m = self.model
         B = m.bracket2
@@ -295,17 +280,17 @@ class MetricFamily:
                      + (1 + mu - 2 * mu ** 3 - 2 * mu ** 2 - mu * lam ** 2
                         - lam ** 2) * B(X, m.K @ Y)
                      + (lam ** 2 * mu - mu ** 2 - mu) * B(m.K @ X, Y))
-            return sign * brace / (2.0 * d0 * math.sqrt(d0))
+            return brace / (2.0 * d0 * math.sqrt(d0))
         raise ValueError(f"unknown operator name {which!r}")
 
     # -- Hermitian class checks ------------------------------------------------
 
-    def nabla_calJ_tensor(self, sign: int = 1) -> np.ndarray:
+    def nabla_calJ_tensor(self) -> np.ndarray:
         """D[a, b, l] = (nabla_{e_a}(calJ) e_b)^l from the connection tensor."""
-        calJ = self.hermitian_structure(sign).calJ
+        calJ = self.hermitian_structure().calJ
         return transport(self.nabla, None, calJ) - post(calJ, self.nabla)
 
-    def hermitian_class_checks(self, sign: int = 1) -> dict:
+    def hermitian_class_checks(self) -> dict:
         """Membership booleans {nearly_kahler, quasi_kahler, g1}.
 
         Uses the definitional covariant derivative of the almost Hermitian
@@ -314,8 +299,8 @@ class MetricFamily:
         """
         if self.d0 <= 0:
             raise Degenerate("class checks apply to the elliptic regime")
-        calJ = self.hermitian_structure(sign).calJ
-        dt = self.nabla_calJ_tensor(sign)
+        calJ = self.hermitian_structure().calJ
+        dt = self.nabla_calJ_tensor()
         scale = EINSTEIN_TOL * (1.0 + np.abs(self.model.c2).max()) / abs(self.d0)
         nk = np.abs(dt + dt.transpose(1, 0, 2)).max() <= scale
         qk = np.abs(transport(dt, calJ, calJ) + dt).max() <= scale
@@ -324,7 +309,7 @@ class MetricFamily:
         return {"nearly_kahler": bool(nk), "quasi_kahler": bool(qk),
                 "g1": bool(g1)}
 
-    def nearly_kahler_defect(self, sign: int = 1) -> float:
+    def nearly_kahler_defect(self) -> float:
         """max |nabla_X(calJ) X| over basis vectors and their pair sums.
 
         On product models the pure basis vectors annihilate the quadratic
@@ -333,7 +318,7 @@ class MetricFamily:
         tensor D = nabla(calJ): D(e_i, e_i) = D[i, i] and D(e_i + e_j,
         e_i + e_j) = D[i, i] + D[j, j] + D[i, j] + D[j, i].
         """
-        dt = self.nabla_calJ_tensor(sign)
+        dt = self.nabla_calJ_tensor()
         q = np.diagonal(dt).T  # q[i] = D(e_i, e_i)
         pairs = q[:, None] + q[None, :] + dt + dt.transpose(1, 0, 2)
         i, j = np.triu_indices(len(q), 1)
@@ -345,7 +330,14 @@ class MetricFamily:
 # ---------------------------------------------------------------------------
 
 def ricci_coefficients(lam: float, mu: float):
-    """Scalars (A, B, C, D) of the contracted curvature; base independent."""
+    """The four scalars (A, B, C, D) of the contracted curvature.
+
+    Base independent: in a trace-form orthonormal working basis of any
+    doubled model the Ricci operator is
+
+        r(X) = (1/d0) sum_a eps_a { A [[X, e_a], e_a] + B [[X, Je_a], Je_a]
+                + C [[JX, e_a], e_a] + D [[JX, Je_a], Je_a] }.
+    """
     d0 = 1.0 - lam ** 2 - mu ** 2
     A = -(1.0 - lam) / 4.0 + mu ** 2 * (mu - lam + 1.0) / (4.0 * d0)
     B = -(1.0 + lam) / 4.0 + mu ** 2 * (mu + lam + 1.0) / (4.0 * d0)
@@ -413,15 +405,15 @@ def _refine_minimum(lam: float, mu: float, half: float):
     return lam, mu
 
 
-def einstein_sweep(res: float = 0.01, refine: bool = True):
+def einstein_sweep(res: float = 0.01):
     """Grid scan of the open disc by the closed coefficient formulas.
 
     Returns flat arrays (lam, mu, off, aniso) over all grid points with
-    lam^2 + mu^2 < 1 - DISC_MARGIN, plus, when ``refine`` is set, the list
-    ``einstein_points`` of (lam, mu, ricci constant) found by shrinking
-    local grids around every coarse near-minimum until the Einstein defect
-    clears 1e-8 relative to the Ricci scale.  Base independent, hence no
-    model argument.  ``res`` must be finite and at least ``MIN_SWEEP_RES``.
+    lam^2 + mu^2 < 1 - DISC_MARGIN, plus the list ``einstein_points`` of
+    (lam, mu, ricci constant) found by shrinking local grids around every
+    coarse near-minimum until the Einstein defect clears 1e-8 relative to
+    the Ricci scale.  Base independent, hence no model argument.  ``res``
+    must be finite and at least ``MIN_SWEEP_RES``.
     """
     if not (math.isfinite(res) and res >= MIN_SWEEP_RES):
         raise InvalidResolution(
@@ -434,8 +426,6 @@ def einstein_sweep(res: float = 0.01, refine: bool = True):
     lam, mu = lam[inside], mu[inside]
     off, aniso = einstein_residuals(lam, mu)
     out = {"lam": lam, "mu": mu, "off": off, "aniso": aniso}
-    if not refine:
-        return out
     defect = off + aniso
     centers = []
     for idx in np.argsort(defect):

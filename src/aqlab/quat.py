@@ -41,12 +41,12 @@ class QuaternionA:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def __add__(self, other):
-        _check(self, other)
+        sk._check_signatures(self, other)
         return QuaternionA(self.a + other.a, self.b + other.b,
                            self.c + other.c, self.d + other.d, self.alpha)
 
     def __sub__(self, other):
-        _check(self, other)
+        sk._check_signatures(self, other)
         return QuaternionA(self.a - other.a, self.b - other.b,
                            self.c - other.c, self.d - other.d, self.alpha)
 
@@ -63,13 +63,6 @@ class QuaternionA:
     def __repr__(self):
         return (f"Q({self.a:g} + {self.b:g}i + {self.c:g}j + {self.d:g}k"
                 f" | a={self.alpha:+d})")
-
-
-def _check(p: QuaternionA, q: QuaternionA):
-    if p.alpha != q.alpha:
-        raise SignatureMismatch(
-            f"cannot combine alpha={p.alpha} with alpha={q.alpha}"
-        )
 
 
 def from_coeffs(v, alpha: int) -> QuaternionA:
@@ -104,7 +97,7 @@ def to_pair(q: QuaternionA) -> tuple[ScalarKA, ScalarKA]:
 
 def qmul(p: QuaternionA, q: QuaternionA) -> QuaternionA:
     """Associative product of the doubling construction."""
-    _check(p, q)
+    sk._check_signatures(p, q)
     # (z1, z2)(w1, w2) = (z1 w1 + alpha w2 conj(z2), conj(z1) w2 + w1 z2),
     # written out on the fields and grouped as the scalar operations round it
     al = p.alpha
@@ -129,7 +122,7 @@ def qnormsq(q: QuaternionA) -> float:
 
 def scalar_product(p: QuaternionA, q: QuaternionA) -> float:
     """Polarization of the norm: <p, q> = (conj(p) q + conj(q) p) / 2."""
-    _check(p, q)
+    sk._check_signatures(p, q)
     return p.a * q.a - p.alpha * (p.b * q.b + p.c * q.c) + p.d * q.d
 
 
@@ -174,7 +167,7 @@ class SpinMatrix:
         return self.m[r][c]
 
     def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
-        _check(self, other)
+        sk._check_signatures(self, other)
         (a, b), (c, d) = self.m
         (e, f), (g, h) = other.m
         return SpinMatrix(((sk._dot(a, e, b, g), sk._dot(a, f, b, h)),

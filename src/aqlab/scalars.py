@@ -87,7 +87,8 @@ def imag_unit(alpha: int) -> ScalarKA:
     return ScalarKA(0.0, 1.0, alpha)
 
 
-def _check_signatures(x: ScalarKA, y: ScalarKA):
+def _check_signatures(x, y):
+    """Raise unless x and y (any values with an ``alpha``) share one."""
     if x.alpha != y.alpha:
         raise SignatureMismatch(
             f"cannot combine alpha={x.alpha} with alpha={y.alpha}"

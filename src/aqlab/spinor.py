@@ -79,8 +79,7 @@ def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
     Conjugate linear in the first slot; <<X, X>> is real valued but may be
     negative or zero for alpha = +1.
     """
-    if X.alpha != Y.alpha:
-        raise SignatureMismatch("spin vectors carry different signatures")
+    sk._check_signatures(X, Y)
     # on the fields, grouped as the nested scalar operations round it
     al, a, b, c, d = X.alpha, X.x1.re, X.x1.im, Y.x1.re, Y.x1.im
     e, f, g, h = X.x2.re, X.x2.im, Y.x2.re, Y.x2.im
@@ -99,8 +98,7 @@ def apply(q: QuaternionA, X: SpinVector) -> SpinVector:
 
 
 def apply_matrix(m: SpinMatrix, X: SpinVector) -> SpinVector:
-    if m.alpha != X.alpha:
-        raise SignatureMismatch("matrix and spin vector signatures differ")
+    sk._check_signatures(m, X)
     (a, b), (c, d) = m.m
     return SpinVector(sk._dot(a, X.x1, b, X.x2), sk._dot(c, X.x1, d, X.x2))
 
@@ -182,11 +180,12 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
 
     ep1 = scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
     ep2 = scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n2)), alpha), ep2)
-    # Fix the norm signs to the standard pattern (+1, -alpha).  Multiplying
-    # by i flips the sign of <<v, v>> exactly when alpha = +1.
-    if hermitian_form(ep1, ep1).re < 0:
+    # Fix the norm signs to the standard pattern (+1, -alpha), read from n1
+    # and n2: the positive rescaling keeps them.  Multiplying by i flips the
+    # sign of <<v, v>> exactly when alpha = +1.
+    if n1 < 0:
         ep1 = scalar_mul(i, ep1)
-    if hermitian_form(ep2, ep2).re * float(alpha) > 0:
+    if n2 * float(alpha) > 0:
         ep2 = scalar_mul(i, ep2)
 
     # [j2] ep1 = a ep2 with |a|^2 = 1; the second basis operator becomes
@@ -277,6 +276,8 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
             and np.abs(J @ J - alpha * ident).max() <= bound
             and np.abs(I @ J + J @ I).max() <= bound):
         raise NotAQStructure("operators fail the anticommuting twistor relations")
+    if not np.isfinite(X).all():
+        raise NotAQStructure("X must be a finite vector")
     if np.abs(X).max() == 0.0:
         raise ZeroVector("orbit of the zero vector is not defined")
     cols = np.column_stack([X, I @ X, J @ X, I @ (J @ X)])

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aqlab
@@ -66,6 +67,15 @@ def doubled_su2_file() -> dict:
 
 def _no_constant(name):
     raise AssertionError(f"document holds the non-JSON constant {name}")
+
+
+def negative_zeros(value) -> int:
+    """The number of -0.0 entries anywhere in a parsed document."""
+    if isinstance(value, float):
+        return int(value == 0.0 and math.copysign(1.0, value) < 0)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(negative_zeros, value)) if isinstance(value, list) else 0
 
 
 def run(capsys, *argv):
@@ -554,6 +564,8 @@ class TestNumbers:
 
     @settings(max_examples=300, deadline=None)
     @given(argvs())
+    @example(["selfdual", "--alpha", "1", "--omega=0,0,0,0,0,0"])
+    @example(["selfdual", "--alpha", "-1", "--omega=-0.0,-1,-0.0,0,1,-0.0"])
     def test_numeric_argv_is_strict_json_or_one_error_line(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -561,6 +573,7 @@ class TestNumbers:
         if code == 0:
             doc = json.loads(out.getvalue(), parse_constant=_no_constant)
             assert doc["inputs"]["argv"] == argv and err.getvalue() == ""
+            assert negative_zeros(doc["outputs"]) == 0
         else:
             assert code == 1 and out.getvalue() == ""
             one_typed_error(err.getvalue())

@@ -33,7 +33,7 @@ def ricci_loop(fam, X):
     """The closed-form Ricci operator as a literal sum over both basis
     families; the reference for the one-contraction ``ricci_matrix``."""
     m = fam.model
-    A, Bc, C, D = fam.ricci_coefficients()
+    A, Bc, C, D = ricci_coefficients(fam.lam, fam.mu)
     X = np.asarray(X, float)
     JX = m.J @ X
     total = np.zeros(m.dim2)
@@ -49,10 +49,10 @@ def ricci_loop(fam, X):
     return total / fam.d0
 
 
-def nearly_kahler_loop(fam, sign=1):
+def nearly_kahler_loop(fam):
     """max |nabla_X(calJ) X| as a literal sweep over e_i and e_i + e_j;
     the reference for the array expression in ``nearly_kahler_defect``."""
-    dt = fam.nabla_calJ_tensor(sign)
+    dt = fam.nabla_calJ_tensor()
     es = np.eye(fam.model.dim2)
     vecs = list(es) + [es[i] + es[j] for i in range(len(es))
                        for j in range(i + 1, len(es))]
@@ -152,21 +152,15 @@ class TestSheafMetric:
             gram = m.g0 + lam * m.g0 @ m.I + mu * m.g0 @ m.J
             assert abs(np.linalg.det(gram)) < 1e-10
 
-    def test_metric_values(self, dsu2, rng):
-        fam = MetricFamily(dsu2, 0.25, -0.4)
-        x, y = rng.normal(size=(2, 6))
-        assert fam.sheaf_metric(x, y) == pytest.approx(x @ fam.sheaf_matrix @ y)
-
 
 class TestHermitianStructure:
     def test_collapse_to_third_operator(self, dsu2):
-        hs = MetricFamily(dsu2, 0.0, 0.0).hermitian_structure(1)
+        hs = MetricFamily(dsu2, 0.0, 0.0).hermitian_structure()
         assert np.allclose(hs.calJ, dsu2.K)
-        hs = MetricFamily(dsu2, 0.0, 0.0).hermitian_structure(-1)
-        assert np.allclose(hs.calJ, -dsu2.K)
+        assert np.allclose(-hs.calJ, -dsu2.K)
 
     def test_nearly_kahler_point_formula(self, dsu2):
-        hs = MetricFamily(dsu2, 0.0, -0.5).hermitian_structure(1)
+        hs = MetricFamily(dsu2, 0.0, -0.5).hermitian_structure()
         want = (-0.5 * dsu2.I + dsu2.K) / np.sqrt(0.75)
         assert np.allclose(hs.calJ, want)
         # equivalently (I - 2K)/sqrt(3) up to overall sign
@@ -176,7 +170,7 @@ class TestHermitianStructure:
         for _ in range(50):
             lam, mu = sample_disc(rng)
             fam = MetricFamily(dsu2, lam, mu)
-            hs = fam.hermitian_structure(1)
+            hs = fam.hermitian_structure()
             assert hs.elliptic
             assert np.abs(hs.calJ @ hs.calJ + np.eye(6)).max() < 1e-12
             gs = fam.sheaf_matrix
@@ -186,7 +180,7 @@ class TestHermitianStructure:
         for _ in range(20):
             lam, mu = rng.uniform(1.0, 2.0, size=2)
             fam = MetricFamily(dsu2, lam, mu)
-            hs = fam.hermitian_structure(1)
+            hs = fam.hermitian_structure()
             assert not hs.elliptic
             assert np.abs(hs.calJ @ hs.calJ - np.eye(6)).max() < 1e-12
 
@@ -358,20 +352,13 @@ class TestClassification:
             assert abs(gl - wl) < 1e-12 and abs(gm - wm) < 1e-12
             assert abs(ge - we) < 1e-10
 
-    def test_coefficients_are_base_independent(self, dsu2, dsl2r, rng):
-        lam, mu = sample_disc(rng)
-        assert ricci_coefficients(lam, mu) == ricci_coefficients(lam, mu)
-        e1 = MetricFamily(dsu2, lam, mu).ricci_coefficients()
-        e2 = MetricFamily(dsl2r, lam, mu).ricci_coefficients()
-        assert e1 == e2
-
     def test_symmetric_pair_share_constant(self, dsu2):
         ep = MetricFamily(dsu2, 1 / 3, -2 / 3).einstein_check()
         em = MetricFamily(dsu2, -1 / 3, -2 / 3).einstein_check()
         assert ep == pytest.approx(em, abs=1e-12)
 
     def test_coarse_sweep_isolates_the_points(self):
-        grid = einstein_sweep(res=0.05, refine=False)
+        grid = einstein_sweep(res=0.05)
         defect = grid["off"] + grid["aniso"]
         hits = defect < 1e-6
         for l, m in zip(grid["lam"][hits], grid["mu"][hits]):
@@ -417,11 +404,11 @@ class TestStructureDerivatives:
                     a = fam.nabla_endo(op, x, y)
                     b = fam.nabla_endo_closed(which, x, y)
                     assert np.abs(a - b).max() < 1e-9 * (1 + np.abs(a).max())
-                for sign in (1, -1):
-                    hs = fam.hermitian_structure(sign)
-                    a = fam.nabla_endo(hs.calJ, x, y)
-                    b = fam.nabla_endo_closed("calJ", x, y, sign=sign)
-                    assert np.abs(a - b).max() < 1e-9 * (1 + np.abs(a).max())
+                calJ = fam.hermitian_structure().calJ
+                b = fam.nabla_endo_closed("calJ", x, y)
+                for a, want in ((fam.nabla_endo(calJ, x, y), b),
+                                (fam.nabla_endo(-calJ, x, y), -b)):
+                    assert np.abs(a - want).max() < 1e-9 * (1 + np.abs(a).max())
 
     def test_nearly_kahler_point_annihilates(self, dsu2):
         fam = MetricFamily(dsu2, 0.0, -0.5)
@@ -435,9 +422,8 @@ class TestStructureDerivatives:
     @pytest.mark.parametrize("point", [(0.0, -0.5), (0.3, 0.1), (-0.2, -0.6)])
     def test_defect_equals_vector_loop(self, base, point):
         fam = MetricFamily(la.doubled(base()), *point)
-        for sign in (1, -1):
-            want = nearly_kahler_loop(fam, sign)
-            assert abs(fam.nearly_kahler_defect(sign) - want) <= 1e-12 * (1 + want)
+        want = nearly_kahler_loop(fam)
+        assert abs(fam.nearly_kahler_defect() - want) <= 1e-12 * (1 + want)
 
 
 class TestHermitianClasses:
@@ -448,11 +434,6 @@ class TestHermitianClasses:
             "nearly_kahler": False, "quasi_kahler": False, "g1": True}
         assert MetricFamily(dsu2, 0.0, 0.0).hermitian_class_checks() == {
             "nearly_kahler": False, "quasi_kahler": False, "g1": True}
-
-    def test_sign_choice_is_immaterial(self, dsu2):
-        a = MetricFamily(dsu2, 0.1, -0.3).hermitian_class_checks(sign=1)
-        b = MetricFamily(dsu2, 0.1, -0.3).hermitian_class_checks(sign=-1)
-        assert a == b
 
     def test_outside_disc_rejected(self, dsu2):
         with pytest.raises(Degenerate):

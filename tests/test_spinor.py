@@ -12,7 +12,8 @@ from aqlab import scalars as sk
 from aqlab import spinor as sp
 from aqlab.errors import (NotAQStructure, OrthonormalityViolated,
                           SignatureMismatch, ZeroVector)
-from conftest import bits, random_aq_pair, random_pseudo_rotation, ring_pairs
+from conftest import (bits, random_aq_pair, random_pseudo_rotation, ring_pairs,
+                      standard_pair)
 
 ALPHAS = (-1, 1)
 
@@ -238,6 +239,14 @@ class TestOrbitDimension:
         I[0, 0] = np.nan
         with pytest.raises(NotAQStructure):
             sp.orbit_dimension(I, J, np.ones(4))
+
+    def test_rejects_nan_vector(self):
+        with pytest.raises(NotAQStructure):
+            sp.orbit_dimension(*standard_pair(4, -1), [np.nan, 0, 0, 1])
+
+    def test_rejects_infinite_vector(self):
+        with pytest.raises(NotAQStructure):
+            sp.orbit_dimension(*standard_pair(4, -1), [np.inf, 0, 0, 1])
 
     def test_rejects_zero_vector(self, rng):
         I, J = random_aq_pair(rng, 4, -1)

@@ -72,5 +72,9 @@ class InvalidResolution(AqlabError):
     """Sweep resolution is not finite or below the supported minimum."""
 
 
+class Overflow(AqlabError):
+    """A quantity of finite inputs leaves the float range."""
+
+
 class NonLieBracket(UserWarning):
     """Curvature requested on a bracket that fails the Jacobi identity."""

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Overflow
+
 # Two-form components are stored in this fixed pair order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -150,9 +152,17 @@ def endo_to_form(g: Metric4, J: np.ndarray) -> TwoForm4:
 
 
 def lambda_sq(g: Metric4, w: TwoForm4) -> float:
-    """lambda^2 = -tr(J^2)/4 for the endomorphism of w."""
+    """lambda^2 = -tr(J^2)/4 for the endomorphism of w.
+
+    Raises :class:`Overflow` when w is finite but J^2 leaves the float
+    range, where the value would be an infinity or NaN.
+    """
     J = form_to_endo(g, w)
-    return -np.trace(J @ J) / 4.0
+    l2 = -np.trace(J @ J) / 4.0
+    if not np.isfinite(l2) and np.isfinite(w.comp).all():
+        raise Overflow(f"lambda^2 overflows: J^2 of a form with components "
+                       f"up to {np.abs(w.comp).max():.3g} is not finite")
+    return l2
 
 
 def canonical_aq_basis(g: Metric4, orientation: int = 1):

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import Degenerate, InvalidResolution
 from .liealg import DoubledModel
-from .tensors import apply, curvature as compose_curvature, post, transport
+from .tensors import (apply, curvature as compose_curvature, curvature_at,
+                      post, ricci, transport)
 
 DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
 EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to (1 + |c|)/d0
@@ -181,7 +182,8 @@ class MetricFamily:
         return compose_curvature(self.model.c2, self.nabla)
 
     def curvature(self, X, Y, Z) -> np.ndarray:
-        return apply(self.curvature_tensor, X, Y, Z)
+        """Compositional R(X, Y)Z from the connection tensor."""
+        return curvature_at(self.model.c2, self.nabla, X, Y, Z)
 
     def curvature_closed(self, X, Y, Z) -> np.ndarray:
         """Closed-form expansion of R(X, Y)Z in iterated brackets.
@@ -218,11 +220,11 @@ class MetricFamily:
         of eps_a ad(e_a)^2 over the basis of the first and second factor;
         the terms that vanish for product reasons are left to vanish
         numerically.  Otherwise the metric trace g^{ij} R(., e_i) e_j of
-        the compositional curvature.
+        the compositional curvature, contracted from the connection tensor
+        without forming the curvature.
         """
         if not closed:
-            return np.einsum("ij,aijl->la", self.sheaf_inverse,
-                             self.curvature_tensor)
+            return ricci(self.model.c2, self.nabla, self.sheaf_inverse)
         m = self.model
         A, Bc, C, D = ricci_coefficients(self.lam, self.mu)
         ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)

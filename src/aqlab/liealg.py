@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
-from .tensors import apply, jacobiator, post, transport
+from .tensors import apply, jacobi_defect, post, transport
 
 JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
-MAX_DIM = 32  #: largest bracket_tensor dim: a doubled curvature is then <= 64^4 floats
+MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,9 @@ class LieAlgebraModel:
         scale = max(1.0, np.abs(c).max())
         if not np.abs(c + c.transpose(1, 0, 2)).max() <= JACOBI_TOL * scale:
             raise InvalidModel("structure constants are not antisymmetric")
-        jac = jacobiator(c)
-        if not np.abs(jac).max() <= JACOBI_TOL * scale * scale:
-            raise InvalidModel(
-                f"Jacobi identity fails by {np.abs(jac).max():.3e}"
-            )
+        jac = jacobi_defect(c)
+        if not jac <= JACOBI_TOL * scale * scale:
+            raise InvalidModel(f"Jacobi identity fails by {jac:.3e}")
 
     def bracket(self, x, y) -> np.ndarray:
         return apply(self.c, x, y)
@@ -166,10 +164,12 @@ def pseudo_orthonormalize(A: LieAlgebraModel):
     if np.abs(w).min() <= SEMISIMPLE_TOL * max(1.0, np.abs(w).max()):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     eps = np.sign(w)
-    basis = qmat / np.sqrt(np.abs(w))
-    binv = np.linalg.inv(basis)
-    c_new = post(binv, transport(A.c, basis, basis))
-    model = LieAlgebraModel(A.dim, c_new, name=A.name)
+    root = np.sqrt(np.abs(w))
+    basis = qmat / root
+    c_new = post(qmat.T * root[:, None], transport(A.c, basis, basis))
+    # a basis change of a validated bracket: not checked a second time
+    model = object.__new__(LieAlgebraModel)
+    model.__dict__.update(dim=A.dim, c=c_new, name=A.name)
     return model, eps, basis
 
 

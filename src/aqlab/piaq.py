@@ -33,8 +33,9 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
-from .tensors import (apply, curvature as compose_curvature, jacobiator,
-                      post, transport)
+from .tensors import (apply, curvature as compose_curvature, curvature_at,
+                      curvature_slab, curvature_slabs, jacobi_defect, post,
+                      transport)
 
 STRUCT_TOL = 1e-9  #: antisymmetry rel. to max(1, |c|); I, J, F squares to max(1, |F|)^2
 PRED_TOL = 1e-10  #: predicate defects rel. to (1 + |c|)^2, curvature to (1 + |c|)^4
@@ -83,7 +84,7 @@ class PiAQModel:
 
     @cached_property
     def jacobi_defect(self) -> float:
-        return float(np.abs(jacobiator(self.c)).max())
+        return jacobi_defect(self.c)
 
     @property
     def is_lie(self) -> bool:
@@ -164,7 +165,7 @@ def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
             NonLieBracket,
             stacklevel=2,
         )
-    return apply(M.curvature_tensor, X, Y, Z)
+    return curvature_at(M.c, M.nabla, X, Y, Z)
 
 
 def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
@@ -192,12 +193,16 @@ def _scale(M: PiAQModel) -> float:
 
 
 # Each predicate is decided by one ``_decide_*`` function returning the
-# verdict together with the nonnegative defect tensor it was decided on;
-# the ``is_*`` functions and :func:`predicate_report` both read that pair,
-# so no defect is computed twice.
+# verdict, the nonnegative defect tensor it was decided on (None where the
+# tensor is streamed and never stored), the residual (the defect's sup norm)
+# and a function of no arguments that finds the witness; the ``is_*``
+# functions and :func:`predicate_report` both read that tuple, so no defect
+# is computed twice.
 
 def _within(M: PiAQModel, defect: np.ndarray):
-    return bool(defect.max() <= PRED_TOL * _scale(M)), defect
+    top = float(defect.max())
+    return (bool(top <= PRED_TOL * _scale(M)), defect, top,
+            partial(_witness, defect))
 
 
 def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
@@ -218,10 +223,26 @@ def _decide_three_web(M: PiAQModel):
 
 
 def _decide_integrable(M: PiAQModel):
+    """Torsion against the bound, then the curvature streamed slab by slab:
+    only the slab maxima are kept, and the witness recomputes the first slab
+    that reaches the tie threshold, so the rank-4 tensor is never stored."""
     s = PRED_TOL * _scale(M)
-    ds, dr = np.abs(M.torsion_tensor), np.abs(M.curvature_tensor)
-    verdict = bool(ds.max() <= s and dr.max() <= s * _scale(M))
-    return verdict, (ds if ds.max() >= dr.max() else dr)
+    ds = np.abs(M.torsion_tensor)
+    top_s = float(ds.max())
+    slabs = [(a0, a0 + len(R), float(np.abs(R).max()))
+             for a0, R in curvature_slabs(M.c, M.nabla)]
+    top_r = float(np.max([t for _, _, t in slabs]))  # propagates NaN
+    verdict = bool(top_s <= s and top_r <= s * _scale(M))
+    if top_s >= top_r:
+        return verdict, ds, top_s, partial(_witness, ds)
+
+    def witness():
+        a0, a1 = next(((a0, a1) for a0, a1, t in slabs
+                       if t >= (1.0 - TIE_TOL) * top_r), slabs[0][:2])
+        first, *rest = _witness(np.abs(curvature_slab(M.c, M.nabla, a0, a1)),
+                                top_r)
+        return [a0 + first, *rest]
+    return verdict, None, top_r, witness
 
 
 def is_integrable(M: PiAQModel) -> bool:
@@ -345,11 +366,12 @@ _DECIDE = {"integrable": _decide_integrable,
 PREDICATES = tuple(_DECIDE)
 
 
-def _witness(defect: np.ndarray):
+def _witness(defect: np.ndarray, top=None):
     """Basis index tuple of the first entry within a relative ``TIE_TOL`` of
-    the largest defect (value slot dropped), so rounding cannot pick among ties."""
-    top = defect >= (1.0 - TIE_TOL) * defect.max()
-    idx = np.unravel_index(int(np.argmax(top)), defect.shape)
+    the largest defect (value slot dropped), so rounding cannot pick among
+    ties; ``top`` is that largest defect when ``defect`` is a slab of it."""
+    ties = defect >= (1.0 - TIE_TOL) * (defect.max() if top is None else top)
+    idx = np.unravel_index(int(np.argmax(ties)), defect.shape)
     return [int(t) for t in idx[:-1]]
 
 
@@ -363,8 +385,8 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) ->
     if name not in _DECIDE:
         raise InvalidModel(f"unknown predicate {name!r}")
     args = {"involutive": (f_name, lam), "isoclinic_geodesic": (mu,)}
-    verdict, defect = _DECIDE[name](M, *args.get(name, ()))
-    out = {"verdict": verdict, "residual": float(defect.max())}
+    verdict, _, residual, witness = _DECIDE[name](M, *args.get(name, ()))
+    out = {"verdict": verdict, "residual": residual}
     if not verdict:
-        out["witness"] = _witness(defect)
+        out["witness"] = witness()
     return out

@@ -3,13 +3,19 @@
 A structure tensor t[a, b, k] holds the e_k coefficient of a bilinear
 product of e_a and e_b (a bracket, a torsion, a connection).  Every basis
 change, operator transport, composition and evaluation on vectors goes
-through the five kernels below, each a chain of two-operand matrix products
-on reshaped arrays, so that BLAS does the work rather than einsum's loops.
+through the kernels below, each a chain of two-operand matrix products on
+reshaped arrays, so that BLAS does the work rather than einsum's loops.
+
+The rank-4 quantities (curvature, Jacobiator) are computed in slabs over
+their first index of at most ``SLAB_FLOATS`` floats each, so their working
+memory is O(d^3); only :func:`curvature` returns the whole rank-4 tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
 
 
 def transport(t: np.ndarray, P=None, Q=None) -> np.ndarray:
@@ -34,19 +40,82 @@ def apply(t: np.ndarray, *vectors) -> np.ndarray:
     return t.reshape(shape)
 
 
-def jacobiator(c: np.ndarray) -> np.ndarray:
-    """[[x,y],z] cyclic sum as a rank-4 tensor; zero for Lie brackets."""
+def _slabs(d: int):
+    """(a0, a1) bounds of the first-index slabs of a d^4 tensor."""
+    step = max(1, SLAB_FLOATS // d ** 3)
+    return [(a0, min(d, a0 + step)) for a0 in range(0, d, step)]
+
+
+def jacobi_defect(c: np.ndarray) -> float:
+    """Sup norm of the Jacobiator [[x,y],z] + cyclic (zero for Lie brackets),
+    reduced slab by slab over x; NaN when the Jacobiator holds one."""
     d = len(c)
-    t = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d, d, d, d)
-    return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    cf, cc = c.reshape(d, d * d), c.reshape(d * d, d)
+    top = 0.0
+    for a0, a1 in _slabs(d):
+        s = a1 - a0
+        x = c[:, a0:a1]
+        # t[x, j, k] = [[x, j], k] + [[j, k], x] + [[k, x], j], term by term
+        t = (c[a0:a1].reshape(s * d, d) @ cf).reshape(s, d, d, d)
+        t += (cc @ x.reshape(d, s * d)).reshape(d, d, s, d).transpose(2, 0, 1, 3)
+        t += (x.reshape(d * s, d) @ cf).reshape(d, s, d, d).transpose(1, 2, 0, 3)
+        top = np.maximum(top, np.abs(t).max())  # propagates NaN
+    return float(top)
+
+
+def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,
+                   out=None) -> np.ndarray:
+    """R[a0:a1] of :func:`curvature` in three GEMMs with one slab-sized
+    temporary, written into ``out`` when given."""
+    d = len(c)
+    s = a1 - a0
+    if out is None:
+        out = np.empty((s, d, d, d), np.result_type(c, nabla))
+    np.matmul(nabla.reshape(d * d, d), nabla[a0:a1], out=out.reshape(s, d * d, d))
+    tmp = nabla[a0:a1, None] @ nabla  # nabla_{e_b} nabla_{e_a}
+    out -= tmp
+    np.matmul(c[a0:a1], nabla.reshape(d, d * d), out=tmp.reshape(s, d, d * d))
+    out -= tmp
+    return out
+
+
+def curvature_slabs(c: np.ndarray, nabla: np.ndarray):
+    """Yield (a0, R[a0:a1]) of :func:`curvature` over the first index, each
+    slab a fresh array of at most ``SLAB_FLOATS`` floats (one index when
+    d^3 is more)."""
+    for a0, a1 in _slabs(len(c)):
+        yield a0, curvature_slab(c, nabla, a0, a1)
 
 
 def curvature(c: np.ndarray, nabla: np.ndarray) -> np.ndarray:
     """R[a, b, c, l] of R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
     - nabla_{[X, Y]} Z for the connection tensor nabla[a, b, l] of the
-    bracket c."""
+    bracket c, filled slab by slab with no rank-4 temporary."""
     d = len(c)
-    dd = (nabla.reshape(d * d, d) @ nabla).reshape(d, d, d, d)
-    R = dd - dd.transpose(1, 0, 2, 3)
-    R -= (c.reshape(d * d, d) @ nabla.reshape(d, d * d)).reshape(R.shape)
+    R = np.empty((d,) * 4, np.result_type(c, nabla))
+    for a0, a1 in _slabs(d):
+        curvature_slab(c, nabla, a0, a1, R[a0:a1])
     return R
+
+
+def curvature_at(c: np.ndarray, nabla: np.ndarray, X, Y, Z) -> np.ndarray:
+    """R(X, Y)Z of :func:`curvature` from vectors alone, with no rank-4
+    tensor: nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X, Y]} Z."""
+    return (apply(nabla, X, apply(nabla, Y, Z))
+            - apply(nabla, Y, apply(nabla, X, Z))
+            - apply(nabla, apply(c, X, Y), Z))
+
+
+def ricci(c: np.ndarray, nabla: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Ricci operator Ric[l, a] = g^{ij} R[a, i, j, l] of :func:`curvature`
+    by rank-3 contractions only:
+
+        g^{ij} (N[i,j,m] N[a,m,l] - N[a,j,m] N[i,m,l] - c[a,i,m] N[m,j,l]).
+    """
+    d = len(c)
+    v = ginv.reshape(d * d) @ nabla.reshape(d * d, d)  # g^{ij} N[i, j, m]
+    W = ginv.T @ nabla.reshape(d, d * d)  # g^{ij} N[i, m, l], as [j, (m, l)]
+    U = ginv @ nabla  # g^{ij} N[m, j, l], as [m, i, l]
+    ric = (v @ nabla - nabla.reshape(d, d * d) @ W.reshape(d * d, d)
+           - c.reshape(d, d * d) @ U.transpose(1, 0, 2).reshape(d * d, d))
+    return ric.T

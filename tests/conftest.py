@@ -111,6 +111,18 @@ def _base_algebra_4(kind: str) -> la.LieAlgebraModel:
     raise ValueError(kind)
 
 
+def so_algebra(n: int) -> la.LieAlgebraModel:
+    """so(n) in the basis L_ij = E_ij - E_ji, i < j; the L_ab coefficient
+    of a skew matrix is its (a, b) entry."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    L = np.zeros((len(pairs), n, n))
+    for k, (i, j) in enumerate(pairs):
+        L[k, i, j], L[k, j, i] = 1.0, -1.0
+    com = L[:, None] @ L[None] - L[None] @ L[:, None]
+    rows, cols = zip(*pairs)
+    return la.LieAlgebraModel(len(pairs), com[:, :, rows, cols], name=f"so{n}")
+
+
 def random_piaq_model(rng, alpha: int, kind: str = "u2") -> pq.PiAQModel:
     """A 4-dimensional Lie model with randomly conjugated bracket and pair."""
     base = _base_algebra_4(kind)

@@ -5,6 +5,7 @@ import pytest
 
 from aqlab import fourdim as fd
 from aqlab import quat as qt
+from aqlab.errors import Overflow
 
 ALPHAS = (-1, 1)
 
@@ -106,6 +107,17 @@ class TestFormToEndo:
     def test_zero_form(self):
         g = fd.Metric4(-1)
         assert np.abs(fd.form_to_endo(g, fd.zero_form())).max() == 0.0
+
+    @pytest.mark.parametrize("comps", [(1e300, 0, 2e300, 0, 0, 0),
+                                       (1e300, 0, 0, 0, 0, 0)])
+    def test_lambda_sq_overflow_is_typed(self, comps):
+        """J^2 overflows (NaN and -inf before): one typed error naming it,
+        also where numpy's own warning is not escalated."""
+        g = fd.Metric4(1)
+        w = fd.sd_decompose(g, fd.TwoForm4(comps))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Overflow, match="overflows"):
+                fd.lambda_sq(g, w)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_square_is_minus_lambda_sq(self, alpha, rng):

@@ -1,9 +1,13 @@
 """The metric family on a doubled group: connection, curvature, Ricci."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aqlab import cli
 from aqlab import liealg as la
+from aqlab import piaq as pq
 from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple
 from aqlab.gxg import (
     MIN_SWEEP_RES,
@@ -13,6 +17,7 @@ from aqlab.gxg import (
     einstein_sweep,
     ricci_coefficients,
 )
+from conftest import so_algebra
 
 EXACT_POINTS = [(0.0, 0.0, 0.25), (0.0, -0.5, 5.0 / 18.0),
                 (1.0 / 3.0, -2.0 / 3.0, 0.375),
@@ -27,6 +32,11 @@ def dsu2():
 @pytest.fixture(scope="module")
 def dsl2r():
     return la.doubled(la.sl2r())
+
+
+@pytest.fixture(scope="module")
+def dso6():
+    return la.doubled(so_algebra(6))
 
 
 def ricci_loop(fam, X):
@@ -315,17 +325,54 @@ class TestRicci:
     def test_non_einstein_point(self, dsu2):
         assert MetricFamily(dsu2, 0.2, 0.3).einstein_check() is None
 
-    def test_einstein_verdicts_read_no_rank4_tensor(self, monkeypatch):
-        monkeypatch.setattr(MetricFamily, "curvature_tensor", property(
-            lambda self: pytest.fail("rank-4 curvature built")))
+    def test_einstein_verdicts_read_no_rank4_tensor(self, monkeypatch, capsys):
+        """Only the two ``curvature_tensor`` properties build the rank-4
+        curvature: every verdict, oracle and ``check`` runs without them."""
+        rank4 = property(lambda self: pytest.fail("rank-4 curvature built"))
+        monkeypatch.setattr(MetricFamily, "curvature_tensor", rank4)
+        monkeypatch.setattr(pq.PiAQModel, "curvature_tensor", rank4)
         for base in (la.su2, la.sl2r, la.so4):
             model = la.doubled(base())
+            x, y, z = np.eye(model.dim2)[:3]
             got = [p[:2] for p in classify_einstein(model)]
             assert np.allclose(got, [p[:2] for p in EXACT_POINTS],
                                rtol=0.0, atol=1e-12)
             assert MetricFamily(model, 0.0, 0.0).einstein_check() == (
                 pytest.approx(0.25))
-            assert MetricFamily(model, 0.2, 0.3).einstein_check() is None
+            fam = MetricFamily(model, 0.2, 0.3)
+            assert fam.einstein_check() is None
+            fam.ricci_contracted(x)
+            M = model.as_piaq()
+            assert pq.predicate_report(M, "integrable")["verdict"] is False
+        fam.curvature(x, y, z)
+        pq.curvature(M, x, y, z)
+        assert cli.main(["check", "--samples", "3"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_rank3_ricci_equals_rank4_trace(self, n, dso6):
+        model = dso6 if n == 6 else la.doubled(so_algebra(7))
+        fam = MetricFamily(model, 0.3, 0.1)
+        want = np.einsum("ij,aijl->la", fam.sheaf_inverse, fam.curvature_tensor)
+        got = fam.ricci_matrix(False)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got - fam.ricci_matrix(True)).max() <= (
+            1e-12 * np.abs(want).max())
+
+    def test_working_memory_is_below_a_quarter_of_rank4(self, dso6):
+        """Peak traced allocation of the integrable verdict and the
+        contracted Ricci on doubled so(6), connection included, against a
+        quarter of one d^4 float tensor."""
+        d = dso6.dim2
+        for run in (lambda: pq.predicate_report(dso6.as_piaq(), "integrable"),
+                    lambda: MetricFamily(dso6, 0.3, 0.1).ricci_matrix(False)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < d ** 4 * 8 / 4
 
     def test_closed_path_requires_semisimple(self):
         """The closed Ricci needs a semisimple base, and no doubled model

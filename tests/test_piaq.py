@@ -5,6 +5,7 @@ import pytest
 
 from aqlab import liealg as la
 from aqlab import piaq as pq
+from aqlab import tensors
 from aqlab.errors import (
     InvalidModel,
     InvalidMu,
@@ -275,7 +276,34 @@ class TestPredicates:
         assert pq.is_integrable(m)
 
 
+def random_bracket_model(rng, dim, scale):
+    """A twistor-pair model on a random antisymmetric bracket of the given
+    size: its curvature (quadratic in the bracket) dominates the torsion
+    for a large scale and is dominated by it for a small one.  A relative
+    1e-14 of noise makes the ties R[a, b] = -R[b, a] inexact."""
+    x = scale * rng.normal(size=(dim,) * 3)
+    c = (x - x.transpose(1, 0, 2)) * (1.0 + 1e-14 * rng.normal(size=x.shape))
+    return pq.PiAQModel(dim, c, *standard_pair(dim, -1), -1)
+
+
 class TestPredicateReport:
+    @pytest.mark.parametrize("slab_floats", [tensors.SLAB_FLOATS, 64])
+    @pytest.mark.parametrize("dim,scale,worst", [
+        (4, 10.0, "curvature"), (20, 10.0, "curvature"), (20, 0.05, "torsion")])
+    def test_streamed_integrable_matches_dense(self, rng, monkeypatch,
+                                               slab_floats, dim, scale, worst):
+        """Residual and witness of the slab-wise verdict against ``_witness``
+        on the dense defect; with 64-float slabs every first index is its
+        own slab, so the tie R[a, b] = -R[b, a] spans two slabs."""
+        monkeypatch.setattr(tensors, "SLAB_FLOATS", slab_floats)
+        M = random_bracket_model(rng, dim, scale)
+        ds, dr = np.abs(M.torsion_tensor), np.abs(M.curvature_tensor)
+        defect = ds if worst == "torsion" else dr
+        assert (ds.max() >= dr.max()) == (worst == "torsion")
+        rep = pq.predicate_report(M, "integrable")
+        assert rep == {"verdict": False, "residual": float(defect.max()),
+                       "witness": pq._witness(defect)}
+
     def test_verdict_with_witness(self, doubled_su2):
         rep = pq.predicate_report(doubled_su2, "integrable")
         assert rep["verdict"] is False

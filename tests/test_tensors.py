@@ -43,10 +43,78 @@ def curvature_ref(c, n):
             - np.einsum("abk,kcl->abcl", c, n))
 
 
+def curvature_oneshot(c, n):
+    """The whole-tensor GEMM expression the blocked kernel replaced: three
+    d^4 temporaries besides the result."""
+    d = len(c)
+    dd = (n.reshape(d * d, d) @ n).reshape(d, d, d, d)
+    R = dd - dd.transpose(1, 0, 2, 3)
+    R -= (c.reshape(d * d, d) @ n.reshape(d, d * d)).reshape(R.shape)
+    return R
+
+
+def jacobi_close(c):
+    want = np.abs(jacobiator_ref(c)).max()
+    return abs(tensors.jacobi_defect(c) - want) <= 1e-12 * (1.0 + want)
+
+
 def test_jacobiator(rng):
+    """The slab-wise sup norm of the Jacobiator against the rank-4 einsums."""
     c = rng.normal(size=(4, 4, 4))
-    assert close(tensors.jacobiator(c), jacobiator_ref(c))
-    assert np.abs(tensors.jacobiator(la.so4().c)).max() == 0.0
+    assert jacobi_close(c)
+    assert tensors.jacobi_defect(la.so4().c) == 0.0
+    c[1, 2, 3] = np.nan
+    assert np.isnan(tensors.jacobi_defect(c))
+
+
+@pytest.mark.parametrize("d", [5, 18, 33])
+def test_jacobi_defect_across_slabs(rng, d):
+    """One slab, several with a short last one, one index per slab."""
+    assert jacobi_close(rng.normal(size=(d, d, d)))
+
+
+def slab_lengths(d):
+    z = np.zeros((d, d, d))
+    return [len(R) for _, R in tensors.curvature_slabs(z, z)]
+
+
+def test_slab_layout():
+    """Up to d = 13 one slab; then several of at most SLAB_FLOATS floats;
+    from d^3 > SLAB_FLOATS / 2 (doubled so(6) and so(7)) one index each."""
+    assert tensors.SLAB_FLOATS == 2 ** 15
+    assert slab_lengths(4) == [4] and slab_lengths(13) == [13]
+    assert slab_lengths(14) == [11, 3] and slab_lengths(18) == [5, 5, 5, 3]
+    assert slab_lengths(30) == [1] * 30 and slab_lengths(42) == [1] * 42
+
+
+@pytest.mark.parametrize("d", [4, 18, 30, 42, 51])
+def test_blocked_curvature(rng, d):
+    """The blocked kernel against the one-shot expression (one slab, a short
+    last slab, one index per slab); its slabs are the rows of its result."""
+    c, n = rng.normal(size=(2, d, d, d))
+    R = tensors.curvature(c, n)
+    ref = curvature_oneshot(c, n)
+    assert np.abs(R - ref).max() <= 1e-12 * np.abs(ref).max()
+    del ref
+    a1 = 0
+    for a0, slab in tensors.curvature_slabs(c, n):
+        assert a0 == a1 and slab.size <= max(tensors.SLAB_FLOATS, d ** 3)
+        a1 = a0 + len(slab)
+        assert np.array_equal(slab, R[a0:a1])
+    assert a1 == d
+
+
+@pytest.mark.parametrize("d", [3, 18])
+def test_curvature_at_and_ricci(rng, d):
+    """R(X, Y)Z from vectors and the rank-3 Ricci against the rank-4 tensor."""
+    c, n = rng.normal(size=(2, d, d, d))
+    R = curvature_ref(c, n)
+    X, Y, Z = rng.normal(size=(3, d))
+    assert close(tensors.curvature_at(c, n, X, Y, Z),
+                 np.einsum("a,b,c,abcl->l", X, Y, Z, R))
+    g = rng.normal(size=(d, d))
+    ginv = np.linalg.inv(g + g.T)
+    assert close(tensors.ricci(c, n, ginv), np.einsum("ij,aijl->la", ginv, R))
 
 
 def test_curvature(rng):
@@ -80,7 +148,7 @@ def test_kernels_across_dimensions(rng, d, layout):
     assert close(tensors.transport(t, P), np.einsum("ia,ijk->ajk", P, t))
     assert close(tensors.transport(t, None, Q), np.einsum("jb,ajk->abk", Q, t))
     assert close(tensors.post(F, t), np.einsum("lk,abk->abl", F, t))
-    assert close(tensors.jacobiator(t), jacobiator_ref(t))
+    assert jacobi_close(t)
     assert close(tensors.curvature(t, n), curvature_ref(t, n))
 
 

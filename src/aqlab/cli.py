@@ -20,7 +20,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from fractions import Fraction
@@ -32,12 +31,8 @@ from .errors import AqlabError, InvalidModel
 CATALOG_NAMES = ("sl2r", "so4", "su2")
 PREDICATE_NAMES = ("integrable", "involutive", "isoclinic_geodesic",
                    "semiholonomic", "three_web")
-DEFAULT_TOL = 1e-9  #: verify/check comparison tolerance unless AQLAB_TOL is set
-CHECK_FLOOR = 1e-8  #: least bound on check's worst residuals
-
-
-def _tolerance() -> float:
-    return float(os.environ.get("AQLAB_TOL", DEFAULT_TOL))
+VERIFY_TOL = 1e-9  #: verify's comparison tolerance
+CHECK_TOL = 1e-8  #: bound on check's worst residuals
 
 
 def _rationalize(x: float, tol: float = 1e-12):
@@ -290,14 +285,13 @@ def cmd_verify(args) -> dict:
     if getattr(rerun_args, "csv", None):
         rerun_args.csv = None  # compare outputs only; never rewrite files
     rerun = rerun_args.func(rerun_args)
-    tol = _tolerance()
-    match = _compare(doc.get("outputs"), rerun.get("outputs"), tol)
+    match = _compare(doc.get("outputs"), rerun.get("outputs"), VERIFY_TOL)
     return {
         "command": "verify",
         "inputs": {"document": args.document,
                    "verified_command": doc.get("command")},
         "outputs": {"match": match},
-        "tolerances": {"comparison": tol},
+        "tolerances": {"comparison": VERIFY_TOL},
     }
 
 
@@ -353,13 +347,12 @@ def cmd_check(args) -> dict:
                                  - fam.ricci_contracted(X)).max()))
     results["metric_family_oracle_agreement"] = worst
 
-    bound = max(_tolerance(), CHECK_FLOOR)
-    passed = all(v <= bound for v in results.values())
+    passed = all(v <= CHECK_TOL for v in results.values())
     return {
         "command": "check",
         "inputs": {"seed": args.seed, "samples": n},
         "outputs": {"passed": passed, "worst_residuals": results},
-        "tolerances": {"bound": bound},
+        "tolerances": {"bound": CHECK_TOL},
     }
 
 

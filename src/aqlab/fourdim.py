@@ -78,10 +78,6 @@ def form_from_matrix(m: np.ndarray) -> TwoForm4:
     return TwoForm4(tuple(m[i, j] for (i, j) in PAIRS))
 
 
-def zero_form() -> TwoForm4:
-    return TwoForm4((0.0,) * 6)
-
-
 def star_matrix(g: Metric4) -> np.ndarray:
     """The 6x6 matrix of the star operator in the PAIRS component basis.
 
@@ -158,7 +154,8 @@ def lambda_sq(g: Metric4, w: TwoForm4) -> float:
     range, where the value would be an infinity or NaN.
     """
     J = form_to_endo(g, w)
-    l2 = -np.trace(J @ J) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2 = -np.trace(J @ J) / 4.0
     if not np.isfinite(l2) and np.isfinite(w.comp).all():
         raise Overflow(f"lambda^2 overflows: J^2 of a form with components "
                        f"up to {np.abs(w.comp).max():.3g} is not finite")

@@ -192,18 +192,10 @@ def _scale(M: PiAQModel) -> float:
     return (1.0 + np.abs(M.c).max()) ** 2
 
 
-# Each predicate is decided by one ``_decide_*`` function returning the
-# verdict, the nonnegative defect tensor it was decided on (None where the
-# tensor is streamed and never stored), the residual (the defect's sup norm)
-# and a function of no arguments that finds the witness; the ``is_*``
-# functions and :func:`predicate_report` both read that tuple, so no defect
-# is computed twice.
-
-def _within(M: PiAQModel, defect: np.ndarray):
-    top = float(defect.max())
-    return (bool(top <= PRED_TOL * _scale(M)), defect, top,
-            partial(_witness, defect))
-
+# Each torsion-type predicate is one ``_<name>_defect`` returning its
+# nonnegative defect tensor; :func:`predicate_report` alone compares the
+# defect's sup norm with ``PRED_TOL * _scale(M)`` and finds the witness, and
+# the ``is_*`` functions read its verdict.
 
 def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
     """Pointwise failure of I(X*Y) = I(X)*Y = X*I(Y) on basis pairs."""
@@ -213,16 +205,16 @@ def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
                       np.abs(lhs - transport(S, None, M.I)))
 
 
-def _decide_three_web(M: PiAQModel):
+def _three_web_defect(M: PiAQModel) -> np.ndarray:
     if M.alpha != 1:
         raise WrongSignature("webs live in the split signature alpha = +1")
     S = M.torsion_tensor
     # failure of the second involution acting as an automorphism of *
     web = np.abs(post(M.J, S) - transport(S, M.J, M.J))
-    return _within(M, np.maximum(_semiholonomic_defect(M), web))
+    return np.maximum(_semiholonomic_defect(M), web)
 
 
-def _decide_integrable(M: PiAQModel):
+def _integrable_report(M: PiAQModel) -> dict:
     """Torsion against the bound, then the curvature streamed slab by slab:
     only the slab maxima are kept, and the witness recomputes the first slab
     that reaches the tie threshold, so the rank-4 tensor is never stored."""
@@ -232,31 +224,29 @@ def _decide_integrable(M: PiAQModel):
     slabs = [(a0, a0 + len(R), float(np.abs(R).max()))
              for a0, R in curvature_slabs(M.c, M.nabla)]
     top_r = float(np.max([t for _, _, t in slabs]))  # propagates NaN
-    verdict = bool(top_s <= s and top_r <= s * _scale(M))
-    if top_s >= top_r:
-        return verdict, ds, top_s, partial(_witness, ds)
-
-    def witness():
-        a0, a1 = next(((a0, a1) for a0, a1, t in slabs
-                       if t >= (1.0 - TIE_TOL) * top_r), slabs[0][:2])
-        first, *rest = _witness(np.abs(curvature_slab(M.c, M.nabla, a0, a1)),
-                                top_r)
-        return [a0 + first, *rest]
-    return verdict, None, top_r, witness
+    torsion_top = top_s >= top_r  # false for a NaN curvature, which then shows
+    out = {"verdict": bool(top_s <= s and top_r <= s * _scale(M)),
+           "residual": top_s if torsion_top else top_r}
+    if out["verdict"]:
+        return out
+    if torsion_top:
+        out["witness"] = _witness(ds)
+        return out
+    a0, a1 = next(((a0, a1) for a0, a1, t in slabs
+                   if t >= (1.0 - TIE_TOL) * top_r), slabs[0][:2])
+    first, *rest = _witness(np.abs(curvature_slab(M.c, M.nabla, a0, a1)), top_r)
+    out["witness"] = [a0 + first, *rest]
+    return out
 
 
 def is_integrable(M: PiAQModel) -> bool:
     """True when both torsion and curvature of the canonical connection vanish."""
-    return _decide_integrable(M)[0]
-
-
-def _decide_semiholonomic(M: PiAQModel):
-    return _within(M, _semiholonomic_defect(M))
+    return predicate_report(M, "integrable")["verdict"]
 
 
 def is_semiholonomic(M: PiAQModel) -> bool:
     """I(X*Y) = I(X)*Y = X*I(Y) over a basis sweep; equivalent to N_I = 0."""
-    return _decide_semiholonomic(M)[0]
+    return predicate_report(M, "semiholonomic")["verdict"]
 
 
 _EIGEN_NAMES = {"1": 1.0, "+1": 1.0, "-1": -1.0,
@@ -282,10 +272,10 @@ def fundamental_involutive(M: PiAQModel, F_name: str, lam) -> bool:
     with an imaginary eigenvalue the real and imaginary parts are tested
     separately, which is what evaluation over the scalar extension amounts to.
     """
-    return _decide_involutive(M, F_name, lam)[0]
+    return predicate_report(M, "involutive", lam=lam, f_name=F_name)["verdict"]
 
 
-def _decide_involutive(M: PiAQModel, F_name: str, lam):
+def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
     if F_name is None or lam is None:
         raise NotEigenvalue("involutivity needs --operator and --eigenvalue")
     F_name = F_name.upper()
@@ -304,16 +294,14 @@ def _decide_involutive(M: PiAQModel, F_name: str, lam):
         f3 = fsq * F  # F^3 = (F^2 scalar) F
         pi_plus = 0.5 * (ident + lamc * f3)
         pi_minus = ident - pi_plus
-        defect = np.abs(post(pi_minus, transport(S, pi_plus)))
-    else:
-        defect = np.abs(transport(S, F, F) - lamc * post(F, S))
-    return _within(M, defect)
+        return np.abs(post(pi_minus, transport(S, pi_plus)))
+    return np.abs(transport(S, F, F) - lamc * post(F, S))
 
 
-def _decide_isoclinic(M: PiAQModel, mu: float):
+def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
     if mu is None or abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
         raise InvalidMu("slope must differ from +1 and -1")
-    if not _decide_semiholonomic(M)[0]:
+    if not is_semiholonomic(M):
         raise InvalidModel("model is not semiholonomic")
     ident = np.eye(M.dim, dtype=complex)
     if M.alpha == 1:
@@ -323,7 +311,7 @@ def _decide_isoclinic(M: PiAQModel, mu: float):
     S = M.torsion_tensor
     lhs = post(M.J, transport(S, pi_plus, pi_plus))
     jp = M.J @ pi_plus
-    return _within(M, np.abs(lhs - mu * transport(S, jp, jp)))
+    return np.abs(lhs - mu * transport(S, jp, jp))
 
 
 def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float) -> bool:
@@ -333,7 +321,7 @@ def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float) -> bool:
     constant slope the obstruction one-form of the non-constant theory
     vanishes identically, so this identity alone decides the property.
     """
-    return _decide_isoclinic(M, mu)[0]
+    return predicate_report(M, "isoclinic_geodesic", mu=mu)["verdict"]
 
 
 def is_three_web(M: PiAQModel) -> bool:
@@ -345,7 +333,7 @@ def is_three_web(M: PiAQModel) -> bool:
     involutive distributions are then the two eigenspaces of I and the
     diagonal one of J.
     """
-    return _decide_three_web(M)[0]
+    return predicate_report(M, "three_web")["verdict"]
 
 
 def abelian_model(dim: int, I, J, alpha: int, name: str = "abelian") -> PiAQModel:
@@ -357,13 +345,12 @@ def abelian_model(dim: int, I, J, alpha: int, name: str = "abelian") -> PiAQMode
 # Predicate reports with witnesses
 # ---------------------------------------------------------------------------
 
-_DECIDE = {"integrable": _decide_integrable,
-           "semiholonomic": _decide_semiholonomic,
-           "three_web": _decide_three_web,
-           "involutive": _decide_involutive,
-           "isoclinic_geodesic": _decide_isoclinic}
+_DEFECTS = {"semiholonomic": _semiholonomic_defect,
+            "three_web": _three_web_defect,
+            "involutive": _involutive_defect,
+            "isoclinic_geodesic": _isoclinic_geodesic_defect}
 
-PREDICATES = tuple(_DECIDE)
+PREDICATES = ("integrable", *_DEFECTS)
 
 
 def _witness(defect: np.ndarray, top=None):
@@ -382,11 +369,14 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) ->
     tensor) and, when the verdict is false, ``witness`` holding 0-based
     basis indices of the worst-failing pair (triple for curvature).
     """
-    if name not in _DECIDE:
+    if name == "integrable":
+        return _integrable_report(M)
+    if name not in _DEFECTS:
         raise InvalidModel(f"unknown predicate {name!r}")
     args = {"involutive": (f_name, lam), "isoclinic_geodesic": (mu,)}
-    verdict, _, residual, witness = _DECIDE[name](M, *args.get(name, ()))
-    out = {"verdict": verdict, "residual": residual}
-    if not verdict:
-        out["witness"] = witness()
+    defect = _DEFECTS[name](M, *args.get(name, ()))
+    residual = float(defect.max())
+    out = {"verdict": bool(residual <= PRED_TOL * _scale(M)), "residual": residual}
+    if not out["verdict"]:
+        out["witness"] = _witness(defect)
     return out

@@ -283,11 +283,3 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     cols = np.column_stack([X, I @ X, J @ X, I @ (J @ X)])
     svals = np.linalg.svd(cols, compute_uv=False)
     return int(np.sum(svals > RANK_TOL * svals[0]))
-
-
-def isotropic_kernel_member(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> bool:
-    """Membership test: is X annihilated by some isotropic quaternion?
-
-    Equivalent to the orbit being 2-dimensional.
-    """
-    return orbit_dimension(I, J, X) == 2

@@ -106,7 +106,7 @@ class TestFormToEndo:
 
     def test_zero_form(self):
         g = fd.Metric4(-1)
-        assert np.abs(fd.form_to_endo(g, fd.zero_form())).max() == 0.0
+        assert np.abs(fd.form_to_endo(g, fd.TwoForm4((0.0,) * 6))).max() == 0.0
 
     @pytest.mark.parametrize("comps", [(1e300, 0, 2e300, 0, 0, 0),
                                        (1e300, 0, 0, 0, 0, 0)])
@@ -167,7 +167,7 @@ class TestInnerProduct:
     def test_norm_example(self, alpha):
         g = fd.Metric4(alpha)
         assert fd.norm_sq(g, fd.selfdual_form(alpha, 0, 0, 1)) == 2.0
-        assert fd.norm_sq(g, fd.zero_form()) == 0.0
+        assert fd.norm_sq(g, fd.TwoForm4((0.0,) * 6)) == 0.0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_orthogonality_is_anticommutation(self, alpha, rng):

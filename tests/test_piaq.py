@@ -7,6 +7,7 @@ from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab import tensors
 from aqlab.errors import (
+    AqlabError,
     InvalidModel,
     InvalidMu,
     NonLieBracket,
@@ -304,6 +305,32 @@ class TestPredicateReport:
         assert rep == {"verdict": False, "residual": float(defect.max()),
                        "witness": pq._witness(defect)}
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("kind", ["abelian", "u2", "gl2"])
+    def test_public_functions_read_the_report(self, rng, kind, alpha):
+        """Each public predicate function returns the report's verdict, or
+        raises the error the report raises."""
+        M = random_piaq_model(rng, alpha, kind)
+        lam = 1 if alpha == 1 else "i"
+
+        def outcome(f, *args, **kw):
+            try:
+                return f(*args, **kw)
+            except AqlabError as exc:
+                return type(exc)
+
+        def report(name, **kw):
+            return outcome(lambda: pq.predicate_report(M, name, **kw)["verdict"])
+
+        assert outcome(pq.is_integrable, M) == report("integrable")
+        assert outcome(pq.is_semiholonomic, M) == report("semiholonomic")
+        assert outcome(pq.is_three_web, M) == report("three_web")
+        for op, eig in (("I", lam), ("J", lam), ("K", "-i")):
+            assert (outcome(pq.fundamental_involutive, M, op, eig)
+                    == report("involutive", lam=eig, f_name=op))
+        assert (outcome(pq.is_isoclinic_geodesic_const_mu, M, 0.3)
+                == report("isoclinic_geodesic", mu=0.3))
+
     def test_verdict_with_witness(self, doubled_su2):
         rep = pq.predicate_report(doubled_su2, "integrable")
         assert rep["verdict"] is False
@@ -352,7 +379,8 @@ class TestPredicateReport:
         M = pq.PiAQModel(A.dim, conjugate_structure(A.c, t), tinv @ I @ t,
                          tinv @ J @ t, 1)
         for name, kw in (("integrable", {}), ("isoclinic_geodesic", {"mu": 0.3})):
-            defect = pq._DECIDE[name](M, *kw.values())[1]
+            defect = (np.abs(M.torsion_tensor) if name == "integrable"
+                      else pq._DEFECTS[name](M, **kw))
             ties = np.argwhere(defect >= (1.0 - 1e-9) * defect.max())
             assert len(ties) >= 2
             rep = pq.predicate_report(M, name, **kw)

@@ -257,5 +257,5 @@ class TestOrbitDimension:
         I, J = random_aq_pair(rng, 4, 1)
         w, v = np.linalg.eig(I)
         X = np.real(v[:, np.argmin(np.abs(w - 1.0))])
-        assert sp.isotropic_kernel_member(I, J, X)
-        assert not sp.isotropic_kernel_member(I, J, np.ones(4) + X)
+        assert sp.orbit_dimension(I, J, X) == 2
+        assert sp.orbit_dimension(I, J, np.ones(4) + X) != 2

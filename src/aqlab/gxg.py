@@ -43,6 +43,12 @@ DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
 MIN_SWEEP_RES = 1e-3
+SWEEP_CUT = 1e-5  #: absolute: floor of the coarse-defect cut max(2 res, this)
+SWEEP_CENTER_SEP = 3.0  #: rel. to res: nearer coarse centers share one basin
+SWEEP_REFINE_FLOOR = 1e-9  #: absolute: refinement stops at this half-width
+SWEEP_SNAP = 1e-12  #: absolute: a refined lam or mu below this is exactly 0
+SWEEP_TOL = 1e-8  #: refined defect rel. to 1 + |eps|, the Ricci constant
+SWEEP_POINT_SEP = 1e-6  #: absolute: nearer refined points are one point
 
 
 # R(X, Y)Z is the sum of k p^i q^j [u, [v, w]] over the rows (k, i, j, "u v w");
@@ -84,7 +90,9 @@ class HermitianStructure(NamedTuple):
 class MetricFamily:
     """One member of the metric sheaf on a doubled model.
 
-    Instances are immutable by convention; all derived tensors are cached.
+    Instances are immutable by convention. The derived tensors of rank at
+    most 3 (the connections, the Gram matrix and its inverse) are cached;
+    the rank-4 ``curvature_tensor`` is recomputed on each read.
     """
 
     def __init__(self, model: DoubledModel, lam: float, mu: float):
@@ -176,9 +184,10 @@ class MetricFamily:
 
     # -- curvature ------------------------------------------------------------
 
-    @cached_property
+    @property
     def curvature_tensor(self) -> np.ndarray:
-        """Compositional R[a, b, c, l] from the connection tensor."""
+        """Compositional R[a, b, c, l] from the connection tensor, computed
+        on each read into a fresh d^4 array that no object keeps."""
         return compose_curvature(self.model.c2, self.nabla)
 
     def curvature(self, X, Y, Z) -> np.ndarray:
@@ -228,7 +237,9 @@ class MetricFamily:
         m = self.model
         A, Bc, C, D = ricci_coefficients(self.lam, self.mu)
         ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
-        C1, C2 = np.tensordot(np.kron(np.eye(2), m.eps), ads @ ads, 1)
+        w = np.zeros((2, m.dim2))  # eps on each factor's half of the basis
+        w[0, :m.n] = w[1, m.n:] = m.eps
+        C1, C2 = np.tensordot(w, ads @ ads, 1)
         return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / self.d0
 
     def einstein_check(self):
@@ -391,7 +402,7 @@ def classify_einstein(model: DoubledModel):
 
 def _refine_minimum(lam: float, mu: float, half: float):
     """Iteratively shrink a local grid around a defect minimum."""
-    while half > 1e-9:
+    while half > SWEEP_REFINE_FLOOR:
         ls = lam + np.linspace(-half, half, 21)
         ms = mu + np.linspace(-half, half, 21)
         gl, gm = np.meshgrid(ls, ms, indexing="ij")
@@ -401,9 +412,10 @@ def _refine_minimum(lam: float, mu: float, half: float):
         i, j = np.unravel_index(int(np.argmin(defect)), defect.shape)
         lam, mu = float(gl[i, j]), float(gm[i, j])
         half /= 10.0
-    # refinement stops at 1e-9 windows, so smaller magnitudes are noise
-    lam = 0.0 if abs(lam) < 1e-12 else lam
-    mu = 0.0 if abs(mu) < 1e-12 else mu
+    # refinement stops at SWEEP_REFINE_FLOOR windows, so smaller magnitudes
+    # are noise
+    lam = 0.0 if abs(lam) < SWEEP_SNAP else lam
+    mu = 0.0 if abs(mu) < SWEEP_SNAP else mu
     return lam, mu
 
 
@@ -413,9 +425,9 @@ def einstein_sweep(res: float = 0.01):
     Returns flat arrays (lam, mu, off, aniso) over all grid points with
     lam^2 + mu^2 < 1 - DISC_MARGIN, plus the list ``einstein_points`` of
     (lam, mu, ricci constant) found by shrinking local grids around every
-    coarse near-minimum until the Einstein defect clears 1e-8 relative to
-    the Ricci scale.  Base independent, hence no model argument.  ``res``
-    must be finite and at least ``MIN_SWEEP_RES``.
+    coarse near-minimum until the Einstein defect clears ``SWEEP_TOL``
+    relative to the Ricci scale.  Base independent, hence no model
+    argument.  ``res`` must be finite and at least ``MIN_SWEEP_RES``.
     """
     if not (math.isfinite(res) and res >= MIN_SWEEP_RES):
         raise InvalidResolution(
@@ -431,10 +443,11 @@ def einstein_sweep(res: float = 0.01):
     defect = off + aniso
     centers = []
     for idx in np.argsort(defect):
-        if defect[idx] > max(2.0 * res, 1e-5):
+        if defect[idx] > max(2.0 * res, SWEEP_CUT):
             break
         l, m = float(lam[idx]), float(mu[idx])
-        if any(np.hypot(l - cl, m - cm) < 3.0 * res for cl, cm in centers):
+        if any(np.hypot(l - cl, m - cm) < SWEEP_CENTER_SEP * res
+               for cl, cm in centers):
             continue
         centers.append((l, m))
     points = []
@@ -443,9 +456,10 @@ def einstein_sweep(res: float = 0.01):
         o, a = einstein_residuals(rl, rm)
         d0 = 1.0 - rl ** 2 - rm ** 2
         eps = -ricci_coefficients(rl, rm)[0] / d0
-        if float(o + a) >= 1e-8 * (1.0 + abs(eps)):
+        if float(o + a) >= SWEEP_TOL * (1.0 + abs(eps)):
             continue
-        if any(np.hypot(rl - pl, rm - pm) < 1e-6 for pl, pm, _ in points):
+        if any(np.hypot(rl - pl, rm - pm) < SWEEP_POINT_SEP
+               for pl, pm, _ in points):
             continue  # two coarse centers can share one basin
         points.append((rl, rm, float(eps)))
     out["einstein_points"] = sorted(points, key=lambda p: (-p[1], -p[0]))

@@ -195,10 +195,10 @@ class DoubledModel:
         c2[:n, :n, :n] = self.obase.c
         c2[n:, n:, n:] = self.obase.c
         self.c2 = c2
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        self.I = np.block([[eye, zero], [zero, -eye]])
-        self.J = np.block([[zero, eye], [eye, zero]])
+        self.I = np.eye(2 * n)
+        self.I[n:, n:] *= -1.0
+        self.J = np.zeros((2 * n, 2 * n))
+        self.J[:n, n:] = self.J[n:, :n] = np.eye(n)
         self.K = self.I @ self.J
         self.g0 = np.diag(np.concatenate([self.eps, self.eps]))
 

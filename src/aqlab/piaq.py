@@ -116,13 +116,21 @@ class PiAQModel:
 
         over the scalar extension R + iR, i^2 = alpha, realified as pairs
         (u, v) = u + iv on R^2m; X, Y and the value are the real block.
+        The bracket has blocks 1 * 1 = 1, 1 * i = i * 1 = i, i * i = alpha,
+        J acts on both parts, and V = (1 + alpha iI)/2 maps (u, v) to
+        ((u + I v)/2, (v + alpha I u)/2).
         """
         a, m = float(self.alpha), self.dim
-        ring = np.array([[[1.0, 0.0], [0.0, 1.0]],  # ring[p, q]: e_p e_q in
-                         [[0.0, 1.0], [a, 0.0]]])   # the basis (1, i)
-        c = np.kron(ring, self.c)
-        J = np.kron(np.eye(2), self.J)
-        V = 0.5 * (np.eye(2 * m) + np.kron([[0.0, a], [1.0, 0.0]], a * self.I))
+        r, i = slice(None, m), slice(m, None)
+        c = np.zeros((2 * m,) * 3)
+        c[r, r, r] = c[r, i, i] = c[i, r, i] = self.c
+        c[i, i, r] = a * self.c
+        J = np.zeros((2 * m, 2 * m))
+        J[r, r] = J[i, i] = self.J
+        V = np.eye(2 * m)
+        V[r, i] = self.I
+        V[i, r] = a * self.I
+        V *= 0.5
         H = np.eye(2 * m) - V
         n = (post(V, transport(c, H, V) + post(a * J, transport(c, V, J @ V)))
              + post(H, transport(c, V, H) + post(a * J, transport(c, H, J @ H))))
@@ -134,10 +142,11 @@ class PiAQModel:
         n = self.nabla
         return n - n.transpose(1, 0, 2) - self.c
 
-    @cached_property
+    @property
     def curvature_tensor(self) -> np.ndarray:
         """R[a, b, c, l] of R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-        - nabla_{[X, Y]} Z."""
+        - nabla_{[X, Y]} Z, computed on each read into a fresh d^4 array
+        that no object keeps."""
         return compose_curvature(self.c, self.nabla)
 
 
@@ -299,7 +308,9 @@ def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
 
 
 def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
-    if mu is None or abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
+    if mu is None:
+        raise InvalidMu("isoclinic_geodesic needs the slope (--mu)")
+    if abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
         raise InvalidMu("slope must differ from +1 and -1")
     if not is_semiholonomic(M):
         raise InvalidModel("model is not semiholonomic")

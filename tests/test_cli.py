@@ -284,6 +284,13 @@ class TestPiaq:
         assert code == 1
         assert "InvalidMu" in err
 
+    def test_isoclinic_without_mu_asks_for_it(self, capsys):
+        code, doc, err = run(capsys, "piaq", "--doubled", "su2",
+                             "--predicate", "isoclinic_geodesic")
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "InvalidMu"
+        assert "slope (--mu)" in err and "+1 and -1" not in err
+
     def test_mu_is_recorded(self, capsys):
         code, doc, _ = run(capsys, "piaq", "--doubled", "su2", "--predicate",
                            "isoclinic_geodesic", "--mu", "0.5")

@@ -59,6 +59,16 @@ def ricci_loop(fam, X):
     return total / fam.d0
 
 
+def ricci_closed_by_kron(fam):
+    """The closed Ricci matrix with the factor sums C1, C2 weighted by
+    kron(eye(2), eps); the reference for ``ricci_matrix(True)``."""
+    m = fam.model
+    A, Bc, C, D = ricci_coefficients(fam.lam, fam.mu)
+    ads = m.c2.transpose(0, 2, 1)
+    C1, C2 = np.tensordot(np.kron(np.eye(2), m.eps), ads @ ads, 1)
+    return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / fam.d0
+
+
 def nearly_kahler_loop(fam):
     """max |nabla_X(calJ) X| as a literal sweep over e_i and e_i + e_j;
     the reference for the array expression in ``nearly_kahler_defect``."""
@@ -279,6 +289,35 @@ class TestCurvature:
             assert np.abs(cyc).max() < 1e-9
 
 
+class TestCurvatureOnDemand:
+    """``curvature_tensor`` is computed on each read and kept by no object."""
+
+    @pytest.fixture(scope="class")
+    def dso5(self):
+        return la.doubled(so_algebra(5))
+
+    @pytest.mark.parametrize("kind", ["family", "piaq"])
+    def test_rank4_tensor_is_not_kept(self, kind, dso5):
+        obj = (MetricFamily(dso5, 0.3, 0.1) if kind == "family"
+               else dso5.as_piaq())
+        d = dso5.dim2
+        first = obj.curvature_tensor
+        assert "curvature_tensor" not in vars(obj)
+        second = obj.curvature_tensor
+        assert second is not first and np.array_equal(first, second)
+        del first, second
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            R = obj.curvature_tensor
+            del R
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start >= d ** 4 * 8  # the read did build the tensor
+        assert end - start <= d ** 3 * 8
+
+
 class TestRicci:
     def test_killing_point_value(self, dsu2):
         fam = MetricFamily(dsu2, 0.0, 0.0)
@@ -321,6 +360,16 @@ class TestRicci:
                                     for e in np.eye(model.dim2)])
             got = fam.ricci_matrix(True)
             assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(want).max())
+
+    @pytest.mark.parametrize("base", [*sorted(la.CATALOG), "so5"])
+    def test_closed_matrix_equals_kron_form(self, base, rng):
+        model = la.doubled(so_algebra(5) if base == "so5"
+                           else la.CATALOG[base]())
+        for point in [*(p[:2] for p in EXACT_POINTS), (1.2, 0.3),
+                      *(sample_disc(rng) for _ in range(5))]:
+            fam = MetricFamily(model, *point)
+            assert np.array_equal(fam.ricci_matrix(True),
+                                  ricci_closed_by_kron(fam))
 
     def test_non_einstein_point(self, dsu2):
         assert MetricFamily(dsu2, 0.2, 0.3).einstein_check() is None

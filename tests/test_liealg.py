@@ -5,6 +5,21 @@ import pytest
 
 from aqlab import liealg as la
 from aqlab.errors import InvalidModel, NotSemisimple
+from conftest import so_algebra
+
+
+def doubled_by_block(dm):
+    """Operators, base metric and bracket of a doubled model as block and
+    Kronecker products; the reference for its index assignment."""
+    n = dm.n
+    eye, zero = np.eye(n), np.zeros((n, n))
+    diag = np.zeros((2, 2, 2))
+    diag[0, 0, 0] = diag[1, 1, 1] = 1.0
+    return {"I": np.block([[eye, zero], [zero, -eye]]),
+            "J": np.block([[zero, eye], [eye, zero]]),
+            "K": np.block([[zero, eye], [-eye, zero]]),
+            "g0": np.kron(np.eye(2), np.diag(dm.eps)),
+            "c2": np.kron(diag, dm.obase.c)}
 
 
 class TestModelValidation:
@@ -189,6 +204,12 @@ class TestDoubledModel:
         flat = la.LieAlgebraModel(2, np.zeros((2, 2, 2)), name="R2")
         with pytest.raises(NotSemisimple):
             la.doubled(flat)  # trace form is zero
+
+    @pytest.mark.parametrize("base", [*sorted(la.CATALOG), "so5"])
+    def test_index_assignment_equals_block_form(self, base):
+        dm = la.doubled(so_algebra(5) if base == "so5" else la.CATALOG[base]())
+        for name, want in doubled_by_block(dm).items():
+            assert np.array_equal(getattr(dm, name), want), name
 
     def test_as_piaq_roundtrip(self):
         model = la.doubled(la.su2()).as_piaq()

@@ -15,6 +15,7 @@ from aqlab.errors import (
     NotTwistor,
     WrongSignature,
 )
+from aqlab.tensors import post, transport
 from conftest import (_well_conditioned, conjugate_structure, random_piaq_model,
                       standard_pair)
 
@@ -28,6 +29,22 @@ def doubled_su2():
 
 def abelian(alpha, dim=4):
     return pq.abelian_model(dim, *standard_pair(dim, alpha), alpha)
+
+
+def nabla_split_by_kron(M):
+    """``nabla_split`` with the realified bracket, J and V written as
+    Kronecker products (``ring`` the structure constants of R + iR); the
+    reference for the block assembly of the model."""
+    a, m = float(M.alpha), M.dim
+    ring = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                     [[0.0, 1.0], [a, 0.0]]])
+    c = np.kron(ring, M.c)
+    J = np.kron(np.eye(2), M.J)
+    V = 0.5 * (np.eye(2 * m) + np.kron([[0.0, a], [1.0, 0.0]], a * M.I))
+    H = np.eye(2 * m) - V
+    n = (post(V, transport(c, H, V) + post(a * J, transport(c, V, J @ V)))
+         + post(H, transport(c, V, H) + post(a * J, transport(c, H, J @ H))))
+    return n[:m, :m, :m]
 
 
 class TestModelValidation:
@@ -114,6 +131,18 @@ class TestCanonicalConnection:
         assert "nabla" not in vars(m)
         assert np.abs(split - m.nabla).max() <= 1e-12 * max(
             1.0, np.abs(m.nabla).max())
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("kind", ("abelian", "u2", "gl2"))
+    def test_block_assembly_equals_kron_form(self, alpha, kind, rng):
+        for _ in range(10):
+            m = random_piaq_model(rng, alpha, kind)
+            assert np.array_equal(m.nabla_split, nabla_split_by_kron(m))
+
+    @pytest.mark.parametrize("name", sorted(la.CATALOG))
+    def test_block_assembly_equals_kron_form_on_doubled_catalog(self, name):
+        m = la.doubled(la.CATALOG[name]()).as_piaq()
+        assert np.array_equal(m.nabla_split, nabla_split_by_kron(m))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_structure_operators_are_parallel(self, alpha, rng):
@@ -258,6 +287,10 @@ class TestPredicates:
             pq.is_isoclinic_geodesic_const_mu(doubled_su2, 1.0)
         with pytest.raises(InvalidMu):
             pq.is_isoclinic_geodesic_const_mu(doubled_su2, -1.0)
+
+    def test_missing_mu_names_the_slope(self, doubled_su2):
+        with pytest.raises(InvalidMu, match=r"needs the slope \(--mu\)"):
+            pq.predicate_report(doubled_su2, "isoclinic_geodesic")
 
     def test_three_web_needs_split_signature(self, rng):
         with pytest.raises(WrongSignature):

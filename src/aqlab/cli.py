@@ -2,8 +2,10 @@
 
 Every invocation prints a single JSON document on standard output with the
 keys ``command``, ``inputs``, ``outputs`` and ``tolerances``; diagnostics go
-to standard error.  Exit status is 0 whenever a verdict was computed (true
-or false alike) and nonzero only for usage or precondition errors.
+to standard error.  Each ``cmd_*`` returns its (inputs, outputs,
+tolerances) and :func:`main` alone builds the document.  Exit status is 0
+whenever a verdict was computed (true or false alike) and nonzero only for
+usage or precondition errors, a failed ``verify`` or a failed ``check``.
 
 The ``inputs`` of every document include ``argv``, the arguments the
 document was made from; the ``verify`` subcommand parses them again and
@@ -106,10 +108,10 @@ def _load_file(path: str, twistor: bool):
                 raise InvalidModel(
                     f"{path}: bracket record {rec!r} is not [i, j, k, value]")
             entries.append(vals)
-        c = la.bracket_tensor(data["dim"], entries)
         name = str(data.get("name", ""))
         if not twistor:
-            return la.LieAlgebraModel(len(c), c, name=name)
+            return la.from_brackets(data["dim"], entries, name=name)
+        c = la.bracket_tensor(data["dim"], entries)
         import numpy as np
         from . import piaq as pq
         return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
@@ -130,45 +132,32 @@ def _load_algebra(args):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_pauli(args) -> dict:
+def cmd_pauli(args):
     from . import quat as qt
-    alpha = args.alpha
-    s1, s2, s3 = qt.pauli_matrices(alpha)
-    return {
-        "command": "pauli",
-        "inputs": {"alpha": alpha},
-        "outputs": {
-            "entry_format": "[re, im] with i^2 = alpha",
-            "sigma1": _smat_doc(s1),
-            "sigma2": _smat_doc(s2),
-            "sigma3": _smat_doc(s3),
-        },
-        "tolerances": {},
-    }
+    s1, s2, s3 = qt.pauli_matrices(args.alpha)
+    return {"alpha": args.alpha}, {
+        "entry_format": "[re, im] with i^2 = alpha",
+        "sigma1": _smat_doc(s1),
+        "sigma2": _smat_doc(s2),
+        "sigma3": _smat_doc(s3),
+    }, {}
 
 
-def cmd_spinbasis(args) -> dict:
+def cmd_spinbasis(args):
     from . import quat as qt
     from . import scalars as sk
     from . import spinor as sp
-    alpha = args.alpha
-    triples = [_parse_floats(getattr(args, name), 3, name)
-               for name in ("j1", "j2", "j3")]
+    alpha, names = args.alpha, ("j1", "j2", "j3")
+    triples = [_parse_floats(getattr(args, name), 3, name) for name in names]
     js = [qt.from_coeffs([0.0, *t], alpha) for t in triples]
     result = sp.spinbasis(sp.IQBasis(*js))
-    return {
-        "command": "spinbasis",
-        "inputs": {"alpha": alpha, "j1": triples[0], "j2": triples[1],
-                   "j3": triples[2]},
-        "outputs": {
-            "change_matrix": _smat_doc(result.matrix),
-            "orientation_sign": result.sign,
-        },
-        "tolerances": {"isotropy": sk.ISOTROPY_TOL},
-    }
+    outputs = {"change_matrix": _smat_doc(result.matrix),
+               "orientation_sign": result.sign}
+    return ({"alpha": alpha, **dict(zip(names, triples))}, outputs,
+            {"isotropy": sk.ISOTROPY_TOL})
 
 
-def cmd_selfdual(args) -> dict:
+def cmd_selfdual(args):
     from . import fourdim as fd
     alpha = args.alpha
     comps = _parse_floats(args.omega, 6, "--omega")
@@ -176,21 +165,22 @@ def cmd_selfdual(args) -> dict:
     w = fd.TwoForm4(tuple(comps))
     wp, wm = fd.sd_decompose(g, w)
     J = fd.form_to_endo(g, wp)
-    return {
-        "command": "selfdual",
-        "inputs": {"alpha": alpha, "omega": comps,
-                   "component_order": ["12", "13", "14", "23", "24", "34"]},
-        "outputs": {
-            "omega_plus": [_f(x) for x in wp.comp],
-            "omega_minus": [_f(x) for x in wm.comp],
-            "endomorphism": _array_doc(J),
-            "lambda_sq": _with_exact(fd.lambda_sq(g, wp)),
-        },
-        "tolerances": {},
-    }
+    inputs = {"alpha": alpha, "omega": comps,
+              "component_order": ["12", "13", "14", "23", "24", "34"]}
+    return inputs, {
+        "omega_plus": [_f(x) for x in wp.comp],
+        "omega_minus": [_f(x) for x in wm.comp],
+        "endomorphism": _array_doc(J),
+        "lambda_sq": _with_exact(fd.lambda_sq(g, wp)),
+    }, {}
 
 
-def cmd_einstein(args) -> dict:
+def _einstein_rows(points) -> list:
+    return [{"lambda": _with_exact(l), "mu": _with_exact(m),
+             "epsilon": _with_exact(e)} for l, m, e in points]
+
+
+def cmd_einstein(args):
     from . import liealg as la
     from .gxg import (EINSTEIN_TOL, MetricFamily, classify_einstein,
                       einstein_sweep, ricci_coefficients)
@@ -198,15 +188,10 @@ def cmd_einstein(args) -> dict:
     model = la.doubled(base)
     inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
     if args.classify:
-        points = classify_einstein(model)
-        rows = [{"lambda": _with_exact(l), "mu": _with_exact(m),
-                 "epsilon": _with_exact(e)} for l, m, e in points]
+        rows = _einstein_rows(classify_einstein(model))
         outputs = {"einstein_points": rows, "count": len(rows)}
     elif args.sweep is not None:
         grid = einstein_sweep(res=args.sweep)
-        points = [{"lambda": _with_exact(l), "mu": _with_exact(m),
-                   "epsilon": _with_exact(e)}
-                  for l, m, e in grid["einstein_points"]]
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write("lambda,mu,ricci_off_diagonal,ricci_anisotropy\n")
@@ -217,7 +202,7 @@ def cmd_einstein(args) -> dict:
         outputs = {
             "resolution": args.sweep,
             "points_scanned": int(grid["lam"].size),
-            "einstein_points": points,
+            "einstein_points": _einstein_rows(grid["einstein_points"]),
         }
         inputs["sweep"] = args.sweep
         if args.csv:
@@ -235,34 +220,25 @@ def cmd_einstein(args) -> dict:
             "ricci_coefficients": {"A": _f(A), "B": _f(B), "C": _f(C),
                                    "D": _f(D)},
         }
-    return {"command": "einstein", "inputs": inputs, "outputs": outputs,
-            "tolerances": {"einstein": EINSTEIN_TOL}}
+    return inputs, outputs, {"einstein": EINSTEIN_TOL}
 
 
-def cmd_piaq(args) -> dict:
+def cmd_piaq(args):
     from . import liealg as la
     from . import piaq as pq
     model = (la.doubled(la.CATALOG[args.doubled]()).as_piaq() if args.doubled
              else _load_file(args.model, twistor=True))
     report = pq.predicate_report(model, args.predicate, lam=args.eigenvalue,
                                  f_name=args.operator, mu=args.mu)
-    inputs = {
-        "model": args.model or f"doubled:{args.doubled}",
-        "dim": model.dim,
-        "alpha": model.alpha,
-        "predicate": args.predicate,
-    }
-    if args.operator:
-        inputs["operator"] = args.operator
-    if args.eigenvalue is not None:
-        inputs["eigenvalue"] = args.eigenvalue
-    if args.mu is not None:
-        inputs["mu"] = args.mu
-    return {"command": "piaq", "inputs": inputs, "outputs": report,
-            "tolerances": {"predicate": pq.PRED_TOL}}
+    inputs = {"model": args.model or f"doubled:{args.doubled}",
+              "dim": model.dim, "alpha": model.alpha, "predicate": args.predicate}
+    given = {"operator": args.operator, "eigenvalue": args.eigenvalue,
+             "mu": args.mu}
+    inputs.update({k: v for k, v in given.items() if v is not None})
+    return inputs, report, {"predicate": pq.PRED_TOL}
 
 
-def cmd_verify(args) -> dict:
+def cmd_verify(args):
     if args.document == "-":
         doc = json.load(sys.stdin)
     else:
@@ -284,15 +260,10 @@ def cmd_verify(args) -> dict:
         raise AqlabError("a verify document cannot be verified again")
     if getattr(rerun_args, "csv", None):
         rerun_args.csv = None  # compare outputs only; never rewrite files
-    rerun = rerun_args.func(rerun_args)
-    match = _compare(doc.get("outputs"), rerun.get("outputs"), VERIFY_TOL)
-    return {
-        "command": "verify",
-        "inputs": {"document": args.document,
-                   "verified_command": doc.get("command")},
-        "outputs": {"match": match},
-        "tolerances": {"comparison": VERIFY_TOL},
-    }
+    _, outputs, _ = rerun_args.func(rerun_args)
+    match = _compare(doc.get("outputs"), outputs, VERIFY_TOL)
+    return ({"document": args.document, "verified_command": doc.get("command")},
+            {"match": match}, {"comparison": VERIFY_TOL})
 
 
 def _compare(a, b, tol: float) -> bool:
@@ -308,7 +279,7 @@ def _compare(a, b, tol: float) -> bool:
     return a == b
 
 
-def cmd_check(args) -> dict:
+def cmd_check(args):
     """Randomized property verification across the modules."""
     import numpy as np
     from . import liealg as la
@@ -348,12 +319,8 @@ def cmd_check(args) -> dict:
     results["metric_family_oracle_agreement"] = worst
 
     passed = all(v <= CHECK_TOL for v in results.values())
-    return {
-        "command": "check",
-        "inputs": {"seed": args.seed, "samples": n},
-        "outputs": {"passed": passed, "worst_residuals": results},
-        "tolerances": {"bound": CHECK_TOL},
-    }
+    return ({"seed": args.seed, "samples": n},
+            {"passed": passed, "worst_residuals": results}, {"bound": CHECK_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +406,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            doc = args.func(args)
-        doc["inputs"]["argv"] = argv
+            inputs, outputs, tolerances = args.func(args)
+        doc = {"command": args.subcommand, "inputs": {**inputs, "argv": argv},
+               "outputs": outputs, "tolerances": tolerances}
         if not _compare(doc, doc, 0.0):  # False only for a NaN or an infinity
             raise AqlabError("result is not finite: the document holds NaN or inf")
     except (AqlabError, ArithmeticError, RuntimeWarning) as exc:
@@ -452,11 +420,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(doc)
-    if doc["command"] == "verify" and not doc["outputs"]["match"]:
-        return 1
-    if doc["command"] == "check" and not doc["outputs"]["passed"]:
-        return 1
-    return 0
+    failed = {"verify": "match", "check": "passed"}.get(args.subcommand)
+    return int(failed is not None and not outputs[failed])
 
 
 if __name__ == "__main__":

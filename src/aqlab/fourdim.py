@@ -73,11 +73,6 @@ class TwoForm4:
         return m
 
 
-def form_from_matrix(m: np.ndarray) -> TwoForm4:
-    m = np.asarray(m, dtype=float)
-    return TwoForm4(tuple(m[i, j] for (i, j) in PAIRS))
-
-
 def star_matrix(g: Metric4) -> np.ndarray:
     """The 6x6 matrix of the star operator in the PAIRS component basis.
 
@@ -123,10 +118,6 @@ def inner_lambda2(g: Metric4, w1: TwoForm4, w2: TwoForm4) -> float:
                for (i, j), a, b in zip(PAIRS, w1.comp, w2.comp))
 
 
-def norm_sq(g: Metric4, w: TwoForm4) -> float:
-    return inner_lambda2(g, w, w)
-
-
 def wedge_coefficient(w: TwoForm4) -> float:
     """Coefficient of (w ^ w) on the volume form: 2(w01 w23 - w02 w13 + w03 w12)."""
     c = w.comp
@@ -140,11 +131,6 @@ def form_to_endo(g: Metric4, w: TwoForm4) -> np.ndarray:
     -lambda^2 with lambda^2 = -tr(J^2)/4 = |w|^2 / 2.
     """
     return g.matrix() @ w.matrix()  # diag(+-1) is its own inverse
-
-
-def endo_to_form(g: Metric4, J: np.ndarray) -> TwoForm4:
-    """Inverse of :func:`form_to_endo` (index lowering)."""
-    return form_from_matrix(g.matrix() @ np.asarray(J, dtype=float))
 
 
 def lambda_sq(g: Metric4, w: TwoForm4) -> float:

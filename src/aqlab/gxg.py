@@ -433,7 +433,7 @@ def einstein_sweep(res: float = 0.01):
         raise InvalidResolution(
             f"sweep resolution must be finite and >= {MIN_SWEEP_RES:g}, "
             f"got {res!r}")
-    k = int(np.floor((1.0 - 1e-12) / res))
+    k = int(np.floor(1.0 / res))
     ticks = res * np.arange(-k, k + 1)  # single products avoid drift at 0
     lam, mu = np.meshgrid(ticks, ticks, indexing="ij")
     inside = lam ** 2 + mu ** 2 < 1.0 - DISC_MARGIN

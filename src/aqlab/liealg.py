@@ -2,7 +2,7 @@
 
 Models are plain structure-constant tensors c[i, j, k] with
 [e_i, e_j] = sum_k c[i, j, k] e_k, validated for antisymmetry and the
-Jacobi identity.  The trace form used throughout is
+Jacobi identity by :mod:`aqlab.tensors`.  The trace form used throughout is
 
     K(X, Y) = -tr(ad X o ad Y),
 
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
-from .tensors import apply, jacobi_defect, post, transport
+from .tensors import (apply, is_antisymmetric, is_lie, jacobi_defect, post,
+                      transport)
 
-JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
 
@@ -46,12 +46,10 @@ class LieAlgebraModel:
         if c.shape != (self.dim, self.dim, self.dim):
             raise InvalidModel(f"structure tensor must be {self.dim}^3")
         object.__setattr__(self, "c", c)
-        scale = max(1.0, np.abs(c).max())
-        if not np.abs(c + c.transpose(1, 0, 2)).max() <= JACOBI_TOL * scale:
+        if not is_antisymmetric(c):
             raise InvalidModel("structure constants are not antisymmetric")
-        jac = jacobi_defect(c)
-        if not jac <= JACOBI_TOL * scale * scale:
-            raise InvalidModel(f"Jacobi identity fails by {jac:.3e}")
+        if not is_lie(c):
+            raise InvalidModel(f"Jacobi identity fails by {jacobi_defect(c):.3e}")
 
     def bracket(self, x, y) -> np.ndarray:
         return apply(self.c, x, y)

@@ -34,12 +34,10 @@ from .errors import (
     WrongSignature,
 )
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, jacobi_defect, post,
-                      transport)
+                      curvature_slab, curvature_slabs, is_antisymmetric, is_lie,
+                      is_twistor, jacobi_defect, post, transport)
 
-STRUCT_TOL = 1e-9  #: antisymmetry rel. to max(1, |c|); I, J, F squares to max(1, |F|)^2
 PRED_TOL = 1e-10  #: predicate defects rel. to (1 + |c|)^2, curvature to (1 + |c|)^4
-LIE_TOL = 1e-9  #: bracket is Lie when its Jacobiator <= this * max(1, |c|)^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
 TIE_TOL = 1e-12  #: defects within this fraction of the largest tie for the witness
 
@@ -68,27 +66,18 @@ class PiAQModel:
         m = self.dim
         if self.c.shape != (m, m, m) or self.I.shape != (m, m) or self.J.shape != (m, m):
             raise InvalidModel("shape mismatch between dim, c, I, J")
-        cscale = max(1.0, np.abs(self.c).max())
-        if not np.abs(self.c + self.c.transpose(1, 0, 2)).max() <= STRUCT_TOL * cscale:
+        if not is_antisymmetric(self.c):
             raise InvalidModel("bracket is not antisymmetric")
-        ident = np.eye(m)
-        bound = STRUCT_TOL * max(1.0, np.abs(self.I).max(), np.abs(self.J).max()) ** 2
-        if not (np.abs(self.I @ self.I - alpha * ident).max() <= bound
-                and np.abs(self.J @ self.J - alpha * ident).max() <= bound
-                and np.abs(self.I @ self.J + self.J @ self.I).max() <= bound):
+        if not is_twistor(alpha, self.I, self.J):
             raise InvalidModel("I, J fail the twistor-pair relations")
         self.K = self.I @ self.J
 
     def bracket(self, x, y) -> np.ndarray:
         return apply(self.c, x, y)
 
-    @cached_property
-    def jacobi_defect(self) -> float:
-        return jacobi_defect(self.c)
-
     @property
     def is_lie(self) -> bool:
-        return self.jacobi_defect <= LIE_TOL * max(1.0, np.abs(self.c).max()) ** 2
+        return is_lie(self.c)
 
     @cached_property
     def nabla(self) -> np.ndarray:
@@ -169,7 +158,7 @@ def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
     """R(X, Y)Z of the canonical connection; warns on non-Lie brackets."""
     if not M.is_lie:
         warnings.warn(
-            f"bracket fails the Jacobi identity by {M.jacobi_defect:.3e}; "
+            f"bracket fails the Jacobi identity by {jacobi_defect(M.c):.3e}; "
             "curvature has no integrability meaning",
             NonLieBracket,
             stacklevel=2,
@@ -187,12 +176,8 @@ def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
 
 
 def _square_scalar(F: np.ndarray) -> float:
-    m = F.shape[0]
-    sq = F @ F
-    s = float(np.trace(sq) / m)
-    s = 1.0 if s > 0 else -1.0
-    bound = STRUCT_TOL * max(1.0, np.abs(F).max() ** 2)
-    if not np.abs(sq - s * np.eye(m)).max() <= bound:
+    s = 1.0 if np.trace(F @ F) > 0 else -1.0
+    if not is_twistor(s, F):
         raise NotTwistor("operator does not square to a +/- identity multiple")
     return s
 

@@ -29,7 +29,6 @@ from .scalars import ScalarKA
 GRAM_TOL = 1e-9  #: absolute (not scale-aware): Gram-entry error of an input triple
 CONJ_TOL = 1e-7  #: absolute: entries of P^-1 [j_m] P against the Pauli matrices
 RANK_TOL = 1e-8  #: orbit rank counts singular values > this * the largest
-RELATION_TOL = 1e-8  #: I, J twistor relations rel. to 1 + max(|I|, |J|)^2
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +194,7 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
     e1, e2 = ep1, scalar_mul(a, ep2)
 
     P = SpinMatrix(((e1.x1, e2.x1), (e1.x2, e2.x2)))
-    if abs(sk.normsq(P.det())) <= sk.ISOTROPY_TOL:
+    if sk.is_isotropic(P.det()):
         return None
     Pinv = P.inv()
 
@@ -255,26 +254,23 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     """Real dimension of the orbit {q(X)} of a represented algebra.
 
     ``I`` and ``J`` must satisfy I^2 = J^2 = alpha id and IJ + JI = 0 for a
-    common alpha; the orbit is spanned by X, IX, JX, IJX and its dimension is
-    the rank of that column family.  The value is always 2 or 4, and it is 2
+    common alpha (:func:`aqlab.tensors.is_twistor`); the orbit is spanned by
+    X, IX, JX, IJX and its dimension is the rank of that column family.  The
+    value is always 2 or 4, and it is 2
     exactly when X lies in the kernel of an isotropic quaternion.
 
     Singular values at or below ``RANK_TOL`` times the largest count as zero.
     """
     import numpy as np
+    from .tensors import is_twistor
     I = np.asarray(I, dtype=float)
     J = np.asarray(J, dtype=float)
     X = np.asarray(X, dtype=float)
     n = I.shape[0]
     if I.shape != (n, n) or J.shape != (n, n) or X.shape != (n,):
         raise NotAQStructure("I, J must be square and X a matching vector")
-    ident = np.eye(n)
-    al = np.trace(I @ I) / n
-    alpha = 1 if al > 0 else -1
-    bound = RELATION_TOL * (1.0 + max(np.abs(I).max(), np.abs(J).max()) ** 2)
-    if not (np.abs(I @ I - alpha * ident).max() <= bound
-            and np.abs(J @ J - alpha * ident).max() <= bound
-            and np.abs(I @ J + J @ I).max() <= bound):
+    alpha = 1 if np.trace(I @ I) > 0 else -1
+    if not is_twistor(alpha, I, J):
         raise NotAQStructure("operators fail the anticommuting twistor relations")
     if not np.isfinite(X).all():
         raise NotAQStructure("X must be a finite vector")

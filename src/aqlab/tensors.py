@@ -9,6 +9,11 @@ reshaped arrays, so that BLAS does the work rather than einsum's loops.
 The rank-4 quantities (curvature, Jacobiator) are computed in slabs over
 their first index of at most ``SLAB_FLOATS`` floats each, so their working
 memory is O(d^3); only :func:`curvature` returns the whole rank-4 tensor.
+
+The two relations every model rests on are decided here and nowhere else:
+a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
+(:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes
+(:func:`is_twistor`).  Each is false on NaN.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
+JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
+STRUCT_TOL = 1e-9  #: twistor relations rel. to max(1, |F|)^2 over the operators F
 
 
 def transport(t: np.ndarray, P=None, Q=None) -> np.ndarray:
@@ -61,6 +68,29 @@ def jacobi_defect(c: np.ndarray) -> float:
         t += (x.reshape(d * s, d) @ cf).reshape(d, s, d, d).transpose(1, 2, 0, 3)
         top = np.maximum(top, np.abs(t).max())  # propagates NaN
     return float(top)
+
+
+def is_antisymmetric(c: np.ndarray) -> bool:
+    """c[a, b] = -c[b, a] to ``JACOBI_TOL`` max(1, |c|)."""
+    return bool(np.abs(c + c.transpose(1, 0, 2)).max()
+                <= JACOBI_TOL * max(1.0, np.abs(c).max()))
+
+
+def is_lie(c: np.ndarray) -> bool:
+    """The Jacobi identity of an antisymmetric c, its Jacobiator to
+    ``JACOBI_TOL`` max(1, |c|)^2; with :func:`is_antisymmetric`, c is a Lie
+    bracket."""
+    return jacobi_defect(c) <= JACOBI_TOL * max(1.0, np.abs(c).max()) ** 2
+
+
+def is_twistor(alpha: float, *ops: np.ndarray) -> bool:
+    """Each operator F squares to alpha id and each two anticommute, to
+    ``STRUCT_TOL`` max(1, |F|)^2 over all of them."""
+    bound = STRUCT_TOL * max(1.0, *(np.abs(F).max() for F in ops)) ** 2
+    ident = alpha * np.eye(len(ops[0]))
+    return (all(np.abs(F @ F - ident).max() <= bound for F in ops)
+            and all(np.abs(F @ G + G @ F).max() <= bound
+                    for n, F in enumerate(ops) for G in ops[:n]))
 
 
 def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,

@@ -1,10 +1,15 @@
-"""The shared contraction kernels against literal multi-operand einsums."""
+"""The shared contraction kernels against literal multi-operand einsums, and
+the relation predicates that every model check reads."""
 
 import numpy as np
 import pytest
 
 from aqlab import liealg as la
+from aqlab import piaq as pq
+from aqlab import spinor as sp
 from aqlab import tensors
+from aqlab.errors import InvalidModel, NotAQStructure
+from conftest import standard_pair
 
 
 def close(a, b):
@@ -164,3 +169,53 @@ def test_apply(rng, d):
                  np.einsum("a,b,c,abcl->l", X, Y, Z, t4.T))
     assert close(tensors.apply(t3, X.tolist(), Y.tolist()),
                  np.einsum("a,b,abl->l", X, Y, t3))
+
+
+def u2_bracket(delta: float = 0.0) -> np.ndarray:
+    """su(2) + R, with [e1, e4] = delta e1 added: Jacobi fails by delta."""
+    c = np.zeros((4, 4, 4))
+    c[:3, :3, :3] = la.su2().c
+    c[0, 3, 0], c[3, 0, 0] = delta, -delta
+    return c
+
+
+def test_relation_predicates():
+    c = u2_bracket()
+    assert tensors.is_antisymmetric(c) and tensors.is_lie(c)
+    c[0, 1, 2] += 1e-9  # no antisymmetric counterpart
+    assert not tensors.is_antisymmetric(c)
+    assert not tensors.is_antisymmetric(np.full((2, 2, 2), np.nan))
+    assert not tensors.is_lie(np.full((2, 2, 2), np.nan))
+    for alpha in (-1, 1):
+        I, J = standard_pair(4, alpha)
+        assert tensors.is_twistor(alpha, I, J) and tensors.is_twistor(alpha, I)
+        assert not tensors.is_twistor(-alpha, I, J)
+        assert not tensors.is_twistor(alpha, I, I)  # squares, but commutes
+        assert not tensors.is_twistor(alpha, I, np.full((4, 4), np.nan))
+
+
+@pytest.mark.parametrize("alpha", (-1, 1))
+def test_one_jacobi_bound_for_every_caller(alpha):
+    """A Jacobiator between JACOBI_TOL and ten times it, at |c| = 1: the
+    algebra is rejected and the twistor-pair model calls it non-Lie."""
+    c = u2_bracket(5e-10)
+    assert 1e-10 < tensors.jacobi_defect(c) < 1e-9
+    with pytest.raises(InvalidModel, match="Jacobi identity fails"):
+        la.LieAlgebraModel(4, c)
+    assert not pq.PiAQModel(4, c, *standard_pair(4, alpha), alpha).is_lie
+    assert pq.PiAQModel(4, u2_bracket(), *standard_pair(4, alpha), alpha).is_lie
+
+
+@pytest.mark.parametrize("alpha", (-1, 1))
+def test_one_twistor_bound_for_every_caller(alpha):
+    """A pair off its relations by about 5e-9, between STRUCT_TOL and the
+    1e-8 (1 + max(|I|, |J|)^2) that orbit_dimension once applied: both the
+    orbit and the model reject it."""
+    I, J = standard_pair(4, alpha)
+    I = (1.0 + 2.5e-9) * I
+    assert 1e-9 < np.abs(I @ I - alpha * np.eye(4)).max() < 2e-8
+    with pytest.raises(NotAQStructure):
+        sp.orbit_dimension(I, J, np.ones(4))
+    with pytest.raises(InvalidModel, match="twistor-pair"):
+        pq.PiAQModel(4, np.zeros((4, 4, 4)), I, J, alpha)
+    assert sp.orbit_dimension(*standard_pair(4, alpha), np.ones(4)) in (2, 4)

@@ -37,19 +37,13 @@ VERIFY_TOL = 1e-9  #: verify's comparison tolerance
 CHECK_TOL = 1e-8  #: bound on check's worst residuals
 
 
-def _rationalize(x: float, tol: float = 1e-12):
-    """Return [num, den] when x is within tol of a small-denominator rational."""
-    frac = Fraction(x).limit_denominator(1000) if math.isfinite(x) else x
-    if abs(float(frac) - x) < tol:
-        return [frac.numerator, frac.denominator]
-    return None
-
-
 def _with_exact(x: float) -> dict:
+    """The value, with [num, den] as ``exact`` when x is within 1e-12 of a
+    rational of denominator at most 1000."""
     out = {"value": _f(x)}
-    exact = _rationalize(x)
-    if exact is not None:
-        out["exact"] = exact
+    frac = Fraction(x).limit_denominator(1000) if math.isfinite(x) else x
+    if abs(float(frac) - x) < 1e-12:
+        out["exact"] = [frac.numerator, frac.denominator]
     return out
 
 
@@ -58,22 +52,9 @@ def _f(x: float) -> float:
     return float(x) + 0.0
 
 
-def _scalar_doc(z) -> list:
-    return [_f(z.re), _f(z.im)]
-
-
 def _smat_doc(m) -> list:
-    return [[_scalar_doc(m[r, c]) for c in range(2)] for r in range(2)]
-
-
-def _array_doc(a) -> list:
-    import numpy as np
-    return (np.asarray(a, dtype=float) + 0.0).tolist()
-
-
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    return [[[_f(m[r, c].re), _f(m[r, c].im)] for c in range(2)]
+            for r in range(2)]
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -115,17 +96,10 @@ def _load_file(path: str, twistor: bool):
         import numpy as np
         from . import piaq as pq
         return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
-                            np.asarray(data["J"], float), int(data["alpha"]),
+                            np.asarray(data["J"], float), data["alpha"],
                             name=name)
     except (TypeError, ValueError) as exc:
         raise InvalidModel(f"{path}: {exc}") from None
-
-
-def _load_algebra(args):
-    from . import liealg as la
-    if args.catalog:
-        return la.CATALOG[args.catalog]()
-    return _load_file(args.algebra, twistor=False)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +144,7 @@ def cmd_selfdual(args):
     return inputs, {
         "omega_plus": [_f(x) for x in wp.comp],
         "omega_minus": [_f(x) for x in wm.comp],
-        "endomorphism": _array_doc(J),
+        "endomorphism": (J + 0.0).tolist(),
         "lambda_sq": _with_exact(fd.lambda_sq(g, wp)),
     }, {}
 
@@ -184,7 +158,8 @@ def cmd_einstein(args):
     from . import liealg as la
     from .gxg import (EINSTEIN_TOL, MetricFamily, classify_einstein,
                       einstein_sweep, ricci_coefficients)
-    base = _load_algebra(args)
+    base = (la.CATALOG[args.catalog]() if args.catalog
+            else _load_file(args.algebra, twistor=False))
     model = la.doubled(base)
     inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
     if args.classify:
@@ -419,7 +394,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(doc)
+    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
+    sys.stdout.write("\n")
     failed = {"verify": "match", "check": "passed"}.get(args.subcommand)
     return int(failed is not None and not outputs[failed])
 

@@ -58,9 +58,6 @@ class TwoForm4:
     def __sub__(self, other):
         return TwoForm4(tuple(x - y for x, y in zip(self.comp, other.comp)))
 
-    def __neg__(self):
-        return TwoForm4(tuple(-x for x in self.comp))
-
     def scale(self, t: float) -> "TwoForm4":
         return TwoForm4(tuple(t * x for x in self.comp))
 

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Degenerate, InvalidResolution
+from .errors import Degenerate, InvalidResolution, Overflow
 from .liealg import DoubledModel
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
                       post, ricci, transport)
@@ -82,17 +81,12 @@ def _curvature_rows(terms):
 _CURVATURE_ROWS = _curvature_rows(_CURVATURE_TERMS)
 
 
-class HermitianStructure(NamedTuple):
-    calJ: np.ndarray
-    elliptic: bool  # True inside the disc (calJ^2 = -id), False outside (+id)
-
-
 class MetricFamily:
     """One member of the metric sheaf on a doubled model.
 
     Instances are immutable by convention. The derived tensors of rank at
-    most 3 (the connections, the Gram matrix and its inverse) are cached;
-    the rank-4 ``curvature_tensor`` is recomputed on each read.
+    most 3 (the connections, the Gram matrix and its inverse, calJ) are
+    cached; the rank-4 ``curvature_tensor`` is recomputed on each read.
     """
 
     def __init__(self, model: DoubledModel, lam: float, mu: float):
@@ -101,7 +95,13 @@ class MetricFamily:
         self.mu = float(mu)
         if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
             raise Degenerate(f"lam and mu must be finite, got {lam!r}, {mu!r}")
-        self.d0 = 1.0 - self.lam ** 2 - self.mu ** 2
+        try:  # ** raises OverflowError; the subtractions give -inf instead
+            self.d0 = 1.0 - self.lam ** 2 - self.mu ** 2
+        except OverflowError:
+            self.d0 = -math.inf
+        if math.isinf(self.d0):
+            raise Overflow(f"lam^2 + mu^2 overflows for lam = {lam!r}, "
+                           f"mu = {mu!r}")
         if abs(self.d0) <= DEGENERACY_TOL:
             raise Degenerate(
                 f"lam^2 + mu^2 = {self.lam ** 2 + self.mu ** 2!r} lies on the "
@@ -130,17 +130,17 @@ class MetricFamily:
 
     # -- compatible almost Hermitian operators -------------------------------
 
-    def hermitian_structure(self) -> HermitianStructure:
+    @cached_property
+    def calJ(self) -> np.ndarray:
         """calJ = (mu I - lam J + K) / sqrt(|1 - lam^2 - mu^2|).
 
-        Squares to -id inside the unit disc (elliptic) and to +id outside
-        (hyperbolic); in both regimes it is an isometry of the sheaf metric.
-        Its partner -calJ has the negated derivative nabla(-calJ) =
+        Squares to -id inside the unit disc (elliptic, d0 > 0) and to +id
+        outside (hyperbolic); in both regimes it is an isometry of the sheaf
+        metric.  Its partner -calJ has the negated derivative nabla(-calJ) =
         -nabla(calJ), so every class verdict holds for both.
         """
         m = self.model
-        num = self.mu * m.I - self.lam * m.J + m.K
-        return HermitianStructure(num / math.sqrt(abs(self.d0)), self.d0 > 0)
+        return (self.mu * m.I - self.lam * m.J + m.K) / math.sqrt(abs(self.d0))
 
     # -- connection -----------------------------------------------------------
 
@@ -263,8 +263,7 @@ class MetricFamily:
         m = self.model
         B = m.bracket2
         lam, mu, d0 = self.lam, self.mu, self.d0
-        cp = (mu ** 2 + mu) / d0
-        cq = lam * mu / d0
+        cp, cq = 2 * self._p, 2 * self._q
         which = which.upper() if which != "calJ" else "calJ"
         if which == "I":
             return -cp * B(X, m.K @ Y) + cq * B(X, m.J @ Y)
@@ -300,7 +299,7 @@ class MetricFamily:
 
     def nabla_calJ_tensor(self) -> np.ndarray:
         """D[a, b, l] = (nabla_{e_a}(calJ) e_b)^l from the connection tensor."""
-        calJ = self.hermitian_structure().calJ
+        calJ = self.calJ
         return transport(self.nabla, None, calJ) - post(calJ, self.nabla)
 
     def hermitian_class_checks(self) -> dict:
@@ -312,7 +311,7 @@ class MetricFamily:
         """
         if self.d0 <= 0:
             raise Degenerate("class checks apply to the elliptic regime")
-        calJ = self.hermitian_structure().calJ
+        calJ = self.calJ
         dt = self.nabla_calJ_tensor()
         scale = EINSTEIN_TOL * (1.0 + np.abs(self.model.c2).max()) / abs(self.d0)
         nk = np.abs(dt + dt.transpose(1, 0, 2)).max() <= scale

@@ -45,6 +45,8 @@ class LieAlgebraModel:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (self.dim, self.dim, self.dim):
             raise InvalidModel(f"structure tensor must be {self.dim}^3")
+        if self.dim < 1:
+            raise InvalidModel(f"dim must be at least 1, got {self.dim!r}")
         object.__setattr__(self, "c", c)
         if not is_antisymmetric(c):
             raise InvalidModel("structure constants are not antisymmetric")

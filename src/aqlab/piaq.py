@@ -20,6 +20,7 @@ are all phrased through it.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from functools import cached_property, partial
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
                       curvature_slab, curvature_slabs, is_antisymmetric, is_lie,
-                      is_twistor, jacobi_defect, post, transport)
+                      is_twistor, jacobi_defect, post, transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to (1 + |c|)^2, curvature to (1 + |c|)^4
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
@@ -51,11 +52,13 @@ class PiAQModel:
            i, j; the Jacobi identity is not required, but curvature-based
            predicates warn when it fails).
         I, J: m x m matrices with I^2 = J^2 = alpha id and IJ + JI = 0.
-        alpha: signature, -1 or +1.
+        alpha: signature, -1 or +1 (an integral float counts; a bool or a
+           string does not).
     """
 
     def __init__(self, dim: int, c, I, J, alpha: int, name: str = ""):
-        if alpha not in (-1, 1):
+        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                or alpha not in (-1, 1)):
             raise InvalidModel(f"alpha must be -1 or +1, got {alpha!r}")
         self.dim = int(dim)
         self.alpha = int(alpha)
@@ -66,6 +69,8 @@ class PiAQModel:
         m = self.dim
         if self.c.shape != (m, m, m) or self.I.shape != (m, m) or self.J.shape != (m, m):
             raise InvalidModel("shape mismatch between dim, c, I, J")
+        if m < 1:
+            raise InvalidModel(f"dim must be at least 1, got {dim!r}")
         if not is_antisymmetric(self.c):
             raise InvalidModel("bracket is not antisymmetric")
         if not is_twistor(alpha, self.I, self.J):
@@ -169,17 +174,12 @@ def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
 def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
     """Nijenhuis tensor s[X,Y] + [FX,FY] - F[FX,Y] - F[X,FY], s = scalar of F^2."""
     F = np.asarray(F, dtype=float)
-    s = _square_scalar(F)
+    s = twistor_sign(F)
+    if s is None:
+        raise NotTwistor("operator does not square to a +/- identity multiple")
     FX, FY = F @ np.asarray(X, float), F @ np.asarray(Y, float)
     return (s * M.bracket(X, Y) + M.bracket(FX, FY)
             - F @ M.bracket(FX, Y) - F @ M.bracket(X, FY))
-
-
-def _square_scalar(F: np.ndarray) -> float:
-    s = 1.0 if np.trace(F @ F) > 0 else -1.0
-    if not is_twistor(s, F):
-        raise NotTwistor("operator does not square to a +/- identity multiple")
-    return s
 
 
 def _scale(M: PiAQModel) -> float:
@@ -284,12 +284,15 @@ def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
         )
     S = M.torsion_tensor
     if F_name == "I":
-        ident = np.eye(M.dim, dtype=complex)
-        f3 = fsq * F  # F^3 = (F^2 scalar) F
-        pi_plus = 0.5 * (ident + lamc * f3)
-        pi_minus = ident - pi_plus
-        return np.abs(post(pi_minus, transport(S, pi_plus)))
+        P = _projector(M, lamc)
+        return np.abs(post(np.eye(M.dim) - P, transport(S, P)))
     return np.abs(transport(S, F, F) - lamc * post(F, S))
+
+
+def _projector(M: PiAQModel, lam: complex) -> np.ndarray:
+    """(1 + alpha lam I)/2, the projector onto the lam-eigenspace of I over
+    the scalar extension (lam^2 = alpha, so I^3 = alpha I)."""
+    return 0.5 * (np.eye(M.dim, dtype=complex) + M.alpha * lam * M.I)
 
 
 def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
@@ -299,11 +302,7 @@ def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
         raise InvalidMu("slope must differ from +1 and -1")
     if not is_semiholonomic(M):
         raise InvalidModel("model is not semiholonomic")
-    ident = np.eye(M.dim, dtype=complex)
-    if M.alpha == 1:
-        pi_plus = 0.5 * (ident + M.I)
-    else:
-        pi_plus = 0.5 * (ident - 1j * M.I)  # projector for eigenvalue +i
+    pi_plus = _projector(M, 1 if M.alpha == 1 else 1j)
     S = M.torsion_tensor
     lhs = post(M.J, transport(S, pi_plus, pi_plus))
     jp = M.J @ pi_plus

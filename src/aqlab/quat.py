@@ -53,9 +53,6 @@ class QuaternionA:
     def __neg__(self):
         return QuaternionA(-self.a, -self.b, -self.c, -self.d, self.alpha)
 
-    def __mul__(self, other):
-        return qmul(self, other)
-
     def coeffs(self) -> np.ndarray:
         import numpy as np
         return np.array([self.a, self.b, self.c, self.d])
@@ -173,11 +170,6 @@ class SpinMatrix:
         return SpinMatrix(((sk._dot(a, e, b, g), sk._dot(a, f, b, h)),
                            (sk._dot(c, e, d, g), sk._dot(c, f, d, h))))
 
-    def __add__(self, other: "SpinMatrix") -> "SpinMatrix":
-        return SpinMatrix(tuple(
-            tuple(sk.add(self.m[r][c], other.m[r][c]) for c in range(2))
-            for r in range(2)))
-
     def __sub__(self, other: "SpinMatrix") -> "SpinMatrix":
         return SpinMatrix(tuple(
             tuple(self.m[r][c] - other.m[r][c] for c in range(2))
@@ -209,18 +201,9 @@ class SpinMatrix:
 
 
 def smat(entries, alpha: int) -> SpinMatrix:
-    """Build a SpinMatrix from a 2x2 nest of (re, im) pairs or ScalarKA."""
-    rows = []
-    for r in range(2):
-        row = []
-        for c in range(2):
-            e = entries[r][c]
-            if isinstance(e, ScalarKA):
-                row.append(e)
-            else:
-                row.append(ScalarKA(e[0], e[1], alpha))
-        rows.append(tuple(row))
-    return SpinMatrix((rows[0], rows[1]))
+    """Build a SpinMatrix from a 2x2 nest of (re, im) pairs."""
+    return SpinMatrix(tuple(tuple(ScalarKA(re, im, alpha) for re, im in row)
+                            for row in entries))
 
 
 def smat_close(x: SpinMatrix, y: SpinMatrix, tol: float = 1e-9) -> bool:

@@ -39,12 +39,6 @@ class ScalarKA:
     def __sub__(self, other: "ScalarKA") -> "ScalarKA":
         return add(self, neg(other))
 
-    def __mul__(self, other: "ScalarKA") -> "ScalarKA":
-        return mul(self, other)
-
-    def __neg__(self) -> "ScalarKA":
-        return neg(self)
-
     def __repr__(self):
         sign = "+" if self.im >= 0 else "-"
         return f"({self.re:g} {sign} {abs(self.im):g}i | a={self.alpha:+d})"

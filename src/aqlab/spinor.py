@@ -253,24 +253,24 @@ def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
 def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     """Real dimension of the orbit {q(X)} of a represented algebra.
 
-    ``I`` and ``J`` must satisfy I^2 = J^2 = alpha id and IJ + JI = 0 for a
-    common alpha (:func:`aqlab.tensors.is_twistor`); the orbit is spanned by
-    X, IX, JX, IJX and its dimension is the rank of that column family.  The
-    value is always 2 or 4, and it is 2
-    exactly when X lies in the kernel of an isotropic quaternion.
+    ``I`` and ``J`` must be nonempty and satisfy I^2 = J^2 = alpha id and
+    IJ + JI = 0 for a common alpha (:func:`aqlab.tensors.twistor_sign`);
+    the orbit is spanned by X, IX, JX, IJX and its dimension is the rank of
+    that column family.  The value is always 2 or 4, and it is 2 exactly
+    when X lies in the kernel of an isotropic quaternion.
 
     Singular values at or below ``RANK_TOL`` times the largest count as zero.
     """
     import numpy as np
-    from .tensors import is_twistor
+    from .tensors import twistor_sign
     I = np.asarray(I, dtype=float)
     J = np.asarray(J, dtype=float)
     X = np.asarray(X, dtype=float)
     n = I.shape[0]
-    if I.shape != (n, n) or J.shape != (n, n) or X.shape != (n,):
-        raise NotAQStructure("I, J must be square and X a matching vector")
-    alpha = 1 if np.trace(I @ I) > 0 else -1
-    if not is_twistor(alpha, I, J):
+    if n < 1 or I.shape != (n, n) or J.shape != (n, n) or X.shape != (n,):
+        raise NotAQStructure("I, J must be nonempty square matrices and X a "
+                             "matching vector")
+    if twistor_sign(I, J) is None:
         raise NotAQStructure("operators fail the anticommuting twistor relations")
     if not np.isfinite(X).all():
         raise NotAQStructure("X must be a finite vector")

@@ -13,7 +13,8 @@ memory is O(d^3); only :func:`curvature` returns the whole rank-4 tensor.
 The two relations every model rests on are decided here and nowhere else:
 a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 (:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes
-(:func:`is_twistor`).  Each is false on NaN.
+(:func:`is_twistor`, with alpha read from the operators by
+:func:`twistor_sign`).  Each is false on NaN.
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ def is_twistor(alpha: float, *ops: np.ndarray) -> bool:
     return (all(np.abs(F @ F - ident).max() <= bound for F in ops)
             and all(np.abs(F @ G + G @ F).max() <= bound
                     for n, F in enumerate(ops) for G in ops[:n]))
+
+
+def twistor_sign(*ops: np.ndarray):
+    """The alpha of :func:`is_twistor` read from the first operator: +1.0
+    when tr(F^2) > 0, else -1.0; ``None`` when the relations fail for it."""
+    alpha = 1.0 if np.trace(ops[0] @ ops[0]) > 0 else -1.0
+    return alpha if is_twistor(alpha, *ops) else None
 
 
 def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,

@@ -354,6 +354,8 @@ MALFORMED = [
     ("einstein", dict(SU2_FILE, brackets=[[1, 2, 3, float("nan")]])),
     ("piaq", dict(FLAT_MODEL, brackets=[[1, 2, 3, float("inf")]])),
     ("piaq", dict(FLAT_MODEL, I=np.full((4, 4), np.nan).tolist())),
+    # alpha is not coerced: a non-integral number, a bool or a string fails
+    *(("piaq", dict(FLAT_MODEL, alpha=alpha)) for alpha in (1.5, True, "1")),
 ]
 
 
@@ -369,6 +371,22 @@ def test_malformed_file_is_one_error_line(capsys, tmp_path, command, data):
     assert code == 1 and doc is None
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("alpha,verdict", [(0.9999999, None), (1.0, True)])
+def test_model_alpha_is_taken_as_given(capsys, tmp_path, alpha, verdict):
+    """An integral float is the integer; any other alpha is named as given,
+    not as the integer it truncates to."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(FLAT_MODEL, alpha=alpha)))
+    code, doc, err = run(capsys, "piaq", "--model", str(path),
+                         "--predicate", "integrable")
+    if verdict is None:
+        assert code == 1 and one_typed_error(err) == "InvalidModel"
+        assert "got 0.9999999" in err
+    else:
+        assert code == 0 and doc["outputs"]["verdict"] is verdict
+        assert doc["inputs"]["alpha"] == 1
 
 
 class TestVerify:
@@ -493,7 +511,7 @@ class TestNumbers:
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "inf"),
          "Degenerate"),
         (("einstein", "--catalog", "su2", "--lambda", "1e200", "--mu", "0"),
-         "AqlabError"),
+         "Overflow"),
         (("einstein", "--catalog", "su2", "--lambda", "1e150", "--mu", "1e150"),
          "AqlabError"),
         (("selfdual", "--alpha", "1", "--omega", "1e308,1e308,0,0,0,0"),

@@ -8,7 +8,7 @@ import pytest
 from aqlab import cli
 from aqlab import liealg as la
 from aqlab import piaq as pq
-from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple
+from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple, Overflow
 from aqlab.gxg import (
     MIN_SWEEP_RES,
     MetricFamily,
@@ -138,6 +138,15 @@ class TestSheafMetric:
         with pytest.raises(Degenerate, match="finite"):
             MetricFamily(dsu2, lam, mu)
 
+    @pytest.mark.parametrize("lam,mu", [(1e200, 0.0), (0.0, -1e160),
+                                        (1e154, 1e154)])
+    def test_overflowing_parameters_rejected(self, dsu2, lam, mu):
+        """lam^2 + mu^2 of finite parameters leaves the float range: ** raises
+        OverflowError for the first two, the subtractions give -inf for the
+        last; each is the typed error."""
+        with pytest.raises(Overflow, match="overflows"):
+            MetricFamily(dsu2, lam, mu)
+
     def test_block_matrix_form(self, dsu2, dsl2r):
         for model in (dsu2, dsl2r):
             lam, mu = 0.3, -0.2
@@ -175,34 +184,32 @@ class TestSheafMetric:
 
 class TestHermitianStructure:
     def test_collapse_to_third_operator(self, dsu2):
-        hs = MetricFamily(dsu2, 0.0, 0.0).hermitian_structure()
-        assert np.allclose(hs.calJ, dsu2.K)
-        assert np.allclose(-hs.calJ, -dsu2.K)
+        fam = MetricFamily(dsu2, 0.0, 0.0)
+        assert np.allclose(fam.calJ, dsu2.K)
+        assert np.allclose(-fam.calJ, -dsu2.K)
 
     def test_nearly_kahler_point_formula(self, dsu2):
-        hs = MetricFamily(dsu2, 0.0, -0.5).hermitian_structure()
+        fam = MetricFamily(dsu2, 0.0, -0.5)
         want = (-0.5 * dsu2.I + dsu2.K) / np.sqrt(0.75)
-        assert np.allclose(hs.calJ, want)
+        assert np.allclose(fam.calJ, want)
         # equivalently (I - 2K)/sqrt(3) up to overall sign
-        assert np.allclose(hs.calJ, -(dsu2.I - 2 * dsu2.K) / np.sqrt(3.0))
+        assert np.allclose(fam.calJ, -(dsu2.I - 2 * dsu2.K) / np.sqrt(3.0))
 
     def test_elliptic_square_and_isometry(self, dsu2, rng):
         for _ in range(50):
             lam, mu = sample_disc(rng)
             fam = MetricFamily(dsu2, lam, mu)
-            hs = fam.hermitian_structure()
-            assert hs.elliptic
-            assert np.abs(hs.calJ @ hs.calJ + np.eye(6)).max() < 1e-12
+            assert fam.d0 > 0
+            assert np.abs(fam.calJ @ fam.calJ + np.eye(6)).max() < 1e-12
             gs = fam.sheaf_matrix
-            assert np.abs(hs.calJ.T @ gs @ hs.calJ - gs).max() < 1e-11
+            assert np.abs(fam.calJ.T @ gs @ fam.calJ - gs).max() < 1e-11
 
     def test_hyperbolic_square(self, dsu2, rng):
         for _ in range(20):
             lam, mu = rng.uniform(1.0, 2.0, size=2)
             fam = MetricFamily(dsu2, lam, mu)
-            hs = fam.hermitian_structure()
-            assert not hs.elliptic
-            assert np.abs(hs.calJ @ hs.calJ - np.eye(6)).max() < 1e-12
+            assert fam.d0 < 0
+            assert np.abs(fam.calJ @ fam.calJ - np.eye(6)).max() < 1e-12
 
 
 class TestLeviCivita:
@@ -500,7 +507,7 @@ class TestStructureDerivatives:
                     a = fam.nabla_endo(op, x, y)
                     b = fam.nabla_endo_closed(which, x, y)
                     assert np.abs(a - b).max() < 1e-9 * (1 + np.abs(a).max())
-                calJ = fam.hermitian_structure().calJ
+                calJ = fam.calJ
                 b = fam.nabla_endo_closed("calJ", x, y)
                 for a, want in ((fam.nabla_endo(calJ, x, y), b),
                                 (fam.nabla_endo(-calJ, x, y), -b)):

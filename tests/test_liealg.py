@@ -63,6 +63,10 @@ class TestModelValidation:
         with pytest.raises(InvalidModel, match="out of range"):
             la.bracket_tensor(3, [(1, 2, 3, value)])
 
+    def test_empty_model_rejected(self):
+        with pytest.raises(InvalidModel, match="dim must be at least 1"):
+            la.LieAlgebraModel(0, np.zeros((0, 0, 0)))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(InvalidModel, match="must be 3"):
             la.LieAlgebraModel(3, np.zeros((3, 3, 2)))

@@ -52,10 +52,15 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             pq.PiAQModel(4, np.zeros((4, 4, 4)), np.eye(4), np.eye(4), 1)
 
-    @pytest.mark.parametrize("alpha", [0, 2, -1.5])
+    @pytest.mark.parametrize("alpha", [0, 2, -1.5, True, "1", 0.9999999])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(InvalidModel, match="alpha"):
             pq.PiAQModel(4, np.zeros((4, 4, 4)), *standard_pair(4, 1), alpha)
+
+    def test_rejects_empty_model(self):
+        with pytest.raises(InvalidModel, match="dim must be at least 1"):
+            pq.PiAQModel(0, np.zeros((0, 0, 0)), np.zeros((0, 0)),
+                         np.zeros((0, 0)), 1)
 
     def test_rejects_shape_mismatch(self):
         I, J = standard_pair(4, 1)

@@ -234,6 +234,10 @@ class TestOrbitDimension:
         with pytest.raises(NotAQStructure):
             sp.orbit_dimension(np.eye(4), np.eye(4), np.ones(4))
 
+    def test_rejects_empty_operators(self):
+        with pytest.raises(NotAQStructure, match="nonempty"):
+            sp.orbit_dimension(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+
     def test_rejects_nan_operator(self, rng):
         I, J = random_aq_pair(rng, 4, -1)
         I[0, 0] = np.nan

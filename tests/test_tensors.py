@@ -194,6 +194,20 @@ def test_relation_predicates():
         assert not tensors.is_twistor(alpha, I, np.full((4, 4), np.nan))
 
 
+def test_twistor_sign():
+    """alpha read from tr(F^2) and confirmed by the relations; None when the
+    operators fail them, NaN included."""
+    for alpha in (-1, 1):
+        sign = tensors.twistor_sign(*standard_pair(4, alpha))
+        assert sign == alpha and type(sign) is float
+    eye = np.eye(4)
+    assert tensors.twistor_sign(eye, eye) is None  # squares, but commutes
+    assert tensors.twistor_sign(np.diag([1.0, 1.0, 2.0, 1.0])) is None
+    I, _ = standard_pair(4, -1)
+    I[0, 1] = np.nan
+    assert tensors.twistor_sign(I) is None
+
+
 @pytest.mark.parametrize("alpha", (-1, 1))
 def test_one_jacobi_bound_for_every_caller(alpha):
     """A Jacobiator between JACOBI_TOL and ten times it, at |c| = 1: the

@@ -66,28 +66,29 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 def _load_file(path: str, twistor: bool):
     """The algebra in an ``--algebra`` file, or with ``twistor`` the model in
-    a ``--model`` file (Jacobi not required), every schema fault raised as
-    InvalidModel.
+    a ``--model`` file (Jacobi not required), every fault of its content
+    raised as InvalidModel naming the file.
 
     Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
     model file may omit ``brackets`` for the zero bracket.
     """
     from . import liealg as la
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidModel(f"{path}: expected a JSON object")
-    for key in ("dim", "alpha", "I", "J") if twistor else ("dim", "brackets"):
-        if key not in data:
-            raise InvalidModel(f"{path}: missing field {key!r}")
     try:
+        with open(path) as fh:  # an OSError passes unchanged
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise InvalidModel("expected a JSON object")
+        for key in (("dim", "alpha", "I", "J") if twistor
+                    else ("dim", "brackets")):
+            if key not in data:
+                raise InvalidModel(f"missing field {key!r}")
         entries = []
         for rec in data.get("brackets", []):
             vals = ([rec.get(k) for k in ("i", "j", "k", "value")]
                     if isinstance(rec, dict) else rec)
             if not isinstance(vals, list) or len(vals) != 4 or None in vals:
                 raise InvalidModel(
-                    f"{path}: bracket record {rec!r} is not [i, j, k, value]")
+                    f"bracket record {rec!r} is not [i, j, k, value]")
             entries.append(vals)
         name = str(data.get("name", ""))
         if not twistor:
@@ -98,7 +99,7 @@ def _load_file(path: str, twistor: bool):
         return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
                             np.asarray(data["J"], float), data["alpha"],
                             name=name)
-    except (TypeError, ValueError) as exc:
+    except (InvalidModel, TypeError, ValueError) as exc:  # JSON faults too
         raise InvalidModel(f"{path}: {exc}") from None
 
 

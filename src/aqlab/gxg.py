@@ -96,7 +96,7 @@ class MetricFamily:
         if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
             raise Degenerate(f"lam and mu must be finite, got {lam!r}, {mu!r}")
         try:  # ** raises OverflowError; the subtractions give -inf instead
-            self.d0 = 1.0 - self.lam ** 2 - self.mu ** 2
+            self.d0 = _d0(self.lam, self.mu)
         except OverflowError:
             self.d0 = -math.inf
         if math.isinf(self.d0):
@@ -104,7 +104,7 @@ class MetricFamily:
                            f"mu = {mu!r}")
         if abs(self.d0) <= DEGENERACY_TOL:
             raise Degenerate(
-                f"lam^2 + mu^2 = {self.lam ** 2 + self.mu ** 2!r} lies on the "
+                f"1 - lam^2 - mu^2 = {self.d0!r}: (lam, mu) lies on the "
                 "degeneracy circle"
             )
 
@@ -234,13 +234,9 @@ class MetricFamily:
         """
         if not closed:
             return ricci(self.model.c2, self.nabla, self.sheaf_inverse)
-        m = self.model
         A, Bc, C, D = ricci_coefficients(self.lam, self.mu)
-        ads = m.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
-        w = np.zeros((2, m.dim2))  # eps on each factor's half of the basis
-        w[0, :m.n] = w[1, m.n:] = m.eps
-        C1, C2 = np.tensordot(w, ads @ ads, 1)
-        return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ m.J) / self.d0
+        C1, C2 = self.model.ricci_blocks
+        return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ self.model.J) / self.d0
 
     def einstein_check(self):
         """Return the Ricci constant when the closed Ricci matrix is eps * id."""
@@ -341,6 +337,12 @@ class MetricFamily:
 # Closed-form classification in (lam, mu)
 # ---------------------------------------------------------------------------
 
+def _d0(lam, mu):
+    """1 - lam^2 - mu^2, the determinant factor of the family's metric, for
+    floats or arrays alike; zero on the degeneracy circle."""
+    return 1.0 - lam ** 2 - mu ** 2
+
+
 def ricci_coefficients(lam: float, mu: float):
     """The four scalars (A, B, C, D) of the contracted curvature.
 
@@ -350,11 +352,11 @@ def ricci_coefficients(lam: float, mu: float):
         r(X) = (1/d0) sum_a eps_a { A [[X, e_a], e_a] + B [[X, Je_a], Je_a]
                 + C [[JX, e_a], e_a] + D [[JX, Je_a], Je_a] }.
     """
-    d0 = 1.0 - lam ** 2 - mu ** 2
-    A = -(1.0 - lam) / 4.0 + mu ** 2 * (mu - lam + 1.0) / (4.0 * d0)
-    B = -(1.0 + lam) / 4.0 + mu ** 2 * (mu + lam + 1.0) / (4.0 * d0)
-    C = mu * (-2 * mu ** 2 - lam ** 2 + 3 * lam * mu - 3 * mu + 2 * lam - 1.0) / (4.0 * d0)
-    D = -mu * (2 * mu ** 2 + lam ** 2 + 3 * lam * mu + 3 * mu + 2 * lam + 1.0) / (4.0 * d0)
+    q = 4.0 * _d0(lam, mu)
+    A = -(1.0 - lam) / 4.0 + mu ** 2 * (mu - lam + 1.0) / q
+    B = -(1.0 + lam) / 4.0 + mu ** 2 * (mu + lam + 1.0) / q
+    C = mu * (-2 * mu ** 2 - lam ** 2 + 3 * lam * mu - 3 * mu + 2 * lam - 1.0) / q
+    D = -mu * (2 * mu ** 2 + lam ** 2 + 3 * lam * mu + 3 * mu + 2 * lam + 1.0) / q
     return A, B, C, D
 
 
@@ -367,10 +369,8 @@ def einstein_residuals(lam, mu):
     lam = np.asarray(lam, float)
     mu = np.asarray(mu, float)
     A, B, C, D = ricci_coefficients(lam, mu)
-    d0 = 1.0 - lam ** 2 - mu ** 2
-    off = (np.abs(C) + np.abs(D)) / np.abs(d0)
-    aniso = np.abs(A - B) / np.abs(d0)
-    return off, aniso
+    r = np.abs(_d0(lam, mu))
+    return (np.abs(C) + np.abs(D)) / r, np.abs(A - B) / r
 
 
 def classify_einstein(model: DoubledModel):
@@ -399,23 +399,25 @@ def classify_einstein(model: DoubledModel):
     return out
 
 
-def _refine_minimum(lam: float, mu: float, half: float):
-    """Iteratively shrink a local grid around a defect minimum."""
+def _refine_minima(lam: np.ndarray, mu: np.ndarray, half: float):
+    """Shrink a local 21 x 21 grid around every defect minimum (lam[k],
+    mu[k]) at once, each step one stacked grid over all of them."""
     while half > SWEEP_REFINE_FLOOR:
-        ls = lam + np.linspace(-half, half, 21)
-        ms = mu + np.linspace(-half, half, 21)
-        gl, gm = np.meshgrid(ls, ms, indexing="ij")
+        step = np.linspace(-half, half, 21)
+        ls = lam[:, None] + step
+        ms = mu[:, None] + step
+        gl, gm = ls[:, :, None], ms[:, None, :]
         off, aniso = einstein_residuals(gl, gm)
         defect = np.where(gl ** 2 + gm ** 2 < 1.0 - DISC_MARGIN,
                           off + aniso, np.inf)
-        i, j = np.unravel_index(int(np.argmin(defect)), defect.shape)
-        lam, mu = float(gl[i, j]), float(gm[i, j])
+        i, j = np.divmod(defect.reshape(len(lam), -1).argmin(axis=1), 21)
+        rows = np.arange(len(lam))
+        lam, mu = ls[rows, i], ms[rows, j]
         half /= 10.0
     # refinement stops at SWEEP_REFINE_FLOOR windows, so smaller magnitudes
     # are noise
-    lam = 0.0 if abs(lam) < SWEEP_SNAP else lam
-    mu = 0.0 if abs(mu) < SWEEP_SNAP else mu
-    return lam, mu
+    return (np.where(np.abs(lam) < SWEEP_SNAP, 0.0, lam),
+            np.where(np.abs(mu) < SWEEP_SNAP, 0.0, mu))
 
 
 def einstein_sweep(res: float = 0.01):
@@ -450,11 +452,10 @@ def einstein_sweep(res: float = 0.01):
             continue
         centers.append((l, m))
     points = []
-    for l, m in centers:
-        rl, rm = _refine_minimum(l, m, res)
+    for rl, rm in zip(*_refine_minima(*np.reshape(centers, (-1, 2)).T, res)):
+        rl, rm = float(rl), float(rm)
         o, a = einstein_residuals(rl, rm)
-        d0 = 1.0 - rl ** 2 - rm ** 2
-        eps = -ricci_coefficients(rl, rm)[0] / d0
+        eps = -ricci_coefficients(rl, rm)[0] / _d0(rl, rm)
         if float(o + a) >= SWEEP_TOL * (1.0 + abs(eps)):
             continue
         if any(np.hypot(rl - pl, rm - pm) < SWEEP_POINT_SEP

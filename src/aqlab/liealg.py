@@ -19,12 +19,13 @@ metric family of :mod:`aqlab.gxg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
-from .tensors import (apply, is_antisymmetric, is_lie, jacobi_defect, post,
-                      transport)
+from .tensors import (apply, is_antisymmetric, is_integral, is_lie,
+                      jacobi_defect, post, transport)
 
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
@@ -42,15 +43,19 @@ class LieAlgebraModel:
     name: str = ""
 
     def __post_init__(self):
+        if not is_integral(self.dim):
+            raise InvalidModel(f"dim must be an integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         c = np.asarray(self.c, dtype=float)
         if c.shape != (self.dim, self.dim, self.dim):
             raise InvalidModel(f"structure tensor must be {self.dim}^3")
         if self.dim < 1:
             raise InvalidModel(f"dim must be at least 1, got {self.dim!r}")
         object.__setattr__(self, "c", c)
-        if not is_antisymmetric(c):
+        top = np.abs(c).max()
+        if not is_antisymmetric(c, top):
             raise InvalidModel("structure constants are not antisymmetric")
-        if not is_lie(c):
+        if not is_lie(c, top):
             raise InvalidModel(f"Jacobi identity fails by {jacobi_defect(c):.3e}")
 
     def bracket(self, x, y) -> np.ndarray:
@@ -70,8 +75,7 @@ def bracket_tensor(dim: int, entries) -> np.ndarray:
     ``dim`` must be an integer (an integral float counts) from 1 to
     ``MAX_DIM``; it is checked before anything is allocated.
     """
-    if (isinstance(dim, bool) or not isinstance(dim, (int, float))
-            or not 1 <= dim <= MAX_DIM or dim != int(dim)):
+    if not (is_integral(dim) and 1 <= dim <= MAX_DIM):
         raise InvalidModel(f"dim must be an integer from 1 to {MAX_DIM}, "
                            f"got {dim!r}")
     dim = int(dim)
@@ -161,10 +165,11 @@ def pseudo_orthonormalize(A: LieAlgebraModel):
     trace form is degenerate.
     """
     w, qmat = np.linalg.eigh(killing_form(A))
-    if np.abs(w).min() <= SEMISIMPLE_TOL * max(1.0, np.abs(w).max()):
+    size = np.abs(w)
+    if size.min() <= SEMISIMPLE_TOL * max(1.0, size.max()):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     eps = np.sign(w)
-    root = np.sqrt(np.abs(w))
+    root = np.sqrt(size)
     basis = qmat / root
     c_new = post(qmat.T * root[:, None], transport(A.c, basis, basis))
     # a basis change of a validated bracket: not checked a second time
@@ -195,12 +200,29 @@ class DoubledModel:
         c2[:n, :n, :n] = self.obase.c
         c2[n:, n:, n:] = self.obase.c
         self.c2 = c2
+        # I = diag(1, -1), J swaps the factors, K = IJ and g0 = diag(eps, eps),
+        # each written entry by entry
+        e, f = np.arange(n), np.arange(n, 2 * n)
         self.I = np.eye(2 * n)
         self.I[n:, n:] *= -1.0
         self.J = np.zeros((2 * n, 2 * n))
-        self.J[:n, n:] = self.J[n:, :n] = np.eye(n)
-        self.K = self.I @ self.J
-        self.g0 = np.diag(np.concatenate([self.eps, self.eps]))
+        self.J[e, f] = self.J[f, e] = 1.0
+        self.K = np.zeros((2 * n, 2 * n))
+        self.K[e, f], self.K[f, e] = 1.0, -1.0
+        self.g0 = np.zeros((2 * n, 2 * n))
+        self.g0[e, e] = self.g0[f, f] = self.eps
+
+    @cached_property
+    def ricci_blocks(self) -> tuple:
+        """(C1, C2): the sums of eps_a ad(e_a)^2 over the basis of the first
+        and of the second factor, the two blocks of the closed Ricci
+        operator of :meth:`aqlab.gxg.MetricFamily.ricci_matrix`."""
+        d = self.dim2
+        ads = self.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
+        w = np.zeros((2, d))  # eps on each factor's half of the basis
+        w[0, :self.n] = w[1, self.n:] = self.eps
+        C1, C2 = np.dot(w, (ads @ ads).reshape(d, d * d)).reshape(2, d, d)
+        return C1, C2
 
     @property
     def name(self) -> str:

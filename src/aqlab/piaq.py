@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from .errors import (
     WrongSignature,
 )
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, is_antisymmetric, is_lie,
-                      is_twistor, jacobi_defect, post, transport, twistor_sign)
+                      curvature_slab, curvature_slabs, is_antisymmetric,
+                      is_integral, is_lie, is_twistor, jacobi_defect, post,
+                      transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to (1 + |c|)^2, curvature to (1 + |c|)^4
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
@@ -60,6 +61,8 @@ class PiAQModel:
         if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
                 or alpha not in (-1, 1)):
             raise InvalidModel(f"alpha must be -1 or +1, got {alpha!r}")
+        if not is_integral(dim):
+            raise InvalidModel(f"dim must be an integer, got {dim!r}")
         self.dim = int(dim)
         self.alpha = int(alpha)
         self.name = name
@@ -71,7 +74,8 @@ class PiAQModel:
             raise InvalidModel("shape mismatch between dim, c, I, J")
         if m < 1:
             raise InvalidModel(f"dim must be at least 1, got {dim!r}")
-        if not is_antisymmetric(self.c):
+        self._c_top = np.abs(self.c).max()  # |c|, read by _scale
+        if not is_antisymmetric(self.c, self._c_top):
             raise InvalidModel("bracket is not antisymmetric")
         if not is_twistor(alpha, self.I, self.J):
             raise InvalidModel("I, J fail the twistor-pair relations")
@@ -82,23 +86,24 @@ class PiAQModel:
 
     @property
     def is_lie(self) -> bool:
-        return is_lie(self.c)
+        return is_lie(self.c, self._c_top)
 
     @cached_property
     def nabla(self) -> np.ndarray:
         """Connection tensor N[a, b, l] = (nabla_{e_a} e_b)^l, eight-term form."""
         a = float(self.alpha)
         I, J, K = self.I, self.J, self.K
-        t = partial(transport, self.c)
+        c = self.c
+        cI = transport(c, I)  # the one transport in the first slot
         total = (
-            t(None, None)
-            - a * t(I, I)
-            + a * post(J, t(None, J))
-            - post(J, t(I, K))
-            - a * post(I, t(I, None))
-            + a * post(I, t(None, I))
-            - post(K, t(None, K))
-            + post(K, t(I, J))
+            c
+            - a * transport(cI, None, I)
+            + a * post(J, transport(c, None, J))
+            - post(J, transport(cI, None, K))
+            - a * post(I, cI)
+            + a * post(I, transport(c, None, I))
+            - post(K, transport(c, None, K))
+            + post(K, transport(cI, None, J))
         )
         return 0.25 * total
 
@@ -126,8 +131,10 @@ class PiAQModel:
         V[i, r] = a * self.I
         V *= 0.5
         H = np.eye(2 * m) - V
-        n = (post(V, transport(c, H, V) + post(a * J, transport(c, V, J @ V)))
-             + post(H, transport(c, V, H) + post(a * J, transport(c, H, J @ H))))
+        aJ = a * J
+        cV, cH = transport(c, V), transport(c, H)
+        n = (post(V, transport(cH, None, V) + post(aJ, transport(cV, None, J @ V)))
+             + post(H, transport(cV, None, H) + post(aJ, transport(cH, None, J @ H))))
         return n[:m, :m, :m]
 
     @cached_property
@@ -177,13 +184,18 @@ def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
     s = twistor_sign(F)
     if s is None:
         raise NotTwistor("operator does not square to a +/- identity multiple")
-    FX, FY = F @ np.asarray(X, float), F @ np.asarray(Y, float)
-    return (s * M.bracket(X, Y) + M.bracket(FX, FY)
-            - F @ M.bracket(FX, Y) - F @ M.bracket(X, FY))
+    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    FX, FY = F @ X, F @ Y
+    # the brackets [X, Y], [FX, FY], [FX, Y], [X, FY] in one stacked product
+    d = M.dim
+    t = (np.array([X, FX, FX, X]) @ M.c.reshape(d, d * d)).reshape(4, d, d)
+    b = (np.array([Y, FY, Y, FY])[:, None] @ t)[:, 0]
+    Fb = b[2:] @ F.T
+    return s * b[0] + b[1] - Fb[0] - Fb[1]
 
 
 def _scale(M: PiAQModel) -> float:
-    return (1.0 + np.abs(M.c).max()) ** 2
+    return (1.0 + M._c_top) ** 2
 
 
 # Each torsion-type predicate is one ``_<name>_defect`` returning its

@@ -35,8 +35,7 @@ class QuaternionA:
     alpha: int
 
     def __post_init__(self):
-        if self.alpha not in (-1, 1):
-            raise ValueError(f"alpha must be -1 or +1, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -62,9 +61,32 @@ class QuaternionA:
                 f" | a={self.alpha:+d})")
 
 
+def _check_alpha(alpha):
+    if alpha not in (-1, 1):
+        raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
+
+
+_SET_FIELDS = tuple(getattr(QuaternionA, name).__set__
+                    for name in ("a", "b", "c", "d", "alpha"))
+
+
+def _mk(a: float, b: float, c: float, d: float, alpha: int) -> QuaternionA:
+    """Unvalidated constructor for floats of an already validated alpha."""
+    q = object.__new__(QuaternionA)
+    set_a, set_b, set_c, set_d, set_alpha = _SET_FIELDS
+    set_a(q, a)
+    set_b(q, b)
+    set_c(q, c)
+    set_d(q, d)
+    set_alpha(q, alpha)
+    return q
+
+
 def from_coeffs(v, alpha: int) -> QuaternionA:
-    a, b, c, d = (float(t) for t in v)
-    return QuaternionA(a, b, c, d, alpha)
+    a, b, c, d = v
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    _check_alpha(alpha)
+    return _mk(a, b, c, d, alpha)
 
 
 def one(alpha: int) -> QuaternionA:
@@ -100,7 +122,7 @@ def qmul(p: QuaternionA, q: QuaternionA) -> QuaternionA:
     al = p.alpha
     a, b, c, d = p.a, p.b, p.c, p.d
     e, f, g, h = q.a, q.b, q.c, q.d
-    return QuaternionA(
+    return _mk(
         (a * e + al * b * f) + al * (g * c + al * -h * d),
         (a * f + b * e) + al * (g * d + -h * c),
         (a * g + al * -b * -h) + (e * c + al * f * -d),

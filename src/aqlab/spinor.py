@@ -133,8 +133,10 @@ def check_iq_basis(basis: IQBasis):
         if not qt.is_purely_imaginary(q):
             raise OrthonormalityViolated("basis member is not purely imaginary")
     expected = (-float(alpha), -float(alpha), 1.0)
+    # the Gram matrix is symmetric to the bit, so the first failing entry in
+    # row-major order lies on or above the diagonal
     for r in range(3):
-        for c in range(3):
+        for c in range(r, 3):
             val = qt.scalar_product(js[r], js[c])
             want = expected[r] if r == c else 0.0
             if not abs(val - want) <= GRAM_TOL:  # NaN fails too
@@ -144,70 +146,155 @@ def check_iq_basis(basis: IQBasis):
                 )
 
 
-def _seed_vectors(alpha: int):
-    i = sk.imag_unit(alpha)
-    o = sk.one(alpha)
-    z = sk.zero(alpha)
-    # a generator: spinbasis usually stops at the first seed
-    pairs = ((o, z), (z, o), (o, o), (o, sk.neg(o)), (o, i), (i, o),
-             (o, sk.from_real(2.0, alpha)), (sk.from_real(2.0, alpha), o),
-             (o, sk.add(o, i)), (sk.add(o, i), sk.from_real(3.0, alpha)))
-    return (SpinVector(x1, x2) for x1, x2 in pairs)
+# The spin basis is built on plain floats: a spin vector is the 4-tuple
+# (x1.re, x1.im, x2.re, x2.im) and a 2x2 matrix [[a, b], [c, d]] the 8-tuple
+# (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im).  Every expression below
+# is the one the ScalarKA and SpinMatrix operations evaluate, term for term
+# and in the same order, so the results are bit-identical to that route.
+
+#: seed vectors in the order spinbasis tries them: e1, e2, e1 + e2, e1 - e2,
+#: e1 + i e2, i e1 + e2, e1 + 2 e2, 2 e1 + e2, e1 + (1 + i) e2 and
+#: (1 + i) e1 + 3 e2, each as the ring operations build it
+_SEEDS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0),
+          (1.0, 0.0, -1.0, -0.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0),
+          (1.0, 0.0, 2.0, 0.0), (2.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0),
+          (1.0, 1.0, 3.0, 0.0))
+
+
+def _entries(m: SpinMatrix) -> tuple:
+    (a, b), (c, d) = m.m
+    return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
+
+
+def _spin_entries(q: QuaternionA) -> tuple:
+    """:func:`aqlab.quat.spin_matrix` of q as an 8-tuple."""
+    al = q.alpha
+    return (q.a, q.b, al * q.c, al * q.d, q.c, -q.d, q.a, -q.b)
+
+
+def _from_entries(e: tuple, alpha: int) -> SpinMatrix:
+    mk = sk._mk
+    return SpinMatrix(((mk(e[0], e[1], alpha), mk(e[2], e[3], alpha)),
+                       (mk(e[4], e[5], alpha), mk(e[6], e[7], alpha))))
+
+
+def _matvec(m: tuple, v: tuple, al: int) -> tuple:
+    """:func:`apply_matrix` on floats."""
+    ar, ai, br, bi, cr, ci, dr, di = m
+    xr, xi, yr, yi = v
+    return ((ar * xr + al * ai * xi) + (br * yr + al * bi * yi),
+            (ar * xi + ai * xr) + (br * yi + bi * yr),
+            (cr * xr + al * ci * xi) + (dr * yr + al * di * yi),
+            (cr * xi + ci * xr) + (dr * yi + di * yr))
+
+
+def _matmul(m: tuple, n: tuple, al: int) -> tuple:
+    """``SpinMatrix.__matmul__`` on floats."""
+    ar, ai, br, bi, cr, ci, dr, di = m
+    er, ei, fr, fi, gr, gi, hr, hi = n
+    return ((ar * er + al * ai * ei) + (br * gr + al * bi * gi),
+            (ar * ei + ai * er) + (br * gi + bi * gr),
+            (ar * fr + al * ai * fi) + (br * hr + al * bi * hi),
+            (ar * fi + ai * fr) + (br * hi + bi * hr),
+            (cr * er + al * ci * ei) + (dr * gr + al * di * gi),
+            (cr * ei + ci * er) + (dr * gi + di * gr),
+            (cr * fr + al * ci * fi) + (dr * hr + al * di * hi),
+            (cr * fi + ci * fr) + (dr * hi + di * hr))
+
+
+def _inverse(m: tuple, al: int):
+    """``SpinMatrix.inv`` on floats; None when the determinant is isotropic."""
+    ar, ai, br, bi, cr, ci, dr, di = m
+    zr = (ar * dr + al * ai * di) - (br * cr + al * bi * ci)
+    zi = (ar * di + ai * dr) - (br * ci + bi * cr)
+    n = zr * zr - al * zi * zi
+    if abs(n) <= sk.ISOTROPY_TOL:
+        return None
+    u, v = zr / n, -zi / n
+    return (u * dr + al * v * di, u * di + v * dr,
+            u * -br + al * v * -bi, u * -bi + v * -br,
+            u * -cr + al * v * -ci, u * -ci + v * -cr,
+            u * ar + al * v * ai, u * ai + v * ar)
+
+
+def _hermitian(x: tuple, y: tuple, al: int) -> tuple:
+    """(re, im) of :func:`hermitian_form` on floats."""
+    a, b, e, f = x
+    c, d, g, h = y
+    return ((a * c + al * -b * d) + -al * (e * g + al * -f * h),
+            (a * d + -b * c) + -al * (e * h + -f * g))
+
+
+def _times(zr: float, zi: float, v: tuple, al: int) -> tuple:
+    """:func:`scalar_mul` of the scalar zr + i zi on floats."""
+    xr, xi, yr, yi = v
+    return (zr * xr + al * zi * xi, zr * xi + zi * xr,
+            zr * yr + al * zi * yi, zr * yi + zi * yr)
+
+
+def _close(m: tuple, n: tuple) -> bool:
+    for x, y in zip(m, n):
+        if not abs(x - y) <= CONJ_TOL:  # NaN fails too
+            return False
+    return True
 
 
 #: per alpha, the targets of the seed conjugation: the Pauli triple and
 #: -sigma3 = [[0, -alpha*i], [i, 0]], whose match flips the orientation sign
-_PAULI = {alpha: (*qt.pauli_matrices(alpha),
-                  qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))
-          for alpha in (-1, 1)}
+_PAULI = {alpha: tuple(map(_entries, (
+    *qt.pauli_matrices(alpha),
+    qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))))
+    for alpha in (-1, 1)}
 
 
-def _try_spinbasis_from_seed(basis: IQBasis, X: SpinVector):
-    """One attempt of the eigenvector construction; None when the seed fails."""
+def _try_spinbasis_from_seed(basis: IQBasis, X: tuple):
+    """One attempt of the eigenvector construction from the seed X; the
+    change-of-basis entries and sign, or None when the seed fails."""
     j1, j2, j3 = basis
-    alpha = j1.alpha
-    i = sk.imag_unit(alpha)
-    ialpha = sk.scale(float(alpha), i)  # i * [j1]^3 acts as (alpha i) * [j1]
+    al = j1.alpha
+    fa = float(al)
+    iar, iai = fa * 0.0, fa * 1.0  # i * [j1]^3 acts as (alpha i) * [j1]
 
-    W = apply(j1, X)
-    ep1 = X + scalar_mul(ialpha, W)
-    ep2 = X - scalar_mul(ialpha, W)
-    n1 = hermitian_form(ep1, ep1).re
-    n2 = hermitian_form(ep2, ep2).re
+    S1 = _spin_entries(j1)
+    wr1, wi1, wr2, wi2 = _times(iar, iai, _matvec(S1, X, al), al)
+    xr1, xi1, xr2, xi2 = X
+    ep1 = (xr1 + wr1, xi1 + wi1, xr2 + wr2, xi2 + wi2)
+    ep2 = (xr1 - wr1, xi1 - wi1, xr2 - wr2, xi2 - wi2)
+    n1 = _hermitian(ep1, ep1, al)[0]
+    n2 = _hermitian(ep2, ep2, al)[0]
     if abs(n1) <= sk.ISOTROPY_TOL or abs(n2) <= sk.ISOTROPY_TOL:
         return None  # eigenvector seed or isotropic normalization denominator
 
-    ep1 = scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
-    ep2 = scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n2)), alpha), ep2)
+    ep1 = _times(1.0 / math.sqrt(abs(n1)), 0.0, ep1, al)
+    ep2 = _times(1.0 / math.sqrt(abs(n2)), 0.0, ep2, al)
     # Fix the norm signs to the standard pattern (+1, -alpha), read from n1
     # and n2: the positive rescaling keeps them.  Multiplying by i flips the
     # sign of <<v, v>> exactly when alpha = +1.
     if n1 < 0:
-        ep1 = scalar_mul(i, ep1)
-    if n2 * float(alpha) > 0:
-        ep2 = scalar_mul(i, ep2)
+        ep1 = _times(0.0, 1.0, ep1, al)
+    if n2 * fa > 0:
+        ep2 = _times(0.0, 1.0, ep2, al)
 
     # [j2] ep1 = a ep2 with |a|^2 = 1; the second basis operator becomes
     # [[0, alpha], [1, 0]] exactly after rescaling the second vector by a.
-    w = apply(j2, ep1)
-    a = sk.scale(-float(alpha), hermitian_form(ep2, w))
-    e1, e2 = ep1, scalar_mul(a, ep2)
+    S2 = _spin_entries(j2)
+    hr, hi = _hermitian(ep2, _matvec(S2, ep1, al), al)
+    e2 = _times(-fa * hr, -fa * hi, ep2, al)
 
-    P = SpinMatrix(((e1.x1, e2.x1), (e1.x2, e2.x2)))
-    if sk.is_isotropic(P.det()):
+    P = (ep1[0], ep1[1], e2[0], e2[1], ep1[2], ep1[3], e2[2], e2[3])
+    Pinv = _inverse(P, al)
+    if Pinv is None:
         return None
-    Pinv = P.inv()
 
-    s1, s2, s3, neg_s3 = _PAULI[alpha]
-    m1 = Pinv @ qt.spin_matrix(j1) @ P
-    m2 = Pinv @ qt.spin_matrix(j2) @ P
-    m3 = Pinv @ qt.spin_matrix(j3) @ P
-    if not (qt.smat_close(m1, s1, CONJ_TOL) and qt.smat_close(m2, s2, CONJ_TOL)):
+    s1, s2, s3, neg_s3 = _PAULI[al]
+    if not (_close(_matmul(_matmul(Pinv, S1, al), P, al), s1)
+            and _close(_matmul(_matmul(Pinv, S2, al), P, al), s2)):
         return None
-    if qt.smat_close(m3, s3, CONJ_TOL):
-        return SpinBasisResult(P, +1)
-    if qt.smat_close(m3, neg_s3, CONJ_TOL):
-        return SpinBasisResult(P, -1)
+    m3 = _matmul(_matmul(Pinv, _spin_entries(j3), al), P, al)
+    if _close(m3, s3):
+        return P, +1
+    if _close(m3, neg_s3):
+        return P, -1
     return None
 
 
@@ -230,11 +317,11 @@ def spinbasis(basis: IQBasis) -> SpinBasisResult:
             (possible only for alpha = +1).
     """
     check_iq_basis(basis)
-    alpha = basis.j1.alpha
-    for X in _seed_vectors(alpha):
+    for X in _SEEDS:
         result = _try_spinbasis_from_seed(basis, X)
         if result is not None:
-            return result
+            P, sign = result
+            return SpinBasisResult(_from_entries(P, basis.j1.alpha), sign)
     raise DegenerateEigenvector(
         "no seed vector produced non-isotropic eigenvector normalizations"
     )
@@ -242,8 +329,13 @@ def spinbasis(basis: IQBasis) -> SpinBasisResult:
 
 def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
     """Conjugate the matrix of q into the constructed basis."""
-    P = result.matrix
-    return P.inv() @ qt.spin_matrix(q) @ P
+    al = result.matrix.alpha
+    P = _entries(result.matrix)
+    Pinv = _inverse(P, al)
+    if Pinv is None:
+        result.matrix.inv()  # raises IsotropicScalar
+    sk._check_signatures(result.matrix, q)
+    return _from_entries(_matmul(_matmul(Pinv, _spin_entries(q), al), P, al), al)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +366,8 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
         raise NotAQStructure("operators fail the anticommuting twistor relations")
     if not np.isfinite(X).all():
         raise NotAQStructure("X must be a finite vector")
-    if np.abs(X).max() == 0.0:
+    if not X.any():
         raise ZeroVector("orbit of the zero vector is not defined")
-    cols = np.column_stack([X, I @ X, J @ X, I @ (J @ X)])
+    cols = np.array([X, I @ X, J @ X, I @ (J @ X)]).T
     svals = np.linalg.svd(cols, compute_uv=False)
-    return int(np.sum(svals > RANK_TOL * svals[0]))
+    return int((svals > RANK_TOL * svals[0]).sum())

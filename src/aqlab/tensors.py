@@ -19,6 +19,9 @@ a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
@@ -71,34 +74,63 @@ def jacobi_defect(c: np.ndarray) -> float:
     return float(top)
 
 
-def is_antisymmetric(c: np.ndarray) -> bool:
-    """c[a, b] = -c[b, a] to ``JACOBI_TOL`` max(1, |c|)."""
+def is_integral(n) -> bool:
+    """n is a finite real number with an integer value, and not a bool: the
+    test of every model dimension (an integral float counts)."""
+    return (not isinstance(n, bool) and isinstance(n, numbers.Real)
+            and math.isfinite(n) and n == int(n))
+
+
+def is_antisymmetric(c: np.ndarray, top=None) -> bool:
+    """c[a, b] = -c[b, a] to ``JACOBI_TOL`` max(1, |c|); ``top`` is |c| when
+    the caller has it."""
+    if top is None:
+        top = np.abs(c).max()
     return bool(np.abs(c + c.transpose(1, 0, 2)).max()
-                <= JACOBI_TOL * max(1.0, np.abs(c).max()))
+                <= JACOBI_TOL * max(1.0, top))
 
 
-def is_lie(c: np.ndarray) -> bool:
+def is_lie(c: np.ndarray, top=None) -> bool:
     """The Jacobi identity of an antisymmetric c, its Jacobiator to
     ``JACOBI_TOL`` max(1, |c|)^2; with :func:`is_antisymmetric`, c is a Lie
-    bracket."""
-    return jacobi_defect(c) <= JACOBI_TOL * max(1.0, np.abs(c).max()) ** 2
+    bracket.  ``top`` is |c| when the caller has it."""
+    if top is None:
+        top = np.abs(c).max()
+    return jacobi_defect(c) <= JACOBI_TOL * max(1.0, top) ** 2
 
 
 def is_twistor(alpha: float, *ops: np.ndarray) -> bool:
     """Each operator F squares to alpha id and each two anticommute, to
     ``STRUCT_TOL`` max(1, |F|)^2 over all of them."""
-    bound = STRUCT_TOL * max(1.0, *(np.abs(F).max() for F in ops)) ** 2
-    ident = alpha * np.eye(len(ops[0]))
-    return (all(np.abs(F @ F - ident).max() <= bound for F in ops)
-            and all(np.abs(F @ G + G @ F).max() <= bound
-                    for n, F in enumerate(ops) for G in ops[:n]))
+    return _twistor_check(ops, alpha)[1]
 
 
 def twistor_sign(*ops: np.ndarray):
     """The alpha of :func:`is_twistor` read from the first operator: +1.0
     when tr(F^2) > 0, else -1.0; ``None`` when the relations fail for it."""
-    alpha = 1.0 if np.trace(ops[0] @ ops[0]) > 0 else -1.0
-    return alpha if is_twistor(alpha, *ops) else None
+    alpha, holds = _twistor_check(ops)
+    return alpha if holds else None
+
+
+def _twistor_check(ops, alpha=None):
+    """(alpha, whether the twistor relations hold for it): every square
+    F^2 - alpha id and every anticommutator FG + GF stacked in one array
+    whose sup norm meets the bound once.  Without ``alpha``, it is read from
+    the square of the first operator as :func:`twistor_sign` states."""
+    S = np.array(ops)
+    k, n = len(S), S.shape[-1]
+    rel = np.empty((k * (k + 1) // 2, n, n))
+    np.matmul(S, S, out=rel[:k])
+    if alpha is None:
+        alpha = 1.0 if rel[0].trace() > 0 else -1.0
+    rel[:k].reshape(k, n * n)[:, ::n + 1] -= alpha
+    r = k
+    for a in range(1, k):
+        for b in range(a):
+            np.add(S[a] @ S[b], S[b] @ S[a], out=rel[r])
+            r += 1
+    bound = STRUCT_TOL * max(1.0, np.abs(S).max()) ** 2
+    return alpha, bool(np.abs(rel).max() <= bound)  # NaN fails too
 
 
 def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,

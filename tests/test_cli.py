@@ -370,7 +370,20 @@ def test_malformed_file_is_one_error_line(capsys, tmp_path, command, data):
     code, doc, err = run(capsys, *argv)
     assert code == 1 and doc is None
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: InvalidModel: {path}: "), lines[0]
+
+
+def test_model_error_names_the_file(capsys, tmp_path):
+    """A fault that PiAQModel finds is named with the file, as a schema
+    fault is."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(FLAT_MODEL, alpha=[1])))
+    code, doc, err = run(capsys, "piaq", "--model", str(path),
+                         "--predicate", "integrable")
+    assert code == 1 and doc is None
+    assert err == (f"error: InvalidModel: {path}: alpha must be -1 or +1, "
+                   "got [1]\n")
 
 
 @pytest.mark.parametrize("alpha,verdict", [(0.9999999, None), (1.0, True)])

@@ -1,5 +1,8 @@
 """The metric family on a doubled group: connection, curvature, Ricci."""
 
+import hashlib
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -18,6 +21,8 @@ from aqlab.gxg import (
     ricci_coefficients,
 )
 from conftest import so_algebra
+
+SWEEP_SNAPSHOT = pathlib.Path(__file__).with_name("sweep_snapshot.json")
 
 EXACT_POINTS = [(0.0, 0.0, 0.25), (0.0, -0.5, 5.0 / 18.0),
                 (1.0 / 3.0, -2.0 / 3.0, 0.375),
@@ -474,6 +479,21 @@ class TestClassification:
         for (gl, gm, ge), (wl, wm, we) in zip(pts, EXACT_POINTS):
             assert np.hypot(gl - wl, gm - wm) < 1e-8
             assert abs(ge - we) < 1e-8
+
+    @pytest.mark.parametrize("res", ["0.05", "0.01"])
+    def test_sweep_is_bit_identical_to_its_snapshot(self, res):
+        """The grid arrays (by SHA-256 of their bytes) and the refined
+        points (as hex floats) equal ``sweep_snapshot.json`` bit for bit:
+        refining all centers in one stacked grid must find the same points
+        as refining them one at a time."""
+        want = json.loads(SWEEP_SNAPSHOT.read_text())[res]
+        grid = einstein_sweep(res=float(res))
+        assert grid["lam"].size == want["size"]
+        for key, digest in want["sha256"].items():
+            data = np.ascontiguousarray(grid[key], "<f8").tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest, key
+        assert [[float(x).hex() for x in p]
+                for p in grid["einstein_points"]] == want["einstein_points"]
 
     @pytest.mark.parametrize("res", [0.0, -0.1, np.nan, np.inf,
                                      0.5 * MIN_SWEEP_RES])

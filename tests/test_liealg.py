@@ -63,6 +63,16 @@ class TestModelValidation:
         with pytest.raises(InvalidModel, match="out of range"):
             la.bracket_tensor(3, [(1, 2, 3, value)])
 
+    @pytest.mark.parametrize("dim", [3.5, True, "3", None, float("nan"),
+                                     float("inf")])
+    def test_model_rejects_a_non_integral_dim(self, dim):
+        with pytest.raises(InvalidModel, match="dim must be an integer"):
+            la.LieAlgebraModel(dim, la.su2().c)
+
+    def test_model_keeps_an_integral_float_dim_as_int(self):
+        A = la.LieAlgebraModel(3.0, la.su2().c)
+        assert A.dim == 3 and type(A.dim) is int
+
     def test_empty_model_rejected(self):
         with pytest.raises(InvalidModel, match="dim must be at least 1"):
             la.LieAlgebraModel(0, np.zeros((0, 0, 0)))

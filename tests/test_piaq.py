@@ -57,6 +57,16 @@ class TestModelValidation:
         with pytest.raises(InvalidModel, match="alpha"):
             pq.PiAQModel(4, np.zeros((4, 4, 4)), *standard_pair(4, 1), alpha)
 
+    @pytest.mark.parametrize("dim", [4.9, 4.5, True, "4", None, float("nan"),
+                                     float("inf")])
+    def test_rejects_a_non_integral_dim(self, dim):
+        with pytest.raises(InvalidModel, match="dim must be an integer"):
+            pq.PiAQModel(dim, np.zeros((4, 4, 4)), *standard_pair(4, 1), 1)
+
+    def test_keeps_an_integral_float_dim_as_int(self):
+        M = pq.PiAQModel(4.0, np.zeros((4, 4, 4)), *standard_pair(4, 1), 1)
+        assert M.dim == 4 and type(M.dim) is int
+
     def test_rejects_empty_model(self):
         with pytest.raises(InvalidModel, match="dim must be at least 1"):
             pq.PiAQModel(0, np.zeros((0, 0, 0)), np.zeros((0, 0)),
@@ -231,6 +241,24 @@ class TestNijenhuis:
                             + f @ pq.torsion(m, fx, y) + f @ pq.torsion(m, x, fy))
                     got = pq.nijenhuis(m, f, x, y)
                     assert np.abs(got - want).max() < 1e-11 * (
+                        1 + np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_stacked_brackets_match_the_four_bracket_formula(self, alpha, rng):
+        """s[X, Y] + [FX, FY] - F[FX, Y] - F[X, FY] bracket by bracket, to
+        1e-12: nijenhuis evaluates the four brackets in one product."""
+        models = [random_piaq_model(rng, alpha) for _ in range(5)]
+        if alpha == 1:
+            models.append(la.doubled(la.so4()).as_piaq())
+        for m in models:
+            for f, s in ((m.I, alpha), (m.J, alpha), (m.K, -1.0)):
+                for _ in range(5):
+                    x, y = rng.normal(size=(2, m.dim))
+                    fx, fy = f @ x, f @ y
+                    want = (s * m.bracket(x, y) + m.bracket(fx, fy)
+                            - f @ m.bracket(fx, y) - f @ m.bracket(x, fy))
+                    got = pq.nijenhuis(m, f, x, y)
+                    assert np.abs(got - want).max() <= 1e-12 * (
                         1 + np.abs(want).max())
 
     def test_doubled_principal_operator_integrable(self, doubled_su2, rng):

@@ -1,6 +1,8 @@
 """Spin vectors, spin bases, and orbit dimensions."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from aqlab import quat as qt
 from aqlab import scalars as sk
 from aqlab import spinor as sp
-from aqlab.errors import (NotAQStructure, OrthonormalityViolated,
-                          SignatureMismatch, ZeroVector)
+from aqlab.errors import (DegenerateEigenvector, NotAQStructure,
+                          OrthonormalityViolated, SignatureMismatch, ZeroVector)
 from conftest import (bits, random_aq_pair, random_pseudo_rotation, ring_pairs,
                       standard_pair)
 
@@ -43,6 +45,117 @@ def hermitian_form_nested(X, Y):
 def apply_matrix_nested(m, X):
     return sp.SpinVector(sk.add(sk.mul(m[0, 0], X.x1), sk.mul(m[0, 1], X.x2)),
                          sk.add(sk.mul(m[1, 0], X.x1), sk.mul(m[1, 1], X.x2)))
+
+
+def ring_seeds(alpha):
+    """The ten seed vectors (x1, x2) of ``spinbasis``, built by the ring
+    operations."""
+    i, o = sk.imag_unit(alpha), sk.one(alpha)
+    z, two = sk.zero(alpha), sk.from_real(2.0, alpha)
+    return ((o, z), (z, o), (o, o), (o, sk.neg(o)), (o, i), (i, o), (o, two),
+            (two, o), (o, sk.add(o, i)),
+            (sk.add(o, i), sk.from_real(3.0, alpha)))
+
+
+def spinbasis_by_ring(basis):
+    """``spinbasis`` through the ScalarKA and SpinMatrix operations: the
+    reference for bit equality of the float-pair route."""
+    alpha = basis.j1.alpha
+    pauli = (*qt.pauli_matrices(alpha),
+             qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))
+    for x1, x2 in ring_seeds(alpha):
+        result = seed_attempt_by_ring(basis, sp.SpinVector(x1, x2), pauli)
+        if result is not None:
+            return result
+    return None
+
+
+def seed_attempt_by_ring(basis, X, pauli):
+    j1, j2, j3 = basis
+    alpha = j1.alpha
+    i = sk.imag_unit(alpha)
+    ialpha = sk.scale(float(alpha), i)
+    W = sp.apply(j1, X)
+    ep1 = X + sp.scalar_mul(ialpha, W)
+    ep2 = X - sp.scalar_mul(ialpha, W)
+    n1 = sp.hermitian_form(ep1, ep1).re
+    n2 = sp.hermitian_form(ep2, ep2).re
+    if abs(n1) <= sk.ISOTROPY_TOL or abs(n2) <= sk.ISOTROPY_TOL:
+        return None
+    ep1 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
+    ep2 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n2)), alpha), ep2)
+    if n1 < 0:
+        ep1 = sp.scalar_mul(i, ep1)
+    if n2 * float(alpha) > 0:
+        ep2 = sp.scalar_mul(i, ep2)
+    a = sk.scale(-float(alpha), sp.hermitian_form(ep2, sp.apply(j2, ep1)))
+    e1, e2 = ep1, sp.scalar_mul(a, ep2)
+    P = qt.SpinMatrix(((e1.x1, e2.x1), (e1.x2, e2.x2)))
+    if sk.is_isotropic(P.det()):
+        return None
+    Pinv = P.inv()
+    s1, s2, s3, neg_s3 = pauli
+    m1, m2, m3 = (Pinv @ qt.spin_matrix(j) @ P for j in (j1, j2, j3))
+    tol = sp.CONJ_TOL
+    if not (qt.smat_close(m1, s1, tol) and qt.smat_close(m2, s2, tol)):
+        return None
+    if qt.smat_close(m3, s3, tol):
+        return sp.SpinBasisResult(P, +1)
+    if qt.smat_close(m3, neg_s3, tol):
+        return sp.SpinBasisResult(P, -1)
+    return None
+
+
+class TestFloatPairRoute:
+    """``spinbasis`` and ``matrix_in_spinbasis`` work on (re, im) floats;
+    both must round exactly as the ring operations do."""
+
+    @pytest.mark.parametrize("scale", [0.7, 3.0])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bit_equal_to_ring_route(self, alpha, scale):
+        rng = np.random.default_rng(1000 + 10 * alpha + int(scale))
+        gram = np.diag([-float(alpha), -float(alpha), 1.0])
+        built = 0
+        for k in range(500):
+            rot = random_pseudo_rotation(gram, rng, scale)
+            if k % 2:
+                rot[:, 2] = -rot[:, 2]
+            basis = rotated_basis(alpha, rot)
+            q = rand_quat(rng, alpha)
+            try:
+                sp.check_iq_basis(basis)
+            except OrthonormalityViolated:
+                continue
+            want = spinbasis_by_ring(basis)
+            if want is None:
+                with pytest.raises(DegenerateEigenvector):
+                    sp.spinbasis(basis)
+                continue
+            got = sp.spinbasis(basis)
+            built += 1
+            assert got.sign == want.sign
+            assert bits(got.matrix) == bits(want.matrix)
+            assert bits(sp.matrix_in_spinbasis(q, got)) == bits(
+                want.matrix.inv() @ qt.spin_matrix(q) @ want.matrix)
+        assert built >= 400
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bit_equal_on_signed_unit_triples(self, alpha):
+        """(+-i, +-j, +-k) and (+-j, +-i, +-k): the first two seeds are
+        eigenvectors of [j1], so the third one builds the basis."""
+        for perm in ((0, 1, 2), (1, 0, 2)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                basis = rotated_basis(alpha, np.eye(3)[:, perm] * signs)
+                want, got = spinbasis_by_ring(basis), sp.spinbasis(basis)
+                assert got.sign == want.sign
+                assert bits(got.matrix) == bits(want.matrix)
+
+    def test_seed_table_is_the_ring_seeds(self):
+        """Signed zeros included: e1 - e2 carries -0.0 as sk.neg makes it."""
+        for alpha in ALPHAS:
+            assert [tuple(v.hex() for v in s) for s in sp._SEEDS] == [
+                tuple(v.hex() for v in (x1.re, x1.im, x2.re, x2.im))
+                for x1, x2 in ring_seeds(alpha)]
 
 
 class TestFusedOperations:
@@ -185,10 +298,7 @@ class TestSpinBasis:
 
     def test_exhausted_seeds_raise(self, monkeypatch):
         """Only-eigenvector seeds surface the degenerate branch."""
-        from aqlab.errors import DegenerateEigenvector
-
-        monkeypatch.setattr(sp, "_seed_vectors",
-                            lambda alpha: [sp.svec(1, 0, alpha)])
+        monkeypatch.setattr(sp, "_SEEDS", ((1.0, 0.0, 0.0, 0.0),))
         basis = sp.IQBasis(qt.i_(1), qt.j_(1), qt.k_(1))
         with pytest.raises(DegenerateEigenvector):
             sp.spinbasis(basis)

@@ -58,24 +58,38 @@ def _smat_doc(m) -> list:
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise AqlabError(f"{what} needs {n} comma-separated numbers")
-    return [float(p) for p in parts]
+    parts = text.replace(",", " ").split()
+    try:
+        if len(parts) == n:
+            return [float(p) for p in parts]
+    except ValueError:
+        pass
+    raise AqlabError(f"{what} needs {n} comma-separated numbers")
+
+
+def _read_json(path: str):
+    """The JSON at ``path`` (``-``: stdin); InvalidModel naming the path when
+    it cannot be read or parsed."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and decoding faults too
+        raise InvalidModel(f"{path}: {exc}") from None
 
 
 def _load_file(path: str, twistor: bool):
     """The algebra in an ``--algebra`` file, or with ``twistor`` the model in
-    a ``--model`` file (Jacobi not required), every fault of its content
-    raised as InvalidModel naming the file.
+    a ``--model`` file (Jacobi not required), every fault of reading it or of
+    its content raised as InvalidModel naming the file.
 
     Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
     model file may omit ``brackets`` for the zero bracket.
     """
     from . import liealg as la
+    data = _read_json(path)
     try:
-        with open(path) as fh:  # an OSError passes unchanged
-            data = json.load(fh)
         if not isinstance(data, dict):
             raise InvalidModel("expected a JSON object")
         for key in (("dim", "alpha", "I", "J") if twistor
@@ -99,7 +113,7 @@ def _load_file(path: str, twistor: bool):
         return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
                             np.asarray(data["J"], float), data["alpha"],
                             name=name)
-    except (InvalidModel, TypeError, ValueError) as exc:  # JSON faults too
+    except (InvalidModel, TypeError, ValueError) as exc:
         raise InvalidModel(f"{path}: {exc}") from None
 
 
@@ -169,11 +183,14 @@ def cmd_einstein(args):
     elif args.sweep is not None:
         grid = einstein_sweep(res=args.sweep)
         if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("lambda,mu,ricci_off_diagonal,ricci_anisotropy\n")
-                for l, m, o, a in zip(grid["lam"], grid["mu"],
-                                      grid["off"], grid["aniso"]):
-                    fh.write(f"{l:.17g},{m:.17g},{o:.17g},{a:.17g}\n")
+            try:
+                with open(args.csv, "w") as fh:
+                    fh.write("lambda,mu,ricci_off_diagonal,ricci_anisotropy\n")
+                    for l, m, o, a in zip(grid["lam"], grid["mu"],
+                                          grid["off"], grid["aniso"]):
+                        fh.write(f"{l:.17g},{m:.17g},{o:.17g},{a:.17g}\n")
+            except OSError as exc:
+                raise AqlabError(f"--csv {args.csv}: {exc}") from None
             print(f"sweep grid written to {args.csv}", file=sys.stderr)
         outputs = {
             "resolution": args.sweep,
@@ -215,11 +232,7 @@ def cmd_piaq(args):
 
 
 def cmd_verify(args):
-    if args.document == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.document) as fh:
-            doc = json.load(fh)
+    doc = _read_json(args.document)
     inputs = doc.get("inputs") if isinstance(doc, dict) else None
     argv = inputs.get("argv") if isinstance(inputs, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
@@ -391,9 +404,6 @@ def main(argv=None) -> int:
         if not isinstance(exc, AqlabError):  # overflow or an invalid operation
             exc = AqlabError(f"result is not finite: {exc}")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     json.dump(doc, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")

@@ -27,7 +27,7 @@ from .errors import InvalidModel, NotSemisimple
 from .tensors import (apply, is_antisymmetric, is_integral, is_lie,
                       jacobi_defect, post, transport)
 
-SEMISIMPLE_TOL = 1e-9  #: degenerate form: least singular value <= this * max(1, top)
+SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * max(1, top)
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
 
 
@@ -138,10 +138,14 @@ def killing_form(A: LieAlgebraModel) -> np.ndarray:
     return -np.einsum("iab,jba->ij", A.c, A.c)
 
 
+def _nondegenerate(w: np.ndarray) -> bool:
+    """The semisimplicity decision on the trace form's eigenvalues w."""
+    size = np.abs(w)
+    return bool(size.min() > SEMISIMPLE_TOL * max(1.0, size.max()))
+
+
 def is_semisimple(A: LieAlgebraModel) -> bool:
-    k = killing_form(A)
-    s = np.linalg.svd(k, compute_uv=False)
-    return bool(s[-1] > SEMISIMPLE_TOL * max(1.0, s[0]))
+    return _nondegenerate(np.linalg.eigvalsh(killing_form(A)))
 
 
 def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
@@ -165,11 +169,10 @@ def pseudo_orthonormalize(A: LieAlgebraModel):
     trace form is degenerate.
     """
     w, qmat = np.linalg.eigh(killing_form(A))
-    size = np.abs(w)
-    if size.min() <= SEMISIMPLE_TOL * max(1.0, size.max()):
+    if not _nondegenerate(w):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     eps = np.sign(w)
-    root = np.sqrt(size)
+    root = np.sqrt(np.abs(w))
     basis = qmat / root
     c_new = post(qmat.T * root[:, None], transport(A.c, basis, basis))
     # a basis change of a validated bracket: not checked a second time

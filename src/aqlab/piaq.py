@@ -23,6 +23,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -143,6 +144,11 @@ class PiAQModel:
         n = self.nabla
         return n - n.transpose(1, 0, 2) - self.c
 
+    @cached_property
+    def semiholonomic_defect(self) -> np.ndarray:
+        """:func:`_semiholonomic_defect`, kept like the d^3 torsion."""
+        return _semiholonomic_defect(self)
+
     @property
     def curvature_tensor(self) -> np.ndarray:
         """R[a, b, c, l] of R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
@@ -159,11 +165,6 @@ def canonical_connection(M: PiAQModel, X, Y) -> np.ndarray:
 def canonical_connection_split(M: PiAQModel, X, Y) -> np.ndarray:
     """nabla_X Y through the eigenspace projectors of I (``M.nabla_split``)."""
     return apply(M.nabla_split, X, Y)
-
-
-def torsion(M: PiAQModel, X, Y) -> np.ndarray:
-    """Torsion S(X, Y), which is also the adjoint-algebra product X * Y."""
-    return apply(M.torsion_tensor, X, Y)
 
 
 def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
@@ -199,12 +200,12 @@ def _scale(M: PiAQModel) -> float:
 
 
 # Each torsion-type predicate is one ``_<name>_defect`` returning its
-# nonnegative defect tensor; :func:`predicate_report` alone compares the
-# defect's sup norm with ``PRED_TOL * _scale(M)`` and finds the witness, and
-# the ``is_*`` functions read its verdict.
+# nonnegative defect tensor on X * Y = S(X, Y); :func:`predicate_report`
+# alone compares its sup norm with ``PRED_TOL * _scale(M)``, finds the
+# witness and answers every verdict.
 
 def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
-    """Pointwise failure of I(X*Y) = I(X)*Y = X*I(Y) on basis pairs."""
+    """I(X*Y) = I(X)*Y = X*I(Y), equivalent to N_I = 0, on basis pairs."""
     S = M.torsion_tensor
     lhs = post(M.I, S)
     return np.maximum(np.abs(lhs - transport(S, M.I)),
@@ -212,18 +213,27 @@ def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
 
 
 def _three_web_defect(M: PiAQModel) -> np.ndarray:
+    """Split-signature web criterion.
+
+    The adjoint product must be linear over the first involution
+    (I(X*Y) = IX*Y = X*IY) while the second acts as an involutory
+    automorphism (J(X*Y) = JX*JY); the three pairwise complementary
+    involutive distributions are then the two eigenspaces of I and the
+    diagonal one of J.
+    """
     if M.alpha != 1:
         raise WrongSignature("webs live in the split signature alpha = +1")
     S = M.torsion_tensor
     # failure of the second involution acting as an automorphism of *
     web = np.abs(post(M.J, S) - transport(S, M.J, M.J))
-    return np.maximum(_semiholonomic_defect(M), web)
+    return np.maximum(M.semiholonomic_defect, web)
 
 
 def _integrable_report(M: PiAQModel) -> dict:
-    """Torsion against the bound, then the curvature streamed slab by slab:
-    only the slab maxima are kept, and the witness recomputes the first slab
-    that reaches the tie threshold, so the rank-4 tensor is never stored."""
+    """Torsion and curvature of the canonical connection vanish: torsion
+    against the bound, then the curvature streamed slab by slab; only the slab
+    maxima are kept, and the witness recomputes the first slab that reaches
+    the tie threshold, so the rank-4 tensor is never stored."""
     s = PRED_TOL * _scale(M)
     ds = np.abs(M.torsion_tensor)
     top_s = float(ds.max())
@@ -245,16 +255,6 @@ def _integrable_report(M: PiAQModel) -> dict:
     return out
 
 
-def is_integrable(M: PiAQModel) -> bool:
-    """True when both torsion and curvature of the canonical connection vanish."""
-    return predicate_report(M, "integrable")["verdict"]
-
-
-def is_semiholonomic(M: PiAQModel) -> bool:
-    """I(X*Y) = I(X)*Y = X*I(Y) over a basis sweep; equivalent to N_I = 0."""
-    return predicate_report(M, "semiholonomic")["verdict"]
-
-
 _EIGEN_NAMES = {"1": 1.0, "+1": 1.0, "-1": -1.0,
                 "i": 1j, "+i": 1j, "-i": -1j}
 
@@ -268,7 +268,7 @@ def _parse_eigenvalue(lam) -> complex:
     return complex(lam)
 
 
-def fundamental_involutive(M: PiAQModel, F_name: str, lam) -> bool:
+def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
     """Involutivity test for the eigendistribution of I, J or K.
 
     For the principal operator I the distribution is involutive exactly when
@@ -278,10 +278,6 @@ def fundamental_involutive(M: PiAQModel, F_name: str, lam) -> bool:
     with an imaginary eigenvalue the real and imaginary parts are tested
     separately, which is what evaluation over the scalar extension amounts to.
     """
-    return predicate_report(M, "involutive", lam=lam, f_name=F_name)["verdict"]
-
-
-def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
     if F_name is None or lam is None:
         raise NotEigenvalue("involutivity needs --operator and --eigenvalue")
     F_name = F_name.upper()
@@ -308,11 +304,18 @@ def _projector(M: PiAQModel, lam: complex) -> np.ndarray:
 
 
 def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
+    """Constant-slope isoclinic-geodesic test J(X*Y) = mu (JX * JY).
+
+    Checked for X, Y spanning a principal eigendistribution of I on a
+    semiholonomic model.  For constant slope the obstruction one-form of the
+    non-constant theory vanishes identically, so this identity alone decides
+    the property.
+    """
     if mu is None:
         raise InvalidMu("isoclinic_geodesic needs the slope (--mu)")
     if abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
         raise InvalidMu("slope must differ from +1 and -1")
-    if not is_semiholonomic(M):
+    if not predicate_report(M, "semiholonomic")["verdict"]:
         raise InvalidModel("model is not semiholonomic")
     pi_plus = _projector(M, 1 if M.alpha == 1 else 1j)
     S = M.torsion_tensor
@@ -321,38 +324,11 @@ def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
     return np.abs(lhs - mu * transport(S, jp, jp))
 
 
-def is_isoclinic_geodesic_const_mu(M: PiAQModel, mu: float) -> bool:
-    """Constant-slope isoclinic-geodesic test J(X*Y) = mu (JX * JY).
-
-    Checked for X, Y spanning a principal eigendistribution of I.  For
-    constant slope the obstruction one-form of the non-constant theory
-    vanishes identically, so this identity alone decides the property.
-    """
-    return predicate_report(M, "isoclinic_geodesic", mu=mu)["verdict"]
-
-
-def is_three_web(M: PiAQModel) -> bool:
-    """Split-signature web criterion.
-
-    The adjoint product must be linear over the first involution
-    (I(X*Y) = IX*Y = X*IY) while the second acts as an involutory
-    automorphism (J(X*Y) = JX*JY); the three pairwise complementary
-    involutive distributions are then the two eigenspaces of I and the
-    diagonal one of J.
-    """
-    return predicate_report(M, "three_web")["verdict"]
-
-
-def abelian_model(dim: int, I, J, alpha: int, name: str = "abelian") -> PiAQModel:
-    """Zero-bracket model; always integrable."""
-    return PiAQModel(dim, np.zeros((dim, dim, dim)), I, J, alpha, name=name)
-
-
 # ---------------------------------------------------------------------------
 # Predicate reports with witnesses
 # ---------------------------------------------------------------------------
 
-_DEFECTS = {"semiholonomic": _semiholonomic_defect,
+_DEFECTS = {"semiholonomic": attrgetter("semiholonomic_defect"),
             "three_web": _three_web_defect,
             "involutive": _involutive_defect,
             "isoclinic_geodesic": _isoclinic_geodesic_defect}
@@ -370,7 +346,10 @@ def _witness(defect: np.ndarray, top=None):
 
 
 def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) -> dict:
-    """Verdict plus a failing basis pair for the CLI surface.
+    """Decide the predicate ``name`` of :data:`PREDICATES` on M, the one
+    public way to ask a verdict: ``involutive`` takes the operator ``f_name``
+    (I, J or K) and its eigenvalue ``lam``, ``isoclinic_geodesic`` the slope
+    ``mu``.
 
     Returns a dict with ``verdict``, ``residual`` (sup norm of the defect
     tensor) and, when the verdict is false, ``witness`` holding 0-based

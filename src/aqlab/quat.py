@@ -187,39 +187,89 @@ class SpinMatrix:
 
     def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
         sk._check_signatures(self, other)
-        (a, b), (c, d) = self.m
-        (e, f), (g, h) = other.m
-        return SpinMatrix(((sk._dot(a, e, b, g), sk._dot(a, f, b, h)),
-                           (sk._dot(c, e, d, g), sk._dot(c, f, d, h))))
+        al = self.alpha
+        return _from_entries(_matmul(_entries(self), _entries(other), al), al)
 
     def __sub__(self, other: "SpinMatrix") -> "SpinMatrix":
-        return SpinMatrix(tuple(
-            tuple(self.m[r][c] - other.m[r][c] for c in range(2))
-            for r in range(2)))
+        sk._check_signatures(self, other)
+        return _from_entries(tuple(x - y for x, y in zip(
+            _entries(self), _entries(other))), self.alpha)
 
     def det(self) -> ScalarKA:
-        (a, b), (c, d) = self.m
-        al = a.alpha
-        return sk._mk(
-            (a.re * d.re + al * a.im * d.im) - (b.re * c.re + al * b.im * c.im),
-            (a.re * d.im + a.im * d.re) - (b.re * c.im + b.im * c.re), al)
+        return sk._mk(*_det(_entries(self), self.alpha), self.alpha)
 
     def real_trace(self) -> float:
         """Sum of real parts of the diagonal entries."""
         return self.m[0][0].re + self.m[1][1].re
 
     def inv(self) -> "SpinMatrix":
-        z = sk.inv(self.det())
-        (a, b), (c, d) = self.m
-        al, u, v = z.alpha, z.re, z.im
-        return SpinMatrix((
-            (sk._mk(u * d.re + al * v * d.im, u * d.im + v * d.re, al),
-             sk._mk(u * -b.re + al * v * -b.im, u * -b.im + v * -b.re, al)),
-            (sk._mk(u * -c.re + al * v * -c.im, u * -c.im + v * -c.re, al),
-             sk._mk(u * a.re + al * v * a.im, u * a.im + v * a.re, al))))
+        e = _inverse(_entries(self), self.alpha)
+        if e is None:
+            sk.inv(self.det())  # raises IsotropicScalar
+        return _from_entries(e, self.alpha)
 
     def max_abs(self) -> float:
         return max(sk.abs2norm(self.m[r][c]) for r in range(2) for c in range(2))
+
+
+# The 2x2 arithmetic, written once on floats: [[a, b], [c, d]] is the 8-tuple
+# (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im), each formula grouped as the
+# nested scalar operations round it.  SpinMatrix and aqlab.spinor call these.
+
+def _entries(m: SpinMatrix) -> tuple:
+    (a, b), (c, d) = m.m
+    return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
+
+
+_SET_M = SpinMatrix.m.__set__
+
+
+def _from_entries(e: tuple, alpha: int) -> SpinMatrix:
+    """Unvalidated constructor for the floats of an already validated alpha."""
+    mk, m = sk._mk, object.__new__(SpinMatrix)
+    _SET_M(m, ((mk(e[0], e[1], alpha), mk(e[2], e[3], alpha)),
+               (mk(e[4], e[5], alpha), mk(e[6], e[7], alpha))))
+    return m
+
+
+def _spin_entries(q: QuaternionA) -> tuple:
+    """:func:`spin_matrix` of q as an 8-tuple."""
+    al = q.alpha
+    return (q.a, q.b, al * q.c, al * q.d, q.c, -q.d, q.a, -q.b)
+
+
+def _matmul(m: tuple, n: tuple, al: int) -> tuple:
+    ar, ai, br, bi, cr, ci, dr, di = m
+    er, ei, fr, fi, gr, gi, hr, hi = n
+    return ((ar * er + al * ai * ei) + (br * gr + al * bi * gi),
+            (ar * ei + ai * er) + (br * gi + bi * gr),
+            (ar * fr + al * ai * fi) + (br * hr + al * bi * hi),
+            (ar * fi + ai * fr) + (br * hi + bi * hr),
+            (cr * er + al * ci * ei) + (dr * gr + al * di * gi),
+            (cr * ei + ci * er) + (dr * gi + di * gr),
+            (cr * fr + al * ci * fi) + (dr * hr + al * di * hi),
+            (cr * fi + ci * fr) + (dr * hi + di * hr))
+
+
+def _det(m: tuple, al: int) -> tuple:
+    """(re, im) of the determinant ad - bc."""
+    ar, ai, br, bi, cr, ci, dr, di = m
+    return ((ar * dr + al * ai * di) - (br * cr + al * bi * ci),
+            (ar * di + ai * dr) - (br * ci + bi * cr))
+
+
+def _inverse(m: tuple, al: int):
+    """det^-1 [[d, -b], [-c, a]], or None when det is isotropic."""
+    zr, zi = _det(m, al)
+    n = zr * zr - al * zi * zi
+    if abs(n) <= sk.ISOTROPY_TOL:
+        return None
+    u, v = zr / n, -zi / n
+    ar, ai, br, bi, cr, ci, dr, di = m
+    return (u * dr + al * v * di, u * di + v * dr,
+            u * -br + al * v * -bi, u * -bi + v * -br,
+            u * -cr + al * v * -ci, u * -ci + v * -cr,
+            u * ar + al * v * ai, u * ai + v * ar)
 
 
 def smat(entries, alpha: int) -> SpinMatrix:
@@ -239,10 +289,7 @@ def spin_matrix(q: QuaternionA) -> SpinMatrix:
     For q = z1 + j z2 the matrix is [[z1, alpha conj(z2)], [z2, conj(z1)]];
     it is an algebra homomorphism and det = qnormsq(q).
     """
-    z1, z2 = to_pair(q)
-    al = q.alpha
-    return SpinMatrix(((z1, sk._mk(al * q.c, al * q.d, al)),
-                       (z2, sk._mk(q.a, -q.b, al))))
+    return _from_entries(_spin_entries(q), q.alpha)
 
 
 def pauli_matrices(alpha: int) -> tuple[SpinMatrix, SpinMatrix, SpinMatrix]:

@@ -57,13 +57,6 @@ def _mk(re: float, im: float, alpha: int) -> ScalarKA:
     return z
 
 
-def _dot(x: ScalarKA, y: ScalarKA, z: ScalarKA, w: ScalarKA) -> ScalarKA:
-    """x y + z w, as add(mul(x, y), mul(z, w)) rounds it; no signature check."""
-    al = x.alpha
-    return _mk((x.re * y.re + al * x.im * y.im) + (z.re * w.re + al * z.im * w.im),
-               (x.re * y.im + x.im * y.re) + (z.re * w.im + z.im * w.re), al)
-
-
 def from_real(x: float, alpha: int) -> ScalarKA:
     return ScalarKA(x, 0.0, alpha)
 

@@ -23,7 +23,8 @@ from .errors import (
     SignatureMismatch,
     ZeroVector,
 )
-from .quat import QuaternionA, SpinMatrix
+from .quat import (QuaternionA, SpinMatrix, _entries, _from_entries,
+                   _inverse, _matmul, _spin_entries)
 from .scalars import ScalarKA
 
 GRAM_TOL = 1e-9  #: absolute (not scale-aware): Gram-entry error of an input triple
@@ -67,9 +68,54 @@ def svec(x1, x2, alpha: int) -> SpinVector:
     return SpinVector(lift(x1), lift(x2))
 
 
+# A spin vector on floats is (x1.re, x1.im, x2.re, x2.im); these formulas,
+# grouped as the nested scalar operations round them, serve the SpinVector
+# operations below and the spin basis.
+
+def _matvec(m: tuple, v: tuple, al: int) -> tuple:
+    """The product of an 8-tuple matrix (:mod:`aqlab.quat`) with v."""
+    ar, ai, br, bi, cr, ci, dr, di = m
+    xr, xi, yr, yi = v
+    return ((ar * xr + al * ai * xi) + (br * yr + al * bi * yi),
+            (ar * xi + ai * xr) + (br * yi + bi * yr),
+            (cr * xr + al * ci * xi) + (dr * yr + al * di * yi),
+            (cr * xi + ci * xr) + (dr * yi + di * yr))
+
+
+def _hermitian(x: tuple, y: tuple, al: int) -> tuple:
+    """(re, im) of <<x, y>>."""
+    a, b, e, f = x
+    c, d, g, h = y
+    return ((a * c + al * -b * d) + -al * (e * g + al * -f * h),
+            (a * d + -b * c) + -al * (e * h + -f * g))
+
+
+def _times(zr: float, zi: float, v: tuple, al: int) -> tuple:
+    """The scalar zr + i zi times v."""
+    xr, xi, yr, yi = v
+    return (zr * xr + al * zi * xi, zr * xi + zi * xr,
+            zr * yr + al * zi * yi, zr * yi + zi * yr)
+
+
+def _vec(X: SpinVector) -> tuple:
+    return (X.x1.re, X.x1.im, X.x2.re, X.x2.im)
+
+
+_SET_X1, _SET_X2 = SpinVector.x1.__set__, SpinVector.x2.__set__
+
+
+def _from_vec(v: tuple, alpha: int) -> SpinVector:
+    """Unvalidated constructor for the floats of an already validated alpha."""
+    X = object.__new__(SpinVector)
+    _SET_X1(X, sk._mk(v[0], v[1], alpha))
+    _SET_X2(X, sk._mk(v[2], v[3], alpha))
+    return X
+
+
 def scalar_mul(z: ScalarKA, X: SpinVector) -> SpinVector:
     """Module action of the scalar ring."""
-    return SpinVector(sk.mul(z, X.x1), sk.mul(z, X.x2))
+    sk._check_signatures(z, X)
+    return _from_vec(_times(z.re, z.im, _vec(X), z.alpha), z.alpha)
 
 
 def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
@@ -79,11 +125,7 @@ def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
     negative or zero for alpha = +1.
     """
     sk._check_signatures(X, Y)
-    # on the fields, grouped as the nested scalar operations round it
-    al, a, b, c, d = X.alpha, X.x1.re, X.x1.im, Y.x1.re, Y.x1.im
-    e, f, g, h = X.x2.re, X.x2.im, Y.x2.re, Y.x2.im
-    return sk._mk((a * c + al * -b * d) + -al * (e * g + al * -f * h),
-                  (a * d + -b * c) + -al * (e * h + -f * g), al)
+    return sk._mk(*_hermitian(_vec(X), _vec(Y), X.alpha), X.alpha)
 
 
 def real_inner(X: SpinVector, Y: SpinVector) -> float:
@@ -98,8 +140,7 @@ def apply(q: QuaternionA, X: SpinVector) -> SpinVector:
 
 def apply_matrix(m: SpinMatrix, X: SpinVector) -> SpinVector:
     sk._check_signatures(m, X)
-    (a, b), (c, d) = m.m
-    return SpinVector(sk._dot(a, X.x1, b, X.x2), sk._dot(c, X.x1, d, X.x2))
+    return _from_vec(_matvec(_entries(m), _vec(X), X.alpha), X.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +187,7 @@ def check_iq_basis(basis: IQBasis):
                 )
 
 
-# The spin basis is built on plain floats: a spin vector is the 4-tuple
-# (x1.re, x1.im, x2.re, x2.im) and a 2x2 matrix [[a, b], [c, d]] the 8-tuple
-# (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im).  Every expression below
-# is the one the ScalarKA and SpinMatrix operations evaluate, term for term
-# and in the same order, so the results are bit-identical to that route.
+# The spin basis runs on float tuples; only its result becomes a SpinMatrix.
 
 #: seed vectors in the order spinbasis tries them: e1, e2, e1 + e2, e1 - e2,
 #: e1 + i e2, i e1 + e2, e1 + 2 e2, 2 e1 + e2, e1 + (1 + i) e2 and
@@ -159,77 +196,6 @@ _SEEDS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0),
           (1.0, 0.0, -1.0, -0.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0),
           (1.0, 0.0, 2.0, 0.0), (2.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0),
           (1.0, 1.0, 3.0, 0.0))
-
-
-def _entries(m: SpinMatrix) -> tuple:
-    (a, b), (c, d) = m.m
-    return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
-
-
-def _spin_entries(q: QuaternionA) -> tuple:
-    """:func:`aqlab.quat.spin_matrix` of q as an 8-tuple."""
-    al = q.alpha
-    return (q.a, q.b, al * q.c, al * q.d, q.c, -q.d, q.a, -q.b)
-
-
-def _from_entries(e: tuple, alpha: int) -> SpinMatrix:
-    mk = sk._mk
-    return SpinMatrix(((mk(e[0], e[1], alpha), mk(e[2], e[3], alpha)),
-                       (mk(e[4], e[5], alpha), mk(e[6], e[7], alpha))))
-
-
-def _matvec(m: tuple, v: tuple, al: int) -> tuple:
-    """:func:`apply_matrix` on floats."""
-    ar, ai, br, bi, cr, ci, dr, di = m
-    xr, xi, yr, yi = v
-    return ((ar * xr + al * ai * xi) + (br * yr + al * bi * yi),
-            (ar * xi + ai * xr) + (br * yi + bi * yr),
-            (cr * xr + al * ci * xi) + (dr * yr + al * di * yi),
-            (cr * xi + ci * xr) + (dr * yi + di * yr))
-
-
-def _matmul(m: tuple, n: tuple, al: int) -> tuple:
-    """``SpinMatrix.__matmul__`` on floats."""
-    ar, ai, br, bi, cr, ci, dr, di = m
-    er, ei, fr, fi, gr, gi, hr, hi = n
-    return ((ar * er + al * ai * ei) + (br * gr + al * bi * gi),
-            (ar * ei + ai * er) + (br * gi + bi * gr),
-            (ar * fr + al * ai * fi) + (br * hr + al * bi * hi),
-            (ar * fi + ai * fr) + (br * hi + bi * hr),
-            (cr * er + al * ci * ei) + (dr * gr + al * di * gi),
-            (cr * ei + ci * er) + (dr * gi + di * gr),
-            (cr * fr + al * ci * fi) + (dr * hr + al * di * hi),
-            (cr * fi + ci * fr) + (dr * hi + di * hr))
-
-
-def _inverse(m: tuple, al: int):
-    """``SpinMatrix.inv`` on floats; None when the determinant is isotropic."""
-    ar, ai, br, bi, cr, ci, dr, di = m
-    zr = (ar * dr + al * ai * di) - (br * cr + al * bi * ci)
-    zi = (ar * di + ai * dr) - (br * ci + bi * cr)
-    n = zr * zr - al * zi * zi
-    if abs(n) <= sk.ISOTROPY_TOL:
-        return None
-    u, v = zr / n, -zi / n
-    return (u * dr + al * v * di, u * di + v * dr,
-            u * -br + al * v * -bi, u * -bi + v * -br,
-            u * -cr + al * v * -ci, u * -ci + v * -cr,
-            u * ar + al * v * ai, u * ai + v * ar)
-
-
-def _hermitian(x: tuple, y: tuple, al: int) -> tuple:
-    """(re, im) of :func:`hermitian_form` on floats."""
-    a, b, e, f = x
-    c, d, g, h = y
-    return ((a * c + al * -b * d) + -al * (e * g + al * -f * h),
-            (a * d + -b * c) + -al * (e * h + -f * g))
-
-
-def _times(zr: float, zi: float, v: tuple, al: int) -> tuple:
-    """:func:`scalar_mul` of the scalar zr + i zi on floats."""
-    xr, xi, yr, yi = v
-    return (zr * xr + al * zi * xi, zr * xi + zi * xr,
-            zr * yr + al * zi * yi, zr * yi + zi * yr)
 
 
 def _close(m: tuple, n: tuple) -> bool:

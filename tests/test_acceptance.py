@@ -16,6 +16,7 @@ from aqlab import quat as qt
 from aqlab import scalars as sk
 from aqlab import spinor as sp
 from aqlab.gxg import MetricFamily, classify_einstein, einstein_sweep
+from aqlab.tensors import apply
 from conftest import random_aq_pair, random_piaq_model, random_pseudo_rotation
 
 EXACT_POINTS = [(0.0, 0.0, 1.0 / 4.0), (0.0, -0.5, 5.0 / 18.0),
@@ -271,7 +272,8 @@ def test_criterion_11_canonical_connection():
     models = [la.doubled(la.CATALOG[n]()).as_piaq()
               for n in ("su2", "sl2r", "so4")]
     from conftest import standard_pair
-    models += [pq.abelian_model(4, *standard_pair(4, a), a) for a in (-1, 1)]
+    models += [pq.PiAQModel(4, np.zeros((4, 4, 4)), *standard_pair(4, a), a)
+               for a in (-1, 1)]
     models += [random_piaq_model(rng, alpha, kind)
                for alpha in (-1, 1) for kind in ("abelian", "u2", "gl2")
                for _ in range(9)][:50]
@@ -297,8 +299,9 @@ def test_criterion_11_canonical_connection():
     dm = la.doubled(la.su2()).as_piaq()
     ok = ok and np.abs(dm.nabla).max() == 0.0
     ok = ok and np.abs(dm.torsion_tensor + dm.c).max() == 0.0
-    ok = ok and not pq.is_integrable(dm)
-    ok = ok and pq.is_integrable(pq.abelian_model(4, *standard_pair(4, 1), 1))
+    ok = ok and not pq.predicate_report(dm, "integrable")["verdict"]
+    flat = pq.PiAQModel(4, np.zeros((4, 4, 4)), *standard_pair(4, 1), 1)
+    ok = ok and pq.predicate_report(flat, "integrable")["verdict"]
     report(11, ok,
            "parallelism, torsion symmetry and the two connection evaluations "
            f"agree on catalog + 50 random models (worst {worst:.2e}, tol "
@@ -310,7 +313,8 @@ def test_criterion_12_integrability_and_orbits():
     rng = np.random.default_rng(12)
     dm = la.doubled(la.su2())
     mp = dm.as_piaq()
-    ok = pq.is_semiholonomic(mp) and pq.is_three_web(mp)
+    ok = (pq.predicate_report(mp, "semiholonomic")["verdict"]
+          and pq.predicate_report(mp, "three_web")["verdict"])
     worst = 0.0
     for _ in range(100):
         x, y = rng.normal(size=(2, 6))
@@ -327,9 +331,9 @@ def test_criterion_12_integrability_and_orbits():
                 for _ in range(3):
                     x, y = rng.normal(size=(2, 4))
                     fx, fy = f @ x, f @ y
-                    want = (-s * pq.torsion(m, x, y) - pq.torsion(m, fx, fy)
-                            + f @ pq.torsion(m, fx, y)
-                            + f @ pq.torsion(m, x, fy))
+                    S = m.torsion_tensor
+                    want = (-s * apply(S, x, y) - apply(S, fx, fy)
+                            + f @ apply(S, fx, y) + f @ apply(S, x, fy))
                     got = pq.nijenhuis(m, f, x, y)
                     worst = max(worst, float(np.abs(got - want).max()
                                              / (1 + np.abs(want).max())))

@@ -532,6 +532,9 @@ class TestNumbers:
         (("selfdual", "--alpha", "-1", "--omega", "nan,0,0,0,0,0"),
          "AqlabError"),
         (("selfdual", "--alpha", "-1", "--omega", "1,2,3"), "AqlabError"),
+        (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,x"), "AqlabError"),
+        (("spinbasis", "--alpha", "1", "--j1", "a,0,0", "--j2", "0,1,0",
+          "--j3", "0,0,-1"), "AqlabError"),
         (("spinbasis", "--alpha", "-1", "--j1", "nan,0,0", "--j2", "0,1,0",
           "--j3", "0,0,1"), "OrthonormalityViolated"),
         (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
@@ -600,6 +603,34 @@ class TestNumbers:
         else:
             assert code == 1 and out.getvalue() == ""
             one_typed_error(err.getvalue())
+
+
+class TestFaults:
+    """A file that cannot be read, parsed or written is one typed error line
+    naming it, with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (("einstein", "--algebra", "{missing}", "--classify"), "InvalidModel"),
+        (("piaq", "--model", "{missing}", "--predicate", "integrable"),
+         "InvalidModel"),
+        (("verify", "{missing}"), "InvalidModel"),
+        (("verify", "{text}"), "InvalidModel"),
+        (("verify", "{binary}"), "InvalidModel"),
+        (("verify", "{folder}"), "InvalidModel"),
+        (("einstein", "--catalog", "su2", "--sweep", "0.25", "--csv",
+          "{folder}"), "AqlabError"),
+    ])
+    def test_one_typed_error_line(self, capsys, tmp_path, argv, error):
+        paths = {"missing": tmp_path / "nope.json", "text": tmp_path / "t.json",
+                 "binary": tmp_path / "b.json", "folder": tmp_path}
+        paths["text"].write_text("not json")
+        paths["binary"].write_bytes(b"\xff\xfe{")
+        argv = [a.format(**paths) for a in argv]
+        code, doc, err = run(capsys, *argv)
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == error
+        path = next(str(v) for v in paths.values() if str(v) in argv)
+        assert f" {path}: " in err
 
 
 class TestLazyStartup:

@@ -7,7 +7,6 @@ from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab import tensors
 from aqlab.errors import (
-    AqlabError,
     InvalidModel,
     InvalidMu,
     NonLieBracket,
@@ -28,7 +27,14 @@ def doubled_su2():
 
 
 def abelian(alpha, dim=4):
-    return pq.abelian_model(dim, *standard_pair(dim, alpha), alpha)
+    """The zero-bracket model, which is always integrable."""
+    return pq.PiAQModel(dim, np.zeros((dim,) * 3), *standard_pair(dim, alpha),
+                        alpha)
+
+
+def holds(M, name, **kw):
+    """The verdict of ``predicate_report``."""
+    return pq.predicate_report(M, name, **kw)["verdict"]
 
 
 def nabla_split_by_kron(M):
@@ -184,9 +190,9 @@ class TestCanonicalConnection:
         m = random_piaq_model(rng, alpha)
         for _ in range(20):
             x, y = rng.normal(size=(2, 4))
-            s = pq.torsion(m, x, y)
-            assert np.abs(s + pq.torsion(m, y, x)).max() < 1e-10 * (
-                1 + np.abs(s).max())
+            s = tensors.apply(m.torsion_tensor, x, y)
+            sym = s + tensors.apply(m.torsion_tensor, y, x)
+            assert np.abs(sym).max() < 1e-10 * (1 + np.abs(s).max())
 
 
 class TestCurvature:
@@ -197,7 +203,7 @@ class TestCurvature:
     def test_doubled_velocity_flat_but_torsive(self, doubled_su2):
         assert np.abs(doubled_su2.curvature_tensor).max() == 0.0
         assert np.abs(doubled_su2.torsion_tensor).max() > 0.1
-        assert not pq.is_integrable(doubled_su2)
+        assert not holds(doubled_su2, "integrable")
 
     def test_linearity(self, rng):
         m = random_piaq_model(rng, -1)
@@ -237,8 +243,11 @@ class TestNijenhuis:
                 for _ in range(5):
                     x, y = rng.normal(size=(2, 4))
                     fx, fy = f @ x, f @ y
-                    want = (-s * pq.torsion(m, x, y) - pq.torsion(m, fx, fy)
-                            + f @ pq.torsion(m, fx, y) + f @ pq.torsion(m, x, fy))
+                    S = m.torsion_tensor
+                    want = (-s * tensors.apply(S, x, y)
+                            - tensors.apply(S, fx, fy)
+                            + f @ tensors.apply(S, fx, y)
+                            + f @ tensors.apply(S, x, fy))
                     got = pq.nijenhuis(m, f, x, y)
                     assert np.abs(got - want).max() < 1e-11 * (
                         1 + np.abs(want).max())
@@ -283,43 +292,43 @@ class TestPredicates:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_abelian_everything_holds(self, alpha):
         m = abelian(alpha)
-        assert pq.is_integrable(m)
-        assert pq.is_semiholonomic(m)
+        assert holds(m, "integrable")
+        assert holds(m, "semiholonomic")
         if alpha == 1:
-            assert pq.is_three_web(m)
-            assert pq.fundamental_involutive(m, "I", 1)
-            assert pq.fundamental_involutive(m, "J", -1)
+            assert holds(m, "three_web")
+            assert holds(m, "involutive", f_name="I", lam=1)
+            assert holds(m, "involutive", f_name="J", lam=-1)
         else:
-            assert pq.fundamental_involutive(m, "I", "i")
-            assert pq.fundamental_involutive(m, "J", "-i")
-        assert pq.fundamental_involutive(m, "K", "i")
-        assert pq.is_isoclinic_geodesic_const_mu(m, 0.5)
+            assert holds(m, "involutive", f_name="I", lam="i")
+            assert holds(m, "involutive", f_name="J", lam="-i")
+        assert holds(m, "involutive", f_name="K", lam="i")
+        assert holds(m, "isoclinic_geodesic", mu=0.5)
 
     def test_doubled_profile(self, doubled_su2):
         m = doubled_su2
-        assert not pq.is_integrable(m)
-        assert pq.is_semiholonomic(m)
-        assert pq.is_three_web(m)
-        assert pq.fundamental_involutive(m, "I", 1)
-        assert pq.fundamental_involutive(m, "I", -1)
-        assert pq.fundamental_involutive(m, "J", 1)   # diagonal factor
-        assert not pq.fundamental_involutive(m, "J", -1)
-        assert not pq.fundamental_involutive(m, "K", "i")
-        assert not pq.is_isoclinic_geodesic_const_mu(m, 0.5)
+        assert not holds(m, "integrable")
+        assert holds(m, "semiholonomic")
+        assert holds(m, "three_web")
+        assert holds(m, "involutive", f_name="I", lam=1)
+        assert holds(m, "involutive", f_name="I", lam=-1)
+        assert holds(m, "involutive", f_name="J", lam=1)   # diagonal factor
+        assert not holds(m, "involutive", f_name="J", lam=-1)
+        assert not holds(m, "involutive", f_name="K", lam="i")
+        assert not holds(m, "isoclinic_geodesic", mu=0.5)
 
     def test_eigenvalue_validation(self, doubled_su2):
         with pytest.raises(NotEigenvalue):
-            pq.fundamental_involutive(doubled_su2, "K", 1)
+            holds(doubled_su2, "involutive", f_name="K", lam=1)
         with pytest.raises(NotEigenvalue):
-            pq.fundamental_involutive(doubled_su2, "I", "i")
+            holds(doubled_su2, "involutive", f_name="I", lam="i")
         with pytest.raises(NotEigenvalue):
-            pq.fundamental_involutive(doubled_su2, "Q", 1)
+            holds(doubled_su2, "involutive", f_name="Q", lam=1)
 
     def test_invalid_mu(self, doubled_su2):
         with pytest.raises(InvalidMu):
-            pq.is_isoclinic_geodesic_const_mu(doubled_su2, 1.0)
+            holds(doubled_su2, "isoclinic_geodesic", mu=1.0)
         with pytest.raises(InvalidMu):
-            pq.is_isoclinic_geodesic_const_mu(doubled_su2, -1.0)
+            holds(doubled_su2, "isoclinic_geodesic", mu=-1.0)
 
     def test_missing_mu_names_the_slope(self, doubled_su2):
         with pytest.raises(InvalidMu, match=r"needs the slope \(--mu\)"):
@@ -327,20 +336,20 @@ class TestPredicates:
 
     def test_three_web_needs_split_signature(self, rng):
         with pytest.raises(WrongSignature):
-            pq.is_three_web(random_piaq_model(rng, -1))
+            holds(random_piaq_model(rng, -1), "three_web")
 
     def test_random_bracket_is_negative_control(self, rng):
         """Generic brackets break the web identities."""
         failures = 0
         for _ in range(10):
             m = random_piaq_model(rng, 1, "u2")
-            if not pq.is_semiholonomic(m) or not pq.is_three_web(m):
+            if not holds(m, "semiholonomic") or not holds(m, "three_web"):
                 failures += 1
         assert failures >= 8
 
     def test_trivial_plane_model_integrable(self):
         m = abelian(1, dim=2)
-        assert pq.is_integrable(m)
+        assert holds(m, "integrable")
 
 
 def random_bracket_model(rng, dim, scale):
@@ -371,31 +380,18 @@ class TestPredicateReport:
         assert rep == {"verdict": False, "residual": float(defect.max()),
                        "witness": pq._witness(defect)}
 
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("kind", ["abelian", "u2", "gl2"])
-    def test_public_functions_read_the_report(self, rng, kind, alpha):
-        """Each public predicate function returns the report's verdict, or
-        raises the error the report raises."""
-        M = random_piaq_model(rng, alpha, kind)
-        lam = 1 if alpha == 1 else "i"
-
-        def outcome(f, *args, **kw):
-            try:
-                return f(*args, **kw)
-            except AqlabError as exc:
-                return type(exc)
-
-        def report(name, **kw):
-            return outcome(lambda: pq.predicate_report(M, name, **kw)["verdict"])
-
-        assert outcome(pq.is_integrable, M) == report("integrable")
-        assert outcome(pq.is_semiholonomic, M) == report("semiholonomic")
-        assert outcome(pq.is_three_web, M) == report("three_web")
-        for op, eig in (("I", lam), ("J", lam), ("K", "-i")):
-            assert (outcome(pq.fundamental_involutive, M, op, eig)
-                    == report("involutive", lam=eig, f_name=op))
-        assert (outcome(pq.is_isoclinic_geodesic_const_mu, M, 0.3)
-                == report("isoclinic_geodesic", mu=0.3))
+    def test_semiholonomic_defect_computed_once(self, monkeypatch):
+        """semiholonomic, three_web and the isoclinic precondition all read
+        the model's one semiholonomic defect."""
+        calls = []
+        inner = pq._semiholonomic_defect
+        monkeypatch.setattr(pq, "_semiholonomic_defect",
+                            lambda M: calls.append(M) or inner(M))
+        M = la.doubled(la.su2()).as_piaq()
+        for name, kw in (("semiholonomic", {}), ("three_web", {}),
+                         ("isoclinic_geodesic", {"mu": 0.5})):
+            pq.predicate_report(M, name, **kw)
+        assert calls == [M]
 
     def test_verdict_with_witness(self, doubled_su2):
         rep = pq.predicate_report(doubled_su2, "integrable")

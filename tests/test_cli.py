@@ -532,15 +532,15 @@ class TestNumbers:
         (("selfdual", "--alpha", "-1", "--omega", "nan,0,0,0,0,0"),
          "AqlabError"),
         (("selfdual", "--alpha", "-1", "--omega", "1,2,3"), "AqlabError"),
-        (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,x"), "AqlabError"),
-        (("spinbasis", "--alpha", "1", "--j1", "a,0,0", "--j2", "0,1,0",
-          "--j3", "0,0,-1"), "AqlabError"),
         (("spinbasis", "--alpha", "-1", "--j1", "nan,0,0", "--j2", "0,1,0",
           "--j3", "0,0,1"), "OrthonormalityViolated"),
         (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
           "--mu", "nan"), "AqlabError"),
         (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
           "--mu=-inf"), "AqlabError"),
+        (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,x"), "AqlabError"),
+        (("spinbasis", "--alpha", "1", "--j1", "a,0,0", "--j2", "0,1,0",
+          "--j3", "0,0,-1"), "AqlabError"),
     ])
     def test_bad_number_is_one_typed_error_line(self, capsys, argv, error):
         code, doc, err = run(capsys, *argv)

@@ -11,8 +11,13 @@ The ``inputs`` of every document include ``argv``, the arguments the
 document was made from; the ``verify`` subcommand parses them again and
 compares the outputs, so every result is checkable by a second run.
 
-Each subcommand imports only the layers it runs, so ``pauli`` and
-``spinbasis`` (and ``verify`` of their documents) never load numpy.
+Each subcommand imports only the layers it runs, so ``pauli``,
+``spinbasis`` and ``selfdual`` (and ``verify`` of their documents) never
+load numpy.
+
+:func:`main` writes and flushes the document and returns the exit status;
+the console script and ``python -m aqlab.cli`` run :func:`run`, which then
+ends the process with ``os._exit``, skipping interpreter teardown.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -153,13 +159,13 @@ def cmd_selfdual(args):
     g = fd.Metric4(alpha)
     w = fd.TwoForm4(tuple(comps))
     wp, wm = fd.sd_decompose(g, w)
-    J = fd.form_to_endo(g, wp)
     inputs = {"alpha": alpha, "omega": comps,
               "component_order": ["12", "13", "14", "23", "24", "34"]}
     return inputs, {
         "omega_plus": [_f(x) for x in wp.comp],
         "omega_minus": [_f(x) for x in wm.comp],
-        "endomorphism": (J + 0.0).tolist(),
+        "endomorphism": [[_f(x) for x in row]
+                         for row in fd.endo_rows(g, wp)],
         "lambda_sq": _with_exact(fd.lambda_sq(g, wp)),
     }, {}
 
@@ -170,9 +176,11 @@ def _einstein_rows(points) -> list:
 
 
 def cmd_einstein(args):
+    if args.csv and args.sweep is None:
+        raise AqlabError("--csv writes the sweep grid and needs --sweep")
     from . import liealg as la
-    from .gxg import (EINSTEIN_TOL, MetricFamily, classify_einstein,
-                      einstein_sweep, ricci_coefficients)
+    from .gxg import (EINSTEIN_TOL, MetricFamily, check_sweep_resolution,
+                      classify_einstein, einstein_sweep, ricci_coefficients)
     base = (la.CATALOG[args.catalog]() if args.catalog
             else _load_file(args.algebra, twistor=False))
     model = la.doubled(base)
@@ -181,16 +189,20 @@ def cmd_einstein(args):
         rows = _einstein_rows(classify_einstein(model))
         outputs = {"einstein_points": rows, "count": len(rows)}
     elif args.sweep is not None:
-        grid = einstein_sweep(res=args.sweep)
-        if args.csv:
-            try:
-                with open(args.csv, "w") as fh:
+        # a bad resolution or --csv path fails before the sweep runs
+        check_sweep_resolution(args.sweep)
+        try:
+            with (open(args.csv, "w") if args.csv
+                  else contextlib.nullcontext()) as fh:
+                grid = einstein_sweep(res=args.sweep)
+                if fh is not None:
                     fh.write("lambda,mu,ricci_off_diagonal,ricci_anisotropy\n")
                     for l, m, o, a in zip(grid["lam"], grid["mu"],
                                           grid["off"], grid["aniso"]):
                         fh.write(f"{l:.17g},{m:.17g},{o:.17g},{a:.17g}\n")
-            except OSError as exc:
-                raise AqlabError(f"--csv {args.csv}: {exc}") from None
+        except OSError as exc:
+            raise AqlabError(f"--csv {args.csv}: {exc}") from None
+        if args.csv:
             print(f"sweep grid written to {args.csv}", file=sys.stderr)
         outputs = {
             "resolution": args.sweep,
@@ -390,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``), run the subcommand, write
+    and flush its document, and return the exit status.  Usage errors raise
+    argparse's ``SystemExit``; the process is never ended here."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
@@ -400,16 +415,29 @@ def main(argv=None) -> int:
                "outputs": outputs, "tolerances": tolerances}
         if not _compare(doc, doc, 0.0):  # False only for a NaN or an infinity
             raise AqlabError("result is not finite: the document holds NaN or inf")
+        try:
+            sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+            sys.stdout.flush()
+        except OSError as exc:  # a full device or a closed pipe
+            raise AqlabError(f"cannot write the document: {exc}") from None
     except (AqlabError, ArithmeticError, RuntimeWarning) as exc:
         if not isinstance(exc, AqlabError):  # overflow or an invalid operation
             exc = AqlabError(f"result is not finite: {exc}")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
     failed = {"verify": "match", "check": "passed"}.get(args.subcommand)
     return int(failed is not None and not outputs[failed])
 
 
+def run() -> None:
+    """The console entry point: :func:`main`, then ``os._exit`` with its
+    status once stderr is flushed.  The document is written by then, so
+    the interpreter's teardown would only cost time; profilers, coverage
+    and atexit hooks need :func:`main` called in-process instead."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,13 +7,16 @@ dimension three.  Self-dual forms correspond to skew-adjoint endomorphisms
 squaring to a real multiple of the identity, and an orthogonal triple of
 them generates a matrix copy of the quaternion algebra of the same
 signature.
+
+Forms, the star and endomorphisms are computed on float tuples, so this
+module loads no numpy; the functions that return matrices build ndarrays
+from those tuples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import Overflow
 
@@ -31,13 +34,17 @@ class Metric4:
         if self.alpha not in (-1, 1):
             raise ValueError(f"alpha must be -1 or +1, got {self.alpha!r}")
 
-    def matrix(self) -> np.ndarray:
+    def diagonal(self) -> tuple:
         a = float(self.alpha)
-        return np.diag([1.0, -a, -a, 1.0])
+        return (1.0, -a, -a, 1.0)
+
+    def matrix(self) -> np.ndarray:
+        import numpy as np
+        return np.diag(self.diagonal())
 
     def eps(self, i: int, j: int) -> float:
         """Sign factor g_ii * g_jj of an orthonormal index pair."""
-        g = (1.0, -float(self.alpha), -float(self.alpha), 1.0)
+        g = self.diagonal()
         return g[i] * g[j]
 
 
@@ -61,17 +68,20 @@ class TwoForm4:
     def scale(self, t: float) -> "TwoForm4":
         return TwoForm4(tuple(t * x for x in self.comp))
 
+    def rows(self) -> tuple:
+        """The full antisymmetric 4x4 component matrix, as four row tuples."""
+        w01, w02, w03, w12, w13, w23 = self.comp
+        return ((0.0, w01, w02, w03), (-w01, 0.0, w12, w13),
+                (-w02, -w12, 0.0, w23), (-w03, -w13, -w23, 0.0))
+
     def matrix(self) -> np.ndarray:
         """Expand to the full antisymmetric 4x4 component matrix."""
-        m = np.zeros((4, 4))
-        for (i, j), v in zip(PAIRS, self.comp):
-            m[i, j] = v
-            m[j, i] = -v
-        return m
+        import numpy as np
+        return np.array(self.rows())
 
 
-def star_matrix(g: Metric4) -> np.ndarray:
-    """The 6x6 matrix of the star operator in the PAIRS component basis.
+def _star_signs(g: Metric4) -> tuple:
+    """The star as a signed reversal of the PAIRS components.
 
     (star w)_ij = (1/2) eta_ijkl g^{km} g^{lr} w_mr reduces on the diagonal
     metric to a signed pairing of complementary index pairs.  In the PAIRS
@@ -79,12 +89,19 @@ def star_matrix(g: Metric4) -> np.ndarray:
     eta_ijkl g^kk g^ll of (ij) -> (kl) are -alpha, alpha, 1, 1, alpha, -alpha.
     """
     a = float(g.alpha)
-    return np.diag([-a, a, 1.0, 1.0, a, -a])[:, ::-1]
+    return (-a, a, 1.0, 1.0, a, -a)
+
+
+def star_matrix(g: Metric4) -> np.ndarray:
+    """The 6x6 matrix of the star operator in the PAIRS component basis."""
+    import numpy as np
+    return np.diag(_star_signs(g))[:, ::-1]
 
 
 def hodge_star(g: Metric4, w: TwoForm4) -> TwoForm4:
     """Star operator; involutive since the metric index is even."""
-    return TwoForm4(tuple(star_matrix(g) @ np.array(w.comp)))
+    return TwoForm4(tuple(s * x for s, x in zip(_star_signs(g),
+                                                 reversed(w.comp))))
 
 
 def sd_decompose(g: Metric4, w: TwoForm4) -> tuple[TwoForm4, TwoForm4]:
@@ -121,27 +138,36 @@ def wedge_coefficient(w: TwoForm4) -> float:
     return 2.0 * (c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
 
 
-def form_to_endo(g: Metric4, w: TwoForm4) -> np.ndarray:
-    """The endomorphism J with w(X, Y) = <X, J Y>, i.e. index raising.
+def endo_rows(g: Metric4, w: TwoForm4) -> tuple:
+    """The endomorphism J with w(X, Y) = <X, J Y>, i.e. index raising, as
+    four row tuples: J = g W, since diag(+-1) is its own inverse.
 
     J is skew-adjoint for the metric; when w is self-dual, J^2 is the scalar
     -lambda^2 with lambda^2 = -tr(J^2)/4 = |w|^2 / 2.
     """
-    return g.matrix() @ w.matrix()  # diag(+-1) is its own inverse
+    return tuple([tuple([gi * x for x in row])
+                  for gi, row in zip(g.diagonal(), w.rows())])
+
+
+def form_to_endo(g: Metric4, w: TwoForm4) -> np.ndarray:
+    """The matrix of :func:`endo_rows`."""
+    import numpy as np
+    return np.array(endo_rows(g, w))
 
 
 def lambda_sq(g: Metric4, w: TwoForm4) -> float:
     """lambda^2 = -tr(J^2)/4 for the endomorphism of w.
 
-    Raises :class:`Overflow` when w is finite but J^2 leaves the float
-    range, where the value would be an infinity or NaN.
+    Each diagonal entry of J J is its row-by-column sum and the trace their
+    sum, both in index order.  Raises :class:`Overflow` when w is finite but
+    J^2 leaves the float range, where the value would be an infinity or NaN.
     """
-    J = form_to_endo(g, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        l2 = -np.trace(J @ J) / 4.0
-    if not np.isfinite(l2) and np.isfinite(w.comp).all():
+    J = endo_rows(g, w)
+    l2 = -sum(sum(J[i][k] * J[k][i] for k in range(4)) for i in range(4)) / 4.0
+    if not math.isfinite(l2) and all(map(math.isfinite, w.comp)):
+        big = max(map(abs, w.comp))
         raise Overflow(f"lambda^2 overflows: J^2 of a form with components "
-                       f"up to {np.abs(w.comp).max():.3g} is not finite")
+                       f"up to {big:.3g} is not finite")
     return l2
 
 

@@ -420,6 +420,15 @@ def _refine_minima(lam: np.ndarray, mu: np.ndarray, half: float):
             np.where(np.abs(mu) < SWEEP_SNAP, 0.0, mu))
 
 
+def check_sweep_resolution(res: float) -> None:
+    """Raise InvalidResolution unless ``res`` is finite and at least
+    ``MIN_SWEEP_RES``."""
+    if not (math.isfinite(res) and res >= MIN_SWEEP_RES):
+        raise InvalidResolution(
+            f"sweep resolution must be finite and >= {MIN_SWEEP_RES:g}, "
+            f"got {res!r}")
+
+
 def einstein_sweep(res: float = 0.01):
     """Grid scan of the open disc by the closed coefficient formulas.
 
@@ -428,12 +437,9 @@ def einstein_sweep(res: float = 0.01):
     (lam, mu, ricci constant) found by shrinking local grids around every
     coarse near-minimum until the Einstein defect clears ``SWEEP_TOL``
     relative to the Ricci scale.  Base independent, hence no model
-    argument.  ``res`` must be finite and at least ``MIN_SWEEP_RES``.
+    argument.  ``res`` must pass :func:`check_sweep_resolution`.
     """
-    if not (math.isfinite(res) and res >= MIN_SWEEP_RES):
-        raise InvalidResolution(
-            f"sweep resolution must be finite and >= {MIN_SWEEP_RES:g}, "
-            f"got {res!r}")
+    check_sweep_resolution(res)
     k = int(np.floor(1.0 / res))
     ticks = res * np.arange(-k, k + 1)  # single products avoid drift at 0
     lam, mu = np.meshgrid(ticks, ticks, indexing="ij")

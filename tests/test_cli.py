@@ -85,6 +85,13 @@ def run(capsys, *argv):
     return code, doc, out.err
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this aqlab."""
+    src = str(pathlib.Path(aqlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def one_typed_error(err: str) -> str:
     """The name of the AqlabError on the only stderr line."""
     lines = err.strip().splitlines()
@@ -251,6 +258,36 @@ class TestEinstein:
         assert code == 1 and doc is None
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "InvalidResolution" in lines[0]
+
+    @pytest.mark.parametrize("mode", [("--classify",),
+                                      ("--lambda", "0", "--mu", "0")])
+    def test_csv_without_sweep_is_refused(self, capsys, tmp_path, mode):
+        csv = tmp_path / "out.csv"
+        code, doc, err = run(capsys, "einstein", "--catalog", "su2", *mode,
+                             "--csv", str(csv))
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "AqlabError" and "--sweep" in err
+        assert not csv.exists()
+
+    def test_bad_csv_path_fails_before_the_sweep(self, capsys, tmp_path,
+                                                 monkeypatch):
+        from aqlab import gxg
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("einstein_sweep ran")
+        monkeypatch.setattr(gxg, "einstein_sweep", no_sweep)
+        code, doc, err = run(capsys, "einstein", "--catalog", "su2",
+                             "--sweep", "0.25", "--csv", str(tmp_path))
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "AqlabError"
+
+    def test_bad_resolution_writes_no_csv(self, capsys, tmp_path):
+        csv = tmp_path / "out.csv"
+        code, doc, err = run(capsys, "einstein", "--catalog", "su2",
+                             "--sweep", "0", "--csv", str(csv))
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "InvalidResolution"
+        assert not csv.exists()
 
     def test_missing_mode_is_error(self, capsys):
         code, doc, err = run(capsys, "einstein", "--catalog", "su2")
@@ -649,11 +686,8 @@ class TestLazyStartup:
     @staticmethod
     def fresh(code: str, *args: str) -> str:
         """Stdout of ``code`` run in a new interpreter that imports this aqlab."""
-        src = str(pathlib.Path(aqlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -666,7 +700,7 @@ class TestLazyStartup:
         (("spinbasis", "--alpha", "-1", "--j1", "1,0,0", "--j2", "0,1,0",
           "--j3", "0,0,1"), {"quat", "scalars", "spinor"}),
         (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
-         {"numpy", "fourdim"}),
+         {"fourdim"}),
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
          {"numpy", "liealg", "tensors", "gxg"}),
         (("piaq", "--doubled", "su2", "--predicate", "three_web"),
@@ -688,6 +722,14 @@ class TestLazyStartup:
                              ("verify", str(path)))
         assert "numpy" not in loaded
 
+    def test_selfdual_and_its_verify_never_load_numpy(self, capsys,
+                                                      tmp_path):
+        argv = ("selfdual", "--alpha", "-1", "--omega", "1,2,3,4,5,6")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(run(capsys, *argv)[1]))
+        loaded = self.loaded(argv, ("verify", str(path)))
+        assert loaded == {"aqlab.fourdim"}
+
     def test_import_aqlab_is_lazy(self):
         self.fresh("""if True:
             import sys, aqlab
@@ -706,3 +748,59 @@ class TestLazyStartup:
     def test_parser_choices_match_the_layers(self):
         assert cli.CATALOG_NAMES == tuple(sorted(la.CATALOG))
         assert cli.PREDICATE_NAMES == tuple(sorted(pq.PREDICATES))
+
+
+class TestProcess:
+    """``python -m aqlab.cli`` writes what in-process ``main`` writes, then
+    ends the process at once; an unwritable stdout is one typed error."""
+
+    @staticmethod
+    def child(argv, stdout=subprocess.PIPE):
+        return subprocess.run([sys.executable, "-m", "aqlab.cli", *argv],
+                              env=child_env(), stdout=stdout,
+                              stderr=subprocess.PIPE)
+
+    @pytest.mark.parametrize("argv,status", [
+        (("pauli", "--alpha", "1"), 0),
+        (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"), 0),
+        (("einstein", "--catalog", "su2", "--classify"), 0),
+        (("verify", "{tampered}"), 1),
+        (("selfdual", "--alpha", "1", "--omega", "1e308,1e308,0,0,0,0"), 1),
+        (("pauli", "--alpha", "0"), 2),
+    ], ids=["pauli", "selfdual", "classify", "verify_mismatch", "bad_number",
+            "usage"])
+    def test_same_bytes_and_status_as_main(self, capsys, tmp_path, argv,
+                                           status):
+        _, doc, _ = run(capsys, "pauli", "--alpha", "1")
+        doc["outputs"]["sigma1"][0][1][0] = 2.0
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        argv = [a.format(tampered=tampered) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        want = capsys.readouterr().out.encode()
+        proc = self.child(argv)
+        assert code == status
+        assert (proc.returncode, proc.stdout) == (code, want), proc.stderr
+
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+    @pytest.mark.parametrize("argv", [
+        ("pauli", "--alpha", "1"),
+        ("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
+    ], ids=["pauli", "selfdual"])
+    def test_unwritable_stdout_is_one_typed_error(self, argv, sink):
+        if sink == "closed pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        elif os.path.exists(sink):
+            out = os.open(sink, os.O_WRONLY)
+        else:
+            pytest.skip(f"needs {sink}")
+        try:
+            proc = self.child(argv, stdout=out)
+        finally:
+            os.close(out)
+        assert proc.returncode == 1
+        assert one_typed_error(proc.stderr.decode()) == "AqlabError"

@@ -1,5 +1,7 @@
 """Self-dual two-form calculus on the model fibre."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,18 @@ class TestCanonicalBasis:
                 prod = qt.qmul(quats[a], quats[b]).coeffs()
                 want = sum(prod[m] * mats[m] for m in range(4))
                 assert np.abs(mats[a] @ mats[b] - want).max() < 1e-14
+
+
+class TestLambdaSqSum:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_agrees_with_the_matrix_trace(self, alpha, rng):
+        """The row-by-column sum in index order agrees with -tr(J @ J)/4 to
+        4 ulp of the sum of the magnitudes of its terms; at alpha = +1 the
+        terms cancel, so the result's own ulp would be no bound."""
+        g = fd.Metric4(alpha)
+        for _ in range(1000):
+            w = rand_form(rng)
+            J = fd.form_to_endo(g, w)
+            scale = float((J * J).sum()) / 4.0
+            assert (abs(fd.lambda_sq(g, w) + np.trace(J @ J) / 4.0)
+                    <= 4 * math.ulp(scale))

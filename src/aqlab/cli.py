@@ -15,22 +15,23 @@ Each subcommand imports only the layers it runs, so ``pauli``,
 ``spinbasis`` and ``selfdual`` (and ``verify`` of their documents) never
 load numpy.
 
-:func:`main` writes and flushes the document and returns the exit status;
-the console script and ``python -m aqlab.cli`` run :func:`run`, which then
-ends the process with ``os._exit``, skipping interpreter teardown.
+:func:`main` parses with one parser per process, writes and flushes the
+document and returns the exit status; the console script and ``python -m
+aqlab.cli`` run :func:`run`, which then ends the process with ``os._exit``,
+skipping interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import sys
 import warnings
-from fractions import Fraction
 
 from .errors import AqlabError, InvalidModel
 
@@ -46,6 +47,7 @@ CHECK_TOL = 1e-8  #: bound on check's worst residuals
 def _with_exact(x: float) -> dict:
     """The value, with [num, den] as ``exact`` when x is within 1e-12 of a
     rational of denominator at most 1000."""
+    from fractions import Fraction  # loaded only where an exact value is printed
     out = {"value": _f(x)}
     frac = Fraction(x).limit_denominator(1000) if math.isfinite(x) else x
     if abs(float(frac) - x) < 1e-12:
@@ -328,8 +330,30 @@ def cmd_check(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _write(text: str, what: str, file=None) -> None:
+    """Write ``text`` to ``file`` (default stdout) and flush it; a full
+    device or a closed pipe is an AqlabError."""
+    file = file or sys.stdout
+    try:
+        file.write(text)
+        file.flush()
+    except OSError as exc:
+        raise AqlabError(f"cannot write {what}: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's own ``print_help`` swallows a failed write, after which
+    ``--help`` exits 0; this one raises like a document that cannot be
+    written."""
+
+    def print_help(self, file=None):
+        _write(self.format_help(), "the help text", file)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process: parsing keeps no state in it."""
+    parser = _Parser(
         prog="aqlab",
         description="Numerics for generalized quaternionic geometry.",
     )
@@ -406,20 +430,18 @@ def main(argv=None) -> int:
     and flush its document, and return the exit status.  Usage errors raise
     argparse's ``SystemExit``; the process is never ended here."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             inputs, outputs, tolerances = args.func(args)
         doc = {"command": args.subcommand, "inputs": {**inputs, "argv": argv},
                "outputs": outputs, "tolerances": tolerances}
-        if not _compare(doc, doc, 0.0):  # False only for a NaN or an infinity
-            raise AqlabError("result is not finite: the document holds NaN or inf")
-        try:
-            sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-            sys.stdout.flush()
-        except OSError as exc:  # a full device or a closed pipe
-            raise AqlabError(f"cannot write the document: {exc}") from None
+        try:  # with allow_nan=False the encoder is the finiteness check
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise AqlabError("result is not finite: the document holds NaN or inf") from None
+        _write(text, "the document")
     except (AqlabError, ArithmeticError, RuntimeWarning) as exc:
         if not isinstance(exc, AqlabError):  # overflow or an invalid operation
             exc = AqlabError(f"result is not finite: {exc}")

@@ -537,6 +537,17 @@ class TestCheck:
         assert doc1["outputs"] == doc2["outputs"]
         assert doc1["outputs"]["passed"] is True
 
+    def test_seed_beyond_float_range_is_a_document(self, capsys, tmp_path):
+        """An integer too large for a float is finite: it is printed as
+        given, and verify of the document matches."""
+        seed = str(10 ** 400)
+        code, doc, err = run(capsys, "check", "--seed", seed, "--samples", "1")
+        assert (code, err) == (0, "") and doc["inputs"]["seed"] == int(seed)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, doc, _ = run(capsys, "verify", str(path))
+        assert code == 0 and doc["outputs"]["match"] is True
+
     def test_environment_does_not_change_tolerances(self, capsys, monkeypatch,
                                                     tmp_path):
         """check and verify compare at fixed constants, whatever the
@@ -583,6 +594,14 @@ class TestNumbers:
         code, doc, err = run(capsys, *argv)
         assert code == 1 and doc is None
         assert one_typed_error(err) == error
+
+    @pytest.mark.parametrize("omega", ["nan,0,0,0,0,0", "inf,0,0,0,0,0"])
+    def test_non_finite_document_error_line(self, capsys, omega):
+        code = main(["selfdual", "--alpha", "-1", "--omega", omega])
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err == ("error: AqlabError: result is not finite: "
+                           "the document holds NaN or inf\n")
 
     def test_main_raises_numpy_warnings_itself(self, capsys):
         """Not only under this suite's filterwarnings setting: a plain
@@ -671,7 +690,8 @@ class TestFaults:
 
 
 class TestLazyStartup:
-    """Each subcommand imports only the layers it runs."""
+    """Each subcommand imports only the layers it runs, and ``fractions``
+    only where it prints an exact value (selfdual and einstein)."""
 
     PROBE = """if True:
         import contextlib, io, json, sys
@@ -680,7 +700,8 @@ class TestLazyStartup:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
         print(json.dumps(sorted(m for m in sys.modules
-                                if m == "numpy" or m.startswith("aqlab"))))
+                                if m in ("numpy", "fractions")
+                                or m.startswith("aqlab"))))
     """
 
     @staticmethod
@@ -700,16 +721,17 @@ class TestLazyStartup:
         (("spinbasis", "--alpha", "-1", "--j1", "1,0,0", "--j2", "0,1,0",
           "--j3", "0,0,1"), {"quat", "scalars", "spinor"}),
         (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
-         {"fourdim"}),
+         {"fourdim", "fractions"}),
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
-         {"numpy", "liealg", "tensors", "gxg"}),
+         {"numpy", "liealg", "tensors", "gxg", "fractions"}),
         (("piaq", "--doubled", "su2", "--predicate", "three_web"),
          {"numpy", "liealg", "tensors", "piaq"}),
         (("check", "--seed", "1", "--samples", "2"),
          {"numpy", "quat", "scalars", "liealg", "tensors", "gxg"}),
     ])
     def test_subcommand_loads_only_its_layers(self, argv, layers):
-        want = {m if m == "numpy" else f"aqlab.{m}" for m in layers}
+        want = {m if m in ("numpy", "fractions") else f"aqlab.{m}"
+                for m in layers}
         assert self.loaded(argv) == want
 
     def test_spin_commands_and_their_verify_never_load_numpy(self, capsys,
@@ -728,7 +750,30 @@ class TestLazyStartup:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(run(capsys, *argv)[1]))
         loaded = self.loaded(argv, ("verify", str(path)))
-        assert loaded == {"aqlab.fourdim"}
+        assert loaded == {"aqlab.fourdim", "fractions"}
+
+    def test_one_parser_per_process(self, capsys, tmp_path):
+        """Three ``main`` calls and a ``verify``, which parses its stored
+        argv again, build the top-level parser once."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(run(capsys, "pauli", "--alpha", "1")[1]))
+        argvs = [["pauli", "--alpha", "1"], ["pauli", "--alpha", "-1"],
+                 ["selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"],
+                 ["verify", str(path)]]
+        out = self.fresh("""if True:
+            import argparse, contextlib, io, json, sys
+            built, init = [], argparse.ArgumentParser.__init__
+            def counted(parser, *args, **kwargs):
+                init(parser, *args, **kwargs)
+                built.append(parser.prog)
+            argparse.ArgumentParser.__init__ = counted
+            from aqlab.cli import main
+            for argv in json.loads(sys.argv[1]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+            print(built.count("aqlab"))
+        """, json.dumps(argvs))
+        assert out.strip() == "1"
 
     def test_import_aqlab_is_lazy(self):
         self.fresh("""if True:
@@ -752,12 +797,13 @@ class TestLazyStartup:
 
 class TestProcess:
     """``python -m aqlab.cli`` writes what in-process ``main`` writes, then
-    ends the process at once; an unwritable stdout is one typed error."""
+    ends the process at once; an unwritable stdout, for a document or for a
+    help text, is one typed error."""
 
     @staticmethod
-    def child(argv, stdout=subprocess.PIPE):
+    def child(argv, stdout=subprocess.PIPE, **env):
         return subprocess.run([sys.executable, "-m", "aqlab.cli", *argv],
-                              env=child_env(), stdout=stdout,
+                              env={**child_env(), **env}, stdout=stdout,
                               stderr=subprocess.PIPE)
 
     @pytest.mark.parametrize("argv,status", [
@@ -789,8 +835,12 @@ class TestProcess:
     @pytest.mark.parametrize("argv", [
         ("pauli", "--alpha", "1"),
         ("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
-    ], ids=["pauli", "selfdual"])
+        ("pauli", "--help"),
+        ("--help",),
+    ], ids=["pauli", "selfdual", "pauli_help", "help"])
     def test_unwritable_stdout_is_one_typed_error(self, argv, sink):
+        """With stdout buffered (the write fails at the flush) and
+        unbuffered (it fails at the write itself)."""
         if sink == "closed pipe":
             read_end, out = os.pipe()
             os.close(read_end)
@@ -799,8 +849,10 @@ class TestProcess:
         else:
             pytest.skip(f"needs {sink}")
         try:
-            proc = self.child(argv, stdout=out)
+            procs = [self.child(argv, stdout=out, PYTHONUNBUFFERED=mode)
+                     for mode in ("", "1")]
         finally:
             os.close(out)
-        assert proc.returncode == 1
-        assert one_typed_error(proc.stderr.decode()) == "AqlabError"
+        for proc in procs:
+            assert proc.returncode == 1
+            assert one_typed_error(proc.stderr.decode()) == "AqlabError"

@@ -10,13 +10,13 @@ signature.
 
 Forms, the star and endomorphisms are computed on float tuples, so this
 module loads no numpy; the functions that return matrices build ndarrays
-from those tuples.
+from those tuples.  :class:`Metric4` and :class:`TwoForm4` are immutable by
+convention.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import Overflow
 
@@ -24,23 +24,17 @@ from .errors import Overflow
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
 class Metric4:
     """The model metric diag(1, -alpha, -alpha, 1)."""
 
-    alpha: int
-
-    def __post_init__(self):
-        if self.alpha not in (-1, 1):
-            raise ValueError(f"alpha must be -1 or +1, got {self.alpha!r}")
+    def __init__(self, alpha: int):
+        if alpha not in (-1, 1):
+            raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
+        self.alpha = alpha
 
     def diagonal(self) -> tuple:
         a = float(self.alpha)
         return (1.0, -a, -a, 1.0)
-
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-        return np.diag(self.diagonal())
 
     def eps(self, i: int, j: int) -> float:
         """Sign factor g_ii * g_jj of an orthonormal index pair."""
@@ -48,14 +42,11 @@ class Metric4:
         return g[i] * g[j]
 
 
-@dataclass(frozen=True)
 class TwoForm4:
     """Antisymmetric two-form stored by its six independent components."""
 
-    comp: tuple  # components in PAIRS order
-
-    def __post_init__(self):
-        object.__setattr__(self, "comp", tuple(float(x) for x in self.comp))
+    def __init__(self, comp):
+        self.comp = tuple(float(x) for x in comp)  # in PAIRS order
         if len(self.comp) != 6:
             raise ValueError("a two-form has six independent components")
 
@@ -73,11 +64,6 @@ class TwoForm4:
         w01, w02, w03, w12, w13, w23 = self.comp
         return ((0.0, w01, w02, w03), (-w01, 0.0, w12, w13),
                 (-w02, -w12, 0.0, w23), (-w03, -w13, -w23, 0.0))
-
-    def matrix(self) -> np.ndarray:
-        """Expand to the full antisymmetric 4x4 component matrix."""
-        import numpy as np
-        return np.array(self.rows())
 
 
 def _star_signs(g: Metric4) -> tuple:

@@ -382,14 +382,10 @@ def classify_einstein(model: DoubledModel):
     mu = -2/3 forces lam^2 = 1/9.  Each solution is verified on the model
     and returned with its Ricci constant.
     """
-    candidates = [(0.0, 0.0)]
-    # lam = 0 branch: roots of 2 mu^2 + 3 mu + 1 = 0
-    for mu in sorted(np.roots([2.0, 3.0, 1.0]).real, reverse=True):
-        if abs(mu ** 2 - 1.0) > DEGENERACY_TOL:
-            candidates.append((0.0, float(mu)))
-    # mu = -2/3 branch: lam^2 = 1/9
-    for lam in (1.0 / 3.0, -1.0 / 3.0):
-        candidates.append((lam, -2.0 / 3.0))
+    # mu = 0 forces lam = 0; lam = 0 takes the root -1/2 of 2 mu^2 + 3 mu + 1
+    # (its root -1 lies on the degeneracy circle); mu = -2/3 takes lam = +-1/3
+    candidates = [(0.0, 0.0), (0.0, -0.5),
+                  (1.0 / 3.0, -2.0 / 3.0), (-1.0 / 3.0, -2.0 / 3.0)]
     out = []
     for lam, mu in candidates:
         fam = MetricFamily(model, lam, mu)

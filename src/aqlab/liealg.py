@@ -18,7 +18,6 @@ metric family of :mod:`aqlab.gxg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,27 +30,23 @@ SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * max(1, t
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
 
 
-@dataclass(frozen=True)
 class LieAlgebraModel:
     """Lie algebra given by its structure constants.
 
-    ``c[i, j, k]`` is the e_k coefficient of [e_i, e_j].
+    ``c[i, j, k]`` is the e_k coefficient of [e_i, e_j].  Instances are
+    immutable by convention.
     """
 
-    dim: int
-    c: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        if not is_integral(self.dim):
-            raise InvalidModel(f"dim must be an integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.dim, self.dim, self.dim):
-            raise InvalidModel(f"structure tensor must be {self.dim}^3")
-        if self.dim < 1:
-            raise InvalidModel(f"dim must be at least 1, got {self.dim!r}")
-        object.__setattr__(self, "c", c)
+    def __init__(self, dim: int, c: np.ndarray, name: str = ""):
+        if not is_integral(dim):
+            raise InvalidModel(f"dim must be an integer, got {dim!r}")
+        self.dim = dim = int(dim)
+        self.c = c = np.asarray(c, dtype=float)
+        self.name = name
+        if c.shape != (dim, dim, dim):
+            raise InvalidModel(f"structure tensor must be {dim}^3")
+        if dim < 1:
+            raise InvalidModel(f"dim must be at least 1, got {dim!r}")
         top = np.abs(c).max()
         if not is_antisymmetric(c, top):
             raise InvalidModel("structure constants are not antisymmetric")
@@ -175,10 +170,7 @@ def pseudo_orthonormalize(A: LieAlgebraModel):
     root = np.sqrt(np.abs(w))
     basis = qmat / root
     c_new = post(qmat.T * root[:, None], transport(A.c, basis, basis))
-    # a basis change of a validated bracket: not checked a second time
-    model = object.__new__(LieAlgebraModel)
-    model.__dict__.update(dim=A.dim, c=c_new, name=A.name)
-    return model, eps, basis
+    return LieAlgebraModel(A.dim, c_new, A.name), eps, basis
 
 
 # ---------------------------------------------------------------------------

@@ -15,29 +15,25 @@ acting on pairs of scalars, with determinant equal to the quaternion norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import scalars as sk
 from .errors import NotPurelyImaginary, SignatureMismatch
-from .scalars import ScalarKA
+from .scalars import Record, ScalarKA, _set
 
 PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * (1 + max|coeff|)
 
 
-@dataclass(frozen=True, slots=True)
-class QuaternionA:
+class QuaternionA(Record):
     """Quaternion ``a + i b + j c + k d`` with signature ``alpha`` in {-1, +1}."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    alpha: int
+    __slots__ = ("a", "b", "c", "d", "alpha")
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def __init__(self, a: float, b: float, c: float, d: float, alpha: int):
+        sk._check_alpha(alpha)
+        _set(self, "a", float(a))
+        _set(self, "b", float(b))
+        _set(self, "c", float(c))
+        _set(self, "d", float(d))
+        _set(self, "alpha", alpha)
 
     def __add__(self, other):
         sk._check_signatures(self, other)
@@ -61,32 +57,9 @@ class QuaternionA:
                 f" | a={self.alpha:+d})")
 
 
-def _check_alpha(alpha):
-    if alpha not in (-1, 1):
-        raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
-
-
-_SET_FIELDS = tuple(getattr(QuaternionA, name).__set__
-                    for name in ("a", "b", "c", "d", "alpha"))
-
-
-def _mk(a: float, b: float, c: float, d: float, alpha: int) -> QuaternionA:
-    """Unvalidated constructor for floats of an already validated alpha."""
-    q = object.__new__(QuaternionA)
-    set_a, set_b, set_c, set_d, set_alpha = _SET_FIELDS
-    set_a(q, a)
-    set_b(q, b)
-    set_c(q, c)
-    set_d(q, d)
-    set_alpha(q, alpha)
-    return q
-
-
 def from_coeffs(v, alpha: int) -> QuaternionA:
     a, b, c, d = v
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    _check_alpha(alpha)
-    return _mk(a, b, c, d, alpha)
+    return QuaternionA(a, b, c, d, alpha)
 
 
 def one(alpha: int) -> QuaternionA:
@@ -111,7 +84,7 @@ def scale(t: float, q: QuaternionA) -> QuaternionA:
 
 def to_pair(q: QuaternionA) -> tuple[ScalarKA, ScalarKA]:
     """Split q = z1 + j z2 into (z1, z2) = (a + ib, c - id)."""
-    return (sk._mk(q.a, q.b, q.alpha), sk._mk(q.c, -q.d, q.alpha))
+    return (ScalarKA(q.a, q.b, q.alpha), ScalarKA(q.c, -q.d, q.alpha))
 
 
 def qmul(p: QuaternionA, q: QuaternionA) -> QuaternionA:
@@ -122,7 +95,7 @@ def qmul(p: QuaternionA, q: QuaternionA) -> QuaternionA:
     al = p.alpha
     a, b, c, d = p.a, p.b, p.c, p.d
     e, f, g, h = q.a, q.b, q.c, q.d
-    return _mk(
+    return QuaternionA(
         (a * e + al * b * f) + al * (g * c + al * -h * d),
         (a * f + b * e) + al * (g * d + -h * c),
         (a * g + al * -b * -h) + (e * c + al * f * -d),
@@ -166,16 +139,16 @@ def iq_commutator(p: QuaternionA, q: QuaternionA) -> QuaternionA:
 # 2x2 spin representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SpinMatrix:
+class SpinMatrix(Record):
     """2x2 matrix over the scalar ring, the defining representation space."""
 
-    m: tuple  # ((ScalarKA, ScalarKA), (ScalarKA, ScalarKA))
+    __slots__ = ("m",)  # ((ScalarKA, ScalarKA), (ScalarKA, ScalarKA))
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.m
+    def __init__(self, m: tuple):
+        (a, b), (c, d) = m
         if not a.alpha == b.alpha == c.alpha == d.alpha:
             raise SignatureMismatch("matrix entries carry different signatures")
+        _set(self, "m", m)
 
     @property
     def alpha(self) -> int:
@@ -196,7 +169,7 @@ class SpinMatrix:
             _entries(self), _entries(other))), self.alpha)
 
     def det(self) -> ScalarKA:
-        return sk._mk(*_det(_entries(self), self.alpha), self.alpha)
+        return ScalarKA(*_det(_entries(self), self.alpha), self.alpha)
 
     def real_trace(self) -> float:
         """Sum of real parts of the diagonal entries."""
@@ -221,15 +194,11 @@ def _entries(m: SpinMatrix) -> tuple:
     return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
 
 
-_SET_M = SpinMatrix.m.__set__
-
-
 def _from_entries(e: tuple, alpha: int) -> SpinMatrix:
-    """Unvalidated constructor for the floats of an already validated alpha."""
-    mk, m = sk._mk, object.__new__(SpinMatrix)
-    _SET_M(m, ((mk(e[0], e[1], alpha), mk(e[2], e[3], alpha)),
-               (mk(e[4], e[5], alpha), mk(e[6], e[7], alpha))))
-    return m
+    """The SpinMatrix of an 8-tuple."""
+    z = ScalarKA
+    return SpinMatrix(((z(e[0], e[1], alpha), z(e[2], e[3], alpha)),
+                       (z(e[4], e[5], alpha), z(e[6], e[7], alpha))))
 
 
 def _spin_entries(q: QuaternionA) -> tuple:

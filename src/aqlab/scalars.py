@@ -5,13 +5,14 @@
 ``(1 + i)(1 - i) = 1 - i**2 = 0``, so inversion must reject isotropic
 elements instead of silently dividing.
 
-All values are immutable and every operation is a pure function.
+Every operation is a pure function.  Values are immutable slotted records
+on :class:`Record`, the base of the values of :mod:`aqlab.quat` and
+:mod:`aqlab.spinor` too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IsotropicScalar, SignatureMismatch
 
@@ -19,19 +20,53 @@ from .errors import IsotropicScalar, SignatureMismatch
 ISOTROPY_TOL = 1e-9  #: absolute: z is isotropic (no inverse) when |z|^2 <= this
 
 
-@dataclass(frozen=True, slots=True)
-class ScalarKA:
+_set = object.__setattr__  #: how a constructor sets its record's fields
+
+
+class Record:
+    """An immutable record of the fields named in ``__slots__``, set once by
+    the subclass's validating constructor; values of one type with equal
+    fields are equal and hash equally."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _check_alpha(alpha):
+    if alpha not in (-1, 1):
+        raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
+
+
+class ScalarKA(Record):
     """Element ``re + i*im`` with ``i**2 = alpha``, ``alpha`` in ``{-1, +1}``."""
 
-    re: float
-    im: float
-    alpha: int
+    __slots__ = ("re", "im", "alpha")
 
-    def __post_init__(self):
-        if self.alpha not in (-1, 1):
-            raise ValueError(f"alpha must be -1 or +1, got {self.alpha!r}")
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "im", float(self.im))
+    def __init__(self, re: float, im: float, alpha: int):
+        _check_alpha(alpha)
+        _set(self, "re", float(re))
+        _set(self, "im", float(im))
+        _set(self, "alpha", alpha)
 
     def __add__(self, other: "ScalarKA") -> "ScalarKA":
         return add(self, other)
@@ -42,19 +77,6 @@ class ScalarKA:
     def __repr__(self):
         sign = "+" if self.im >= 0 else "-"
         return f"({self.re:g} {sign} {abs(self.im):g}i | a={self.alpha:+d})"
-
-
-_SET_RE, _SET_IM, _SET_ALPHA = (ScalarKA.re.__set__, ScalarKA.im.__set__,
-                                ScalarKA.alpha.__set__)
-
-
-def _mk(re: float, im: float, alpha: int) -> ScalarKA:
-    """Unvalidated constructor for floats of an already validated alpha."""
-    z = object.__new__(ScalarKA)
-    _SET_RE(z, re)
-    _SET_IM(z, im)
-    _SET_ALPHA(z, alpha)
-    return z
 
 
 def from_real(x: float, alpha: int) -> ScalarKA:
@@ -84,11 +106,11 @@ def _check_signatures(x, y):
 
 def add(x: ScalarKA, y: ScalarKA) -> ScalarKA:
     _check_signatures(x, y)
-    return _mk(x.re + y.re, x.im + y.im, x.alpha)
+    return ScalarKA(x.re + y.re, x.im + y.im, x.alpha)
 
 
 def neg(x: ScalarKA) -> ScalarKA:
-    return _mk(-x.re, -x.im, x.alpha)
+    return ScalarKA(-x.re, -x.im, x.alpha)
 
 
 def scale(t: float, x: ScalarKA) -> ScalarKA:
@@ -99,13 +121,13 @@ def scale(t: float, x: ScalarKA) -> ScalarKA:
 def mul(x: ScalarKA, y: ScalarKA) -> ScalarKA:
     """(a + ib)(c + id) = (ac + alpha*bd) + i(ad + bc)."""
     _check_signatures(x, y)
-    return _mk(x.re * y.re + x.alpha * x.im * y.im,
-               x.re * y.im + x.im * y.re, x.alpha)
+    return ScalarKA(x.re * y.re + x.alpha * x.im * y.im,
+                    x.re * y.im + x.im * y.re, x.alpha)
 
 
 def conj(x: ScalarKA) -> ScalarKA:
     """The ring involution a + ib -> a - ib."""
-    return _mk(x.re, -x.im, x.alpha)
+    return ScalarKA(x.re, -x.im, x.alpha)
 
 
 def normsq(x: ScalarKA) -> float:
@@ -130,7 +152,7 @@ def inv(x: ScalarKA) -> ScalarKA:
     n = normsq(x)
     if abs(n) <= ISOTROPY_TOL:
         raise IsotropicScalar(f"normsq {n:.3e} below tolerance {ISOTROPY_TOL:.1e}")
-    return _mk(x.re / n, -x.im / n, x.alpha)
+    return ScalarKA(x.re / n, -x.im / n, x.alpha)
 
 
 def close(x: ScalarKA, y: ScalarKA, tol: float = 1e-12) -> bool:

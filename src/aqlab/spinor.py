@@ -11,8 +11,6 @@ of the third one, which detects orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import quat as qt
 from . import scalars as sk
@@ -25,23 +23,23 @@ from .errors import (
 )
 from .quat import (QuaternionA, SpinMatrix, _entries, _from_entries,
                    _inverse, _matmul, _spin_entries)
-from .scalars import ScalarKA
+from .scalars import Record, ScalarKA, _set
 
 GRAM_TOL = 1e-9  #: absolute (not scale-aware): Gram-entry error of an input triple
 CONJ_TOL = 1e-7  #: absolute: entries of P^-1 [j_m] P against the Pauli matrices
 RANK_TOL = 1e-8  #: orbit rank counts singular values > this * the largest
 
 
-@dataclass(frozen=True, slots=True)
-class SpinVector:
+class SpinVector(Record):
     """Pair (x1, x2) of scalars sharing one signature parameter."""
 
-    x1: ScalarKA
-    x2: ScalarKA
+    __slots__ = ("x1", "x2")
 
-    def __post_init__(self):
-        if self.x1.alpha != self.x2.alpha:
+    def __init__(self, x1: ScalarKA, x2: ScalarKA):
+        if x1.alpha != x2.alpha:
             raise SignatureMismatch("components carry different signatures")
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
 
     @property
     def alpha(self) -> int:
@@ -101,15 +99,8 @@ def _vec(X: SpinVector) -> tuple:
     return (X.x1.re, X.x1.im, X.x2.re, X.x2.im)
 
 
-_SET_X1, _SET_X2 = SpinVector.x1.__set__, SpinVector.x2.__set__
-
-
 def _from_vec(v: tuple, alpha: int) -> SpinVector:
-    """Unvalidated constructor for the floats of an already validated alpha."""
-    X = object.__new__(SpinVector)
-    _SET_X1(X, sk._mk(v[0], v[1], alpha))
-    _SET_X2(X, sk._mk(v[2], v[3], alpha))
-    return X
+    return SpinVector(ScalarKA(v[0], v[1], alpha), ScalarKA(v[2], v[3], alpha))
 
 
 def scalar_mul(z: ScalarKA, X: SpinVector) -> SpinVector:
@@ -125,7 +116,7 @@ def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
     negative or zero for alpha = +1.
     """
     sk._check_signatures(X, Y)
-    return sk._mk(*_hermitian(_vec(X), _vec(Y), X.alpha), X.alpha)
+    return ScalarKA(*_hermitian(_vec(X), _vec(Y), X.alpha), X.alpha)
 
 
 def real_inner(X: SpinVector, Y: SpinVector) -> float:
@@ -147,21 +138,24 @@ def apply_matrix(m: SpinMatrix, X: SpinVector) -> SpinVector:
 # Spin bases
 # ---------------------------------------------------------------------------
 
-class IQBasis(NamedTuple):
-    """Ordered triple of purely imaginary quaternions.
+class IQBasis:
+    """Ordered triple of purely imaginary quaternions, iterated in order.
 
     A valid basis is orthonormal with the squared-norm pattern
     (-alpha, -alpha, +1), matching the standard triple (i, j, k).
     """
 
-    j1: QuaternionA
-    j2: QuaternionA
-    j3: QuaternionA
+    def __init__(self, j1: QuaternionA, j2: QuaternionA, j3: QuaternionA):
+        self.j1, self.j2, self.j3 = j1, j2, j3
+
+    def __iter__(self):
+        return iter((self.j1, self.j2, self.j3))
 
 
-class SpinBasisResult(NamedTuple):
-    matrix: SpinMatrix  # columns are the constructed basis vectors
-    sign: int           # +1 when the input triple is oriented like (i, j, k)
+class SpinBasisResult:
+    def __init__(self, matrix: SpinMatrix, sign: int):
+        self.matrix = matrix  # columns are the constructed basis vectors
+        self.sign = sign  # +1 when the triple is oriented like (i, j, k)
 
 
 def check_iq_basis(basis: IQBasis):

@@ -752,6 +752,46 @@ class TestLazyStartup:
         loaded = self.loaded(argv, ("verify", str(path)))
         assert loaded == {"aqlab.fourdim", "fractions"}
 
+    def stdlib_loaded(self, *argvs) -> set:
+        """Which of ``dataclasses`` and ``inspect`` the argvs load."""
+        out = self.fresh("""if True:
+            import contextlib, io, json, sys
+            from aqlab.cli import main
+            for argv in json.loads(sys.argv[1]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+            print(json.dumps([m for m in ("dataclasses", "inspect")
+                              if m in sys.modules]))
+        """, json.dumps(argvs))
+        return set(json.loads(out))
+
+    def test_no_subcommand_loads_dataclasses(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(run(capsys, "pauli", "--alpha", "1")[1]))
+        assert "dataclasses" not in self.stdlib_loaded(
+            ("pauli", "--alpha", "-1"),
+            ("spinbasis", "--alpha", "1", "--j1", "1,0,0", "--j2", "0,1,0",
+             "--j3", "0,0,-1"),
+            ("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
+            ("einstein", "--catalog", "su2", "--classify"),
+            ("einstein", "--catalog", "su2", "--sweep", "0.05"),
+            ("piaq", "--doubled", "su2", "--predicate", "three_web"),
+            ("check", "--seed", "1", "--samples", "2"),
+            ("verify", str(path)))
+
+    def test_numpy_free_commands_and_their_verify_load_no_inspect(
+            self, capsys, tmp_path):
+        argvs = (("pauli", "--alpha", "1"),
+                 ("spinbasis", "--alpha", "1", "--j1", "1,0,0", "--j2",
+                  "0,1,0", "--j3", "0,0,-1"),
+                 ("selfdual", "--alpha", "-1", "--omega", "1,2,3,4,5,6"))
+        verifies = []
+        for k, argv in enumerate(argvs):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(json.dumps(run(capsys, *argv)[1]))
+            verifies.append(("verify", str(path)))
+        assert self.stdlib_loaded(*argvs, *verifies) == set()
+
     def test_one_parser_per_process(self, capsys, tmp_path):
         """Three ``main`` calls and a ``verify``, which parses its stored
         argv again, build the top-level parser once."""

@@ -1,7 +1,5 @@
 """Generalized quaternion algebra and its spin representation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,9 +292,9 @@ class TestFusedOperations:
     def test_fields_are_frozen(self):
         q = qt.QuaternionA(1, 2, 3, 4, -1)
         for name in ("a", "b", "c", "d", "alpha"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(q, name, 0.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             qt.spin_matrix(q).m = ()
 
     def test_mixed_signatures_rejected(self):

@@ -1,6 +1,5 @@
 """Ring arithmetic of the complex and double numbers."""
 
-import dataclasses
 import math
 import sys
 
@@ -9,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aqlab import quat as qt
 from aqlab import scalars as sk
+from aqlab import spinor as sp
 from aqlab.errors import IsotropicScalar, SignatureMismatch
 from conftest import bits, ring_pairs
 
@@ -150,8 +151,8 @@ class TestBulkRandomSweep:
 
 
 class TestUnvalidatedResults:
-    """Operations build their results without revalidating the fields; the
-    references are the formulas through the validating constructor."""
+    """Operations build their results bit for bit as the validating
+    constructor does from the written-out formulas."""
 
     @given(alphas, ring_pairs, ring_pairs)
     @settings(max_examples=300)
@@ -178,9 +179,56 @@ class TestUnvalidatedResults:
     def test_fields_are_frozen(self):
         x = z(1, 2, -1)
         for name in ("re", "im", "alpha"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(x, name, 0)
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             z(1, 0, 0)
+
+
+def ring_values(alpha):
+    """One value of each ring type, each built twice from the same fields."""
+    return [(make(), make()) for make in (
+        lambda: z(1.5, -2.0, alpha),
+        lambda: qt.QuaternionA(1, 2, 3, 4, alpha),
+        lambda: qt.spin_matrix(qt.QuaternionA(1, 2, 3, 4, alpha)),
+        lambda: sp.svec((1, 2), 3, alpha))]
+
+
+class TestValueSemantics:
+    """The ring values compare, hash and print by their fields."""
+
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    def test_equal_values_hash_equally_and_key_sets_and_dicts(self, alpha):
+        pairs = ring_values(alpha)
+        for x, y in pairs:
+            assert x is not y and x == y and not x != y
+            assert hash(x) == hash(y)
+        firsts = [x for x, _ in pairs]
+        seconds = [y for _, y in pairs]
+        assert set(firsts) == set(seconds) and len(set(firsts + seconds)) == 4
+        table = dict(zip(firsts, range(4)))
+        assert [table[y] for y in seconds] == [0, 1, 2, 3]
+        others = [x for x, _ in ring_values(-alpha)]
+        assert not set(firsts) & set(others)
+
+    def test_scalar_is_not_a_tuple_or_another_type(self):
+        x = z(1, 0, 1)
+        assert x != (1.0, 0.0, 1) and (1.0, 0.0, 1) != x
+        assert x != qt.QuaternionA(1, 0, 0, 0, 1)
+        assert x != sp.svec(1, 0, 1) and x != 1.0
+        assert z(1, 2, 1) != z(1, 2, -1) and z(1, 2, 1) != z(1, 3, 1)
+
+    def test_fields_cannot_be_deleted(self):
+        for x, _ in ring_values(1):
+            for name in x.__slots__:
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+                assert hasattr(x, name)
+
+    def test_spin_reprs_name_their_fields(self):
+        m = qt.spin_matrix(qt.i_(-1))
+        assert repr(m) == f"SpinMatrix(m={m.m!r})"
+        X = sp.svec(1, (0, 2), -1)
+        assert repr(X) == f"SpinVector(x1={X.x1!r}, x2={X.x2!r})"

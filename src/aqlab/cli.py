@@ -93,9 +93,11 @@ def _load_file(path: str, twistor: bool):
     its content raised as InvalidModel naming the file.
 
     Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
-    model file may omit ``brackets`` for the zero bracket.
+    model file may omit ``brackets`` for the zero bracket.  Numbers are
+    taken as given: a string or a bool is no index, value or entry of I, J.
     """
     from . import liealg as la
+    from .tensors import is_number
     data = _read_json(path)
     try:
         if not isinstance(data, dict):
@@ -116,6 +118,12 @@ def _load_file(path: str, twistor: bool):
         if not twistor:
             return la.from_brackets(data["dim"], entries, name=name)
         c = la.bracket_tensor(data["dim"], entries)
+        for key in ("I", "J"):
+            rows = data[key]
+            if not (isinstance(rows, list) and all(
+                    isinstance(r, list) and all(map(is_number, r))
+                    for r in rows)):
+                raise InvalidModel(f"{key} must be rows of finite numbers")
         import numpy as np
         from . import piaq as pq
         return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
@@ -178,6 +186,12 @@ def _einstein_rows(points) -> list:
 
 
 def cmd_einstein(args):
+    modes = [flag for flag, given in (
+        ("--classify", args.classify), ("--sweep", args.sweep is not None),
+        ("--lambda/--mu", args.lam is not None or args.mu is not None))
+        if given]
+    if len(modes) > 1:
+        raise AqlabError(f"{' and '.join(modes)} are exclusive modes")
     if args.csv and args.sweep is None:
         raise AqlabError("--csv writes the sweep grid and needs --sweep")
     from . import liealg as la

@@ -43,11 +43,10 @@ DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 # 4e6 here (3.1e6 of them inside the disc).
 MIN_SWEEP_RES = 1e-3
 SWEEP_CUT = 1e-5  #: absolute: floor of the coarse-defect cut max(2 res, this)
-SWEEP_CENTER_SEP = 3.0  #: rel. to res: nearer coarse centers share one basin
-SWEEP_REFINE_FLOOR = 1e-9  #: absolute: refinement stops at this half-width
-SWEEP_SNAP = 1e-12  #: absolute: a refined lam or mu below this is exactly 0
-SWEEP_TOL = 1e-8  #: refined defect rel. to 1 + |eps|, the Ricci constant
-SWEEP_POINT_SEP = 1e-6  #: absolute: nearer refined points are one point
+SWEEP_STEPS = 12  #: Newton steps from every coarse start (8 miss by 3e-9)
+SWEEP_SNAP = 1e-12  #: absolute: a polished lam or mu below this is exactly 0
+SWEEP_TOL = 1e-8  #: polished defect rel. to 1 + |eps|, the Ricci constant
+SWEEP_POINT_SEP = 1e-6  #: absolute: nearer polished points are one point
 
 
 # R(X, Y)Z is the sum of k p^i q^j [u, [v, w]] over the rows (k, i, j, "u v w");
@@ -355,9 +354,27 @@ def ricci_coefficients(lam: float, mu: float):
     q = 4.0 * _d0(lam, mu)
     A = -(1.0 - lam) / 4.0 + mu ** 2 * (mu - lam + 1.0) / q
     B = -(1.0 + lam) / 4.0 + mu ** 2 * (mu + lam + 1.0) / q
-    C = mu * (-2 * mu ** 2 - lam ** 2 + 3 * lam * mu - 3 * mu + 2 * lam - 1.0) / q
-    D = -mu * (2 * mu ** 2 + lam ** 2 + 3 * lam * mu + 3 * mu + 2 * lam + 1.0) / q
-    return A, B, C, D
+    pc, pd = _cd_cofactors(lam, mu)
+    return A, B, mu * pc / q, -mu * pd / q
+
+
+def _cd_cofactors(lam, mu):
+    """The polynomials pc, pd with 4 d0 C = mu pc and 4 d0 D = -mu pd."""
+    return (-2 * mu ** 2 - lam ** 2 + 3 * lam * mu - 3 * mu + 2 * lam - 1.0,
+            2 * mu ** 2 + lam ** 2 + 3 * lam * mu + 3 * mu + 2 * lam + 1.0)
+
+
+def _einstein_system(lam, mu):
+    """The Einstein conditions without division, f = 4 d0 (C, D, A - B),
+    zero exactly at the Einstein points and at (0, -1) on the circle, with
+    its partial derivatives df/dlam and df/dmu."""
+    pc, pd = _cd_cofactors(lam, mu)
+    f = (mu * pc, -mu * pd, 2 * lam * (1.0 - lam ** 2 - 2 * mu ** 2))
+    f_lam = (mu * (2 - 2 * lam + 3 * mu), -mu * (2 + 2 * lam + 3 * mu),
+             2 - 6 * lam ** 2 - 4 * mu ** 2)
+    f_mu = (pc + mu * (3 * lam - 4 * mu - 3),
+            -pd - mu * (3 * lam + 4 * mu + 3), -8 * lam * mu)
+    return np.array(f), np.array(f_lam), np.array(f_mu)
 
 
 def einstein_residuals(lam, mu):
@@ -395,27 +412,6 @@ def classify_einstein(model: DoubledModel):
     return out
 
 
-def _refine_minima(lam: np.ndarray, mu: np.ndarray, half: float):
-    """Shrink a local 21 x 21 grid around every defect minimum (lam[k],
-    mu[k]) at once, each step one stacked grid over all of them."""
-    while half > SWEEP_REFINE_FLOOR:
-        step = np.linspace(-half, half, 21)
-        ls = lam[:, None] + step
-        ms = mu[:, None] + step
-        gl, gm = ls[:, :, None], ms[:, None, :]
-        off, aniso = einstein_residuals(gl, gm)
-        defect = np.where(gl ** 2 + gm ** 2 < 1.0 - DISC_MARGIN,
-                          off + aniso, np.inf)
-        i, j = np.divmod(defect.reshape(len(lam), -1).argmin(axis=1), 21)
-        rows = np.arange(len(lam))
-        lam, mu = ls[rows, i], ms[rows, j]
-        half /= 10.0
-    # refinement stops at SWEEP_REFINE_FLOOR windows, so smaller magnitudes
-    # are noise
-    return (np.where(np.abs(lam) < SWEEP_SNAP, 0.0, lam),
-            np.where(np.abs(mu) < SWEEP_SNAP, 0.0, mu))
-
-
 def check_sweep_resolution(res: float) -> None:
     """Raise InvalidResolution unless ``res`` is finite and at least
     ``MIN_SWEEP_RES``."""
@@ -430,10 +426,12 @@ def einstein_sweep(res: float = 0.01):
 
     Returns flat arrays (lam, mu, off, aniso) over all grid points with
     lam^2 + mu^2 < 1 - DISC_MARGIN, plus the list ``einstein_points`` of
-    (lam, mu, ricci constant) found by shrinking local grids around every
-    coarse near-minimum until the Einstein defect clears ``SWEEP_TOL``
-    relative to the Ricci scale.  Base independent, hence no model
-    argument.  ``res`` must pass :func:`check_sweep_resolution`.
+    (lam, mu, ricci constant): every grid point of defect at most max(2 res,
+    ``SWEEP_CUT``) takes ``SWEEP_STEPS`` Gauss-Newton steps on the system
+    :func:`_einstein_system`, all at once, and a result inside that disc
+    whose defect clears ``SWEEP_TOL`` relative to the Ricci scale is kept,
+    once per point.  Base independent, hence no model argument.  ``res``
+    must pass :func:`check_sweep_resolution`.
     """
     check_sweep_resolution(res)
     k = int(np.floor(1.0 / res))
@@ -444,25 +442,26 @@ def einstein_sweep(res: float = 0.01):
     off, aniso = einstein_residuals(lam, mu)
     out = {"lam": lam, "mu": mu, "off": off, "aniso": aniso}
     defect = off + aniso
-    centers = []
-    for idx in np.argsort(defect):
-        if defect[idx] > max(2.0 * res, SWEEP_CUT):
-            break
-        l, m = float(lam[idx]), float(mu[idx])
-        if any(np.hypot(l - cl, m - cm) < SWEEP_CENTER_SEP * res
-               for cl, cm in centers):
-            continue
-        centers.append((l, m))
+    start = np.flatnonzero(defect <= max(2.0 * res, SWEEP_CUT))
+    start = start[np.argsort(defect[start], kind="stable")]
+    pl, pm = lam[start], mu[start]
+    for _ in range(SWEEP_STEPS):  # least squares by the normal equations
+        f, fl, fm = _einstein_system(pl, pm)
+        n11, n12, n22 = (fl * fl).sum(0), (fl * fm).sum(0), (fm * fm).sum(0)
+        r1, r2 = (fl * f).sum(0), (fm * f).sum(0)
+        det = n11 * n22 - n12 * n12
+        pl = pl - (n22 * r1 - n12 * r2) / det
+        pm = pm - (n11 * r2 - n12 * r1) / det
+    keep = pl ** 2 + pm ** 2 < 1.0 - DISC_MARGIN  # (0, -1) is a root too
+    pl = np.where(np.abs(pl[keep]) < SWEEP_SNAP, 0.0, pl[keep])
+    pm = np.where(np.abs(pm[keep]) < SWEEP_SNAP, 0.0, pm[keep])
+    o, a = einstein_residuals(pl, pm)
+    eps = -ricci_coefficients(pl, pm)[0] / _d0(pl, pm)
+    keep = o + a < SWEEP_TOL * (1.0 + np.abs(eps))
     points = []
-    for rl, rm in zip(*_refine_minima(*np.reshape(centers, (-1, 2)).T, res)):
-        rl, rm = float(rl), float(rm)
-        o, a = einstein_residuals(rl, rm)
-        eps = -ricci_coefficients(rl, rm)[0] / _d0(rl, rm)
-        if float(o + a) >= SWEEP_TOL * (1.0 + abs(eps)):
-            continue
-        if any(np.hypot(rl - pl, rm - pm) < SWEEP_POINT_SEP
-               for pl, pm, _ in points):
-            continue  # two coarse centers can share one basin
-        points.append((rl, rm, float(eps)))
+    for rl, rm, re in zip(pl[keep], pm[keep], eps[keep]):
+        if all(np.hypot(rl - l, rm - m) >= SWEEP_POINT_SEP
+               for l, m, _ in points):
+            points.append((float(rl), float(rm), float(re)))
     out["einstein_points"] = sorted(points, key=lambda p: (-p[1], -p[0]))
     return out

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
 from .tensors import (apply, is_antisymmetric, is_integral, is_lie,
-                      jacobi_defect, post, transport)
+                      is_number, jacobi_defect, post, transport)
 
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * max(1, top)
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
@@ -65,10 +65,11 @@ def bracket_tensor(dim: int, entries) -> np.ndarray:
     """Structure tensor of sparse bracket records, unchecked for Jacobi.
 
     ``entries`` is an iterable of (i, j, k, value) with 1-based indices
-    meaning [e_i, e_j] contains value * e_k, a finite float; the
+    meaning [e_i, e_j] contains value * e_k, a finite number; the
     antisymmetric counterpart is filled in and omitted entries are zero.
-    ``dim`` must be an integer (an integral float counts) from 1 to
-    ``MAX_DIM``; it is checked before anything is allocated.
+    ``dim`` and the indices must be integers (an integral float counts;
+    a bool or a string does not), ``dim`` from 1 to ``MAX_DIM``, checked
+    before anything is allocated, and i = j only with the value 0.
     """
     if not (is_integral(dim) and 1 <= dim <= MAX_DIM):
         raise InvalidModel(f"dim must be an integer from 1 to {MAX_DIM}, "
@@ -77,9 +78,13 @@ def bracket_tensor(dim: int, entries) -> np.ndarray:
     c = np.zeros((dim, dim, dim))
     for rec in entries:
         i, j, k, v = rec
-        i, j, k, v = int(i) - 1, int(j) - 1, int(k) - 1, float(v)
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim and np.isfinite(v)):
-            raise InvalidModel(f"bracket record {rec!r} out of range")
+        if not (all(is_integral(n) and 1 <= n <= dim for n in (i, j, k))
+                and is_number(v) and (i != j or v == 0)):
+            raise InvalidModel(
+                f"bracket record {rec!r} out of range: i, j, k are integers "
+                f"from 1 to {dim}, the value a finite number, nonzero only "
+                "for i != j")
+        i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
         c[i, j, k] += v
         c[j, i, k] -= v
     return c

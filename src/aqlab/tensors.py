@@ -74,11 +74,16 @@ def jacobi_defect(c: np.ndarray) -> float:
     return float(top)
 
 
+def is_number(x) -> bool:
+    """x is a finite real number, and not a bool (nor a string)."""
+    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+            and math.isfinite(x))
+
+
 def is_integral(n) -> bool:
-    """n is a finite real number with an integer value, and not a bool: the
-    test of every model dimension (an integral float counts)."""
-    return (not isinstance(n, bool) and isinstance(n, numbers.Real)
-            and math.isfinite(n) and n == int(n))
+    """n is a number with an integer value: the test of every model
+    dimension and bracket index (an integral float counts)."""
+    return is_number(n) and n == int(n)
 
 
 def is_antisymmetric(c: np.ndarray, top=None) -> bool:

@@ -289,6 +289,30 @@ class TestEinstein:
         assert one_typed_error(err) == "InvalidResolution"
         assert not csv.exists()
 
+    @pytest.mark.parametrize("modes", [
+        ("--classify", "--sweep", "0.25"),
+        ("--classify", "--lambda", "0.3", "--mu", "0.1"),
+        ("--sweep", "0.25", "--mu", "0.1"),
+    ], ids=["classify-sweep", "classify-point", "sweep-point"])
+    def test_modes_are_exclusive(self, capsys, modes):
+        code, doc, err = run(capsys, "einstein", "--catalog", "su2", *modes)
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "AqlabError" and "exclusive" in err
+
+    @pytest.mark.parametrize("res", ["0.5", "0.01"])
+    def test_sweep_rows_are_exact(self, capsys, res):
+        """Every resolution up to 0.3, and here also 0.5, finds the four
+        points on the nose, so each row carries its rational."""
+        code, doc, _ = run(capsys, "einstein", "--catalog", "su2",
+                           "--sweep", res)
+        assert code == 0
+        rows = doc["outputs"]["einstein_points"]
+        assert [[r[k]["exact"] for k in ("lambda", "mu", "epsilon")]
+                for r in rows] == [[[0, 1], [0, 1], [1, 4]],
+                                   [[0, 1], [-1, 2], [5, 18]],
+                                   [[1, 3], [-2, 3], [3, 8]],
+                                   [[-1, 3], [-2, 3], [3, 8]]]
+
     def test_missing_mode_is_error(self, capsys):
         code, doc, err = run(capsys, "einstein", "--catalog", "su2")
         assert code == 1
@@ -393,6 +417,14 @@ MALFORMED = [
     ("piaq", dict(FLAT_MODEL, I=np.full((4, 4), np.nan).tolist())),
     # alpha is not coerced: a non-integral number, a bool or a string fails
     *(("piaq", dict(FLAT_MODEL, alpha=alpha)) for alpha in (1.5, True, "1")),
+    # nor are bracket records and operator entries: a non-integral, bool or
+    # string index, a value that is not a number, or a nonzero [e_i, e_i]
+    *(("einstein", dict(SU2_FILE, brackets=[rec, *SU2_FILE["brackets"][1:]]))
+      for rec in ([1.5, 2, 3, 1.0], ["1", 2, 3, 1.0], [True, 2, 3, 1.0],
+                  [1, 2, 3, True], [1, 2, 3, "1e0"], [1, 1, 3, 1.0],
+                  {"i": 1, "j": 2.0, "k": "3", "value": 1.0})),
+    ("piaq", dict(FLAT_MODEL, I=[["1", 0, 0, 0], *FLAT_MODEL["I"][1:]])),
+    ("piaq", dict(FLAT_MODEL, J=[[0, 0, True, 0], *FLAT_MODEL["J"][1:]])),
 ]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple, Overflow
 from aqlab.gxg import (
     MIN_SWEEP_RES,
     MetricFamily,
+    _d0,
+    _einstein_system,
     classify_einstein,
     einstein_residuals,
     einstein_sweep,
@@ -482,10 +485,8 @@ class TestClassification:
 
     @pytest.mark.parametrize("res", ["0.05", "0.01"])
     def test_sweep_is_bit_identical_to_its_snapshot(self, res):
-        """The grid arrays (by SHA-256 of their bytes) and the refined
-        points (as hex floats) equal ``sweep_snapshot.json`` bit for bit:
-        refining all centers in one stacked grid must find the same points
-        as refining them one at a time."""
+        """The grid arrays (by SHA-256 of their bytes) and the polished
+        points (as hex floats) equal ``sweep_snapshot.json`` bit for bit."""
         want = json.loads(SWEEP_SNAPSHOT.read_text())[res]
         grid = einstein_sweep(res=float(res))
         assert grid["lam"].size == want["size"]
@@ -506,6 +507,38 @@ class TestClassification:
         assert off.shape == (2,)
         assert off[0] < 1e-15 and aniso[0] < 1e-15
         assert off[1] > 1e-3
+
+    def test_sweep_lands_on_the_exact_points(self):
+        """Newton-polished coarse minima are the four points to 1e-15, from
+        every resolution up to 0.3: no basin is lost on a coarse grid."""
+        for res in [*np.geomspace(1e-3, 0.3, 200), 0.05, 0.01, 0.001]:
+            pts = einstein_sweep(res=float(res))["einstein_points"]
+            assert len(pts) == 4, res
+            for got, want in zip(pts, EXACT_POINTS):
+                assert np.abs(np.subtract(got, want)).max() <= 1e-15, res
+
+    def test_sweep_raises_no_warning(self):
+        """Also with every numpy warning an error, up to a single grid
+        point: the polish evaluates nothing on the degeneracy circle."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for res in np.geomspace(1e-3, 5.0, 60):
+                einstein_sweep(res=float(res))
+
+    def test_einstein_system_is_the_scaled_coefficients(self, rng):
+        """f = 4 d0 (C, D, A - B) to 1e-12 relative, and its derivatives
+        agree with central differences."""
+        h = 1e-6
+        for _ in range(200):
+            lam, mu = sample_disc(rng)
+            A, B, C, D = ricci_coefficients(lam, mu)
+            scaled = 4 * _d0(lam, mu) * np.array([C, D, A - B])
+            f, f_lam, f_mu = _einstein_system(lam, mu)
+            assert np.abs(f - scaled).max() <= 1e-12 * np.abs(scaled).max()
+            for got, dl, dm in ((f_lam, h, 0.0), (f_mu, 0.0, h)):
+                diff = (_einstein_system(lam + dl, mu + dm)[0]
+                        - _einstein_system(lam - dl, mu - dm)[0]) / (2 * h)
+                assert np.abs(got - diff).max() <= 1e-8 * (1 + np.abs(got).max())
 
 
 class TestStructureDerivatives:

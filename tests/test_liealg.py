@@ -63,6 +63,10 @@ class TestModelValidation:
         with pytest.raises(InvalidModel, match="out of range"):
             la.bracket_tensor(3, [(1, 2, 3, value)])
 
+    def test_integral_index_and_zero_diagonal_accepted(self):
+        c = la.bracket_tensor(3, [(1.0, 2, 3, 1), (2, 2, 1, 0.0)])
+        assert c[0, 1, 2] == 1.0 and np.abs(c).sum() == 2.0
+
     @pytest.mark.parametrize("dim", [3.5, True, "3", None, float("nan"),
                                      float("inf")])
     def test_model_rejects_a_non_integral_dim(self, dim):

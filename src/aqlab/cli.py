@@ -77,13 +77,13 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 def _read_json(path: str):
     """The JSON at ``path`` (``-``: stdin); InvalidModel naming the path when
-    it cannot be read or parsed."""
+    it cannot be read or parsed, or nests too deep to parse."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # JSON and decoding faults too
+    except (OSError, ValueError, RecursionError) as exc:  # JSON faults too
         raise InvalidModel(f"{path}: {exc}") from None
 
 
@@ -159,7 +159,8 @@ def cmd_spinbasis(args):
     outputs = {"change_matrix": _smat_doc(result.matrix),
                "orientation_sign": result.sign}
     return ({"alpha": alpha, **dict(zip(names, triples))}, outputs,
-            {"isotropy": sk.ISOTROPY_TOL})
+            {"isotropy": sk.ISOTROPY_TOL, "gram": sp.GRAM_TOL,
+             "conjugation": sp.CONJ_TOL})
 
 
 def cmd_selfdual(args):

@@ -23,10 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
-from .tensors import (apply, is_antisymmetric, is_integral, is_lie,
+from .tensors import (_within, apply, is_antisymmetric, is_integral, is_lie,
                       is_number, jacobi_defect, post, transport)
 
-SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * max(1, top)
+SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * |c|^2
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
 
 
@@ -138,14 +138,17 @@ def killing_form(A: LieAlgebraModel) -> np.ndarray:
     return -np.einsum("iab,jba->ij", A.c, A.c)
 
 
-def _nondegenerate(w: np.ndarray) -> bool:
-    """The semisimplicity decision on the trace form's eigenvalues w."""
-    size = np.abs(w)
-    return bool(size.min() > SEMISIMPLE_TOL * max(1.0, size.max()))
+def _nondegenerate(w: np.ndarray, A: LieAlgebraModel) -> bool:
+    """The semisimplicity decision on the eigenvalues w of A's trace form,
+    which is quadratic in c: the least |w| must exceed its degree-2 bound
+    (false on NaN)."""
+    least = np.abs(w).min()
+    return not (np.isnan(least) or _within(least, np.abs(A.c).max(), 2,
+                                           SEMISIMPLE_TOL))
 
 
 def is_semisimple(A: LieAlgebraModel) -> bool:
-    return _nondegenerate(np.linalg.eigvalsh(killing_form(A)))
+    return _nondegenerate(np.linalg.eigvalsh(killing_form(A)), A)
 
 
 def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
@@ -169,7 +172,7 @@ def pseudo_orthonormalize(A: LieAlgebraModel):
     trace form is degenerate.
     """
     w, qmat = np.linalg.eigh(killing_form(A))
-    if not _nondegenerate(w):
+    if not _nondegenerate(w, A):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     eps = np.sign(w)
     root = np.sqrt(np.abs(w))

@@ -35,12 +35,12 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
-from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, is_antisymmetric,
-                      is_integral, is_lie, is_twistor, jacobi_defect, post,
-                      transport, twistor_sign)
+from .tensors import (_within, apply, curvature as compose_curvature,
+                      curvature_at, curvature_slab, curvature_slabs,
+                      is_antisymmetric, is_integral, is_lie, is_twistor,
+                      jacobi_defect, post, transport, twistor_sign)
 
-PRED_TOL = 1e-10  #: predicate defects rel. to (1 + |c|)^2, curvature to (1 + |c|)^4
+PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
 TIE_TOL = 1e-12  #: defects within this fraction of the largest tie for the witness
 
@@ -75,7 +75,7 @@ class PiAQModel:
             raise InvalidModel("shape mismatch between dim, c, I, J")
         if m < 1:
             raise InvalidModel(f"dim must be at least 1, got {dim!r}")
-        self._c_top = np.abs(self.c).max()  # |c|, read by _scale
+        self._c_top = np.abs(self.c).max()  # |c|, the size of every bound
         if not is_antisymmetric(self.c, self._c_top):
             raise InvalidModel("bracket is not antisymmetric")
         if not is_twistor(alpha, self.I, self.J):
@@ -195,14 +195,10 @@ def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
     return s * b[0] + b[1] - Fb[0] - Fb[1]
 
 
-def _scale(M: PiAQModel) -> float:
-    return (1.0 + M._c_top) ** 2
-
-
 # Each torsion-type predicate is one ``_<name>_defect`` returning its
-# nonnegative defect tensor on X * Y = S(X, Y); :func:`predicate_report`
-# alone compares its sup norm with ``PRED_TOL * _scale(M)``, finds the
-# witness and answers every verdict.
+# nonnegative defect tensor on X * Y = S(X, Y), linear in c like the
+# torsion; :func:`predicate_report` alone compares its sup norm with
+# ``PRED_TOL`` |c|, finds the witness and answers every verdict.
 
 def _semiholonomic_defect(M: PiAQModel) -> np.ndarray:
     """I(X*Y) = I(X)*Y = X*I(Y), equivalent to N_I = 0, on basis pairs."""
@@ -231,17 +227,18 @@ def _three_web_defect(M: PiAQModel) -> np.ndarray:
 
 def _integrable_report(M: PiAQModel) -> dict:
     """Torsion and curvature of the canonical connection vanish: torsion
-    against the bound, then the curvature streamed slab by slab; only the slab
-    maxima are kept, and the witness recomputes the first slab that reaches
-    the tie threshold, so the rank-4 tensor is never stored."""
-    s = PRED_TOL * _scale(M)
+    against ``PRED_TOL`` |c|, then the curvature, quadratic in c, against
+    ``PRED_TOL`` |c|^2, streamed slab by slab; only the slab maxima are
+    kept, and the witness recomputes the first slab that reaches the tie
+    threshold, so the rank-4 tensor is never stored."""
     ds = np.abs(M.torsion_tensor)
     top_s = float(ds.max())
     slabs = [(a0, a0 + len(R), float(np.abs(R).max()))
              for a0, R in curvature_slabs(M.c, M.nabla)]
     top_r = float(np.max([t for _, _, t in slabs]))  # propagates NaN
     torsion_top = top_s >= top_r  # false for a NaN curvature, which then shows
-    out = {"verdict": bool(top_s <= s and top_r <= s * _scale(M)),
+    out = {"verdict": (_within(top_s, M._c_top, 1, PRED_TOL)
+                       and _within(top_r, M._c_top, 2, PRED_TOL)),
            "residual": top_s if torsion_top else top_r}
     if out["verdict"]:
         return out
@@ -362,7 +359,8 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) ->
     args = {"involutive": (f_name, lam), "isoclinic_geodesic": (mu,)}
     defect = _DEFECTS[name](M, *args.get(name, ()))
     residual = float(defect.max())
-    out = {"verdict": bool(residual <= PRED_TOL * _scale(M)), "residual": residual}
+    out = {"verdict": _within(residual, M._c_top, 1, PRED_TOL),
+           "residual": residual}
     if not out["verdict"]:
         out["witness"] = _witness(defect)
     return out

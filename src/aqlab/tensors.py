@@ -19,13 +19,13 @@ a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 
 import numpy as np
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
-JACOBI_TOL = 1e-10  #: antisymmetry rel. to max(1, |c|), Jacobiator to its square
+JACOBI_TOL = 1e-10  #: antisymmetry rel. to |c|, Jacobiator to |c|^2
 STRUCT_TOL = 1e-9  #: twistor relations rel. to max(1, |F|)^2 over the operators F
 
 
@@ -75,9 +75,10 @@ def jacobi_defect(c: np.ndarray) -> float:
 
 
 def is_number(x) -> bool:
-    """x is a finite real number, and not a bool (nor a string)."""
+    """x is a finite real number within float range (an int of 400 digits
+    is not), and not a bool (nor a string)."""
     return (not isinstance(x, bool) and isinstance(x, numbers.Real)
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)  # NaN fails too
 
 
 def is_integral(n) -> bool:
@@ -86,22 +87,27 @@ def is_integral(n) -> bool:
     return is_number(n) and n == int(n)
 
 
+def _within(residual, size, degree: int, tol: float) -> bool:
+    """residual <= tol size^degree, the bound of a defect homogeneous of
+    ``degree`` in an input of sup norm ``size``; false on NaN."""
+    return bool(residual <= tol * size ** degree)
+
+
 def is_antisymmetric(c: np.ndarray, top=None) -> bool:
-    """c[a, b] = -c[b, a] to ``JACOBI_TOL`` max(1, |c|); ``top`` is |c| when
-    the caller has it."""
+    """c[a, b] = -c[b, a] to ``JACOBI_TOL`` |c|; ``top`` is |c| when the
+    caller has it."""
     if top is None:
         top = np.abs(c).max()
-    return bool(np.abs(c + c.transpose(1, 0, 2)).max()
-                <= JACOBI_TOL * max(1.0, top))
+    return _within(np.abs(c + c.transpose(1, 0, 2)).max(), top, 1, JACOBI_TOL)
 
 
 def is_lie(c: np.ndarray, top=None) -> bool:
     """The Jacobi identity of an antisymmetric c, its Jacobiator to
-    ``JACOBI_TOL`` max(1, |c|)^2; with :func:`is_antisymmetric`, c is a Lie
+    ``JACOBI_TOL`` |c|^2; with :func:`is_antisymmetric`, c is a Lie
     bracket.  ``top`` is |c| when the caller has it."""
     if top is None:
         top = np.abs(c).max()
-    return jacobi_defect(c) <= JACOBI_TOL * max(1.0, top) ** 2
+    return _within(jacobi_defect(c), top, 2, JACOBI_TOL)
 
 
 def is_twistor(alpha: float, *ops: np.ndarray) -> bool:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -137,6 +138,17 @@ class TestSpinBasis:
         assert code == 0
         assert doc["outputs"]["orientation_sign"] == -1
 
+    def test_names_every_tolerance_that_decides_it(self, capsys):
+        """The Gram check of the triple and the conjugation check of the
+        change matrix decide the document, beside the isotropy of seeds."""
+        from aqlab import scalars as sk
+        from aqlab import spinor as sp
+        code, doc, _ = run(capsys, "spinbasis", "--alpha", "1",
+                           "--j1", "1,0,0", "--j2", "0,1,0", "--j3", "0,0,-1")
+        assert code == 0 and doc["tolerances"] == {
+            "isotropy": sk.ISOTROPY_TOL, "gram": sp.GRAM_TOL,
+            "conjugation": sp.CONJ_TOL}
+
     def test_gram_violation_fails(self, capsys):
         code, doc, err = run(capsys, "spinbasis", "--alpha", "-1",
                              "--j1", "1,0,0", "--j2", "1,0,0", "--j3", "0,0,1")
@@ -201,6 +213,23 @@ class TestEinstein:
                            "--classify")
         assert code == 0
         assert doc["outputs"]["count"] == 4
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1e4])
+    def test_rescaled_algebra_file(self, capsys, tmp_path, scale):
+        """su(2) with its brackets scaled: the same semisimple algebra, so
+        the same four exact Einstein points as the catalog's."""
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [
+            [1, 2, 3, scale], [2, 3, 1, scale], [3, 1, 2, scale]]}))
+        code, doc, _ = run(capsys, "einstein", "--algebra", str(path),
+                           "--classify")
+        _, want, _ = run(capsys, "einstein", "--catalog", "su2", "--classify")
+
+        def exact(d):
+            return [[row[k]["exact"] for k in ("lambda", "mu", "epsilon")]
+                    for row in d["outputs"]["einstein_points"]]
+        assert code == 0 and doc["outputs"]["count"] == 4
+        assert exact(doc) == exact(want)
 
     def test_bad_algebra_file(self, capsys, tmp_path):
         bad = dict(SU2_FILE, brackets=SU2_FILE["brackets"] + [[1, 2, 1, 0.3]])
@@ -392,6 +421,8 @@ def _without(data: dict, key: str) -> dict:
     return {k: v for k, v in data.items() if k != key}
 
 
+BIG = 10 ** 400  #: an integer that json reads and no float holds
+
 MALFORMED = [
     ("einstein", "not json"),
     ("einstein", [SU2_FILE]),
@@ -425,6 +456,13 @@ MALFORMED = [
                   {"i": 1, "j": 2.0, "k": "3", "value": 1.0})),
     ("piaq", dict(FLAT_MODEL, I=[["1", 0, 0, 0], *FLAT_MODEL["I"][1:]])),
     ("piaq", dict(FLAT_MODEL, J=[[0, 0, True, 0], *FLAT_MODEL["J"][1:]])),
+    # an integer too large for a float is no number: a 400-digit dim,
+    # bracket value or operator entry
+    *((command, dict(data, dim=BIG)) for command, data in (
+        ("einstein", SU2_FILE), ("piaq", FLAT_MODEL))),
+    ("einstein", dict(SU2_FILE, brackets=[[1, 2, 3, BIG],
+                                          *SU2_FILE["brackets"][1:]])),
+    ("piaq", dict(FLAT_MODEL, I=[[BIG, 0, 0, 0], *FLAT_MODEL["I"][1:]])),
 ]
 
 
@@ -707,18 +745,109 @@ class TestFaults:
         (("verify", "{folder}"), "InvalidModel"),
         (("einstein", "--catalog", "su2", "--sweep", "0.25", "--csv",
           "{folder}"), "AqlabError"),
+        # nested too deep for json to parse
+        (("einstein", "--algebra", "{deep}", "--classify"), "InvalidModel"),
+        (("piaq", "--model", "{deep}", "--predicate", "integrable"),
+         "InvalidModel"),
+        (("verify", "{deep}"), "InvalidModel"),
     ])
     def test_one_typed_error_line(self, capsys, tmp_path, argv, error):
         paths = {"missing": tmp_path / "nope.json", "text": tmp_path / "t.json",
-                 "binary": tmp_path / "b.json", "folder": tmp_path}
+                 "binary": tmp_path / "b.json", "deep": tmp_path / "d.json",
+                 "folder": tmp_path}
         paths["text"].write_text("not json")
         paths["binary"].write_bytes(b"\xff\xfe{")
+        paths["deep"].write_text("[" * 100000)
         argv = [a.format(**paths) for a in argv]
         code, doc, err = run(capsys, *argv)
         assert code == 1 and doc is None
         assert one_typed_error(err) == error
         path = next(str(v) for v in paths.values() if str(v) in argv)
         assert f" {path}: " in err
+
+
+class TestFileFuzz:
+    """Any field of a valid ``--algebra`` or ``--model`` document replaced by
+    any JSON value (nested, huge, NaN or Infinity, of the wrong type, or
+    nested too deep to parse): the run is one document and exit 0, or one
+    typed error line, exit 1 and nothing on stdout."""
+
+    HOLE = "\x00hole"
+    DEEP = "[" * 100000 + "]" * 100000
+    VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([BIG, -BIG, 1e308, 1e-308, 5e-324, -0.0, 0, 1, 3]),
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=3)),
+        max_leaves=12)
+    PREDICATES = {"integrable": (), "semiholonomic": (), "three_web": (),
+                  "involutive": ("--operator", "J", "--eigenvalue", "1"),
+                  "isoclinic_geodesic": ("--mu", "0.5")}
+    DOCUMENTS = {"algebra": SU2_FILE, "model": doubled_su2_file()}
+
+    @staticmethod
+    def fields(value, path=()):
+        """The path of every field of a JSON document, the document's own
+        path () first."""
+        yield path
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        for key, item in items:
+            yield from TestFileFuzz.fields(item, (*path, key))
+
+    @st.composite
+    def cases(draw):
+        """(document kind, path of the replaced field, the JSON text that
+        replaces it, the predicate a model is asked)."""
+        kind = draw(st.sampled_from(sorted(TestFileFuzz.DOCUMENTS)))
+        doc = TestFileFuzz.DOCUMENTS[kind]
+        path = draw(st.sampled_from(list(TestFileFuzz.fields(doc))))
+        text = draw(TestFileFuzz.VALUES.map(json.dumps)
+                    | st.just(TestFileFuzz.DEEP))
+        return kind, path, text, draw(st.sampled_from(
+            sorted(TestFileFuzz.PREDICATES)))
+
+    def document(self, kind, path, text) -> str:
+        """The document of ``kind`` as JSON, its field at ``path`` written as
+        ``text``."""
+        if not path:
+            return text
+        doc = json.loads(json.dumps(self.DOCUMENTS[kind]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = self.HOLE
+        return json.dumps(doc).replace(json.dumps(self.HOLE), text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases())
+    @example(("algebra", ("dim",), "1" + "0" * 400, "integrable"))
+    @example(("algebra", ("brackets", 1, 3), "1" + "0" * 400, "integrable"))
+    @example(("model", ("I", 0, 0), "-1" + "0" * 400, "integrable"))
+    @example(("model", ("dim",), "1" + "0" * 400, "integrable"))
+    @example(("algebra", ("brackets",), DEEP, "integrable"))
+    @example(("model", (), DEEP, "semiholonomic"))
+    def test_is_one_document_or_one_typed_error_line(self, case):
+        kind, path, text, predicate = case
+        with tempfile.TemporaryDirectory() as folder:
+            file = os.path.join(folder, "input.json")
+            with open(file, "w") as fh:
+                fh.write(self.document(kind, path, text))
+            argv = (["einstein", "--algebra", file, "--classify"]
+                    if kind == "algebra" else
+                    ["piaq", "--model", file, "--predicate", predicate,
+                     *self.PREDICATES[predicate]])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+            assert err.getvalue() == ""
+        else:
+            assert code == 1 and out.getvalue() == ""
+            one_typed_error(err.getvalue())
 
 
 class TestLazyStartup:

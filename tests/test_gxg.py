@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqlab import cli
 from aqlab import liealg as la
@@ -23,7 +25,7 @@ from aqlab.gxg import (
     einstein_sweep,
     ricci_coefficients,
 )
-from conftest import so_algebra
+from conftest import _well_conditioned, conjugate_structure, so_algebra
 
 SWEEP_SNAPSHOT = pathlib.Path(__file__).with_name("sweep_snapshot.json")
 
@@ -590,6 +592,33 @@ class TestHermitianClasses:
             "nearly_kahler": False, "quasi_kahler": False, "g1": True}
         assert MetricFamily(dsu2, 0.0, 0.0).hermitian_class_checks() == {
             "nearly_kahler": False, "quasi_kahler": False, "g1": True}
+
+    POINTS = ((0.0, -0.5), (0.3, 0.1), (0.0, 0.0), (1 / 3, -2 / 3))
+
+    @classmethod
+    def profile(cls, A):
+        """The Einstein points of A's doubled model, and the Einstein and
+        Hermitian-class verdicts at ``POINTS``."""
+        dm = la.doubled(A)
+        fams = [MetricFamily(dm, *point) for point in cls.POINTS]
+        return (np.round(classify_einstein(dm), 9).tolist(),
+                [f.einstein_check() is not None for f in fams],
+                [f.hermitian_class_checks() for f in fams])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0))
+    @example(0, -5.0)
+    def test_verdicts_do_not_depend_on_scale_or_basis(self, seed, log_t):
+        """The base bracket rescaled by t and written in a random basis: the
+        doubled model is built on the trace-form-orthonormal bracket, so
+        every verdict is the one of the catalog algebra."""
+        rng = np.random.default_rng(seed)
+        for base in (la.su2, la.sl2r, la.so4):
+            A = base()
+            c = conjugate_structure(10.0 ** log_t * A.c,
+                                    _well_conditioned(rng, A.dim))
+            assert (self.profile(la.LieAlgebraModel(A.dim, c))
+                    == self.profile(A))
 
     def test_outside_disc_rejected(self, dsu2):
         with pytest.raises(Degenerate):

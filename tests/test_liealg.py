@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqlab import liealg as la
 from aqlab.errors import InvalidModel, NotSemisimple
-from conftest import so_algebra
+from conftest import _well_conditioned, conjugate_structure, so_algebra
 
 
 def doubled_by_block(dm):
@@ -139,6 +141,28 @@ class TestKillingForm:
                 x, y, w = rng.normal(size=(3, model.dim))
                 lhs = model.bracket(w, x) @ k @ y + x @ k @ model.bracket(w, y)
                 assert abs(lhs) < 1e-10 * (1 + np.abs(k).max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0))
+    @example(0, -5.0)
+    @example(0, -6.0)
+    def test_semisimplicity_does_not_depend_on_scale_or_basis(self, seed,
+                                                              log_t):
+        """The decision is a ratio of the trace form's eigenvalues, which
+        all scale by t^2: su(2), sl(2, R), so(4) and so(5) stay semisimple
+        and u(2), the affine algebra and the Heisenberg algebra stay
+        degenerate, rescaled by t and in a random basis."""
+        line = la.LieAlgebraModel(1, np.zeros((1, 1, 1)))
+        cases = [(la.su2(), True), (la.sl2r(), True), (la.so4(), True),
+                 (so_algebra(5), True), (la.direct_sum(la.su2(), line), False),
+                 (la.from_brackets(2, [(1, 2, 2, 1.0)]), False),
+                 (la.from_brackets(3, [(1, 2, 3, 1.0)]), False)]
+        rng = np.random.default_rng(seed)
+        t = 10.0 ** log_t
+        for A, want in cases:
+            s = _well_conditioned(rng, A.dim)
+            for c in (t * A.c, conjugate_structure(t * A.c, s)):
+                assert la.is_semisimple(la.LieAlgebraModel(A.dim, c)) is want
 
 
 class TestContractionIdentity:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab import tensors
 from aqlab.errors import (
+    AqlabError,
     InvalidModel,
     InvalidMu,
     NonLieBracket,
@@ -447,3 +450,74 @@ class TestPredicateReport:
             assert len(ties) >= 2
             rep = pq.predicate_report(M, name, **kw)
             assert rep["witness"] == ties[0][:-1].tolist()
+
+
+def applicable(M):
+    """(name, keywords) of every predicate M admits: each operator with each
+    of its eigenvalues, the web in the split signature only."""
+    out = [("integrable", {}), ("semiholonomic", {}),
+           ("isoclinic_geodesic", {"mu": 0.5})]
+    if M.alpha == 1:
+        out.append(("three_web", {}))
+    for f_name, square in (("I", M.alpha), ("J", M.alpha), ("K", -1)):
+        for lam in ((1, -1) if square == 1 else ("i", "-i")):
+            out.append(("involutive", {"f_name": f_name, "lam": lam}))
+    return out
+
+
+def verdicts(M) -> list:
+    """The verdict of every applicable predicate, or the name of the error
+    it raises (an isoclinic slope on a model that is not semiholonomic)."""
+    out = []
+    for name, kw in applicable(M):
+        try:
+            out.append(holds(M, name, **kw))
+        except AqlabError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def rescaled(M, t, s=None):
+    """M with its bracket scaled by t, in the basis of the columns of s."""
+    c, I, J = t * M.c, M.I, M.J
+    if s is not None:
+        sinv = np.linalg.inv(s)
+        c, I, J = conjugate_structure(c, s), sinv @ I @ s, sinv @ J @ s
+    return pq.PiAQModel(M.dim, c, I, J, M.alpha)
+
+
+class TestRescaling:
+    """Every defect is homogeneous in the bracket (torsion-type of degree 1,
+    curvature of degree 2), and so is its bound: no verdict moves when the
+    bracket is rescaled by t or the basis changed."""
+
+    @staticmethod
+    def models(rng):
+        M = la.doubled(la.su2()).as_piaq()
+        E = rng.normal(size=M.c.shape)
+        perturbed = pq.PiAQModel(M.dim, M.c + 1e-6 * (E - E.transpose(1, 0, 2)),
+                                 M.I, M.J, 1)
+        return [M, perturbed, *(random_piaq_model(rng, alpha, kind)
+                                for kind in ("u2", "gl2", "abelian")
+                                for alpha in ALPHAS)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0))
+    @example(0, 6.0)
+    @example(0, -5.0)
+    def test_verdicts_do_not_depend_on_scale_or_basis(self, seed, log_t):
+        rng = np.random.default_rng(seed)
+        for M in self.models(rng):
+            want = verdicts(M)
+            assert verdicts(rescaled(M, 10.0 ** log_t)) == want
+            s = _well_conditioned(rng, M.dim)
+            assert verdicts(rescaled(M, 10.0 ** log_t, s)) == want
+
+    def test_perturbed_doubled_su2_fails_at_every_scale(self):
+        """The bracket of doubled su(2) off by 1e-6: its semiholonomic
+        residual grows like t and stays above PRED_TOL t |c|."""
+        M = self.models(np.random.default_rng(0))[1]
+        for t in (1e-8, 1e-5, 1.0, 1e6):
+            rep = pq.predicate_report(rescaled(M, t), "semiholonomic")
+            assert rep["verdict"] is False
+            assert rep["residual"] > 1e3 * pq.PRED_TOL * t * M._c_top

@@ -3,13 +3,15 @@ the relation predicates that every model check reads."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab import spinor as sp
 from aqlab import tensors
 from aqlab.errors import InvalidModel, NotAQStructure
-from conftest import standard_pair
+from conftest import so_algebra, standard_pair
 
 
 def close(a, b):
@@ -233,3 +235,34 @@ def test_one_twistor_bound_for_every_caller(alpha):
     with pytest.raises(InvalidModel, match="twistor-pair"):
         pq.PiAQModel(4, np.zeros((4, 4, 4)), I, J, alpha)
     assert sp.orbit_dimension(*standard_pair(4, alpha), np.ones(4)) in (2, 4)
+
+
+def bracket_relations(c):
+    return tensors.is_antisymmetric(c), tensors.is_lie(c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0))
+@example(0, -12.0)
+@example(0, -6.0)
+@example(0, 6.0)
+def test_bracket_relations_do_not_depend_on_scale(seed, log_t):
+    """Antisymmetry (degree 1 in c) and the Jacobiator (degree 2) against
+    bounds of the same degree: the catalog brackets keep passing both, a
+    tensor that is not antisymmetric and an antisymmetric one that is not
+    Lie keep failing, at every scale t (1e-12 too)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(4, 4, 4))
+    cases = [(la.su2().c, (True, True)), (la.sl2r().c, (True, True)),
+             (la.so4().c, (True, True)), (so_algebra(4).c, (True, True)),
+             (x, (False, False)), (x - x.transpose(1, 0, 2), (True, False)),
+             (u2_bracket(1e-3), (True, False))]
+    for c, want in cases:
+        assert bracket_relations(10.0 ** log_t * c) == want
+
+
+def test_zero_bracket_meets_its_bounds_exactly():
+    """c = 0: a zero residual meets a zero bound."""
+    assert bracket_relations(np.zeros((3, 3, 3))) == (True, True)
+    assert not tensors._within(np.nan, 1.0, 1, 1e-10)
+    assert not tensors._within(0.0, np.nan, 1, 1e-10)

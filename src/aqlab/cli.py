@@ -293,7 +293,10 @@ def _compare(a, b, tol: float) -> bool:
             _compare(x, y, tol) for x, y in zip(a, b))
     if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
             and not isinstance(a, bool) and not isinstance(b, bool):
-        return abs(float(a) - float(b)) <= tol * (1.0 + abs(float(a)))
+        try:
+            return abs(float(a) - float(b)) <= tol * (1.0 + abs(float(a)))
+        except OverflowError:  # an int beyond the float range
+            return a == b
     return a == b
 
 
@@ -470,7 +473,12 @@ def run() -> None:
     """The console entry point: :func:`main`, then ``os._exit`` with its
     status once stderr is flushed.  The document is written by then, so
     the interpreter's teardown would only cost time; profilers, coverage
-    and atexit hooks need :func:`main` called in-process instead."""
+    and atexit hooks need :func:`main` called in-process instead.  Unless
+    the user chose a thread count, numpy gets one OpenBLAS thread, whose
+    pool would cost a CLI call more than it gains."""
+    if not any(name in os.environ for name in (
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     sys.stderr.flush()
     os._exit(code)

@@ -78,12 +78,6 @@ def _star_signs(g: Metric4) -> tuple:
     return (-a, a, 1.0, 1.0, a, -a)
 
 
-def star_matrix(g: Metric4) -> np.ndarray:
-    """The 6x6 matrix of the star operator in the PAIRS component basis."""
-    import numpy as np
-    return np.diag(_star_signs(g))[:, ::-1]
-
-
 def hodge_star(g: Metric4, w: TwoForm4) -> TwoForm4:
     """Star operator; involutive since the metric index is even."""
     return TwoForm4(tuple(s * x for s, x in zip(_star_signs(g),

@@ -15,8 +15,10 @@ acting on pairs of scalars, with determinant equal to the quaternion norm.
 
 from __future__ import annotations
 
+import math
+
 from . import scalars as sk
-from .errors import NotPurelyImaginary, SignatureMismatch
+from .errors import NotPurelyImaginary
 from .scalars import Record, ScalarKA, _set
 
 PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * (1 + max|coeff|)
@@ -140,69 +142,61 @@ def iq_commutator(p: QuaternionA, q: QuaternionA) -> QuaternionA:
 # ---------------------------------------------------------------------------
 
 class SpinMatrix(Record):
-    """2x2 matrix over the scalar ring, the defining representation space."""
+    """2x2 matrix [[a, b], [c, d]] over the scalar ring of signature alpha,
+    held as its 8 floats e = (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im);
+    ``m[r, c]`` is entry (r, c) as a scalar."""
 
-    __slots__ = ("m",)  # ((ScalarKA, ScalarKA), (ScalarKA, ScalarKA))
+    __slots__ = ("e", "alpha")
 
-    def __init__(self, m: tuple):
-        (a, b), (c, d) = m
-        if not a.alpha == b.alpha == c.alpha == d.alpha:
-            raise SignatureMismatch("matrix entries carry different signatures")
-        _set(self, "m", m)
+    def __init__(self, e, alpha: int):
+        _set(self, "e", _ring_floats(e, 8, alpha))
+        _set(self, "alpha", alpha)
 
-    @property
-    def alpha(self) -> int:
-        return self.m[0][0].alpha
-
-    def __getitem__(self, idx):
+    def __getitem__(self, idx) -> ScalarKA:
         r, c = idx
-        return self.m[r][c]
+        k = (0, 4)[r] + (0, 2)[c]  # an IndexError past the 2x2 entries
+        return ScalarKA(self.e[k], self.e[k + 1], self.alpha)
 
     def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
         sk._check_signatures(self, other)
-        al = self.alpha
-        return _from_entries(_matmul(_entries(self), _entries(other), al), al)
+        return SpinMatrix(_matmul(self.e, other.e, self.alpha), self.alpha)
 
     def __sub__(self, other: "SpinMatrix") -> "SpinMatrix":
         sk._check_signatures(self, other)
-        return _from_entries(tuple(x - y for x, y in zip(
-            _entries(self), _entries(other))), self.alpha)
+        return SpinMatrix([x - y for x, y in zip(self.e, other.e)], self.alpha)
 
     def det(self) -> ScalarKA:
-        return ScalarKA(*_det(_entries(self), self.alpha), self.alpha)
+        return ScalarKA(*_det(self.e, self.alpha), self.alpha)
 
     def real_trace(self) -> float:
         """Sum of real parts of the diagonal entries."""
-        return self.m[0][0].re + self.m[1][1].re
+        return self.e[0] + self.e[6]
 
     def inv(self) -> "SpinMatrix":
-        e = _inverse(_entries(self), self.alpha)
+        e = _inverse(self.e, self.alpha)
         if e is None:
             sk.inv(self.det())  # raises IsotropicScalar
-        return _from_entries(e, self.alpha)
+        return SpinMatrix(e, self.alpha)
 
     def max_abs(self) -> float:
-        return max(sk.abs2norm(self.m[r][c]) for r in range(2) for c in range(2))
+        return max(map(math.hypot, self.e[::2], self.e[1::2]))
 
 
-# The 2x2 arithmetic, written once on floats: [[a, b], [c, d]] is the 8-tuple
-# (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im), each formula grouped as the
-# nested scalar operations round it.  SpinMatrix and aqlab.spinor call these.
+def _ring_floats(values, n: int, alpha: int) -> tuple:
+    """The n floats of a spin value of signature alpha, validated."""
+    sk._check_alpha(alpha)
+    e = tuple(map(float, values))
+    if len(e) != n:
+        raise ValueError(f"expected {n} floats, got {len(e)}")
+    return e
 
-def _entries(m: SpinMatrix) -> tuple:
-    (a, b), (c, d) = m.m
-    return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
 
-
-def _from_entries(e: tuple, alpha: int) -> SpinMatrix:
-    """The SpinMatrix of an 8-tuple."""
-    z = ScalarKA
-    return SpinMatrix(((z(e[0], e[1], alpha), z(e[2], e[3], alpha)),
-                       (z(e[4], e[5], alpha), z(e[6], e[7], alpha))))
-
+# The 2x2 arithmetic, written once on the floats of SpinMatrix.e, each
+# formula grouped as the nested scalar operations round it; SpinMatrix and
+# aqlab.spinor call these.
 
 def _spin_entries(q: QuaternionA) -> tuple:
-    """:func:`spin_matrix` of q as an 8-tuple."""
+    """The floats of :func:`spin_matrix` of q."""
     al = q.alpha
     return (q.a, q.b, al * q.c, al * q.d, q.c, -q.d, q.a, -q.b)
 
@@ -243,12 +237,12 @@ def _inverse(m: tuple, al: int):
 
 def smat(entries, alpha: int) -> SpinMatrix:
     """Build a SpinMatrix from a 2x2 nest of (re, im) pairs."""
-    return SpinMatrix(tuple(tuple(ScalarKA(re, im, alpha) for re, im in row)
-                            for row in entries))
+    (a, b), (c, d) = entries
+    return SpinMatrix([x for re, im in (a, b, c, d) for x in (re, im)], alpha)
 
 
 def smat_close(x: SpinMatrix, y: SpinMatrix, tol: float = 1e-9) -> bool:
-    return all(sk.close(x.m[r][c], y.m[r][c], tol=tol)
+    return all(sk.close(x[r, c], y[r, c], tol=tol)
                for r in range(2) for c in range(2))
 
 
@@ -258,7 +252,7 @@ def spin_matrix(q: QuaternionA) -> SpinMatrix:
     For q = z1 + j z2 the matrix is [[z1, alpha conj(z2)], [z2, conj(z1)]];
     it is an algebra homomorphism and det = qnormsq(q).
     """
-    return _from_entries(_spin_entries(q), q.alpha)
+    return SpinMatrix(_spin_entries(q), q.alpha)
 
 
 def pauli_matrices(alpha: int) -> tuple[SpinMatrix, SpinMatrix, SpinMatrix]:

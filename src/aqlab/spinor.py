@@ -21,8 +21,8 @@ from .errors import (
     SignatureMismatch,
     ZeroVector,
 )
-from .quat import (QuaternionA, SpinMatrix, _entries, _from_entries,
-                   _inverse, _matmul, _spin_entries)
+from .quat import (QuaternionA, SpinMatrix, _inverse, _matmul, _ring_floats,
+                   _spin_entries)
 from .scalars import Record, ScalarKA, _set
 
 GRAM_TOL = 1e-9  #: absolute (not scale-aware): Gram-entry error of an input triple
@@ -31,47 +31,56 @@ RANK_TOL = 1e-8  #: orbit rank counts singular values > this * the largest
 
 
 class SpinVector(Record):
-    """Pair (x1, x2) of scalars sharing one signature parameter."""
+    """Pair (x1, x2) of scalars of signature alpha, held as its 4 floats
+    v = (x1.re, x1.im, x2.re, x2.im); ``X.x1`` and ``X.x2`` are the
+    components as scalars."""
 
-    __slots__ = ("x1", "x2")
+    __slots__ = ("v", "alpha")
 
-    def __init__(self, x1: ScalarKA, x2: ScalarKA):
-        if x1.alpha != x2.alpha:
-            raise SignatureMismatch("components carry different signatures")
-        _set(self, "x1", x1)
-        _set(self, "x2", x2)
+    def __init__(self, v, alpha: int):
+        _set(self, "v", _ring_floats(v, 4, alpha))
+        _set(self, "alpha", alpha)
 
     @property
-    def alpha(self) -> int:
-        return self.x1.alpha
+    def x1(self) -> ScalarKA:
+        return ScalarKA(self.v[0], self.v[1], self.alpha)
+
+    @property
+    def x2(self) -> ScalarKA:
+        return ScalarKA(self.v[2], self.v[3], self.alpha)
 
     def __add__(self, other: "SpinVector") -> "SpinVector":
-        return SpinVector(self.x1 + other.x1, self.x2 + other.x2)
+        sk._check_signatures(self, other)
+        return SpinVector([x + y for x, y in zip(self.v, other.v)], self.alpha)
 
     def __sub__(self, other: "SpinVector") -> "SpinVector":
-        return SpinVector(self.x1 - other.x1, self.x2 - other.x2)
+        sk._check_signatures(self, other)
+        return SpinVector([x - y for x, y in zip(self.v, other.v)], self.alpha)
 
     def max_abs(self) -> float:
-        return max(sk.abs2norm(self.x1), sk.abs2norm(self.x2))
+        return max(map(math.hypot, self.v[::2], self.v[1::2]))
 
 
 def svec(x1, x2, alpha: int) -> SpinVector:
-    """Build a SpinVector from (re, im) pairs or plain reals."""
+    """Build a SpinVector from scalars, (re, im) pairs or plain reals; a
+    scalar keeps its own signature, which both components must share."""
     def lift(v):
         if isinstance(v, ScalarKA):
             return v
         if isinstance(v, (int, float)):
             return ScalarKA(v, 0.0, alpha)
         return ScalarKA(v[0], v[1], alpha)
-    return SpinVector(lift(x1), lift(x2))
+    x1, x2 = lift(x1), lift(x2)
+    sk._check_signatures(x1, x2)
+    return SpinVector((x1.re, x1.im, x2.re, x2.im), x1.alpha)
 
 
-# A spin vector on floats is (x1.re, x1.im, x2.re, x2.im); these formulas,
-# grouped as the nested scalar operations round them, serve the SpinVector
-# operations below and the spin basis.
+# The spin vector formulas on the floats of SpinVector.v, grouped as the
+# nested scalar operations round them; they serve the operations below and
+# the spin basis.
 
 def _matvec(m: tuple, v: tuple, al: int) -> tuple:
-    """The product of an 8-tuple matrix (:mod:`aqlab.quat`) with v."""
+    """The product of the floats of a SpinMatrix with v."""
     ar, ai, br, bi, cr, ci, dr, di = m
     xr, xi, yr, yi = v
     return ((ar * xr + al * ai * xi) + (br * yr + al * bi * yi),
@@ -95,18 +104,10 @@ def _times(zr: float, zi: float, v: tuple, al: int) -> tuple:
             zr * yr + al * zi * yi, zr * yi + zi * yr)
 
 
-def _vec(X: SpinVector) -> tuple:
-    return (X.x1.re, X.x1.im, X.x2.re, X.x2.im)
-
-
-def _from_vec(v: tuple, alpha: int) -> SpinVector:
-    return SpinVector(ScalarKA(v[0], v[1], alpha), ScalarKA(v[2], v[3], alpha))
-
-
 def scalar_mul(z: ScalarKA, X: SpinVector) -> SpinVector:
     """Module action of the scalar ring."""
     sk._check_signatures(z, X)
-    return _from_vec(_times(z.re, z.im, _vec(X), z.alpha), z.alpha)
+    return SpinVector(_times(z.re, z.im, X.v, z.alpha), z.alpha)
 
 
 def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
@@ -116,7 +117,7 @@ def hermitian_form(X: SpinVector, Y: SpinVector) -> ScalarKA:
     negative or zero for alpha = +1.
     """
     sk._check_signatures(X, Y)
-    return ScalarKA(*_hermitian(_vec(X), _vec(Y), X.alpha), X.alpha)
+    return ScalarKA(*_hermitian(X.v, Y.v, X.alpha), X.alpha)
 
 
 def real_inner(X: SpinVector, Y: SpinVector) -> float:
@@ -131,7 +132,7 @@ def apply(q: QuaternionA, X: SpinVector) -> SpinVector:
 
 def apply_matrix(m: SpinMatrix, X: SpinVector) -> SpinVector:
     sk._check_signatures(m, X)
-    return _from_vec(_matvec(_entries(m), _vec(X), X.alpha), X.alpha)
+    return SpinVector(_matvec(m.e, X.v, X.alpha), X.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +202,9 @@ def _close(m: tuple, n: tuple) -> bool:
 
 #: per alpha, the targets of the seed conjugation: the Pauli triple and
 #: -sigma3 = [[0, -alpha*i], [i, 0]], whose match flips the orientation sign
-_PAULI = {alpha: tuple(map(_entries, (
+_PAULI = {alpha: tuple(m.e for m in (
     *qt.pauli_matrices(alpha),
-    qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))))
+    qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha)))
     for alpha in (-1, 1)}
 
 
@@ -281,7 +282,7 @@ def spinbasis(basis: IQBasis) -> SpinBasisResult:
         result = _try_spinbasis_from_seed(basis, X)
         if result is not None:
             P, sign = result
-            return SpinBasisResult(_from_entries(P, basis.j1.alpha), sign)
+            return SpinBasisResult(SpinMatrix(P, basis.j1.alpha), sign)
     raise DegenerateEigenvector(
         "no seed vector produced non-isotropic eigenvector normalizations"
     )
@@ -290,12 +291,12 @@ def spinbasis(basis: IQBasis) -> SpinBasisResult:
 def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
     """Conjugate the matrix of q into the constructed basis."""
     al = result.matrix.alpha
-    P = _entries(result.matrix)
+    P = result.matrix.e
     Pinv = _inverse(P, al)
     if Pinv is None:
         result.matrix.inv()  # raises IsotropicScalar
     sk._check_signatures(result.matrix, q)
-    return _from_entries(_matmul(_matmul(Pinv, _spin_entries(q), al), P, al), al)
+    return SpinMatrix(_matmul(_matmul(Pinv, _spin_entries(q), al), P, al), al)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from aqlab import fourdim as fd
 from aqlab import liealg as la
 from aqlab import piaq as pq
 
@@ -18,17 +19,23 @@ ring_pairs = st.one_of(
 
 def bits(*values):
     """Exact fields of scalars, spin vectors and spin matrices: the type and
-    the hex form of every re and im, and alpha; bit-equal values agree here
+    the hex form of every float, and alpha; bit-equal values agree here
     (signed zeros included), and a numpy scalar field does not."""
     out = []
     for v in values:
-        if hasattr(v, "m"):
-            out += bits(*v.m[0], *v.m[1])
-        elif hasattr(v, "x1"):
-            out += bits(v.x1, v.x2)
-        else:
-            out.append((type(v.re), v.re.hex(), type(v.im), v.im.hex(), v.alpha))
+        if hasattr(v, "re"):
+            floats = (v.re, v.im)
+        else:  # a spin matrix holds its floats in e, a spin vector in v
+            floats = v.e if hasattr(v, "e") else v.v
+        out.append((*((type(x), x.hex()) for x in floats), v.alpha))
     return out
+
+
+def hodge_star_matrix(g) -> np.ndarray:
+    """The 6x6 matrix of ``fourdim.hodge_star`` in the PAIRS component
+    basis: column r is the star of the r-th basis form."""
+    return np.array([fd.hodge_star(g, fd.TwoForm4(e)).comp
+                     for e in np.eye(6)]).T
 
 
 @pytest.fixture

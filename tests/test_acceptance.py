@@ -17,7 +17,8 @@ from aqlab import scalars as sk
 from aqlab import spinor as sp
 from aqlab.gxg import MetricFamily, classify_einstein, einstein_sweep
 from aqlab.tensors import apply
-from conftest import random_aq_pair, random_piaq_model, random_pseudo_rotation
+from conftest import (hodge_star_matrix, random_aq_pair, random_piaq_model,
+                      random_pseudo_rotation)
 
 EXACT_POINTS = [(0.0, 0.0, 1.0 / 4.0), (0.0, -0.5, 5.0 / 18.0),
                 (1.0 / 3.0, -2.0 / 3.0, 3.0 / 8.0),
@@ -234,7 +235,7 @@ def test_criterion_10_selfdual_calculus():
     ok = True
     for alpha in (-1, 1):
         g = fd.Metric4(alpha)
-        s = fd.star_matrix(g)
+        s = hodge_star_matrix(g)
         ok = ok and np.abs(s @ s - np.eye(6)).max() == 0.0
         for sign in (1, -1):
             ok = ok and np.linalg.matrix_rank(0.5 * (np.eye(6) + sign * s)) == 3

@@ -22,7 +22,7 @@ from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab import errors
 from aqlab.cli import main
-from conftest import standard_pair
+from conftest import so_algebra, standard_pair
 
 SU2_FILE = {
     "dim": 3,
@@ -56,12 +56,16 @@ NON_LIE_MODEL = {
 }
 
 
-def doubled_su2_file() -> dict:
-    """Model file of the doubled su(2), a twistor pair with torsion."""
-    M = la.doubled(la.su2()).as_piaq()
-    recs = [[int(i) + 1, int(j) + 1, int(k) + 1, float(M.c[i, j, k])]
-            for i, j, k in zip(*np.nonzero(M.c)) if i < j]
-    return {"dim": M.dim, "alpha": M.alpha, "brackets": recs,
+def bracket_records(c) -> list:
+    """The [i, j, k, value] records, i < j counted from 1, of a bracket."""
+    return [[int(i) + 1, int(j) + 1, int(k) + 1, float(c[i, j, k])]
+            for i, j, k in zip(*np.nonzero(c)) if i < j]
+
+
+def doubled_file(base) -> dict:
+    """Model file of a doubled algebra, a twistor pair with torsion."""
+    M = la.doubled(base).as_piaq()
+    return {"dim": M.dim, "alpha": M.alpha, "brackets": bracket_records(M.c),
             "I": M.I.tolist(), "J": M.J.tolist()}
 
 
@@ -524,7 +528,7 @@ class TestVerify:
         ("piaq", "--model", "{model}", "--predicate", "integrable"),
     ])
     def test_roundtrip(self, capsys, tmp_path, argv):
-        files = {"algebra": SU2_FILE, "model": doubled_su2_file()}
+        files = {"algebra": SU2_FILE, "model": doubled_file(la.su2())}
         for name, data in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(data))
         argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files})
@@ -581,6 +585,15 @@ class TestVerify:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+
+    def test_number_beyond_float_range_is_a_mismatch(self, capsys, tmp_path):
+        code, doc, _ = run(capsys, "pauli", "--alpha", "1")
+        doc["outputs"]["sigma1"][0][0][0] = 10**400
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, vdoc, err = run(capsys, "verify", str(path))
+        assert code == 1 and err == ""
+        assert vdoc["outputs"]["match"] is False
 
     def test_document_on_stdin(self, capsys, monkeypatch):
         code, doc, _ = run(capsys, "selfdual", "--alpha", "1",
@@ -785,7 +798,7 @@ class TestFileFuzz:
     PREDICATES = {"integrable": (), "semiholonomic": (), "three_web": (),
                   "involutive": ("--operator", "J", "--eigenvalue", "1"),
                   "isoclinic_geodesic": ("--mu", "0.5")}
-    DOCUMENTS = {"algebra": SU2_FILE, "model": doubled_su2_file()}
+    DOCUMENTS = {"algebra": SU2_FILE, "model": doubled_file(la.su2())}
 
     @staticmethod
     def fields(value, path=()):
@@ -1001,11 +1014,63 @@ class TestProcess:
     ends the process at once; an unwritable stdout, for a document or for a
     help text, is one typed error."""
 
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
     @staticmethod
     def child(argv, stdout=subprocess.PIPE, **env):
         return subprocess.run([sys.executable, "-m", "aqlab.cli", *argv],
                               env={**child_env(), **env}, stdout=stdout,
                               stderr=subprocess.PIPE)
+
+    @classmethod
+    def env_without_threads(cls, **env) -> dict:
+        """:func:`child_env` without the BLAS thread variables, then env."""
+        return {**{k: v for k, v in child_env().items()
+                   if k not in cls.BLAS_VARS}, **env}
+
+    @pytest.mark.parametrize("env,want", [
+        ({}, "1"), ({"OMP_NUM_THREADS": "2"}, "None"),
+        ({"GOTO_NUM_THREADS": "2"}, "None"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ], ids=["default", "omp", "goto", "kept"])
+    def test_console_entry_gives_blas_one_thread(self, env, want):
+        """``run`` sets one OpenBLAS thread before ``main`` unless the user
+        chose a count; ``main`` is stubbed to print what it sees."""
+        code = ("import os, aqlab.cli as cli\n"
+                "cli.main = lambda: print(os.environ.get("
+                "'OPENBLAS_NUM_THREADS'), flush=True) or 0\n"
+                "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=self.env_without_threads(**env),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, want + "\n"), proc.stderr
+
+    def test_in_process_main_keeps_blas_defaults(self, capsys, monkeypatch):
+        for name in self.BLAS_VARS:
+            monkeypatch.delenv(name, raising=False)
+        assert main(["pauli", "--alpha", "1"]) == 0
+        assert not any(name in os.environ for name in self.BLAS_VARS)
+
+    def test_thread_count_changes_no_byte(self, tmp_path):
+        """A dim-32 model's curvature slabs and the classification of a
+        doubled dim-16 algebra are GEMMs; one BLAS thread (the default) and
+        two write the same bytes."""
+        base = la.direct_sum(so_algebra(5), so_algebra(4))
+        algebra, model = tmp_path / "algebra.json", tmp_path / "model.json"
+        algebra.write_text(json.dumps(
+            {"dim": base.dim, "brackets": bracket_records(base.c)}))
+        model.write_text(json.dumps(doubled_file(base)))
+        for dim, argv in (
+                (32, ("piaq", "--model", str(model), "--predicate", "integrable")),
+                (16, ("einstein", "--algebra", str(algebra), "--classify"))):
+            outs = []
+            for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "aqlab.cli", *argv],
+                    env=self.env_without_threads(**env), capture_output=True)
+                assert proc.returncode == 0, proc.stderr
+                outs.append(proc.stdout)
+            assert json.loads(outs[0])["inputs"]["dim"] == dim
+            assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("argv,status", [
         (("pauli", "--alpha", "1"), 0),

@@ -8,6 +8,7 @@ import pytest
 from aqlab import fourdim as fd
 from aqlab import quat as qt
 from aqlab.errors import Overflow
+from conftest import hodge_star_matrix
 
 ALPHAS = (-1, 1)
 
@@ -20,7 +21,31 @@ def rand_selfdual(rng, alpha):
     return fd.selfdual_form(alpha, *rng.normal(size=3))
 
 
+def parity(perm) -> int:
+    """The sign of a permutation of (0, 1, 2, 3): -1 per inversion."""
+    return math.prod(-1 if perm[a] > perm[b] else 1
+                     for a in range(4) for b in range(a + 1, 4))
+
+
+def definitional_star(g, w) -> tuple:
+    """(star w)_ij = (1/2) eta_ijkl g^km g^ln w_mn with eta_0123 = +1; on
+    the diagonal metric, whose inverse is itself, the sum over k < l of
+    eta_ijkl g^kk g^ll w_kl.  Independent of ``fourdim._star_signs``."""
+    gd = g.diagonal()
+    return tuple(sum(parity((i, j, k, l)) * gd[k] * gd[l] * x
+                     for (k, l), x in zip(fd.PAIRS, w.comp)
+                     if len({i, j, k, l}) == 4)
+                 for i, j in fd.PAIRS)
+
+
 class TestHodgeStar:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_basis_images_are_definitional(self, alpha):
+        g = fd.Metric4(alpha)
+        for e in np.eye(6):
+            w = fd.TwoForm4(e)
+            assert fd.hodge_star(g, w).comp == definitional_star(g, w)
+
     def test_euclidean_basis_image(self):
         g = fd.Metric4(-1)
         sw = fd.hodge_star(g, fd.TwoForm4((1, 0, 0, 0, 0, 0)))
@@ -34,7 +59,7 @@ class TestHodgeStar:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_involution_on_basis(self, alpha):
         g = fd.Metric4(alpha)
-        s = fd.star_matrix(g)
+        s = hodge_star_matrix(g)
         assert np.abs(s @ s - np.eye(6)).max() == 0.0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -81,7 +106,7 @@ class TestDecomposition:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_eigenspace_dimensions(self, alpha):
         g = fd.Metric4(alpha)
-        s = fd.star_matrix(g)
+        s = hodge_star_matrix(g)
         for sign in (1, -1):
             proj = 0.5 * (np.eye(6) + sign * s)
             assert np.linalg.matrix_rank(proj) == 3

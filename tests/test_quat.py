@@ -225,27 +225,33 @@ def qmul_nested(p, q):
     return qt.QuaternionA(u1.re, u1.im, u2.re, -u2.im, p.alpha)
 
 
+def pack(rows):
+    """The SpinMatrix of a 2x2 nest of scalars: their re and im, in order."""
+    return qt.SpinMatrix([f for row in rows for x in row for f in (x.re, x.im)],
+                         rows[0][0].alpha)
+
+
 def spin_matrix_nested(q):
     z1, z2 = qt.to_pair(q)
-    return qt.SpinMatrix(((z1, sk.scale(float(q.alpha), sk.conj(z2))),
-                          (z2, sk.conj(z1))))
+    return pack(((z1, sk.scale(float(q.alpha), sk.conj(z2))),
+                 (z2, sk.conj(z1))))
 
 
 def matmul_nested(x, y):
-    return qt.SpinMatrix(tuple(
-        tuple(sk.add(sk.mul(x.m[r][0], y.m[0][c]), sk.mul(x.m[r][1], y.m[1][c]))
+    return pack(tuple(
+        tuple(sk.add(sk.mul(x[r, 0], y[0, c]), sk.mul(x[r, 1], y[1, c]))
               for c in range(2)) for r in range(2)))
 
 
 def det_nested(x):
-    return sk.mul(x.m[0][0], x.m[1][1]) - sk.mul(x.m[0][1], x.m[1][0])
+    return sk.mul(x[0, 0], x[1, 1]) - sk.mul(x[0, 1], x[1, 0])
 
 
 def inv_nested(x):
     dinv = sk.inv(det_nested(x))
-    return qt.SpinMatrix((
-        (sk.mul(dinv, x.m[1][1]), sk.mul(dinv, sk.neg(x.m[0][1]))),
-        (sk.mul(dinv, sk.neg(x.m[1][0])), sk.mul(dinv, x.m[0][0]))))
+    return pack((
+        (sk.mul(dinv, x[1, 1]), sk.mul(dinv, sk.neg(x[0, 1]))),
+        (sk.mul(dinv, sk.neg(x[1, 0])), sk.mul(dinv, x[0, 0]))))
 
 
 def quat_of(pairs, alpha):
@@ -295,10 +301,24 @@ class TestFusedOperations:
             with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(q, name, 0.0)
         with pytest.raises(AttributeError, match="cannot assign to field"):
-            qt.spin_matrix(q).m = ()
+            qt.spin_matrix(q).e = ()
 
     def test_mixed_signatures_rejected(self):
         with pytest.raises(SignatureMismatch):
             qt.spin_matrix(qt.i_(1)) @ qt.spin_matrix(qt.i_(-1))
         with pytest.raises(SignatureMismatch):
-            qt.SpinMatrix(((sk.one(1), sk.zero(-1)), (sk.zero(1), sk.one(1))))
+            qt.spin_matrix(qt.i_(1)) - qt.spin_matrix(qt.i_(-1))
+
+    def test_one_validating_constructor(self):
+        m = qt.SpinMatrix(np.arange(8.0), -1)
+        assert m.e == tuple(map(float, range(8)))
+        assert all(type(x) is float for x in m.e)
+        assert m[1, 0] == sk.ScalarKA(4, 5, -1) and m.alpha == -1
+        with pytest.raises(ValueError, match="alpha"):
+            qt.SpinMatrix(range(8), 0)
+        with pytest.raises(ValueError, match="expected 8 floats"):
+            qt.SpinMatrix(range(6), 1)
+        with pytest.raises(IndexError):
+            m[0, 2]
+        with pytest.raises(ValueError):
+            qt.smat((((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0))), 1)

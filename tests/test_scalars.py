@@ -229,6 +229,6 @@ class TestValueSemantics:
 
     def test_spin_reprs_name_their_fields(self):
         m = qt.spin_matrix(qt.i_(-1))
-        assert repr(m) == f"SpinMatrix(m={m.m!r})"
+        assert repr(m) == f"SpinMatrix(e={m.e!r}, alpha=-1)"
         X = sp.svec(1, (0, 2), -1)
-        assert repr(X) == f"SpinVector(x1={X.x1!r}, x2={X.x2!r})"
+        assert repr(X) == f"SpinVector(v={X.v!r}, alpha=-1)"

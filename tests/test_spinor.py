@@ -20,8 +20,7 @@ ALPHAS = (-1, 1)
 
 
 def rand_vec(rng, alpha):
-    a, b, c, d = rng.normal(size=4)
-    return sp.SpinVector(sk.ScalarKA(a, b, alpha), sk.ScalarKA(c, d, alpha))
+    return sp.SpinVector(rng.normal(size=4), alpha)
 
 
 def rand_quat(rng, alpha):
@@ -42,8 +41,8 @@ def hermitian_form_nested(X, Y):
 
 
 def apply_matrix_nested(m, X):
-    return sp.SpinVector(sk.add(sk.mul(m[0, 0], X.x1), sk.mul(m[0, 1], X.x2)),
-                         sk.add(sk.mul(m[1, 0], X.x1), sk.mul(m[1, 1], X.x2)))
+    return sp.svec(sk.add(sk.mul(m[0, 0], X.x1), sk.mul(m[0, 1], X.x2)),
+                   sk.add(sk.mul(m[1, 0], X.x1), sk.mul(m[1, 1], X.x2)), X.alpha)
 
 
 def ring_seeds(alpha):
@@ -63,7 +62,7 @@ def spinbasis_by_ring(basis):
     pauli = (*qt.pauli_matrices(alpha),
              qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))
     for x1, x2 in ring_seeds(alpha):
-        result = seed_attempt_by_ring(basis, sp.SpinVector(x1, x2), pauli)
+        result = seed_attempt_by_ring(basis, sp.svec(x1, x2, alpha), pauli)
         if result is not None:
             return result
     return None
@@ -89,7 +88,8 @@ def seed_attempt_by_ring(basis, X, pauli):
         ep2 = sp.scalar_mul(i, ep2)
     a = sk.scale(-float(alpha), sp.hermitian_form(ep2, sp.apply(j2, ep1)))
     e1, e2 = ep1, sp.scalar_mul(a, ep2)
-    P = qt.SpinMatrix(((e1.x1, e2.x1), (e1.x2, e2.x2)))
+    P = qt.SpinMatrix([f for x in (e1.x1, e2.x1, e1.x2, e2.x2)
+                       for f in (x.re, x.im)], alpha)
     if sk.is_isotropic(P.det()):
         return None
     Pinv = P.inv()
@@ -171,7 +171,7 @@ class TestFusedOperations:
 
     def test_fields_are_frozen(self):
         X = sp.svec(1, 0, -1)
-        for name in ("x1", "x2"):
+        for name in ("v", "alpha", "x1", "x2"):
             with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(X, name, sk.one(-1))
 
@@ -184,7 +184,7 @@ class TestFusedOperations:
         with pytest.raises(SignatureMismatch):
             sp.apply(qt.i_(1), X)
         with pytest.raises(SignatureMismatch):
-            sp.SpinVector(sk.one(1), sk.one(-1))
+            sp.svec(sk.one(1), sk.one(-1), 1)
 
 
 class TestHermitianForm:
@@ -307,8 +307,8 @@ class TestSpinBasis:
         gram = np.diag([-float(alpha), -float(alpha), 1.0])
         rot = random_pseudo_rotation(gram, rng)
         res = sp.spinbasis(rotated_basis(alpha, rot))
-        e1 = sp.SpinVector(res.matrix[0, 0], res.matrix[1, 0])
-        e2 = sp.SpinVector(res.matrix[0, 1], res.matrix[1, 1])
+        e1 = sp.svec(res.matrix[0, 0], res.matrix[1, 0], alpha)
+        e2 = sp.svec(res.matrix[0, 1], res.matrix[1, 1], alpha)
         assert sp.hermitian_form(e1, e1).re == pytest.approx(1.0, abs=1e-9)
         assert sp.hermitian_form(e2, e2).re == pytest.approx(-alpha, abs=1e-9)
         assert sk.abs2norm(sp.hermitian_form(e1, e2)) < 1e-9

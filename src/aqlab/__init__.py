@@ -7,6 +7,7 @@ Subpackages:
     fourdim  -- self-dual two-form calculus on the 4-dimensional model fibre
     liealg   -- structure-constant Lie algebras and the doubled model
     piaq     -- canonical connections of twistor-pair structures
+    family   -- the metric family's closed forms in (lam, mu), without numpy
     gxg      -- the two-parameter metric family on a doubled group
     tensors  -- the structure-tensor contractions liealg, piaq and gxg share
     cli      -- command-line interface
@@ -17,8 +18,8 @@ attribute access (PEP 562), so a caller pays only for the layers it uses.
 
 import importlib
 
-__all__ = ["errors", "fourdim", "gxg", "liealg", "piaq", "quat", "scalars",
-           "spinor", "tensors"]
+__all__ = ["errors", "family", "fourdim", "gxg", "liealg", "piaq", "quat",
+           "scalars", "spinor", "tensors"]
 
 __version__ = "0.1.0"
 

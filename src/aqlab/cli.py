@@ -12,8 +12,12 @@ document was made from; the ``verify`` subcommand parses them again and
 compares the outputs, so every result is checkable by a second run.
 
 Each subcommand imports only the layers it runs, so ``pauli``,
-``spinbasis`` and ``selfdual`` (and ``verify`` of their documents) never
-load numpy.
+``spinbasis``, ``selfdual`` and ``einstein --catalog`` outside ``--sweep``
+(and ``verify`` of their documents) never load numpy: ``einstein`` decides
+from the scalar closed form of :mod:`aqlab.family`, which holds for every
+semisimple base, takes a catalog algebra's dimension from
+``CATALOG_DIMS`` and builds no model.  An ``--algebra`` file is still
+loaded, checked for the Jacobi identity and semisimplicity with numpy.
 
 :func:`main` parses with one parser per process, writes and flushes the
 document and returns the exit status; the console script and ``python -m
@@ -35,9 +39,11 @@ import warnings
 
 from .errors import AqlabError, InvalidModel
 
-#: the parser's choices, spelled out so that parsing argv loads no layer;
-#: tests pin them to sorted(liealg.CATALOG) and sorted(piaq.PREDICATES)
-CATALOG_NAMES = ("sl2r", "so4", "su2")
+#: the catalog algebras and their dimensions, and the parser's choices,
+#: spelled out so that parsing argv and ``einstein --catalog`` load no layer;
+#: tests pin them to liealg.CATALOG and sorted(piaq.PREDICATES)
+CATALOG_DIMS = {"sl2r": 3, "so4": 6, "su2": 3}
+CATALOG_NAMES = tuple(CATALOG_DIMS)
 PREDICATE_NAMES = ("integrable", "involutive", "isoclinic_geodesic",
                    "semiholonomic", "three_web")
 VERIFY_TOL = 1e-9  #: verify's comparison tolerance
@@ -61,8 +67,9 @@ def _f(x: float) -> float:
 
 
 def _smat_doc(m) -> list:
-    return [[[_f(m[r, c].re), _f(m[r, c].im)] for c in range(2)]
-            for r in range(2)]
+    """[[a, b], [c, d]] as [re, im] pairs, read from the 8 floats m holds."""
+    e = [_f(x) for x in m.e]
+    return [[e[0:2], e[2:4]], [e[4:6], e[6:8]]]
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -195,17 +202,20 @@ def cmd_einstein(args):
         raise AqlabError(f"{' and '.join(modes)} are exclusive modes")
     if args.csv and args.sweep is None:
         raise AqlabError("--csv writes the sweep grid and needs --sweep")
-    from . import liealg as la
-    from .gxg import (EINSTEIN_TOL, MetricFamily, check_sweep_resolution,
-                      classify_einstein, einstein_sweep, ricci_coefficients)
-    base = (la.CATALOG[args.catalog]() if args.catalog
-            else _load_file(args.algebra, twistor=False))
-    model = la.doubled(base)
-    inputs = {"algebra": args.catalog or args.algebra, "dim": base.dim}
+    from . import family
+    if args.catalog:
+        dim = CATALOG_DIMS[args.catalog]
+    else:  # a file's algebra must be semisimple, the premise of the closed form
+        from . import liealg as la
+        base = _load_file(args.algebra, twistor=False)
+        la.pseudo_orthonormalize(base)
+        dim = base.dim
+    inputs = {"algebra": args.catalog or args.algebra, "dim": dim}
     if args.classify:
-        rows = _einstein_rows(classify_einstein(model))
+        rows = _einstein_rows(family.einstein_points())
         outputs = {"einstein_points": rows, "count": len(rows)}
     elif args.sweep is not None:
+        from .gxg import check_sweep_resolution, einstein_sweep
         # a bad resolution or --csv path fails before the sweep runs
         check_sweep_resolution(args.sweep)
         try:
@@ -232,9 +242,8 @@ def cmd_einstein(args):
     else:
         if args.lam is None or args.mu is None:
             raise AqlabError("either --lambda/--mu, --classify or --sweep is required")
-        fam = MetricFamily(model, args.lam, args.mu)
-        eps = fam.einstein_check()
-        A, B, C, D = ricci_coefficients(fam.lam, fam.mu)
+        eps = family.einstein_constant(args.lam, args.mu)
+        A, B, C, D = family.ricci_coefficients(args.lam, args.mu)
         inputs.update({"lambda": args.lam, "mu": args.mu})
         outputs = {
             "einstein": eps is not None,
@@ -242,7 +251,7 @@ def cmd_einstein(args):
             "ricci_coefficients": {"A": _f(A), "B": _f(B), "C": _f(C),
                                    "D": _f(D)},
         }
-    return inputs, outputs, {"einstein": EINSTEIN_TOL}
+    return inputs, outputs, {"einstein": family.EINSTEIN_TOL}
 
 
 def cmd_piaq(args):
@@ -305,6 +314,7 @@ def cmd_check(args):
     import numpy as np
     from . import liealg as la
     from . import quat as qt
+    from .family import EINSTEIN_CANDIDATES, einstein_constant
     from .gxg import MetricFamily
     n = args.samples
     if n < 1 or args.seed < 0:
@@ -326,8 +336,10 @@ def cmd_check(args):
 
     worst = 0.0
     base = la.doubled(la.su2())
+    points = []
     for _ in range(n):
         lam, mu = rng.uniform(-0.7, 0.7, size=2)
+        points.append((lam, mu))
         fam = MetricFamily(base, lam, mu)
         X, Y, Z = rng.normal(size=(3, 6))
         worst = max(worst,
@@ -338,6 +350,18 @@ def cmd_check(args):
                     float(np.abs(fam.ricci_closed(X)
                                  - fam.ricci_contracted(X)).max()))
     results["metric_family_oracle_agreement"] = worst
+
+    # the scalar Einstein verdict against the doubled model's Ricci matrix;
+    # a verdict that differs counts as a residual of 1
+    worst = 0.0
+    for lam, mu in [*points, *EINSTEIN_CANDIDATES]:
+        eps = einstein_constant(lam, mu)
+        want = MetricFamily(base, lam, mu).einstein_check()
+        if (eps is None) != (want is None):
+            worst = 1.0
+        elif eps is not None:
+            worst = max(worst, abs(eps - want) / max(1.0, abs(want)))
+    results["einstein_verdict_scalar_vs_model"] = worst
 
     passed = all(v <= CHECK_TOL for v in results.values())
     return ({"seed": args.seed, "samples": n},

@@ -21,7 +21,10 @@ disc consists of G1 structures.
 
 Each computed quantity has two independent evaluation routes (closed form
 against a compositional or contraction oracle); the test suite pins their
-agreement.
+agreement.  The scalar closed forms in (lam, mu), the parameter check and
+the Einstein points live in the numpy-free :mod:`aqlab.family` and are
+re-exported here; this module evaluates them on a doubled model and on
+grids.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import Degenerate, InvalidResolution, Overflow
+from .errors import Degenerate, InvalidResolution
+# the closed forms, re-exported: callers may import any of them from here
+from .family import (DEGENERACY_TOL, EINSTEIN_CANDIDATES, EINSTEIN_TOL,
+                     _cd_cofactors, _d0, check_point, ricci_coefficients)
 from .liealg import DoubledModel
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
                       post, ricci, transport)
 
-DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
-EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to (1 + |c|)/d0
 DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
@@ -90,22 +94,7 @@ class MetricFamily:
 
     def __init__(self, model: DoubledModel, lam: float, mu: float):
         self.model = model
-        self.lam = float(lam)
-        self.mu = float(mu)
-        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
-            raise Degenerate(f"lam and mu must be finite, got {lam!r}, {mu!r}")
-        try:  # ** raises OverflowError; the subtractions give -inf instead
-            self.d0 = _d0(self.lam, self.mu)
-        except OverflowError:
-            self.d0 = -math.inf
-        if math.isinf(self.d0):
-            raise Overflow(f"lam^2 + mu^2 overflows for lam = {lam!r}, "
-                           f"mu = {mu!r}")
-        if abs(self.d0) <= DEGENERACY_TOL:
-            raise Degenerate(
-                f"1 - lam^2 - mu^2 = {self.d0!r}: (lam, mu) lies on the "
-                "degeneracy circle"
-            )
+        self.lam, self.mu, self.d0 = check_point(lam, mu)
 
     # -- metric -------------------------------------------------------------
 
@@ -238,7 +227,8 @@ class MetricFamily:
         return (A * C1 + Bc * C2 + (C * C1 + D * C2) @ self.model.J) / self.d0
 
     def einstein_check(self):
-        """Return the Ricci constant when the closed Ricci matrix is eps * id."""
+        """Return the Ricci constant when the closed Ricci matrix is eps * id;
+        the model-side oracle of :func:`aqlab.family.einstein_constant`."""
         r = self.ricci_matrix()
         dim = self.model.dim2
         eps = float(np.trace(r)) / dim
@@ -336,34 +326,6 @@ class MetricFamily:
 # Closed-form classification in (lam, mu)
 # ---------------------------------------------------------------------------
 
-def _d0(lam, mu):
-    """1 - lam^2 - mu^2, the determinant factor of the family's metric, for
-    floats or arrays alike; zero on the degeneracy circle."""
-    return 1.0 - lam ** 2 - mu ** 2
-
-
-def ricci_coefficients(lam: float, mu: float):
-    """The four scalars (A, B, C, D) of the contracted curvature.
-
-    Base independent: in a trace-form orthonormal working basis of any
-    doubled model the Ricci operator is
-
-        r(X) = (1/d0) sum_a eps_a { A [[X, e_a], e_a] + B [[X, Je_a], Je_a]
-                + C [[JX, e_a], e_a] + D [[JX, Je_a], Je_a] }.
-    """
-    q = 4.0 * _d0(lam, mu)
-    A = -(1.0 - lam) / 4.0 + mu ** 2 * (mu - lam + 1.0) / q
-    B = -(1.0 + lam) / 4.0 + mu ** 2 * (mu + lam + 1.0) / q
-    pc, pd = _cd_cofactors(lam, mu)
-    return A, B, mu * pc / q, -mu * pd / q
-
-
-def _cd_cofactors(lam, mu):
-    """The polynomials pc, pd with 4 d0 C = mu pc and 4 d0 D = -mu pd."""
-    return (-2 * mu ** 2 - lam ** 2 + 3 * lam * mu - 3 * mu + 2 * lam - 1.0,
-            2 * mu ** 2 + lam ** 2 + 3 * lam * mu + 3 * mu + 2 * lam + 1.0)
-
-
 def _einstein_system(lam, mu):
     """The Einstein conditions without division, f = 4 d0 (C, D, A - B),
     zero exactly at the Einstein points and at (0, -1) on the circle, with
@@ -399,12 +361,8 @@ def classify_einstein(model: DoubledModel):
     mu = -2/3 forces lam^2 = 1/9.  Each solution is verified on the model
     and returned with its Ricci constant.
     """
-    # mu = 0 forces lam = 0; lam = 0 takes the root -1/2 of 2 mu^2 + 3 mu + 1
-    # (its root -1 lies on the degeneracy circle); mu = -2/3 takes lam = +-1/3
-    candidates = [(0.0, 0.0), (0.0, -0.5),
-                  (1.0 / 3.0, -2.0 / 3.0), (-1.0 / 3.0, -2.0 / 3.0)]
     out = []
-    for lam, mu in candidates:
+    for lam, mu in EINSTEIN_CANDIDATES:
         fam = MetricFamily(model, lam, mu)
         eps = fam.einstein_check()
         if eps is not None:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ class TestEinstein:
         assert [r["epsilon"]["exact"] for r in rows] == [
             [1, 4], [5, 18], [3, 8], [3, 8]]
         assert rows[2]["lambda"]["exact"] == [1, 3]
+
+    def test_classify_prints_the_rounded_constants(self, capsys, tmp_path):
+        """Each Ricci constant is the float nearest its rational, bit for
+        bit, on every catalog algebra and on an --algebra file."""
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(SU2_FILE))
+        want = [float(Fraction(1, 4)), float(Fraction(5, 18)), 0.375, 0.375]
+        for source in ([("--catalog", name) for name in cli.CATALOG_NAMES]
+                       + [("--algebra", str(path))]):
+            code, doc, _ = run(capsys, "einstein", *source, "--classify")
+            got = [r["epsilon"]["value"]
+                   for r in doc["outputs"]["einstein_points"]]
+            assert code == 0 and [x.hex() for x in got] == [
+                x.hex() for x in want], source
 
     def test_algebra_file(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
@@ -686,15 +701,19 @@ class TestNumbers:
         assert out.err == ("error: AqlabError: result is not finite: "
                            "the document holds NaN or inf\n")
 
-    def test_main_raises_numpy_warnings_itself(self, capsys):
+    def test_main_raises_numpy_warnings_itself(self, capsys, tmp_path):
         """Not only under this suite's filterwarnings setting: a plain
-        process prints no warning lines before the error."""
+        process prints no warning lines before the error.  su(2) with its
+        brackets at 1e155 overflows numpy's Jacobi check of the file."""
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [
+            [1, 2, 3, 1e155], [2, 3, 1, 1e155], [3, 1, 2, 1e155]]}))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            code, doc, err = run(capsys, "einstein", "--catalog", "su2",
-                                 "--lambda", "1e150", "--mu", "1e150")
+            code, doc, err = run(capsys, "einstein", "--algebra", str(path),
+                                 "--classify")
         assert code == 1 and doc is None
-        assert one_typed_error(err) == "AqlabError" and "invalid value" in err
+        assert one_typed_error(err) == "AqlabError" and "overflow" in err
 
     NUMBERS = st.one_of(
         st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308",
@@ -897,11 +916,11 @@ class TestLazyStartup:
         (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
          {"fourdim", "fractions"}),
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
-         {"numpy", "liealg", "tensors", "gxg", "fractions"}),
+         {"family", "fractions"}),
         (("piaq", "--doubled", "su2", "--predicate", "three_web"),
          {"numpy", "liealg", "tensors", "piaq"}),
         (("check", "--seed", "1", "--samples", "2"),
-         {"numpy", "quat", "scalars", "liealg", "tensors", "gxg"}),
+         {"numpy", "quat", "scalars", "liealg", "tensors", "family", "gxg"}),
     ])
     def test_subcommand_loads_only_its_layers(self, argv, layers):
         want = {m if m in ("numpy", "fractions") else f"aqlab.{m}"
@@ -925,6 +944,22 @@ class TestLazyStartup:
         path.write_text(json.dumps(run(capsys, *argv)[1]))
         loaded = self.loaded(argv, ("verify", str(path)))
         assert loaded == {"aqlab.fourdim", "fractions"}
+
+    def test_catalog_einstein_and_its_verify_never_load_numpy(
+            self, capsys, tmp_path):
+        """The six numpy-free einstein processes of the benchmark's cli-mix:
+        a point, an off-point, three classifications and a verify."""
+        classify = ("einstein", "--catalog", "so4", "--classify")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(run(capsys, *classify)[1]))
+        loaded = self.loaded(
+            ("einstein", "--catalog", "su2", "--lambda", "0", "--mu=-0.5"),
+            ("einstein", "--catalog", "sl2r", "--lambda=-0.5762015812938446",
+             "--mu=0.18523463330625067"),
+            ("einstein", "--catalog", "su2", "--classify"),
+            ("einstein", "--catalog", "sl2r", "--classify"),
+            classify, ("verify", str(path)))
+        assert loaded == {"aqlab.family", "fractions"}
 
     def stdlib_loaded(self, *argvs) -> set:
         """Which of ``dataclasses`` and ``inspect`` the argvs load."""
@@ -1007,6 +1042,10 @@ class TestLazyStartup:
     def test_parser_choices_match_the_layers(self):
         assert cli.CATALOG_NAMES == tuple(sorted(la.CATALOG))
         assert cli.PREDICATE_NAMES == tuple(sorted(pq.PREDICATES))
+
+    def test_catalog_dims_match_the_layers(self):
+        assert cli.CATALOG_DIMS == {name: make().dim
+                                    for name, make in la.CATALOG.items()}
 
 
 class TestProcess:

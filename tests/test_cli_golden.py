@@ -5,10 +5,13 @@ and stdout of ``main`` (and the CSV text the one ``--csv`` call writes).
 The argvs are every file-free argv of ``test_cli.py`` and the catalog and
 ``--doubled`` argvs of the benchmark's cli-mix workload at seed 1.  Stderr
 is left out: argparse and numpy word their messages differently from
-version to version.  The residuals that ``check`` and ``piaq`` print sit at
+version to version.  The rows of commands that load no numpy (``pauli``,
+``spinbasis``, ``selfdual`` and ``einstein --catalog`` outside
+``--sweep``) compare byte for byte under every numpy, and a test pins that
+they load none.  The residuals that ``check`` and ``piaq`` print sit at
 rounding level, so their last bits belong to one numpy and BLAS build: the
 snapshot records the numpy version it was made with, and under another one
-the comparison is skipped rather than failed.  A change that means to move
+the other rows are skipped rather than failed.  A change that means to move
 an output regenerates the snapshot with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -21,6 +24,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +127,13 @@ ARGVS = [
 ]
 
 
+def numpy_free(argv) -> bool:
+    """Whether ``argv``'s command loads no numpy, so that its row compares
+    under every numpy."""
+    return argv[0] in ("pauli", "spinbasis", "selfdual") or (
+        argv[:2] == ("einstein", "--catalog") and "--sweep" not in argv)
+
+
 def record(argv, workdir) -> dict:
     """Exit status and stdout of ``main(argv)`` run in ``workdir``, with the
     text of the CSV file it writes there, if any."""
@@ -158,9 +170,35 @@ def test_snapshot_covers_every_argv():
                          ids=[" ".join(a)[:60] for a in ARGVS])
 def test_output_is_byte_identical(tmp_path, n):
     golden = _golden()
-    if golden["numpy"] != np.__version__:
+    if golden["numpy"] != np.__version__ and not numpy_free(ARGVS[n]):
         pytest.skip(f"snapshot made with numpy {golden['numpy']}")
     assert record(ARGVS[n], tmp_path) == golden["rows"][n]
+
+
+def test_numpy_free_rows_load_no_numpy():
+    """Every row that compares under any numpy runs, in a fresh
+    interpreter, without loading it."""
+    argvs = [list(a) for a in ARGVS if numpy_free(a)]
+    assert {a[0] for a in argvs} == {"pauli", "spinbasis", "selfdual",
+                                     "einstein"}
+    code = """if True:
+        import contextlib, io, json, sys
+        from aqlab.cli import main
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+        print("numpy" in sys.modules)
+    """
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 if __name__ == "__main__":

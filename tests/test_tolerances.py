@@ -7,8 +7,8 @@ import re
 
 import pytest
 
-MODULES = ("scalars", "quat", "spinor", "fourdim", "liealg", "piaq", "gxg",
-           "tensors", "cli")
+MODULES = ("scalars", "quat", "spinor", "fourdim", "liealg", "piaq", "family",
+           "gxg", "tensors", "cli")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 

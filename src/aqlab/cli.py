@@ -288,25 +288,43 @@ def cmd_verify(args):
     if getattr(rerun_args, "csv", None):
         rerun_args.csv = None  # compare outputs only; never rewrite files
     _, outputs, _ = rerun_args.func(rerun_args)
-    match = _compare(doc.get("outputs"), outputs, VERIFY_TOL)
+    path = _compare(doc.get("outputs"), outputs, VERIFY_TOL)
+    result = {"match": path is None}
+    if path is not None:  # with both values, but none that a side lacks
+        result["first_difference"] = diff = {"path": "outputs" + "".join(
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)}
+        for side, value in (("document", doc["outputs"]), ("rerun", outputs)):
+            with contextlib.suppress(KeyError, IndexError, ValueError):
+                value = functools.reduce(lambda v, k: v[k], path, value)
+                json.dumps(value, allow_nan=False)  # nor a stored NaN
+                diff[side] = value
     return ({"document": args.document, "verified_command": doc.get("command")},
-            {"match": match}, {"comparison": VERIFY_TOL})
+            result, {"comparison": VERIFY_TOL})
 
 
-def _compare(a, b, tol: float) -> bool:
+def _compare(a, b, tol: float, path=()):
+    """The path, a tuple of keys and indices, of the first place in document
+    order where b differs from a beyond ``tol``, or None when they match."""
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(
-            _compare(a[k], b[k], tol) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(
-            _compare(x, y, tol) for x, y in zip(a, b))
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-            and not isinstance(a, bool) and not isinstance(b, bool):
+        keys = [*a, *(k for k in b if k not in a)]
+    elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        keys = range(max(len(a), len(b)))
+    else:
+        same = a == b
+        if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
+                and not isinstance(a, bool) and not isinstance(b, bool):
+            with contextlib.suppress(OverflowError):  # an int past float range
+                same = abs(float(a) - float(b)) <= tol * (1.0 + abs(float(a)))
+        return None if same else path
+    for k in keys:
         try:
-            return abs(float(a) - float(b)) <= tol * (1.0 + abs(float(a)))
-        except OverflowError:  # an int beyond the float range
-            return a == b
-    return a == b
+            x, y = a[k], b[k]
+        except (KeyError, IndexError):  # a key or an entry one side lacks
+            return (*path, k)
+        found = _compare(x, y, tol, (*path, k))
+        if found is not None:
+            return found
+    return None
 
 
 def cmd_check(args):

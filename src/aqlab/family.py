@@ -27,7 +27,7 @@ import math
 from .errors import Degenerate, Overflow
 
 DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
-EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to (1 + |c|)/d0
+EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to |nabla| |calJ|^k
 
 # mu = 0 forces lam = 0; lam = 0 takes the root -1/2 of 2 mu^2 + 3 mu + 1
 # (its root -1 lies on the degeneracy circle); mu = -2/3 takes lam = +-1/3

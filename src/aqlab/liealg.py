@@ -23,8 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
-from .tensors import (_within, apply, is_antisymmetric, is_integral, is_lie,
-                      is_number, jacobi_defect, post, transport)
+from .scalars import _within
+from .tensors import (apply, is_antisymmetric, is_integral, is_lie, is_number,
+                      jacobi_defect, post, transport)
 
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * |c|^2
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated

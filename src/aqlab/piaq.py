@@ -35,10 +35,11 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
-from .tensors import (_within, apply, curvature as compose_curvature,
-                      curvature_at, curvature_slab, curvature_slabs,
-                      is_antisymmetric, is_integral, is_lie, is_twistor,
-                      jacobi_defect, post, transport, twistor_sign)
+from .scalars import _within
+from .tensors import (apply, curvature as compose_curvature, curvature_at,
+                      curvature_slab, curvature_slabs, is_antisymmetric,
+                      is_integral, is_lie, is_twistor, jacobi_defect, post,
+                      transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope

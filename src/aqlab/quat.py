@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 
 from . import scalars as sk
-from .errors import NotPurelyImaginary
-from .scalars import Record, ScalarKA, _set
+from .errors import IsotropicScalar, NotPurelyImaginary
+from .scalars import Record, ScalarKA, _set, _within
 
-PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * (1 + max|coeff|)
+PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * max|coeff|
 
 
 class QuaternionA(Record):
@@ -121,8 +121,9 @@ def scalar_product(p: QuaternionA, q: QuaternionA) -> float:
 
 
 def is_purely_imaginary(q: QuaternionA) -> bool:
+    """|a| <= ``PURE_IMAG_TOL`` max|coeff| (zero is purely imaginary)."""
     sup = max(abs(q.a), abs(q.b), abs(q.c), abs(q.d))
-    return abs(q.a) <= PURE_IMAG_TOL * (1.0 + sup)
+    return _within(abs(q.a), sup, 1, PURE_IMAG_TOL)
 
 
 def _require_imaginary(q: QuaternionA):
@@ -175,7 +176,7 @@ class SpinMatrix(Record):
     def inv(self) -> "SpinMatrix":
         e = _inverse(self.e, self.alpha)
         if e is None:
-            sk.inv(self.det())  # raises IsotropicScalar
+            raise IsotropicScalar("the determinant is isotropic")
         return SpinMatrix(e, self.alpha)
 
     def max_abs(self) -> float:
@@ -222,10 +223,10 @@ def _det(m: tuple, al: int) -> tuple:
 
 
 def _inverse(m: tuple, al: int):
-    """det^-1 [[d, -b], [-c, a]], or None when det is isotropic."""
+    """det^-1 [[d, -b], [-c, a]], or None when ``sk.inv(det)`` would raise."""
     zr, zi = _det(m, al)
     n = zr * zr - al * zi * zi
-    if abs(n) <= sk.ISOTROPY_TOL:
+    if sk._isotropic(n, zr, zi):
         return None
     u, v = zr / n, -zi / n
     ar, ai, br, bi, cr, ci, dr, di = m
@@ -239,11 +240,6 @@ def smat(entries, alpha: int) -> SpinMatrix:
     """Build a SpinMatrix from a 2x2 nest of (re, im) pairs."""
     (a, b), (c, d) = entries
     return SpinMatrix([x for re, im in (a, b, c, d) for x in (re, im)], alpha)
-
-
-def smat_close(x: SpinMatrix, y: SpinMatrix, tol: float = 1e-9) -> bool:
-    return all(sk.close(x[r, c], y[r, c], tol=tol)
-               for r in range(2) for c in range(2))
 
 
 def spin_matrix(q: QuaternionA) -> SpinMatrix:

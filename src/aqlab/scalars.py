@@ -8,19 +8,44 @@ elements instead of silently dividing.
 Every operation is a pure function.  Values are immutable slotted records
 on :class:`Record`, the base of the values of :mod:`aqlab.quat` and
 :mod:`aqlab.spinor` too.
+
+This numpy-free bottom layer also holds the package's one rule for
+homogeneous bounds, :func:`_within`, and its one isotropy test.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import IsotropicScalar, SignatureMismatch
+from .errors import IsotropicScalar, Overflow, SignatureMismatch
 
-# Chosen to separate genuine zero divisors from roundoff at unit scale.
-ISOTROPY_TOL = 1e-9  #: absolute: z is isotropic (no inverse) when |z|^2 <= this
+ISOTROPY_TOL = 1e-9  #: isotropic (no inverse): |z|^2 <= this max(|re|, |im|)^2
 
 
 _set = object.__setattr__  #: how a constructor sets its record's fields
+
+
+def _within(residual, size, degree: int, tol: float) -> bool:
+    """residual <= tol size^degree, the bound of a defect homogeneous of
+    ``degree`` in an input of sup norm ``size``; false on NaN.  The power is
+    a product: ``**`` raises OverflowError past the float range."""
+    return bool(residual <= tol * math.prod([size] * degree))
+
+
+def _isotropic(n: float, *floats) -> bool:
+    """Whether n, the squared norm of the value made of ``floats``, is at
+    most ``ISOTROPY_TOL`` size^2, size the sup norm (``_within``'s bound of
+    degree 2, tried float by float); false for a non-finite value, and
+    Overflow for a finite value whose n is not finite."""
+    a = abs(n)
+    if a < math.inf:
+        for x in floats:
+            if a <= ISOTROPY_TOL * (x * x):
+                return True
+        return False
+    if all(map(math.isfinite, floats)):
+        raise Overflow(f"squared norm {n} of a finite value")
+    return False
 
 
 class Record:
@@ -139,28 +164,19 @@ def normsq(x: ScalarKA) -> float:
 
 
 def is_isotropic(x: ScalarKA) -> bool:
-    """True when |z|^2 vanishes within ``ISOTROPY_TOL`` (zero divisor or zero)."""
-    return abs(normsq(x)) <= ISOTROPY_TOL
+    """True when z is a zero divisor or zero, as :func:`_isotropic` decides."""
+    return _isotropic(normsq(x), x.re, x.im)
 
 
 def inv(x: ScalarKA) -> ScalarKA:
     """Multiplicative inverse conj(z)/|z|^2.
 
     Raises:
-        IsotropicScalar: when |z|^2 is at most ``ISOTROPY_TOL`` in absolute value.
+        IsotropicScalar: when z is isotropic (:func:`is_isotropic`).
+        Overflow: when |z|^2 of a finite z leaves the float range.
     """
     n = normsq(x)
-    if abs(n) <= ISOTROPY_TOL:
-        raise IsotropicScalar(f"normsq {n:.3e} below tolerance {ISOTROPY_TOL:.1e}")
+    if _isotropic(n, x.re, x.im):
+        raise IsotropicScalar(f"{x!r} is isotropic (normsq {n:.3e})")
     return ScalarKA(x.re / n, -x.im / n, x.alpha)
 
-
-def close(x: ScalarKA, y: ScalarKA, tol: float = 1e-12) -> bool:
-    """Componentwise comparison up to ``tol`` (signatures must match)."""
-    _check_signatures(x, y)
-    return abs(x.re - y.re) <= tol and abs(x.im - y.im) <= tol
-
-
-def abs2norm(x: ScalarKA) -> float:
-    """Euclidean size sqrt(re^2 + im^2), used only for tolerance scaling."""
-    return math.hypot(x.re, x.im)

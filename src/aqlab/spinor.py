@@ -16,6 +16,7 @@ from . import quat as qt
 from . import scalars as sk
 from .errors import (
     DegenerateEigenvector,
+    IsotropicScalar,
     NotAQStructure,
     OrthonormalityViolated,
     SignatureMismatch,
@@ -223,7 +224,7 @@ def _try_spinbasis_from_seed(basis: IQBasis, X: tuple):
     ep2 = (xr1 - wr1, xi1 - wi1, xr2 - wr2, xi2 - wi2)
     n1 = _hermitian(ep1, ep1, al)[0]
     n2 = _hermitian(ep2, ep2, al)[0]
-    if abs(n1) <= sk.ISOTROPY_TOL or abs(n2) <= sk.ISOTROPY_TOL:
+    if sk._isotropic(n1, *ep1) or sk._isotropic(n2, *ep2):
         return None  # eigenvector seed or isotropic normalization denominator
 
     ep1 = _times(1.0 / math.sqrt(abs(n1)), 0.0, ep1, al)
@@ -294,7 +295,7 @@ def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
     P = result.matrix.e
     Pinv = _inverse(P, al)
     if Pinv is None:
-        result.matrix.inv()  # raises IsotropicScalar
+        raise IsotropicScalar("the change-of-basis determinant is isotropic")
     sk._check_signatures(result.matrix, q)
     return SpinMatrix(_matmul(_matmul(Pinv, _spin_entries(q), al), P, al), al)
 

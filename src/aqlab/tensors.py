@@ -14,7 +14,8 @@ The two relations every model rests on are decided here and nowhere else:
 a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 (:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes
 (:func:`is_twistor`, with alpha read from the operators by
-:func:`twistor_sign`).  Each is false on NaN.
+:func:`twistor_sign`).  Each is false on NaN; the bracket bounds go
+through the package's one homogeneous rule, :func:`aqlab.scalars._within`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numbers
 import sys
 
 import numpy as np
+
+from .scalars import _within
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
 JACOBI_TOL = 1e-10  #: antisymmetry rel. to |c|, Jacobiator to |c|^2
@@ -85,12 +88,6 @@ def is_integral(n) -> bool:
     """n is a number with an integer value: the test of every model
     dimension and bracket index (an integral float counts)."""
     return is_number(n) and n == int(n)
-
-
-def _within(residual, size, degree: int, tol: float) -> bool:
-    """residual <= tol size^degree, the bound of a defect homogeneous of
-    ``degree`` in an input of sup norm ``size``; false on NaN."""
-    return bool(residual <= tol * size ** degree)
 
 
 def is_antisymmetric(c: np.ndarray, top=None) -> bool:

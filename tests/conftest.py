@@ -1,5 +1,7 @@
 """Shared fixtures and numerical helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -29,6 +31,23 @@ def bits(*values):
             floats = v.e if hasattr(v, "e") else v.v
         out.append((*((type(x), x.hex()) for x in floats), v.alpha))
     return out
+
+
+def scalar_close(x, y, tol: float = 1e-12) -> bool:
+    """Two scalars of one signature agree componentwise up to ``tol``."""
+    assert x.alpha == y.alpha
+    return abs(x.re - y.re) <= tol and abs(x.im - y.im) <= tol
+
+
+def abs2norm(x) -> float:
+    """Euclidean size sqrt(re^2 + im^2) of a scalar."""
+    return math.hypot(x.re, x.im)
+
+
+def smat_close(x, y, tol: float = 1e-9) -> bool:
+    """Two spin matrices agree entry by entry up to ``tol``."""
+    return all(scalar_close(x[r, c], y[r, c], tol)
+               for r in range(2) for c in range(2))
 
 
 def hodge_star_matrix(g) -> np.ndarray:

@@ -18,7 +18,7 @@ from aqlab import spinor as sp
 from aqlab.gxg import MetricFamily, classify_einstein, einstein_sweep
 from aqlab.tensors import apply
 from conftest import (hodge_star_matrix, random_aq_pair, random_piaq_model,
-                      random_pseudo_rotation)
+                      random_pseudo_rotation, smat_close)
 
 EXACT_POINTS = [(0.0, 0.0, 1.0 / 4.0), (0.0, -0.5, 5.0 / 18.0),
                 (1.0 / 3.0, -2.0 / 3.0, 3.0 / 8.0),
@@ -219,11 +219,11 @@ def test_criterion_09_spinbasis_construction():
             ok = ok and res.sign == 1
             for m in range(3):
                 got = sp.matrix_in_spinbasis(js[m], res)
-                ok = ok and qt.smat_close(got, paulis[m], tol=1e-9)
+                ok = ok and smat_close(got, paulis[m], tol=1e-9)
             rev = sp.spinbasis(sp.IQBasis(js[0], js[1], -js[2]))
             ok = ok and rev.sign == -1
             got3 = sp.matrix_in_spinbasis(-js[2], rev)
-            ok = ok and qt.smat_close(got3, neg3, tol=1e-9)
+            ok = ok and smat_close(got3, neg3, tol=1e-9)
     report(9, ok,
            "100 random orthonormal imaginary triples per signature conjugate "
            "to the Pauli triple within 1e-9; reversed orientation flips the "

@@ -567,6 +567,44 @@ class TestVerify:
         assert code == 1
         assert vdoc["outputs"]["match"] is False
 
+    def test_mismatch_names_the_first_difference(self, capsys, tmp_path):
+        """A check document without one residual, as one written before
+        that residual existed: verify names the key, with the rerun's
+        value; the document has none there."""
+        code, doc, _ = run(capsys, "check", "--seed", "1", "--samples", "2")
+        rerun = doc["outputs"]["worst_residuals"].pop(
+            "einstein_verdict_scalar_vs_model")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, vdoc, _ = run(capsys, "verify", str(path))
+        assert code == 1 and vdoc["outputs"] == {
+            "match": False, "first_difference": {
+                "path": "outputs.worst_residuals."
+                        "einstein_verdict_scalar_vs_model",
+                "rerun": rerun}}
+
+    def test_first_difference_holds_both_values(self, capsys, tmp_path):
+        code, doc, _ = run(capsys, "einstein", "--catalog", "su2",
+                           "--classify")
+        doc["outputs"]["einstein_points"][2]["mu"]["value"] = 0.5
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, vdoc, _ = run(capsys, "verify", str(path))
+        assert code == 1 and vdoc["outputs"]["first_difference"] == {
+            "path": "outputs.einstein_points[2].mu.value",
+            "document": 0.5, "rerun": -2.0 / 3.0}
+
+    def test_stored_nan_is_a_mismatch_without_its_value(self, capsys,
+                                                         tmp_path):
+        code, doc, _ = run(capsys, "pauli", "--alpha", "1")
+        doc["outputs"]["sigma1"][0][0][1] = math.nan
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, vdoc, err = run(capsys, "verify", str(path))
+        assert (code, err) == (1, "") and vdoc["outputs"] == {
+            "match": False, "first_difference": {
+                "path": "outputs.sigma1[0][0][1]", "rerun": 1.0}}
+
     def test_csv_is_not_rewritten(self, capsys, tmp_path):
         csv = tmp_path / "sweep.csv"
         code, doc, _ = run(capsys, "einstein", "--catalog", "su2",
@@ -918,7 +956,7 @@ class TestLazyStartup:
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
          {"family", "fractions"}),
         (("piaq", "--doubled", "su2", "--predicate", "three_web"),
-         {"numpy", "liealg", "tensors", "piaq"}),
+         {"numpy", "liealg", "tensors", "scalars", "piaq"}),
         (("check", "--seed", "1", "--samples", "2"),
          {"numpy", "quat", "scalars", "liealg", "tensors", "family", "gxg"}),
     ])

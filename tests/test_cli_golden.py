@@ -11,8 +11,11 @@ version to version.  The rows of commands that load no numpy (``pauli``,
 they load none.  The residuals that ``check`` and ``piaq`` print sit at
 rounding level, so their last bits belong to one numpy and BLAS build: the
 snapshot records the numpy version it was made with, and under another one
-the other rows are skipped rather than failed.  A change that means to move
-an output regenerates the snapshot with
+the other rows skip the byte comparison.  Every row, under every numpy, is
+also compared as ``verify`` compares documents: the exit status, argv,
+every key, the CSV header and ``points_scanned`` exactly, and the outputs
+and the CSV values through ``cli._compare`` at ``VERIFY_TOL``.  A change
+that means to move an output regenerates the snapshot with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -30,7 +33,7 @@ import sys
 import numpy as np
 import pytest
 
-from aqlab.cli import main
+from aqlab.cli import VERIFY_TOL, _compare, main
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 CSV = "sweep.csv"
@@ -175,6 +178,29 @@ def test_output_is_byte_identical(tmp_path, n):
     assert record(ARGVS[n], tmp_path) == golden["rows"][n]
 
 
+@pytest.mark.parametrize("n", range(len(ARGVS)),
+                         ids=[" ".join(a)[:60] for a in ARGVS])
+def test_output_matches_within_verify_tolerance(tmp_path, n):
+    want, got = _golden()["rows"][n], record(ARGVS[n], tmp_path)
+    assert ((got["code"], got["argv"], got.keys())
+            == (want["code"], want["argv"], want.keys()))
+    if "csv" in want:
+        rows = [[line.split(",") for line in row["csv"].splitlines()]
+                for row in (want, got)]
+        assert rows[1][0] == rows[0][0]  # the header
+        values = [[list(map(float, r)) for r in table[1:]] for table in rows]
+        assert _compare(*values, VERIFY_TOL) is None
+    if not want["stdout"]:
+        assert got["stdout"] == ""
+        return
+    docs = [json.loads(row["stdout"]) for row in (want, got)]
+    outputs = [doc.pop("outputs") for doc in docs]
+    assert docs[1] == docs[0]  # command, inputs with argv, tolerances
+    assert (outputs[1].get("points_scanned")
+            == outputs[0].get("points_scanned"))
+    assert _compare(*outputs, VERIFY_TOL) is None
+
+
 def test_numpy_free_rows_load_no_numpy():
     """Every row that compares under any numpy runs, in a fresh
     interpreter, without loading it."""
@@ -183,7 +209,7 @@ def test_numpy_free_rows_load_no_numpy():
                                      "einstein"}
     code = """if True:
         import contextlib, io, json, sys
-        from aqlab.cli import main
+        from aqlab.cli import VERIFY_TOL, _compare, main
         for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):

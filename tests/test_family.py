@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqlab import family
@@ -41,6 +41,7 @@ def close(a: float, b: float) -> bool:
 class TestScalarVerdict:
     @settings(max_examples=150, deadline=None)
     @given(base=st.sampled_from(BASES), point=POINTS)
+    @example(base="su2", point=(1.0, -2.0))
     def test_agrees_with_the_model(self, base, point):
         """The verdict and its constant are those of ``einstein_check``, and
         eps = -(A + B) / (2 d0) is the trace of the Ricci matrix over its
@@ -50,9 +51,12 @@ class TestScalarVerdict:
         assert (got is None) == (want is None)
         if got is not None:
             assert close(got, want)
+        # the trace rounds at the size of the Ricci matrix, and cancels to
+        # about 1e-17 where A + B = 0, as at (1, -2)
         A, B, _, _ = family.ricci_coefficients(fam.lam, fam.mu)
-        trace = float(np.trace(fam.ricci_matrix())) / fam.model.dim2
-        assert close(-(A + B) / (2.0 * fam.d0), trace)
+        r = fam.ricci_matrix()
+        trace = float(np.trace(r)) / fam.model.dim2
+        assert abs(-(A + B) / (2.0 * fam.d0) - trace) <= 1e-12 * np.abs(r).max()
 
     def test_candidates_are_the_points(self):
         got = family.einstein_points()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import pathlib
 import tracemalloc
 import warnings
@@ -619,6 +620,32 @@ class TestHermitianClasses:
                                     _well_conditioned(rng, A.dim))
             assert (self.profile(la.LieAlgebraModel(A.dim, c))
                     == self.profile(A))
+
+    CLASS_BASES = {base.__name__: la.doubled(base())
+                   for base in (la.su2, la.sl2r, la.so4)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-11.0, math.log10(0.5)), st.floats(0.0, 2 * math.pi))
+    @example(-10.0, math.atan2(0.8, 0.6))
+    def test_whole_open_disc_is_g1(self, log_d0, angle):
+        """The paper's G1 claim up to the degeneracy circle: lam^2 + mu^2 =
+        1 - d0 with d0 log-uniform in [1e-11, 0.5], where nabla grows like
+        1/d0 and calJ like 1/sqrt(d0); the bound grows with them."""
+        r = math.sqrt(1.0 - 10.0 ** log_d0)
+        for dm in self.CLASS_BASES.values():
+            fam = MetricFamily(dm, r * math.cos(angle), r * math.sin(angle))
+            assert fam.hermitian_class_checks()["g1"]
+
+    @pytest.mark.parametrize("name", ["su2", "sl2r", "so4"])
+    @pytest.mark.parametrize("lam,at_point", [(0.0, True), (1e-7, False),
+                                              (0.1, False)])
+    def test_nearly_and_quasi_kahler_at_the_point_only(self, name, lam,
+                                                       at_point):
+        """The relative defects off (0, -1/2) are about 1e-7 at lam = 1e-7,
+        far above the bound, and rounding level at the point."""
+        fam = MetricFamily(self.CLASS_BASES[name], lam, -0.5)
+        assert fam.hermitian_class_checks() == {
+            "nearly_kahler": at_point, "quasi_kahler": at_point, "g1": True}
 
     def test_outside_disc_rejected(self, dsu2):
         with pytest.raises(Degenerate):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aqlab import quat as qt
 from aqlab import scalars as sk
-from aqlab.errors import IsotropicScalar, NotPurelyImaginary, SignatureMismatch
+from aqlab.errors import (IsotropicScalar, NotPurelyImaginary, Overflow,
+                          SignatureMismatch)
 from conftest import bits, ring_pairs
 
 ALPHAS = (-1, 1)
@@ -211,6 +212,64 @@ class TestCommutator:
     def test_rejects_non_imaginary(self):
         with pytest.raises(NotPurelyImaginary):
             qt.iq_commutator(qt.one(-1), qt.i_(-1))
+
+
+def inverts(m) -> bool:
+    try:
+        m.inv()
+    except IsotropicScalar:
+        return False
+    return True
+
+
+class TestRelativeBounds:
+    """Pure imaginarity and the inverse decide relative to the value's own
+    size: |a| against max |coefficient|, |det|^2 against the squared sup
+    norm of det, as ``sk.inv(det)`` does."""
+
+    def test_small_diagonal_matrix_inverts(self):
+        got = qt.smat((((1e-5, 0), (0, 0)), ((0, 0), (1e-5, 0))), -1).inv()
+        assert got.e == pytest.approx((1e5, 0, 0, 0, 0, 0, 1e5, 0), rel=1e-15)
+
+    def test_isotropic_and_overflowing_determinants(self):
+        with pytest.raises(IsotropicScalar):
+            qt.spin_matrix(qt.QuaternionA(1, 1, 0, 0, 1)).inv()
+        with pytest.raises(Overflow):
+            qt.smat((((1e100, 0), (0, 0)), ((0, 0), (1e100, 0))), -1).inv()
+
+    def test_tiny_real_part_is_not_imaginary(self):
+        assert not qt.is_purely_imaginary(qt.QuaternionA(1e-12, 0, 0, 0, 1))
+        assert qt.is_purely_imaginary(qt.QuaternionA(1e-12, 0, 0, 1e-2, 1))
+        assert qt.is_purely_imaginary(qt.QuaternionA(0, 0, 0, 0, -1))
+
+
+class TestRescaling:
+    """No verdict moves when the value is scaled by t, log-uniform in
+    [1e-6, 1e6].  Values whose bound underflows at either scale are left
+    out, and for the inverse so are matrices whose determinant cancels
+    below 1e-3 |m|^2: such a determinant is mostly the rounding error of
+    its two products, and rescaling rounds it anew."""
+
+    @given(alphas, quats, st.floats(-6.0, 6.0))
+    @settings(max_examples=300)
+    @example(1, ((1e-12, 0.0), (0.0, 1.0)), 3.0)
+    def test_purely_imaginary(self, alpha, q, log_t):
+        q = quat_of(q, alpha)
+        p = qt.scale(10.0 ** log_t, q)
+        assume(not any(0 < np.abs(v.coeffs()).max() < 1e-280 for v in (p, q)))
+        assert qt.is_purely_imaginary(p) == qt.is_purely_imaginary(q)
+
+    @given(alphas, matrices, st.floats(-6.0, 6.0))
+    @settings(max_examples=300)
+    @example(-1, ((1e-5, 0.0), (0.0, 0.0), (0.0, 0.0), (1e-5, 0.0)), 6.0)
+    def test_inverse(self, alpha, x, log_t):
+        m = qt.smat((x[:2], x[2:]), alpha)
+        s = qt.SpinMatrix([10.0 ** log_t * v for v in m.e], alpha)
+        for y in (m, s):
+            d, size = y.det(), max(map(abs, y.e))
+            assume(d == sk.zero(alpha) or max(abs(d.re), abs(d.im))
+                   >= max(1e-3 * size * size, 1e-140))
+        assert inverts(s) == inverts(m)
 
 
 # The composite operations as they were written before they were fused:

@@ -5,14 +5,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aqlab import quat as qt
 from aqlab import scalars as sk
 from aqlab import spinor as sp
-from aqlab.errors import IsotropicScalar, SignatureMismatch
-from conftest import bits, ring_pairs
+from aqlab.errors import IsotropicScalar, Overflow, SignatureMismatch
+from conftest import abs2norm, bits, ring_pairs, scalar_close
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 alphas = st.sampled_from([-1, 1])
@@ -50,11 +50,11 @@ class TestMul:
         # near the isotropic cone scales with |x| |y| |w|, not with |lhs|.
         x, y, w = z(a, b, alpha), z(c, d, alpha), z(e, f, alpha)
         xy = sk.mul(x, y)
-        assert sk.close(xy, sk.mul(y, x), tol=1e-12 * (1 + sk.abs2norm(xy)))
+        assert scalar_close(xy, sk.mul(y, x), tol=1e-12 * (1 + abs2norm(xy)))
         lhs = sk.mul(sk.mul(x, y), w)
         rhs = sk.mul(x, sk.mul(y, w))
-        bound = 1e-14 * sk.abs2norm(x) * sk.abs2norm(y) * sk.abs2norm(w)
-        assert sk.close(lhs, rhs, tol=bound + sys.float_info.min)
+        bound = 1e-14 * abs2norm(x) * abs2norm(y) * abs2norm(w)
+        assert scalar_close(lhs, rhs, tol=bound + sys.float_info.min)
 
     @given(alphas, *(finite,) * 4)
     @settings(max_examples=300)
@@ -67,7 +67,7 @@ class TestMul:
         x, y = z(a, b, alpha), z(c, d, alpha)
         lhs = sk.normsq(sk.mul(x, y))
         rhs = sk.normsq(x) * sk.normsq(y)
-        bound = 1e-14 * sk.abs2norm(x) ** 2 * sk.abs2norm(y) ** 2
+        bound = 1e-14 * abs2norm(x) ** 2 * abs2norm(y) ** 2
         assert abs(lhs - rhs) <= bound + sys.float_info.min
 
 
@@ -93,7 +93,7 @@ class TestConj:
         x, y = z(a, b, alpha), z(c, d, alpha)
         lhs = sk.conj(sk.mul(x, y))
         rhs = sk.mul(sk.conj(x), sk.conj(y))
-        assert sk.close(lhs, rhs, tol=1e-12 * (1 + sk.abs2norm(lhs)))
+        assert scalar_close(lhs, rhs, tol=1e-12 * (1 + abs2norm(lhs)))
 
 
 class TestInv:
@@ -108,11 +108,12 @@ class TestInv:
 
     def test_double_number_inverse(self):
         got = sk.inv(z(2, 1, 1))
-        assert sk.close(got, z(2 / 3, -1 / 3, 1), tol=1e-15)
-        assert sk.close(sk.mul(z(2, 1, 1), got), sk.one(1), tol=1e-15)
+        assert scalar_close(got, z(2 / 3, -1 / 3, 1), tol=1e-15)
+        assert scalar_close(sk.mul(z(2, 1, 1), got), sk.one(1), tol=1e-15)
 
     def test_isotropy_boundary(self):
-        """ISOTROPY_TOL (1e-9) is absolute: |z|^2 at 8e-10 raises, 2e-9 inverts."""
+        """ISOTROPY_TOL (1e-9) is relative to the squared sup norm, here
+        about 1: |z|^2 at 8e-10 raises, 2e-9 inverts."""
         assert sk.ISOTROPY_TOL == 1e-9
         inside = z(1, 1 + 4e-10, 1)  # normsq about -8e-10
         assert -1e-9 < sk.normsq(inside) < -6e-10
@@ -123,12 +124,73 @@ class TestInv:
         assert -3e-9 < sk.normsq(outside) < -1e-9
         got = sk.inv(outside)
         assert not sk.is_isotropic(outside)
-        assert sk.close(sk.mul(outside, got), sk.one(1), tol=1e-6)
+        assert scalar_close(sk.mul(outside, got), sk.one(1), tol=1e-6)
 
     def test_isotropy_predicate(self):
         assert sk.is_isotropic(z(1, 1, 1))
         assert not sk.is_isotropic(z(1, 1, -1))
         assert math.isclose(sk.normsq(z(1, 1, -1)), 2.0)
+
+
+def inverts(x) -> bool:
+    try:
+        sk.inv(x)
+    except IsotropicScalar:
+        return False
+    return True
+
+
+class TestRelativeIsotropy:
+    """Isotropy is |z|^2 against the squared sup norm of z, one rule for
+    every value whose squared norm is decided."""
+
+    def test_small_complex_number_inverts(self):
+        """For alpha = -1 only zero is isotropic, at any size."""
+        x = z(1e-5, 0, -1)
+        assert not sk.is_isotropic(x)
+        assert sk.inv(x).re == pytest.approx(1e5, rel=1e-15)
+        assert sk.is_isotropic(sk.zero(-1)) and sk.is_isotropic(sk.zero(1))
+
+    def test_finite_value_whose_norm_overflows(self):
+        """1e200 is finite, its squared norm is not: Overflow, not 0."""
+        for x in (z(1e200, 0, -1), z(1e200, 0, 1), z(1e200, 1e200, 1)):
+            with pytest.raises(Overflow):
+                sk.inv(x)
+            with pytest.raises(Overflow):
+                sk.is_isotropic(x)
+
+    def test_non_finite_value_is_not_isotropic(self):
+        for x in (z(math.inf, 0, -1), z(math.nan, 0, 1), z(0, math.nan, 1)):
+            assert not sk.is_isotropic(x)
+
+    @given(ring_pairs, ring_pairs)
+    @settings(max_examples=300)
+    def test_helper_is_the_bound_rule(self, p, q):
+        """``_isotropic`` is ``_within``'s bound of degree 2, float by
+        float."""
+        n = p[0] * q[1] - p[1] * q[0]
+        floats = (*p, *q)
+        assert sk._isotropic(n, *floats) == sk._within(
+            abs(n), max(map(abs, floats)), 2, sk.ISOTROPY_TOL)
+
+
+class TestRescaling:
+    """The isotropy verdict, so whether inv succeeds, does not move when
+    the value is scaled by t, log-uniform in [1e-6, 1e6].  A value whose
+    squared norm underflows at either scale is left out: its square is not
+    homogeneous in floating point."""
+
+    @given(alphas, ring_pairs, st.floats(-6.0, 6.0))
+    @settings(max_examples=300)
+    @example(-1, (1e-5, 0.0), 5.0)
+    @example(1, (1.0, 1.0 + 4e-10), -6.0)
+    def test_isotropy_and_inverse(self, alpha, p, log_t):
+        x = z(*p, alpha)
+        y = sk.scale(10.0 ** log_t, x)
+        assume(not any(0 < max(abs(v.re), abs(v.im)) < 1e-140
+                       for v in (x, y)))
+        assert sk.is_isotropic(y) == sk.is_isotropic(x)
+        assert inverts(y) == inverts(x)
 
 
 class TestBulkRandomSweep:
@@ -142,8 +204,8 @@ class TestBulkRandomSweep:
             x, y, w = (z(*rng.normal(size=2), alpha) for _ in range(3))
             lhs = sk.mul(sk.mul(x, y), w)
             rhs = sk.mul(x, sk.mul(y, w))
-            assert abs(lhs.re - rhs.re) < 1e-12 * (1 + sk.abs2norm(lhs))
-            assert abs(lhs.im - rhs.im) < 1e-12 * (1 + sk.abs2norm(lhs))
+            assert abs(lhs.re - rhs.re) < 1e-12 * (1 + abs2norm(lhs))
+            assert abs(lhs.im - rhs.im) < 1e-12 * (1 + abs2norm(lhs))
             xy, yx = sk.mul(x, y), sk.mul(y, x)
             assert xy.re == yx.re and xy.im == yx.im
             nprod = sk.normsq(x) * sk.normsq(y)
@@ -164,7 +226,7 @@ class TestUnvalidatedResults:
             z(x.re + y.re, x.im + y.im, alpha), z(-x.re, -x.im, alpha),
             z(x.re, -x.im, alpha))
         n = sk.normsq(x)
-        if abs(n) <= sk.ISOTROPY_TOL:
+        if sk._isotropic(n, x.re, x.im):
             with pytest.raises(IsotropicScalar):
                 sk.inv(x)
         else:

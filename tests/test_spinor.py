@@ -13,8 +13,8 @@ from aqlab import scalars as sk
 from aqlab import spinor as sp
 from aqlab.errors import (DegenerateEigenvector, NotAQStructure,
                           OrthonormalityViolated, SignatureMismatch, ZeroVector)
-from conftest import (bits, random_aq_pair, random_pseudo_rotation, ring_pairs,
-                      standard_pair)
+from conftest import (abs2norm, bits, random_aq_pair, random_pseudo_rotation,
+                      ring_pairs, scalar_close, smat_close, standard_pair)
 
 ALPHAS = (-1, 1)
 
@@ -78,7 +78,7 @@ def seed_attempt_by_ring(basis, X, pauli):
     ep2 = X - sp.scalar_mul(ialpha, W)
     n1 = sp.hermitian_form(ep1, ep1).re
     n2 = sp.hermitian_form(ep2, ep2).re
-    if abs(n1) <= sk.ISOTROPY_TOL or abs(n2) <= sk.ISOTROPY_TOL:
+    if sk._isotropic(n1, *ep1.v) or sk._isotropic(n2, *ep2.v):
         return None
     ep1 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
     ep2 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n2)), alpha), ep2)
@@ -96,11 +96,11 @@ def seed_attempt_by_ring(basis, X, pauli):
     s1, s2, s3, neg_s3 = pauli
     m1, m2, m3 = (Pinv @ qt.spin_matrix(j) @ P for j in (j1, j2, j3))
     tol = sp.CONJ_TOL
-    if not (qt.smat_close(m1, s1, tol) and qt.smat_close(m2, s2, tol)):
+    if not (smat_close(m1, s1, tol) and smat_close(m2, s2, tol)):
         return None
-    if qt.smat_close(m3, s3, tol):
+    if smat_close(m3, s3, tol):
         return sp.SpinBasisResult(P, +1)
-    if qt.smat_close(m3, neg_s3, tol):
+    if smat_close(m3, neg_s3, tol):
         return sp.SpinBasisResult(P, -1)
     return None
 
@@ -202,7 +202,7 @@ class TestHermitianForm:
             X, Y = rand_vec(rng, alpha), rand_vec(rng, alpha)
             lhs = sp.hermitian_form(sp.apply(q, X), sp.apply(q, Y))
             rhs = sk.scale(qt.qnormsq(q), sp.hermitian_form(X, Y))
-            assert sk.close(lhs, rhs, tol=1e-10 * (1 + sk.abs2norm(rhs)))
+            assert scalar_close(lhs, rhs, tol=1e-10 * (1 + abs2norm(rhs)))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_polarization_identities(self, alpha, rng):
@@ -218,7 +218,7 @@ class TestHermitianForm:
                 sk.mul(sk.imag_unit(alpha),
                        sk.from_real(sp.real_inner(X, sp.scalar_mul(i3, Y)),
                                     alpha)))
-            assert sk.close(h, rebuilt, tol=1e-12 * (1 + sk.abs2norm(h)))
+            assert scalar_close(h, rebuilt, tol=1e-12 * (1 + abs2norm(h)))
 
 
 class TestApply:
@@ -251,14 +251,14 @@ class TestSpinBasis:
         res = sp.spinbasis(sp.IQBasis(qt.i_(alpha), qt.j_(alpha), qt.k_(alpha)))
         assert res.sign == 1
         ident = qt.smat((((1, 0), (0, 0)), ((0, 0), (1, 0))), alpha)
-        assert qt.smat_close(res.matrix, ident, tol=1e-12)
+        assert smat_close(res.matrix, ident, tol=1e-12)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_orientation_reversal(self, alpha):
         res = sp.spinbasis(sp.IQBasis(qt.i_(alpha), qt.j_(alpha), -qt.k_(alpha)))
         assert res.sign == -1
         ident = qt.smat((((1, 0), (0, 0)), ((0, 0), (1, 0))), alpha)
-        assert qt.smat_close(res.matrix, ident, tol=1e-12)
+        assert smat_close(res.matrix, ident, tol=1e-12)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_random_rotations_conjugate_to_pauli(self, alpha, rng):
@@ -271,7 +271,7 @@ class TestSpinBasis:
             assert res.sign == 1
             for m, want in enumerate(paulis):
                 got = sp.matrix_in_spinbasis(list(basis)[m], res)
-                assert qt.smat_close(got, want, tol=1e-9)
+                assert smat_close(got, want, tol=1e-9)
 
     def test_gram_failure_reports_entry(self):
         bad = sp.IQBasis(qt.i_(-1), qt.i_(-1), qt.k_(-1))
@@ -311,7 +311,7 @@ class TestSpinBasis:
         e2 = sp.svec(res.matrix[0, 1], res.matrix[1, 1], alpha)
         assert sp.hermitian_form(e1, e1).re == pytest.approx(1.0, abs=1e-9)
         assert sp.hermitian_form(e2, e2).re == pytest.approx(-alpha, abs=1e-9)
-        assert sk.abs2norm(sp.hermitian_form(e1, e2)) < 1e-9
+        assert abs2norm(sp.hermitian_form(e1, e2)) < 1e-9
 
 
 class TestOrbitDimension:

@@ -24,14 +24,14 @@ def _public_callables(mod):
             yield name, obj
 
 
-def test_only_comparison_helpers_take_a_tolerance():
+def test_no_public_callable_takes_a_tolerance():
     found = []
     for short in MODULES:
         mod = importlib.import_module(f"aqlab.{short}")
         for name, fn in _public_callables(mod):
             found += [f"{short}.{name}({p})" for p in inspect.signature(fn).parameters
                       if "tol" in p or p == "margin"]
-    assert sorted(found) == ["quat.smat_close(tol)", "scalars.close(tol)"]
+    assert found == []
 
 
 def _table_rows():

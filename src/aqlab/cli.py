@@ -48,6 +48,7 @@ PREDICATE_NAMES = ("integrable", "involutive", "isoclinic_geodesic",
                    "semiholonomic", "three_web")
 VERIFY_TOL = 1e-9  #: verify's comparison tolerance
 CHECK_TOL = 1e-8  #: bound on check's worst residuals
+_MISSING = object()  #: in verify, the value at a key or index one side lacks
 
 
 def _with_exact(x: float) -> dict:
@@ -288,43 +289,35 @@ def cmd_verify(args):
     if getattr(rerun_args, "csv", None):
         rerun_args.csv = None  # compare outputs only; never rewrite files
     _, outputs, _ = rerun_args.func(rerun_args)
-    path = _compare(doc.get("outputs"), outputs, VERIFY_TOL)
-    result = {"match": path is None}
-    if path is not None:  # with both values, but none that a side lacks
+    found = _compare(doc.get("outputs", _MISSING), outputs, VERIFY_TOL)
+    result = {"match": found is None}
+    if found is not None:  # with both values, but none that a side lacks
         result["first_difference"] = diff = {"path": "outputs" + "".join(
-            f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)}
-        for side, value in (("document", doc["outputs"]), ("rerun", outputs)):
-            with contextlib.suppress(KeyError, IndexError, ValueError):
-                value = functools.reduce(lambda v, k: v[k], path, value)
-                json.dumps(value, allow_nan=False)  # nor a stored NaN
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in found[0])}
+        for side, value in zip(("document", "rerun"), found[1:]):
+            with contextlib.suppress(TypeError, ValueError):  # _MISSING, NaN
+                json.dumps(value, allow_nan=False)
                 diff[side] = value
     return ({"document": args.document, "verified_command": doc.get("command")},
             result, {"comparison": VERIFY_TOL})
 
 
 def _compare(a, b, tol: float, path=()):
-    """The path, a tuple of keys and indices, of the first place in document
-    order where b differs from a beyond ``tol``, or None when they match."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        keys = [*a, *(k for k in b if k not in a)]
-    elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        keys = range(max(len(a), len(b)))
-    else:
-        same = a == b
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-                and not isinstance(a, bool) and not isinstance(b, bool):
-            with contextlib.suppress(OverflowError):  # an int past float range
-                same = abs(float(a) - float(b)) <= tol * (1.0 + abs(float(a)))
-        return None if same else path
-    for k in keys:
-        try:
-            x, y = a[k], b[k]
-        except (KeyError, IndexError):  # a key or an entry one side lacks
-            return (*path, k)
-        found = _compare(x, y, tol, (*path, k))
-        if found is not None:
-            return found
-    return None
+    """The first place in document order where b differs from a beyond
+    ``tol``, as (path, a's value, b's value), the path a tuple of keys and
+    indices and a lacking side ``_MISSING``; None when they match."""
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        a, b = dict(enumerate(a)), dict(enumerate(b))
+    if isinstance(a, dict) and isinstance(b, dict):  # a's keys, then b's
+        return next(filter(None, (
+            _compare(a.get(k, _MISSING), b.get(k, _MISSING), tol, (*path, k))
+            for k in {**a, **b})), None)
+    same = a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
+            and not isinstance(a, bool) and not isinstance(b, bool):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            same = abs(float(a) - float(b)) <= tol * (1.0 + abs(float(a)))
+    return None if same else (path, a, b)
 
 
 def cmd_check(args):

@@ -594,6 +594,16 @@ class TestVerify:
             "path": "outputs.einstein_points[2].mu.value",
             "document": 0.5, "rerun": -2.0 / 3.0}
 
+    def test_document_without_outputs_is_a_mismatch(self, capsys, tmp_path):
+        code, doc, _ = run(capsys, "pauli", "--alpha", "1")
+        rerun = doc.pop("outputs")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, vdoc, err = run(capsys, "verify", str(path))
+        assert (code, err) == (1, "") and vdoc["outputs"] == {
+            "match": False, "first_difference": {
+                "path": "outputs", "rerun": rerun}}
+
     def test_stored_nan_is_a_mismatch_without_its_value(self, capsys,
                                                          tmp_path):
         code, doc, _ = run(capsys, "pauli", "--alpha", "1")

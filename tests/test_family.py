@@ -51,12 +51,13 @@ class TestScalarVerdict:
         assert (got is None) == (want is None)
         if got is not None:
             assert close(got, want)
-        # the trace rounds at the size of the Ricci matrix, and cancels to
-        # about 1e-17 where A + B = 0, as at (1, -2)
         A, B, _, _ = family.ricci_coefficients(fam.lam, fam.mu)
         r = fam.ricci_matrix()
         trace = float(np.trace(r)) / fam.model.dim2
-        assert abs(-(A + B) / (2.0 * fam.d0) - trace) <= 1e-12 * np.abs(r).max()
+        if A + B != 0.0:
+            assert close(-(A + B) / (2.0 * fam.d0), trace)
+        else:  # eps is 0 and the trace rounding, 4.6e-18 at (1, -2)
+            assert abs(trace) <= 1e-12 * np.abs(r).max()
 
     def test_candidates_are_the_points(self):
         got = family.einstein_points()

@@ -166,8 +166,8 @@ class TestRelativeIsotropy:
     @given(ring_pairs, ring_pairs)
     @settings(max_examples=300)
     def test_helper_is_the_bound_rule(self, p, q):
-        """``_isotropic`` is ``_within``'s bound of degree 2, float by
-        float."""
+        """``_isotropic`` is ``_within``'s bound of degree 2 on the sup
+        norm, though it tries the floats one by one."""
         n = p[0] * q[1] - p[1] * q[0]
         floats = (*p, *q)
         assert sk._isotropic(n, *floats) == sk._within(

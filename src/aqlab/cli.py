@@ -256,6 +256,14 @@ def cmd_einstein(args):
 
 
 def cmd_piaq(args):
+    given = {k: v for k in ("operator", "eigenvalue", "mu")
+             if (v := getattr(args, k)) is not None}
+    takes = {"involutive": ("operator", "eigenvalue"),
+             "isoclinic_geodesic": ("mu",)}.get(args.predicate, ())
+    stray = [f"--{k}" for k in given if k not in takes]
+    if stray:  # refused before any model is built
+        raise AqlabError(f"--predicate {args.predicate} takes no "
+                         f"{' or '.join(stray)}")
     from . import liealg as la
     from . import piaq as pq
     model = (la.doubled(la.CATALOG[args.doubled]()).as_piaq() if args.doubled
@@ -263,10 +271,8 @@ def cmd_piaq(args):
     report = pq.predicate_report(model, args.predicate, lam=args.eigenvalue,
                                  f_name=args.operator, mu=args.mu)
     inputs = {"model": args.model or f"doubled:{args.doubled}",
-              "dim": model.dim, "alpha": model.alpha, "predicate": args.predicate}
-    given = {"operator": args.operator, "eigenvalue": args.eigenvalue,
-             "mu": args.mu}
-    inputs.update({k: v for k, v in given.items() if v is not None})
+              "dim": model.dim, "alpha": model.alpha, "predicate": args.predicate,
+              **given}
     return inputs, report, {"predicate": pq.PRED_TOL}
 
 

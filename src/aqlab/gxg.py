@@ -158,12 +158,9 @@ class MetricFamily:
     def nabla_koszul(self) -> np.ndarray:
         """Independent route: solve 2<nabla_X Y, Z> = <[X,Y],Z> + <[Z,X],Y>
         - <[Y,Z],X> against the Gram matrix."""
-        c2 = self.model.c2
-        gs = self.sheaf_matrix
-        rhs = (np.einsum("abk,kl->abl", c2, gs)
-               + np.einsum("lak,kb->abl", c2, gs)
-               - np.einsum("blk,ka->abl", c2, gs))
-        return 0.5 * np.einsum("lm,abm->abl", self.sheaf_inverse, rhs)
+        t = post(self.sheaf_matrix.T, self.model.c2)  # t[a, b, l] = <[a, b], l>
+        rhs = t + t.transpose(1, 2, 0) - t.transpose(2, 0, 1)
+        return 0.5 * post(self.sheaf_inverse, rhs)
 
     def levi_civita(self, X, Y) -> np.ndarray:
         return apply(self.nabla, X, Y)

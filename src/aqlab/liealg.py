@@ -135,8 +135,10 @@ CATALOG = {"su2": su2, "sl2r": sl2r, "so4": so4}
 # ---------------------------------------------------------------------------
 
 def killing_form(A: LieAlgebraModel) -> np.ndarray:
-    """K[i, j] = -tr(ad e_i o ad e_j); symmetric, nondegenerate iff semisimple."""
-    return -np.einsum("iab,jba->ij", A.c, A.c)
+    """K[i, j] = -tr(ad e_i o ad e_j) = -c[i, a, b] c[j, b, a]; symmetric,
+    nondegenerate iff semisimple."""
+    c, d = A.c, A.dim
+    return -(c.reshape(d, d * d) @ c.transpose(2, 1, 0).reshape(d * d, d))
 
 
 def _nondegenerate(w: np.ndarray, A: LieAlgebraModel) -> bool:
@@ -161,7 +163,7 @@ def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
     kinv = np.linalg.inv(killing_form(A))
     xe = apply(A.c, X)  # xe[i] = [X, e_i]
-    return np.tensordot(xe.T @ kinv, A.c, 2)
+    return (xe.T @ kinv).ravel() @ A.c.reshape(A.dim ** 2, A.dim)
 
 
 def pseudo_orthonormalize(A: LieAlgebraModel):

@@ -38,8 +38,8 @@ from .errors import (
 from .scalars import _within
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
                       curvature_slab, curvature_slabs, is_antisymmetric,
-                      is_integral, is_lie, is_twistor, jacobi_defect, post,
-                      transport, twistor_sign)
+                      is_integral, is_lie, jacobi_defect, post, transport,
+                      twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
@@ -79,7 +79,7 @@ class PiAQModel:
         self._c_top = np.abs(self.c).max()  # |c|, the size of every bound
         if not is_antisymmetric(self.c, self._c_top):
             raise InvalidModel("bracket is not antisymmetric")
-        if not is_twistor(alpha, self.I, self.J):
+        if twistor_sign(self.I, self.J) != alpha:
             raise InvalidModel("I, J fail the twistor-pair relations")
         self.K = self.I @ self.J
 
@@ -97,16 +97,11 @@ class PiAQModel:
         I, J, K = self.I, self.J, self.K
         c = self.c
         cI = transport(c, I)  # the one transport in the first slot
-        total = (
-            c
-            - a * transport(cI, None, I)
-            + a * post(J, transport(c, None, J))
-            - post(J, transport(cI, None, K))
-            - a * post(I, cI)
-            + a * post(I, transport(c, None, I))
-            - post(K, transport(c, None, K))
-            + post(K, transport(cI, None, J))
-        )
+        # the eight terms grouped by the operator in the value slot
+        total = (c - a * transport(cI, None, I)
+                 + post(J, a * transport(c, None, J) - transport(cI, None, K))
+                 + a * post(I, transport(c, None, I) - cI)
+                 + post(K, transport(cI, None, J) - transport(c, None, K)))
         return 0.25 * total
 
     @cached_property

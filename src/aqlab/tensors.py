@@ -4,7 +4,8 @@ A structure tensor t[a, b, k] holds the e_k coefficient of a bilinear
 product of e_a and e_b (a bracket, a torsion, a connection).  Every basis
 change, operator transport, composition and evaluation on vectors goes
 through the kernels below, each a chain of two-operand matrix products on
-reshaped arrays, so that BLAS does the work rather than einsum's loops.
+reshaped arrays, so that BLAS does the work; no module of the package calls
+einsum or tensordot.
 
 The rank-4 quantities (curvature, Jacobiator) are computed in slabs over
 their first index of at most ``SLAB_FLOATS`` floats each, so their working
@@ -12,10 +13,10 @@ memory is O(d^3); only :func:`curvature` returns the whole rank-4 tensor.
 
 The two relations every model rests on are decided here and nowhere else:
 a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
-(:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes
-(:func:`is_twistor`, with alpha read from the operators by
-:func:`twistor_sign`).  Each is false on NaN; the bracket bounds go
-through the package's one homogeneous rule, :func:`aqlab.scalars._within`.
+(:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes,
+with alpha read from the operators (:func:`twistor_sign`).  Each fails on
+NaN; the bracket bounds go through the package's one homogeneous rule,
+:func:`aqlab.scalars._within`.
 """
 
 from __future__ import annotations
@@ -107,30 +108,18 @@ def is_lie(c: np.ndarray, top=None) -> bool:
     return _within(jacobi_defect(c), top, 2, JACOBI_TOL)
 
 
-def is_twistor(alpha: float, *ops: np.ndarray) -> bool:
-    """Each operator F squares to alpha id and each two anticommute, to
-    ``STRUCT_TOL`` max(1, |F|)^2 over all of them."""
-    return _twistor_check(ops, alpha)[1]
-
-
 def twistor_sign(*ops: np.ndarray):
-    """The alpha of :func:`is_twistor` read from the first operator: +1.0
-    when tr(F^2) > 0, else -1.0; ``None`` when the relations fail for it."""
-    alpha, holds = _twistor_check(ops)
-    return alpha if holds else None
-
-
-def _twistor_check(ops, alpha=None):
-    """(alpha, whether the twistor relations hold for it): every square
-    F^2 - alpha id and every anticommutator FG + GF stacked in one array
-    whose sup norm meets the bound once.  Without ``alpha``, it is read from
-    the square of the first operator as :func:`twistor_sign` states."""
+    """The one twistor check: alpha read from the first operator (+1.0 when
+    tr(F^2) > 0, else -1.0), returned when every operator F squares to alpha
+    id and each two anticommute, to ``STRUCT_TOL`` max(1, |F|)^2 over all of
+    them; ``None`` otherwise, NaN included.  Every square F^2 - alpha id and
+    every anticommutator FG + GF is stacked in one array whose sup norm meets
+    the bound once."""
     S = np.array(ops)
     k, n = len(S), S.shape[-1]
     rel = np.empty((k * (k + 1) // 2, n, n))
     np.matmul(S, S, out=rel[:k])
-    if alpha is None:
-        alpha = 1.0 if rel[0].trace() > 0 else -1.0
+    alpha = 1.0 if rel[0].trace() > 0 else -1.0
     rel[:k].reshape(k, n * n)[:, ::n + 1] -= alpha
     r = k
     for a in range(1, k):
@@ -138,7 +127,7 @@ def _twistor_check(ops, alpha=None):
             np.add(S[a] @ S[b], S[b] @ S[a], out=rel[r])
             r += 1
     bound = STRUCT_TOL * max(1.0, np.abs(S).max()) ** 2
-    return alpha, bool(np.abs(rel).max() <= bound)  # NaN fails too
+    return alpha if np.abs(rel).max() <= bound else None  # NaN fails too
 
 
 def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,

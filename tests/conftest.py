@@ -149,6 +149,20 @@ def so_algebra(n: int) -> la.LieAlgebraModel:
     return la.LieAlgebraModel(len(pairs), com[:, :, rows, cols], name=f"so{n}")
 
 
+# the nonzero f_abc of [e_a, e_b] = f_abc e_c for e_a = -i lambda_a / 2, the
+# Gell-Mann matrices: each triple stands for its three cyclic orders
+_SU3_F = ((1, 2, 3, 1.0), (1, 4, 7, 0.5), (2, 4, 6, 0.5), (2, 5, 7, 0.5),
+          (3, 4, 5, 0.5), (1, 5, 6, -0.5), (3, 6, 7, -0.5),
+          (4, 5, 8, math.sqrt(3) / 2), (6, 7, 8, math.sqrt(3) / 2))
+
+
+def su3_algebra() -> la.LieAlgebraModel:
+    """su(3) in the Gell-Mann basis."""
+    return la.from_brackets(8, [(i, j, k, f) for a, b, c, f in _SU3_F
+                                for i, j, k in ((a, b, c), (b, c, a), (c, a, b))],
+                            name="su3")
+
+
 def random_piaq_model(rng, alpha: int, kind: str = "u2") -> pq.PiAQModel:
     """A 4-dimensional Lie model with randomly conjugated bracket and pair."""
     base = _base_algebra_4(kind)

@@ -407,6 +407,24 @@ class TestPiaq:
         assert doc["outputs"] == pq.predicate_report(
             la.doubled(la.su2()).as_piaq(), "isoclinic_geodesic", mu=0.5)
 
+    @pytest.mark.parametrize("argv,stray", [
+        (("--predicate", "three_web", "--mu", "2"), "--mu"),
+        (("--predicate", "integrable", "--operator", "K", "--eigenvalue", "i"),
+         "--operator or --eigenvalue"),
+        (("--predicate", "semiholonomic", "--eigenvalue", "1"), "--eigenvalue"),
+        (("--predicate", "isoclinic_geodesic", "--mu", "0.5", "--operator", "I"),
+         "--operator"),
+        (("--predicate", "involutive", "--operator", "J", "--eigenvalue", "1",
+          "--mu", "0.5"), "--mu"),
+    ])
+    def test_flag_of_another_predicate_is_refused(self, capsys, argv, stray):
+        """A flag the predicate does not read is one typed error line, not
+        an input the document records and the verdict ignores."""
+        code, doc, err = run(capsys, "piaq", "--doubled", "su2", *argv)
+        assert code == 1 and doc is None
+        assert one_typed_error(err) == "AqlabError"
+        assert err.endswith(f"takes no {stray}\n")
+
     def test_unrecognized_eigenvalue(self, capsys):
         code, doc, err = run(capsys, "piaq", "--doubled", "su2", "--predicate",
                              "involutive", "--operator", "I",

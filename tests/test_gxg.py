@@ -26,7 +26,8 @@ from aqlab.gxg import (
     einstein_sweep,
     ricci_coefficients,
 )
-from conftest import _well_conditioned, conjugate_structure, so_algebra
+from conftest import (_well_conditioned, conjugate_structure, so_algebra,
+                      su3_algebra)
 
 SWEEP_SNAPSHOT = pathlib.Path(__file__).with_name("sweep_snapshot.json")
 
@@ -237,6 +238,25 @@ class TestLeviCivita:
                 lam, mu = sample_disc(rng)
                 fam = MetricFamily(model, lam, mu)
                 assert np.abs(fam.nabla - fam.nabla_koszul).max() < 1e-10
+
+    @pytest.mark.parametrize("make", (su3_algebra, lambda: so_algebra(5)),
+                             ids=("su3", "so5"))
+    def test_koszul_against_the_einsum_reference(self, make, rng):
+        """nabla_koszul's three reshaped products against the four einsums
+        it was, on su(3) and so(5) rebased at random."""
+        A = make()
+        c = conjugate_structure(A.c, _well_conditioned(rng, A.dim))
+        model = la.doubled(la.LieAlgebraModel(A.dim, c))
+        c2 = model.c2
+        for _ in range(5):
+            fam = MetricFamily(model, *sample_disc(rng))
+            gs = fam.sheaf_matrix
+            rhs = (np.einsum("abk,kl->abl", c2, gs)
+                   + np.einsum("lak,kb->abl", c2, gs)
+                   - np.einsum("blk,ka->abl", c2, gs))
+            want = 0.5 * np.einsum("lm,abm->abl", fam.sheaf_inverse, rhs)
+            assert np.abs(fam.nabla_koszul - want).max() <= 1e-13 * (
+                1 + np.abs(want).max())
 
     def test_pure_first_parameter_has_no_swap_terms(self, dsu2, rng):
         """With mu = 0 both correction coefficients vanish."""

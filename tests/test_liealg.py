@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from aqlab import liealg as la
 from aqlab.errors import InvalidModel, NotSemisimple
-from conftest import _well_conditioned, conjugate_structure, so_algebra
+from aqlab.tensors import apply
+from conftest import (_well_conditioned, conjugate_structure, so_algebra,
+                      su3_algebra)
 
 
 def doubled_by_block(dm):
@@ -163,6 +165,27 @@ class TestKillingForm:
             s = _well_conditioned(rng, A.dim)
             for c in (t * A.c, conjugate_structure(t * A.c, s)):
                 assert la.is_semisimple(la.LieAlgebraModel(A.dim, c)) is want
+
+
+class TestReshapedProducts:
+    """killing_form and lemma2_check against the einsum and tensordot
+    expressions they were before, on su(3) and so(5) rebased at random."""
+
+    @pytest.mark.parametrize("make", (su3_algebra, lambda: so_algebra(5)),
+                             ids=("su3", "so5"))
+    def test_agree_with_the_references(self, make, rng):
+        A = make()
+        for _ in range(5):
+            c = conjugate_structure(A.c, _well_conditioned(rng, A.dim))
+            model = la.LieAlgebraModel(A.dim, c)
+            scale = A.dim ** 2 * np.abs(c).max() ** 2
+            want = -np.einsum("iab,jba->ij", c, c)
+            assert np.abs(la.killing_form(model) - want).max() <= 1e-14 * scale
+            kinv = np.linalg.inv(want)
+            for x in rng.normal(size=(5, A.dim)):
+                ref = np.tensordot(apply(c, x).T @ kinv, c, 2)
+                got = la.lemma2_check(model, x)
+                assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
 
 
 class TestContractionIdentity:

@@ -11,7 +11,7 @@ from aqlab import piaq as pq
 from aqlab import spinor as sp
 from aqlab import tensors
 from aqlab.errors import InvalidModel, NotAQStructure
-from conftest import so_algebra, standard_pair
+from conftest import random_aq_pair, so_algebra, standard_pair
 
 
 def close(a, b):
@@ -190,10 +190,10 @@ def test_relation_predicates():
     assert not tensors.is_lie(np.full((2, 2, 2), np.nan))
     for alpha in (-1, 1):
         I, J = standard_pair(4, alpha)
-        assert tensors.is_twistor(alpha, I, J) and tensors.is_twistor(alpha, I)
-        assert not tensors.is_twistor(-alpha, I, J)
-        assert not tensors.is_twistor(alpha, I, I)  # squares, but commutes
-        assert not tensors.is_twistor(alpha, I, np.full((4, 4), np.nan))
+        assert tensors.twistor_sign(I, J) == alpha and tensors.twistor_sign(I) == alpha
+        assert tensors.twistor_sign(I, J) != -alpha
+        assert tensors.twistor_sign(I, I) is None  # squares, but commutes
+        assert tensors.twistor_sign(I, np.full((4, 4), np.nan)) is None
 
 
 def test_twistor_sign():
@@ -208,6 +208,27 @@ def test_twistor_sign():
     I, _ = standard_pair(4, -1)
     I[0, 1] = np.nan
     assert tensors.twistor_sign(I) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((4, 8)),
+       st.sampled_from((-1, 1)), st.booleans(), st.booleans())
+def test_piaq_model_takes_exactly_the_twistor_sign(seed, dim, alpha, flip,
+                                                   commuting):
+    """PiAQModel accepts (I, J, alpha) exactly when twistor_sign(I, J) is
+    alpha: a conjugated standard pair with its own alpha builds, the same
+    pair with alpha flipped and a commuting pair (I, I) do not."""
+    I, J = random_aq_pair(np.random.default_rng(seed), dim, alpha)
+    if commuting:
+        J = I
+    given_alpha = -alpha if flip else alpha
+    try:
+        pq.PiAQModel(dim, np.zeros((dim,) * 3), I, J, given_alpha)
+        accepted = True
+    except InvalidModel:
+        accepted = False
+    assert accepted == (tensors.twistor_sign(I, J) == given_alpha)
+    assert accepted == (not flip and not commuting)
 
 
 @pytest.mark.parametrize("alpha", (-1, 1))

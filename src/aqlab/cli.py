@@ -258,12 +258,6 @@ def cmd_einstein(args):
 def cmd_piaq(args):
     given = {k: v for k in ("operator", "eigenvalue", "mu")
              if (v := getattr(args, k)) is not None}
-    takes = {"involutive": ("operator", "eigenvalue"),
-             "isoclinic_geodesic": ("mu",)}.get(args.predicate, ())
-    stray = [f"--{k}" for k in given if k not in takes]
-    if stray:  # refused before any model is built
-        raise AqlabError(f"--predicate {args.predicate} takes no "
-                         f"{' or '.join(stray)}")
     from . import liealg as la
     from . import piaq as pq
     model = (la.doubled(la.CATALOG[args.doubled]()).as_piaq() if args.doubled

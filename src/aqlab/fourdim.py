@@ -28,9 +28,9 @@ class Metric4:
     """The model metric diag(1, -alpha, -alpha, 1)."""
 
     def __init__(self, alpha: int):
-        if alpha not in (-1, 1):
+        if isinstance(alpha, bool) or alpha not in (-1, 1):
             raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
-        self.alpha = alpha
+        self.alpha = int(alpha)
 
     def diagonal(self) -> tuple:
         a = float(self.alpha)

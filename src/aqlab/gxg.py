@@ -37,7 +37,8 @@ import numpy as np
 from .errors import Degenerate, InvalidResolution
 # the closed forms, re-exported: callers may import any of them from here
 from .family import (DEGENERACY_TOL, EINSTEIN_CANDIDATES, EINSTEIN_TOL,
-                     _cd_cofactors, _d0, check_point, ricci_coefficients)
+                     _cd_cofactors, _d0, check_point, einstein_constant,
+                     ricci_coefficients)
 from .liealg import DoubledModel
 from .scalars import _within
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
@@ -47,10 +48,7 @@ DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
 MIN_SWEEP_RES = 1e-3
-SWEEP_CUT = 1e-5  #: absolute: floor of the coarse-defect cut max(2 res, this)
 SWEEP_STEPS = 12  #: Newton steps from every coarse start (8 miss by 3e-9)
-SWEEP_SNAP = 1e-12  #: absolute: a polished lam or mu below this is exactly 0
-SWEEP_TOL = 1e-8  #: polished defect rel. to 1 + |eps|, the Ricci constant
 SWEEP_POINT_SEP = 1e-6  #: absolute: nearer polished points are one point
 
 
@@ -383,12 +381,14 @@ def einstein_sweep(res: float = 0.01):
 
     Returns flat arrays (lam, mu, off, aniso) over all grid points with
     lam^2 + mu^2 < 1 - DISC_MARGIN, plus the list ``einstein_points`` of
-    (lam, mu, ricci constant): every grid point of defect at most max(2 res,
-    ``SWEEP_CUT``) takes ``SWEEP_STEPS`` Gauss-Newton steps on the system
+    (lam, mu, ricci constant): every grid point of defect at most 2 res
+    takes ``SWEEP_STEPS`` Gauss-Newton steps on the system
     :func:`_einstein_system`, all at once, and a result inside that disc
-    whose defect clears ``SWEEP_TOL`` relative to the Ricci scale is kept,
-    once per point.  Base independent, hence no model argument.  ``res``
-    must pass :func:`check_sweep_resolution`.
+    that :func:`aqlab.family.einstein_constant` finds Einstein is kept, once
+    per point, from its start of least coarse defect (on the mu axis for
+    (0, 0) and (0, -1/2), and the steps keep lam = 0 there exactly).  Base
+    independent, hence no model argument.  ``res`` must pass
+    :func:`check_sweep_resolution`.
     """
     check_sweep_resolution(res)
     k = int(np.floor(1.0 / res))
@@ -399,7 +399,7 @@ def einstein_sweep(res: float = 0.01):
     off, aniso = einstein_residuals(lam, mu)
     out = {"lam": lam, "mu": mu, "off": off, "aniso": aniso}
     defect = off + aniso
-    start = np.flatnonzero(defect <= max(2.0 * res, SWEEP_CUT))
+    start = np.flatnonzero(defect <= 2.0 * res)
     start = start[np.argsort(defect[start], kind="stable")]
     pl, pm = lam[start], mu[start]
     for _ in range(SWEEP_STEPS):  # least squares by the normal equations
@@ -410,15 +410,12 @@ def einstein_sweep(res: float = 0.01):
         pl = pl - (n22 * r1 - n12 * r2) / det
         pm = pm - (n11 * r2 - n12 * r1) / det
     keep = pl ** 2 + pm ** 2 < 1.0 - DISC_MARGIN  # (0, -1) is a root too
-    pl = np.where(np.abs(pl[keep]) < SWEEP_SNAP, 0.0, pl[keep])
-    pm = np.where(np.abs(pm[keep]) < SWEEP_SNAP, 0.0, pm[keep])
-    o, a = einstein_residuals(pl, pm)
+    pl, pm = pl[keep], pm[keep]
     eps = -ricci_coefficients(pl, pm)[0] / _d0(pl, pm)
-    keep = o + a < SWEEP_TOL * (1.0 + np.abs(eps))
     points = []
-    for rl, rm, re in zip(pl[keep], pm[keep], eps[keep]):
-        if all(np.hypot(rl - l, rm - m) >= SWEEP_POINT_SEP
-               for l, m, _ in points):
-            points.append((float(rl), float(rm), float(re)))
+    for rl, rm, re in zip(pl.tolist(), pm.tolist(), eps.tolist()):
+        if all(math.hypot(rl - l, rm - m) >= SWEEP_POINT_SEP
+               for l, m, _ in points) and einstein_constant(rl, rm) is not None:
+            points.append((rl, rm, re))
     out["einstein_points"] = sorted(points, key=lambda p: (-p[1], -p[0]))
     return out

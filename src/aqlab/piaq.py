@@ -28,6 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import (
+    AqlabError,
     InvalidMu,
     InvalidModel,
     NonLieBracket,
@@ -327,6 +328,8 @@ _DEFECTS = {"semiholonomic": attrgetter("semiholonomic_defect"),
             "isoclinic_geodesic": _isoclinic_geodesic_defect}
 
 PREDICATES = ("integrable", *_DEFECTS)
+# the keywords a predicate reads, by their CLI flags, in argument order
+_READS = {"involutive": ("operator", "eigenvalue"), "isoclinic_geodesic": ("mu",)}
 
 
 def _witness(defect: np.ndarray, top=None):
@@ -342,18 +345,22 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) ->
     """Decide the predicate ``name`` of :data:`PREDICATES` on M, the one
     public way to ask a verdict: ``involutive`` takes the operator ``f_name``
     (I, J or K) and its eigenvalue ``lam``, ``isoclinic_geodesic`` the slope
-    ``mu``.
+    ``mu``; a keyword the predicate does not read is an AqlabError.
 
     Returns a dict with ``verdict``, ``residual`` (sup norm of the defect
     tensor) and, when the verdict is false, ``witness`` holding 0-based
     basis indices of the worst-failing pair (triple for curvature).
     """
+    if name not in PREDICATES:
+        raise InvalidModel(f"unknown predicate {name!r}")
+    given = {"operator": f_name, "eigenvalue": lam, "mu": mu}
+    reads = _READS.get(name, ())
+    stray = [f"--{k}" for k, v in given.items() if v is not None and k not in reads]
+    if stray:
+        raise AqlabError(f"--predicate {name} takes no {' or '.join(stray)}")
     if name == "integrable":
         return _integrable_report(M)
-    if name not in _DEFECTS:
-        raise InvalidModel(f"unknown predicate {name!r}")
-    args = {"involutive": (f_name, lam), "isoclinic_geodesic": (mu,)}
-    defect = _DEFECTS[name](M, *args.get(name, ()))
+    defect = _DEFECTS[name](M, *(given[k] for k in reads))
     residual = float(defect.max())
     out = {"verdict": _within(residual, M._c_top, 1, PRED_TOL),
            "residual": residual}

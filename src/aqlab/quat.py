@@ -30,7 +30,7 @@ class QuaternionA(Record):
     __slots__ = ("a", "b", "c", "d", "alpha")
 
     def __init__(self, a: float, b: float, c: float, d: float, alpha: int):
-        sk._check_alpha(alpha)
+        alpha = sk._check_alpha(alpha)
         _set(self, "a", float(a))
         _set(self, "b", float(b))
         _set(self, "c", float(c))
@@ -150,7 +150,8 @@ class SpinMatrix(Record):
     __slots__ = ("e", "alpha")
 
     def __init__(self, e, alpha: int):
-        _set(self, "e", _ring_floats(e, 8, alpha))
+        alpha = sk._check_alpha(alpha)
+        _set(self, "e", _ring_floats(e, 8))
         _set(self, "alpha", alpha)
 
     def __getitem__(self, idx) -> ScalarKA:
@@ -183,9 +184,8 @@ class SpinMatrix(Record):
         return max(map(math.hypot, self.e[::2], self.e[1::2]))
 
 
-def _ring_floats(values, n: int, alpha: int) -> tuple:
-    """The n floats of a spin value of signature alpha, validated."""
-    sk._check_alpha(alpha)
+def _ring_floats(values, n: int) -> tuple:
+    """The n floats of a spin value, validated."""
     e = tuple(map(float, values))
     if len(e) != n:
         raise ValueError(f"expected {n} floats, got {len(e)}")

@@ -74,9 +74,11 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-def _check_alpha(alpha):
-    if alpha not in (-1, 1):
+def _check_alpha(alpha) -> int:
+    """alpha as the int -1 or +1 (an integral float counts, a bool does not)."""
+    if isinstance(alpha, bool) or alpha not in (-1, 1):
         raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
+    return int(alpha)
 
 
 class ScalarKA(Record):
@@ -85,7 +87,7 @@ class ScalarKA(Record):
     __slots__ = ("re", "im", "alpha")
 
     def __init__(self, re: float, im: float, alpha: int):
-        _check_alpha(alpha)
+        alpha = _check_alpha(alpha)
         _set(self, "re", float(re))
         _set(self, "im", float(im))
         _set(self, "alpha", alpha)

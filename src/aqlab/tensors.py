@@ -30,7 +30,7 @@ from .scalars import _within
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
 JACOBI_TOL = 1e-10  #: antisymmetry rel. to |c|, Jacobiator to |c|^2
-STRUCT_TOL = 1e-9  #: twistor relations rel. to max(1, |F|)^2 over the operators F
+STRUCT_TOL = 1e-9  #: twistor relations rel. to max |F||G| over the operator pairs
 
 
 def transport(t: np.ndarray, P=None, Q=None) -> np.ndarray:
@@ -111,10 +111,11 @@ def is_lie(c: np.ndarray, top=None) -> bool:
 def twistor_sign(*ops: np.ndarray):
     """The one twistor check: alpha read from the first operator (+1.0 when
     tr(F^2) > 0, else -1.0), returned when every operator F squares to alpha
-    id and each two anticommute, to ``STRUCT_TOL`` max(1, |F|)^2 over all of
-    them; ``None`` otherwise, NaN included.  Every square F^2 - alpha id and
-    every anticommutator FG + GF is stacked in one array whose sup norm meets
-    the bound once."""
+    id and each two anticommute, to ``STRUCT_TOL`` times the largest entry
+    of |F||G| over all pairs (the rounding of the products that cancel; a
+    valid F has (|F||F|)_ii >= 1); ``None`` otherwise, NaN included.  Every
+    square F^2 - alpha id and every anticommutator FG + GF is stacked in one
+    array whose sup norm meets the bound once."""
     S = np.array(ops)
     k, n = len(S), S.shape[-1]
     rel = np.empty((k * (k + 1) // 2, n, n))
@@ -126,8 +127,9 @@ def twistor_sign(*ops: np.ndarray):
         for b in range(a):
             np.add(S[a] @ S[b], S[b] @ S[a], out=rel[r])
             r += 1
-    bound = STRUCT_TOL * max(1.0, np.abs(S).max()) ** 2
-    return alpha if np.abs(rel).max() <= bound else None  # NaN fails too
+    A = np.abs(S)  # block (a, b) of the product is |S[a]||S[b]|
+    top = (A.reshape(k * n, n) @ A.transpose(1, 0, 2).reshape(n, k * n)).max()
+    return alpha if np.abs(rel).max() <= STRUCT_TOL * top else None  # NaN fails too
 
 
 def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,

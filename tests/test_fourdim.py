@@ -38,6 +38,20 @@ def definitional_star(g, w) -> tuple:
                  for i, j in fd.PAIRS)
 
 
+class TestMetric:
+    @pytest.mark.parametrize("alpha", [True, False, 0, 2, 0.5])
+    def test_alpha_refused(self, alpha):
+        """A bool is no signature, as for the ring values and ``PiAQModel``."""
+        with pytest.raises(ValueError, match="alpha must be"):
+            fd.Metric4(alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, np.int64(1)])
+    def test_alpha_stored_as_an_int(self, alpha):
+        g = fd.Metric4(alpha)
+        assert type(g.alpha) is int and g.alpha == alpha
+        assert g.diagonal() == fd.Metric4(int(alpha)).diagonal()
+
+
 class TestHodgeStar:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_basis_images_are_definitional(self, alpha):

@@ -16,6 +16,7 @@ from aqlab import cli
 from aqlab import liealg as la
 from aqlab import piaq as pq
 from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple, Overflow
+from aqlab.family import einstein_constant
 from aqlab.gxg import (
     MIN_SWEEP_RES,
     MetricFamily,
@@ -539,6 +540,27 @@ class TestClassification:
             assert len(pts) == 4, res
             for got, want in zip(pts, EXACT_POINTS):
                 assert np.abs(np.subtract(got, want)).max() <= 1e-15, res
+
+    def test_sweep_points_pass_the_family_rule(self):
+        """At 40 resolutions log-uniform in [5e-3, 5], every reported point
+        is one of the four and passes ``einstein_constant``, the sweep's only
+        Einstein verdict; (0, 0) and (0, -1/2) come out with lam exactly
+        +0.0, as a start on the mu axis stays on it bit for bit.  All four
+        are reported up to 0.3; a coarser grid (5 points at res 0.8) need
+        not start near every one."""
+        rng = np.random.default_rng(29)
+        for res in np.exp(rng.uniform(math.log(5e-3), math.log(5.0), 40)):
+            pts = einstein_sweep(res=float(res))["einstein_points"]
+            if res <= 0.3:
+                assert len(pts) == 4, res
+            assert pts and len({(l, m) for l, m, _ in pts}) == len(pts), res
+            for lam, mu, eps in pts:
+                assert einstein_constant(lam, mu) is not None, (res, lam, mu)
+                want = min(EXACT_POINTS,
+                           key=lambda w: math.hypot(lam - w[0], mu - w[1]))
+                assert np.abs(np.subtract((lam, mu, eps), want)).max() <= 1e-15
+                if want[0] == 0.0:
+                    assert lam.hex() == "0x0.0p+0", (res, mu)
 
     def test_sweep_raises_no_warning(self):
         """Also with every numpy warning an error, up to a single grid

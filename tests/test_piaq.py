@@ -411,6 +411,22 @@ class TestPredicateReport:
         with pytest.raises(NotEigenvalue):
             pq.predicate_report(doubled_su2, "involutive")
 
+    @pytest.mark.parametrize("name,kw,stray", [
+        ("three_web", {"mu": 0.5}, "--mu"),
+        ("semiholonomic", {"lam": "1"}, "--eigenvalue"),
+        ("integrable", {"f_name": "K", "lam": "i"}, "--operator or --eigenvalue"),
+        ("isoclinic_geodesic", {"mu": 0.5, "f_name": "I"}, "--operator"),
+        ("involutive", {"f_name": "J", "lam": "1", "mu": 0.5}, "--mu"),
+    ])
+    def test_keyword_of_another_predicate_is_refused(self, doubled_su2, name,
+                                                     kw, stray):
+        """A keyword the predicate does not read is refused where the verdict
+        is decided, in the words of the CLI flags, not ignored."""
+        with pytest.raises(AqlabError) as info:
+            pq.predicate_report(doubled_su2, name, **kw)
+        assert type(info.value) is AqlabError
+        assert str(info.value) == f"--predicate {name} takes no {stray}"
+
     def test_unknown_predicate(self, doubled_su2):
         with pytest.raises(InvalidModel, match="unknown predicate"):
             pq.predicate_report(doubled_su2, "holonomic")

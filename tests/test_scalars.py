@@ -249,6 +249,33 @@ class TestUnvalidatedResults:
             z(1, 0, 0)
 
 
+RING_TYPES = {
+    "ScalarKA": lambda alpha: sk.ScalarKA(1, 2, alpha),
+    "QuaternionA": lambda alpha: qt.QuaternionA(1, 2, 3, 4, alpha),
+    "SpinMatrix": lambda alpha: qt.SpinMatrix(range(8), alpha),
+    "SpinVector": lambda alpha: sp.SpinVector(range(4), alpha),
+}
+
+
+@pytest.mark.parametrize("make", RING_TYPES.values(), ids=RING_TYPES)
+class TestOneAlphaCheck:
+    """Every ring value takes its signature through ``scalars._check_alpha``
+    and stores the int it returns."""
+
+    @pytest.mark.parametrize("alpha", [True, False, 0, 2, 1.5, "1", None])
+    def test_refused(self, make, alpha):
+        with pytest.raises(ValueError, match="alpha must be -1 or \\+1"):
+            make(alpha)
+
+    @pytest.mark.parametrize("alpha", [1, -1, 1.0, -1.0, np.int64(1),
+                                       np.float64(-1.0)])
+    def test_stored_as_an_int(self, make, alpha):
+        x = make(alpha)
+        assert type(x.alpha) is int and x.alpha == alpha
+        assert x == make(int(alpha)) and hash(x) == hash(make(int(alpha)))
+        assert repr(x) == repr(make(int(alpha)))  # a float alpha broke :+d
+
+
 def ring_values(alpha):
     """One value of each ring type, each built twice from the same fields."""
     return [(make(), make()) for make in (

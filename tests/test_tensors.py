@@ -208,6 +208,10 @@ def test_twistor_sign():
     I, _ = standard_pair(4, -1)
     I[0, 1] = np.nan
     assert tensors.twistor_sign(I) is None
+    # the bound follows |F||F|, not |F|^2: an operator with F^2 = 1.5 id and
+    # an entry of 1e5 is no involution, its exact partner with 1e-5 is one
+    assert tensors.twistor_sign(np.array([[0, 1e5], [1.5e-5, 0]])) is None
+    assert tensors.twistor_sign(np.array([[0, 1e5], [1e-5, 0]])) == 1.0
 
 
 @settings(max_examples=60, deadline=None)

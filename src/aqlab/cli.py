@@ -132,10 +132,8 @@ def _load_file(path: str, twistor: bool):
                     isinstance(r, list) and all(map(is_number, r))
                     for r in rows)):
                 raise InvalidModel(f"{key} must be rows of finite numbers")
-        import numpy as np
         from . import piaq as pq
-        return pq.PiAQModel(len(c), c, np.asarray(data["I"], float),
-                            np.asarray(data["J"], float), data["alpha"],
+        return pq.PiAQModel(len(c), c, data["I"], data["J"], data["alpha"],
                             name=name)
     except (InvalidModel, TypeError, ValueError) as exc:
         raise InvalidModel(f"{path}: {exc}") from None
@@ -209,7 +207,7 @@ def cmd_einstein(args):
     else:  # a file's algebra must be semisimple, the premise of the closed form
         from . import liealg as la
         base = _load_file(args.algebra, twistor=False)
-        la.pseudo_orthonormalize(base)
+        la.require_semisimple(base)
         dim = base.dim
     inputs = {"algebra": args.catalog or args.algebra, "dim": dim}
     if args.classify:

@@ -48,6 +48,10 @@ class InvalidModel(AqlabError):
     """Model data violates a structural invariant."""
 
 
+class InvalidSignature(InvalidModel, ValueError):
+    """A signature alpha that is not the real number -1 or +1."""
+
+
 class NotTwistor(AqlabError):
     """Endomorphism does not square to a scalar +/-1 multiple of the identity."""
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import Overflow
+from .scalars import _check_alpha
 
 # Two-form components are stored in this fixed pair order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -28,9 +29,7 @@ class Metric4:
     """The model metric diag(1, -alpha, -alpha, 1)."""
 
     def __init__(self, alpha: int):
-        if isinstance(alpha, bool) or alpha not in (-1, 1):
-            raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
-        self.alpha = int(alpha)
+        self.alpha = _check_alpha(alpha)
 
     def diagonal(self) -> tuple:
         a = float(self.alpha)

@@ -44,7 +44,6 @@ from .scalars import _within
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
                       post, ricci, transport)
 
-DISC_MARGIN = 1e-9  #: absolute: sweeps keep lam^2 + mu^2 < 1 - DISC_MARGIN
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
 MIN_SWEEP_RES = 1e-3
@@ -379,22 +378,22 @@ def check_sweep_resolution(res: float) -> None:
 def einstein_sweep(res: float = 0.01):
     """Grid scan of the open disc by the closed coefficient formulas.
 
-    Returns flat arrays (lam, mu, off, aniso) over all grid points with
-    lam^2 + mu^2 < 1 - DISC_MARGIN, plus the list ``einstein_points`` of
-    (lam, mu, ricci constant): every grid point of defect at most 2 res
-    takes ``SWEEP_STEPS`` Gauss-Newton steps on the system
-    :func:`_einstein_system`, all at once, and a result inside that disc
-    that :func:`aqlab.family.einstein_constant` finds Einstein is kept, once
-    per point, from its start of least coarse defect (on the mu axis for
-    (0, 0) and (0, -1/2), and the steps keep lam = 0 there exactly).  Base
-    independent, hence no model argument.  ``res`` must pass
-    :func:`check_sweep_resolution`.
+    Returns flat arrays (lam, mu, off, aniso) over the grid points with d0 >
+    ``DEGENERACY_TOL`` (:func:`aqlab.family.check_point`'s rule), plus the
+    list ``einstein_points`` of (lam, mu, ricci constant): every grid point
+    of defect at most 2 res takes ``SWEEP_STEPS`` Gauss-Newton steps on the
+    system :func:`_einstein_system`, all at once, and a result with d0 >
+    ``DEGENERACY_TOL`` that :func:`aqlab.family.einstein_constant` finds
+    Einstein is kept, once per point, from its start of least coarse defect
+    (on the mu axis for (0, 0) and (0, -1/2), and the steps keep lam = 0
+    there exactly).  Base independent, hence no model argument.  ``res``
+    must pass :func:`check_sweep_resolution`.
     """
     check_sweep_resolution(res)
     k = int(np.floor(1.0 / res))
     ticks = res * np.arange(-k, k + 1)  # single products avoid drift at 0
     lam, mu = np.meshgrid(ticks, ticks, indexing="ij")
-    inside = lam ** 2 + mu ** 2 < 1.0 - DISC_MARGIN
+    inside = _d0(lam, mu) > DEGENERACY_TOL
     lam, mu = lam[inside], mu[inside]
     off, aniso = einstein_residuals(lam, mu)
     out = {"lam": lam, "mu": mu, "off": off, "aniso": aniso}
@@ -409,7 +408,7 @@ def einstein_sweep(res: float = 0.01):
         det = n11 * n22 - n12 * n12
         pl = pl - (n22 * r1 - n12 * r2) / det
         pm = pm - (n11 * r2 - n12 * r1) / det
-    keep = pl ** 2 + pm ** 2 < 1.0 - DISC_MARGIN  # (0, -1) is a root too
+    keep = _d0(pl, pm) > DEGENERACY_TOL  # (0, -1) is a root too
     pl, pm = pl[keep], pm[keep]
     eps = -ricci_coefficients(pl, pm)[0] / _d0(pl, pm)
     points = []

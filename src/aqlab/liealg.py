@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
 from .scalars import _within
-from .tensors import (apply, is_antisymmetric, is_integral, is_lie, is_number,
-                      jacobi_defect, post, transport)
+from .tensors import (apply, is_integral, is_lie, is_number, jacobi_defect,
+                      post, structure_tensor, transport)
 
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * |c|^2
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
@@ -39,20 +39,11 @@ class LieAlgebraModel:
     """
 
     def __init__(self, dim: int, c: np.ndarray, name: str = ""):
-        if not is_integral(dim):
-            raise InvalidModel(f"dim must be an integer, got {dim!r}")
-        self.dim = dim = int(dim)
-        self.c = c = np.asarray(c, dtype=float)
+        self.dim, self.c, self._c_top = structure_tensor(dim, c)  # |c|
         self.name = name
-        if c.shape != (dim, dim, dim):
-            raise InvalidModel(f"structure tensor must be {dim}^3")
-        if dim < 1:
-            raise InvalidModel(f"dim must be at least 1, got {dim!r}")
-        top = np.abs(c).max()
-        if not is_antisymmetric(c, top):
-            raise InvalidModel("structure constants are not antisymmetric")
-        if not is_lie(c, top):
-            raise InvalidModel(f"Jacobi identity fails by {jacobi_defect(c):.3e}")
+        if not is_lie(self.c, self._c_top):
+            raise InvalidModel(
+                f"Jacobi identity fails by {jacobi_defect(self.c):.3e}")
 
     def bracket(self, x, y) -> np.ndarray:
         return apply(self.c, x, y)
@@ -146,12 +137,18 @@ def _nondegenerate(w: np.ndarray, A: LieAlgebraModel) -> bool:
     which is quadratic in c: the least |w| must exceed its degree-2 bound
     (false on NaN)."""
     least = np.abs(w).min()
-    return not (np.isnan(least) or _within(least, np.abs(A.c).max(), 2,
-                                           SEMISIMPLE_TOL))
+    return not (np.isnan(least) or _within(least, A._c_top, 2, SEMISIMPLE_TOL))
 
 
 def is_semisimple(A: LieAlgebraModel) -> bool:
     return _nondegenerate(np.linalg.eigvalsh(killing_form(A)), A)
+
+
+def require_semisimple(A: LieAlgebraModel, w=None) -> None:
+    """Raise NotSemisimple naming A unless :func:`_nondegenerate` passes w,
+    the eigenvalues of A's trace form (:func:`is_semisimple` when w is None)."""
+    if not (is_semisimple(A) if w is None else _nondegenerate(w, A)):
+        raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
 
 
 def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
@@ -159,11 +156,10 @@ def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
 
     Equals -X on every semisimple algebra, independently of the basis.
     """
-    if not is_semisimple(A):
-        raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
-    kinv = np.linalg.inv(killing_form(A))
+    K = killing_form(A)
+    require_semisimple(A, np.linalg.eigvalsh(K))
     xe = apply(A.c, X)  # xe[i] = [X, e_i]
-    return (xe.T @ kinv).ravel() @ A.c.reshape(A.dim ** 2, A.dim)
+    return (xe.T @ np.linalg.inv(K)).ravel() @ A.c.reshape(A.dim ** 2, A.dim)
 
 
 def pseudo_orthonormalize(A: LieAlgebraModel):
@@ -175,8 +171,7 @@ def pseudo_orthonormalize(A: LieAlgebraModel):
     trace form is degenerate.
     """
     w, qmat = np.linalg.eigh(killing_form(A))
-    if not _nondegenerate(w, A):
-        raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
+    require_semisimple(A, w)
     eps = np.sign(w)
     root = np.sqrt(np.abs(w))
     basis = qmat / root

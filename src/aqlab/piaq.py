@@ -20,7 +20,6 @@ are all phrased through it.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from functools import cached_property
 from operator import attrgetter
@@ -36,11 +35,10 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
-from .scalars import _within
+from .scalars import _check_alpha, _within
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, is_antisymmetric,
-                      is_integral, is_lie, jacobi_defect, post, transport,
-                      twistor_sign)
+                      curvature_slab, curvature_slabs, is_lie, jacobi_defect,
+                      post, structure_tensor, transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
@@ -56,31 +54,17 @@ class PiAQModel:
            i, j; the Jacobi identity is not required, but curvature-based
            predicates warn when it fails).
         I, J: m x m matrices with I^2 = J^2 = alpha id and IJ + JI = 0.
-        alpha: signature, -1 or +1 (an integral float counts; a bool or a
-           string does not).
+        alpha: signature -1 or +1 (:func:`aqlab.scalars._check_alpha`).
     """
 
     def __init__(self, dim: int, c, I, J, alpha: int, name: str = ""):
-        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-                or alpha not in (-1, 1)):
-            raise InvalidModel(f"alpha must be -1 or +1, got {alpha!r}")
-        if not is_integral(dim):
-            raise InvalidModel(f"dim must be an integer, got {dim!r}")
-        self.dim = int(dim)
-        self.alpha = int(alpha)
+        self.alpha = _check_alpha(alpha)
+        self.dim, self.c, self._c_top = structure_tensor(dim, c)  # |c|
         self.name = name
-        self.c = np.asarray(c, dtype=float)
-        self.I = np.asarray(I, dtype=float)
-        self.J = np.asarray(J, dtype=float)
-        m = self.dim
-        if self.c.shape != (m, m, m) or self.I.shape != (m, m) or self.J.shape != (m, m):
-            raise InvalidModel("shape mismatch between dim, c, I, J")
-        if m < 1:
-            raise InvalidModel(f"dim must be at least 1, got {dim!r}")
-        self._c_top = np.abs(self.c).max()  # |c|, the size of every bound
-        if not is_antisymmetric(self.c, self._c_top):
-            raise InvalidModel("bracket is not antisymmetric")
-        if twistor_sign(self.I, self.J) != alpha:
+        self.I, self.J = np.asarray(I, dtype=float), np.asarray(J, dtype=float)
+        if not self.I.shape == self.J.shape == (self.dim, self.dim):
+            raise InvalidModel("shape mismatch between dim, I, J")
+        if twistor_sign(self.I, self.J) != self.alpha:
             raise InvalidModel("I, J fail the twistor-pair relations")
         self.K = self.I @ self.J
 

@@ -30,12 +30,11 @@ class QuaternionA(Record):
     __slots__ = ("a", "b", "c", "d", "alpha")
 
     def __init__(self, a: float, b: float, c: float, d: float, alpha: int):
-        alpha = sk._check_alpha(alpha)
+        _set(self, "alpha", sk._check_alpha(alpha))
         _set(self, "a", float(a))
         _set(self, "b", float(b))
         _set(self, "c", float(c))
         _set(self, "d", float(d))
-        _set(self, "alpha", alpha)
 
     def __add__(self, other):
         sk._check_signatures(self, other)
@@ -150,9 +149,8 @@ class SpinMatrix(Record):
     __slots__ = ("e", "alpha")
 
     def __init__(self, e, alpha: int):
-        alpha = sk._check_alpha(alpha)
+        _set(self, "alpha", sk._check_alpha(alpha))
         _set(self, "e", _ring_floats(e, 8))
-        _set(self, "alpha", alpha)
 
     def __getitem__(self, idx) -> ScalarKA:
         r, c = idx

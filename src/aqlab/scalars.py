@@ -8,14 +8,16 @@ elements instead of silently dividing.
 Every operation is a pure function.  Values are immutable slotted records
 on :class:`Record`, the base of the values of :mod:`aqlab.quat` and
 :mod:`aqlab.spinor` too.  This bottom layer also holds the package's one
-homogeneous bound rule, :func:`_within`, and its one isotropy test.
+homogeneous bound rule, :func:`_within`, its one isotropy test and its one
+signature check, :func:`_check_alpha`, which every model calls too.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import IsotropicScalar, Overflow, SignatureMismatch
+from .errors import (InvalidSignature, IsotropicScalar, Overflow,
+                     SignatureMismatch)
 
 ISOTROPY_TOL = 1e-9  #: isotropic (no inverse): |z|^2 <= this max(|re|, |im|)^2
 
@@ -75,10 +77,16 @@ class Record:
 
 
 def _check_alpha(alpha) -> int:
-    """alpha as the int -1 or +1 (an integral float counts, a bool does not)."""
-    if isinstance(alpha, bool) or alpha not in (-1, 1):
-        raise ValueError(f"alpha must be -1 or +1, got {alpha!r}")
-    return int(alpha)
+    """alpha as the int -1 or +1.  An int returns at once; any other value
+    must be a real number equal to -1 or +1 (an integral float counts, a
+    bool or a complex does not), else InvalidSignature."""
+    if type(alpha) is int and (alpha == 1 or alpha == -1):
+        return alpha
+    import numbers
+    if (isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+            and alpha in (-1, 1)):
+        return int(alpha)
+    raise InvalidSignature(f"alpha must be -1 or +1, got {alpha!r}")
 
 
 class ScalarKA(Record):
@@ -87,10 +95,9 @@ class ScalarKA(Record):
     __slots__ = ("re", "im", "alpha")
 
     def __init__(self, re: float, im: float, alpha: int):
-        alpha = _check_alpha(alpha)
+        _set(self, "alpha", _check_alpha(alpha))
         _set(self, "re", float(re))
         _set(self, "im", float(im))
-        _set(self, "alpha", alpha)
 
     def __add__(self, other: "ScalarKA") -> "ScalarKA":
         return add(self, other)

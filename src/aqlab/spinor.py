@@ -39,9 +39,8 @@ class SpinVector(Record):
     __slots__ = ("v", "alpha")
 
     def __init__(self, v, alpha: int):
-        alpha = sk._check_alpha(alpha)
+        _set(self, "alpha", sk._check_alpha(alpha))
         _set(self, "v", _ring_floats(v, 4))
-        _set(self, "alpha", alpha)
 
     @property
     def x1(self) -> ScalarKA:

@@ -16,7 +16,8 @@ a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 (:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes,
 with alpha read from the operators (:func:`twistor_sign`).  Each fails on
 NaN; the bracket bounds go through the package's one homogeneous rule,
-:func:`aqlab.scalars._within`.
+:func:`aqlab.scalars._within`.  Every model takes its dimension and
+structure tensor through :func:`structure_tensor`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 
 import numpy as np
 
+from .errors import InvalidModel
 from .scalars import _within
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
@@ -94,17 +96,31 @@ def is_integral(n) -> bool:
 def is_antisymmetric(c: np.ndarray, top=None) -> bool:
     """c[a, b] = -c[b, a] to ``JACOBI_TOL`` |c|; ``top`` is |c| when the
     caller has it."""
-    if top is None:
-        top = np.abs(c).max()
+    top = np.abs(c).max() if top is None else top
     return _within(np.abs(c + c.transpose(1, 0, 2)).max(), top, 1, JACOBI_TOL)
+
+
+def structure_tensor(dim, c) -> tuple:
+    """(dim, c, |c|), dim an int and c a float array, of a model whose dim is
+    an integer of at least 1 (an integral float counts) and whose c has shape
+    dim^3 and is antisymmetric (:func:`is_antisymmetric`); else InvalidModel."""
+    if not is_integral(dim):
+        raise InvalidModel(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise InvalidModel(f"dim must be at least 1, got {dim!r}")
+    d, c = int(dim), np.asarray(c, dtype=float)
+    if c.shape != (d, d, d):
+        raise InvalidModel(f"structure tensor shape must be {d}^3, got {c.shape}")
+    if not is_antisymmetric(c, top := np.abs(c).max()):
+        raise InvalidModel("structure constants are not antisymmetric")
+    return d, c, top
 
 
 def is_lie(c: np.ndarray, top=None) -> bool:
     """The Jacobi identity of an antisymmetric c, its Jacobiator to
     ``JACOBI_TOL`` |c|^2; with :func:`is_antisymmetric`, c is a Lie
     bracket.  ``top`` is |c| when the caller has it."""
-    if top is None:
-        top = np.abs(c).max()
+    top = np.abs(c).max() if top is None else top
     return _within(jacobi_defect(c), top, 2, JACOBI_TOL)
 
 

@@ -980,7 +980,7 @@ class TestLazyStartup:
         (("spinbasis", "--alpha", "-1", "--j1", "1,0,0", "--j2", "0,1,0",
           "--j3", "0,0,1"), {"quat", "scalars", "spinor"}),
         (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
-         {"fourdim", "fractions"}),
+         {"fourdim", "scalars", "fractions"}),
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
          {"family", "fractions"}),
         (("piaq", "--doubled", "su2", "--predicate", "three_web"),
@@ -1009,7 +1009,7 @@ class TestLazyStartup:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(run(capsys, *argv)[1]))
         loaded = self.loaded(argv, ("verify", str(path)))
-        assert loaded == {"aqlab.fourdim", "fractions"}
+        assert loaded == {"aqlab.fourdim", "aqlab.scalars", "fractions"}
 
     def test_catalog_einstein_and_its_verify_never_load_numpy(
             self, capsys, tmp_path):

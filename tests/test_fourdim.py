@@ -7,7 +7,7 @@ import pytest
 
 from aqlab import fourdim as fd
 from aqlab import quat as qt
-from aqlab.errors import Overflow
+from aqlab.errors import InvalidSignature, Overflow
 from conftest import hodge_star_matrix
 
 ALPHAS = (-1, 1)
@@ -39,13 +39,18 @@ def definitional_star(g, w) -> tuple:
 
 
 class TestMetric:
-    @pytest.mark.parametrize("alpha", [True, False, 0, 2, 0.5])
+    @pytest.mark.parametrize("alpha", [True, False, 0, 2, 0.5, np.True_,
+                                       1 + 0j, 1.5, "1", None, [1]])
     def test_alpha_refused(self, alpha):
-        """A bool is no signature, as for the ring values and ``PiAQModel``."""
-        with pytest.raises(ValueError, match="alpha must be"):
+        """A bool is no signature, as for the ring values and ``PiAQModel``:
+        ``Metric4`` calls the same check, ``scalars._check_alpha``."""
+        with pytest.raises(InvalidSignature, match="alpha must be") as err:
             fd.Metric4(alpha)
+        assert isinstance(err.value, ValueError)
 
-    @pytest.mark.parametrize("alpha", [1.0, -1.0, np.int64(1)])
+    @pytest.mark.parametrize("alpha", [
+        1.0, -1.0, np.int64(1), 1, -1,
+        pytest.param(np.float64(-1.0), id="float64(-1.0)")])
     def test_alpha_stored_as_an_int(self, alpha):
         g = fd.Metric4(alpha)
         assert type(g.alpha) is int and g.alpha == alpha

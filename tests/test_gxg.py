@@ -1,6 +1,7 @@
 """The metric family on a doubled group: connection, curvature, Ricci."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -18,6 +19,7 @@ from aqlab import piaq as pq
 from aqlab.errors import Degenerate, InvalidResolution, NotSemisimple, Overflow
 from aqlab.family import einstein_constant
 from aqlab.gxg import (
+    DEGENERACY_TOL,
     MIN_SWEEP_RES,
     MetricFamily,
     _d0,
@@ -561,6 +563,27 @@ class TestClassification:
                 assert np.abs(np.subtract((lam, mu, eps), want)).max() <= 1e-15
                 if want[0] == 0.0:
                     assert lam.hex() == "0x0.0p+0", (res, mu)
+
+    def test_sweep_scans_the_disc_by_the_family_rule(self):
+        """``points_scanned`` is the number of ticks (res i, res j), counted
+        one by one over a square wider than the grid, with d0 >
+        ``DEGENERACY_TOL``, the rule of ``family.check_point``: at 0.01 and
+        at 40 resolutions log-uniform in [0.01, 5] from default_rng(30).  At
+        0.01 it is also the benchmark oracle's disc count."""
+        rng = np.random.default_rng(30)
+        for res in [0.01, *np.exp(rng.uniform(math.log(0.01),
+                                              math.log(5.0), 40))]:
+            res = float(res)
+            k = math.floor(1.0 / res) + 1
+            want = sum(_d0(res * i, res * j) > DEGENERACY_TOL
+                       for i in range(-k, k + 1) for j in range(-k, k + 1))
+            assert einstein_sweep(res=res)["lam"].size == want, res
+        spec = importlib.util.spec_from_file_location(
+            "oracles", pathlib.Path(__file__).parents[1] / "bench" / "oracles.py")
+        oracles = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracles)
+        assert (einstein_sweep(res=0.01)["lam"].size
+                == oracles.disc_grid_size(0.01) == 31397)
 
     def test_sweep_raises_no_warning(self):
         """Also with every numpy warning an error, up to a single grid

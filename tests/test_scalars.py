@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from aqlab import piaq as pq
 from aqlab import quat as qt
 from aqlab import scalars as sk
 from aqlab import spinor as sp
-from aqlab.errors import IsotropicScalar, Overflow, SignatureMismatch
-from conftest import abs2norm, bits, ring_pairs, scalar_close
+from aqlab.errors import (InvalidModel, InvalidSignature, IsotropicScalar,
+                          Overflow, SignatureMismatch)
+from conftest import abs2norm, bits, ring_pairs, scalar_close, standard_pair
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 alphas = st.sampled_from([-1, 1])
@@ -249,31 +251,41 @@ class TestUnvalidatedResults:
             z(1, 0, 0)
 
 
-RING_TYPES = {
+SIGNED_TYPES = {
     "ScalarKA": lambda alpha: sk.ScalarKA(1, 2, alpha),
     "QuaternionA": lambda alpha: qt.QuaternionA(1, 2, 3, 4, alpha),
     "SpinMatrix": lambda alpha: qt.SpinMatrix(range(8), alpha),
     "SpinVector": lambda alpha: sp.SpinVector(range(4), alpha),
+    "PiAQModel": lambda alpha: pq.PiAQModel(
+        4, np.zeros((4, 4, 4)), *standard_pair(4, 1 if alpha == 1 else -1),
+        alpha),
 }
 
 
-@pytest.mark.parametrize("make", RING_TYPES.values(), ids=RING_TYPES)
+@pytest.mark.parametrize("make", SIGNED_TYPES.values(), ids=SIGNED_TYPES)
 class TestOneAlphaCheck:
-    """Every ring value takes its signature through ``scalars._check_alpha``
-    and stores the int it returns."""
+    """Every ring value and ``PiAQModel`` take their signature through
+    ``scalars._check_alpha`` and store the int it returns; what it refuses
+    is an ``InvalidSignature``, both an ``InvalidModel`` and a
+    ``ValueError``."""
 
-    @pytest.mark.parametrize("alpha", [True, False, 0, 2, 1.5, "1", None])
+    @pytest.mark.parametrize("alpha", [True, False, 0, 2, 1.5, "1", None,
+                                       np.True_, 1 + 0j, [1]])
     def test_refused(self, make, alpha):
-        with pytest.raises(ValueError, match="alpha must be -1 or \\+1"):
+        with pytest.raises(InvalidSignature) as err:
             make(alpha)
+        assert str(err.value) == f"alpha must be -1 or +1, got {alpha!r}"
+        assert isinstance(err.value, InvalidModel)
+        assert isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("alpha", [1, -1, 1.0, -1.0, np.int64(1),
                                        np.float64(-1.0)])
     def test_stored_as_an_int(self, make, alpha):
         x = make(alpha)
         assert type(x.alpha) is int and x.alpha == alpha
-        assert x == make(int(alpha)) and hash(x) == hash(make(int(alpha)))
-        assert repr(x) == repr(make(int(alpha)))  # a float alpha broke :+d
+        if isinstance(x, sk.Record):  # the ring values compare by fields
+            assert x == make(int(alpha)) and hash(x) == hash(make(int(alpha)))
+            assert repr(x) == repr(make(int(alpha)))  # a float alpha broke :+d
 
 
 def ring_values(alpha):

@@ -247,6 +247,43 @@ def test_one_jacobi_bound_for_every_caller(alpha):
     assert pq.PiAQModel(4, u2_bracket(), *standard_pair(4, alpha), alpha).is_lie
 
 
+def non_antisymmetric_bracket() -> np.ndarray:
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2] = 1.0  # no [e_2, e_1] counterpart
+    return c
+
+
+@pytest.mark.parametrize("dim,c", [
+    pytest.param(4.5, np.zeros((4, 4, 4)), id="fractional-dim"),
+    pytest.param(0, np.zeros((0, 0, 0)), id="dim-0"),
+    pytest.param(4, np.zeros((4, 4, 3)), id="wrong-shape"),
+    pytest.param(4, non_antisymmetric_bracket(), id="not-antisymmetric"),
+])
+def test_one_structure_rule_for_both_models(dim, c):
+    """LieAlgebraModel and PiAQModel take (dim, c) through
+    tensors.structure_tensor: each fault is one InvalidModel message."""
+    with pytest.raises(InvalidModel) as rule:
+        tensors.structure_tensor(dim, c)
+    with pytest.raises(InvalidModel) as algebra:
+        la.LieAlgebraModel(dim, c)
+    with pytest.raises(InvalidModel) as model:
+        pq.PiAQModel(dim, c, *standard_pair(4, 1), 1)
+    assert str(algebra.value) == str(model.value) == str(rule.value)
+
+
+def test_structure_tensor_gives_dim_c_and_its_size():
+    """An integral float dim comes back as an int and c as a float array,
+    with |c|, the size that both models keep for their bounds."""
+    c = (3 * la.su2().c).astype(int).tolist()
+    dim, arr, top = tensors.structure_tensor(3.0, c)
+    assert type(dim) is int and dim == 3
+    assert arr.dtype == float and np.array_equal(arr, 3 * la.su2().c)
+    assert top == 3.0
+    assert la.LieAlgebraModel(3, c)._c_top == top
+    assert pq.PiAQModel(4, 3 * u2_bracket(), *standard_pair(4, -1),
+                        -1)._c_top == top
+
+
 @pytest.mark.parametrize("alpha", (-1, 1))
 def test_one_twistor_bound_for_every_caller(alpha):
     """A pair off its relations by about 5e-9, between STRUCT_TOL and the

@@ -2,10 +2,13 @@
 
 Every invocation prints a single JSON document on standard output with the
 keys ``command``, ``inputs``, ``outputs`` and ``tolerances``; diagnostics go
-to standard error.  Each ``cmd_*`` returns its (inputs, outputs,
-tolerances) and :func:`main` alone builds the document.  Exit status is 0
-whenever a verdict was computed (true or false alike) and nonzero only for
-usage or precondition errors, a failed ``verify`` or a failed ``check``.
+to standard error.  :data:`COMMANDS` is the one table of subcommands: a row
+holds the help text, the ``cmd_*`` handler, which returns (inputs, outputs,
+tolerances), the arguments, and the output whose falsity fails the exit
+status; :func:`build_parser` and :func:`main`, which alone builds the
+document, both read it.  Exit status is 0 whenever a verdict was computed
+(true or false alike) and nonzero only for usage or precondition errors, a
+failed ``verify`` or a failed ``check``.
 
 The ``inputs`` of every document include ``argv``, the arguments the
 document was made from; the ``verify`` subcommand parses them again and
@@ -55,7 +58,7 @@ def _with_exact(x: float) -> dict:
     """The value, with [num, den] as ``exact`` when x is within 1e-12 of a
     rational of denominator at most 1000."""
     from fractions import Fraction  # loaded only where an exact value is printed
-    out = {"value": _f(x)}
+    out = dict(value=_f(x))
     frac = Fraction(x).limit_denominator(1000) if math.isfinite(x) else x
     if abs(float(frac) - x) < 1e-12:
         out["exact"] = [frac.numerator, frac.denominator]
@@ -98,43 +101,24 @@ def _read_json(path: str):
 def _load_file(path: str, twistor: bool):
     """The algebra in an ``--algebra`` file, or with ``twistor`` the model in
     a ``--model`` file (Jacobi not required), every fault of reading it or of
-    its content raised as InvalidModel naming the file.
-
-    Bracket records are [i, j, k, value] or {"i", "j", "k", "value"}; a
-    model file may omit ``brackets`` for the zero bracket.  Numbers are
-    taken as given: a string or a bool is no index, value or entry of I, J.
-    """
+    its content raised as InvalidModel naming the file.  The fields go to
+    the library as they are: ``dim`` and ``brackets`` (which a model file
+    may omit for the zero bracket) to :func:`aqlab.liealg.bracket_tensor`,
+    ``alpha``, ``I`` and ``J`` to :class:`aqlab.piaq.PiAQModel`."""
     from . import liealg as la
-    from .tensors import is_number
     data = _read_json(path)
     try:
         if not isinstance(data, dict):
             raise InvalidModel("expected a JSON object")
-        for key in (("dim", "alpha", "I", "J") if twistor
-                    else ("dim", "brackets")):
-            if key not in data:
-                raise InvalidModel(f"missing field {key!r}")
-        entries = []
-        for rec in data.get("brackets", []):
-            vals = ([rec.get(k) for k in ("i", "j", "k", "value")]
-                    if isinstance(rec, dict) else rec)
-            if not isinstance(vals, list) or len(vals) != 4 or None in vals:
-                raise InvalidModel(
-                    f"bracket record {rec!r} is not [i, j, k, value]")
-            entries.append(vals)
         name = str(data.get("name", ""))
         if not twistor:
-            return la.from_brackets(data["dim"], entries, name=name)
-        c = la.bracket_tensor(data["dim"], entries)
-        for key in ("I", "J"):
-            rows = data[key]
-            if not (isinstance(rows, list) and all(
-                    isinstance(r, list) and all(map(is_number, r))
-                    for r in rows)):
-                raise InvalidModel(f"{key} must be rows of finite numbers")
+            return la.from_brackets(data["dim"], data["brackets"], name=name)
         from . import piaq as pq
+        c = la.bracket_tensor(data["dim"], data.get("brackets", ()))
         return pq.PiAQModel(len(c), c, data["I"], data["J"], data["alpha"],
                             name=name)
+    except KeyError as exc:  # a field the file lacks
+        raise InvalidModel(f"{path}: missing field {exc}") from None
     except (InvalidModel, TypeError, ValueError) as exc:
         raise InvalidModel(f"{path}: {exc}") from None
 
@@ -286,7 +270,7 @@ def cmd_verify(args):
         raise AqlabError("a verify document cannot be verified again")
     if getattr(rerun_args, "csv", None):
         rerun_args.csv = None  # compare outputs only; never rewrite files
-    _, outputs, _ = rerun_args.func(rerun_args)
+    _, outputs, _ = COMMANDS[rerun_args.subcommand][1](rerun_args)
     found = _compare(doc.get("outputs", _MISSING), outputs, VERIFY_TOL)
     result = {"match": found is None}
     if found is not None:  # with both values, but none that a side lacks
@@ -401,78 +385,64 @@ class _Parser(argparse.ArgumentParser):
         _write(self.format_help(), "the help text", file)
 
 
+_ALPHA = ("--alpha", dict(type=int, required=True, choices=(-1, 1),
+                          help="signature parameter"))
+
+#: name: (help, handler, arguments, verdict output); an argument is (flag,
+#: add_argument's keywords), a list of them a group exactly one of is given
+COMMANDS = {
+    "pauli": ("emit the generalized Pauli triple", cmd_pauli, [_ALPHA], None),
+    "spinbasis": ("spin basis of an orthonormal imaginary triple", cmd_spinbasis, [
+        _ALPHA, *((f"--{name}", dict(required=True, metavar="B,C,D",
+                                     help=f"imaginary coefficients of {name}"))
+                  for name in ("j1", "j2", "j3"))], None),
+    "selfdual": ("split a two-form and emit its endomorphism", cmd_selfdual, [
+        _ALPHA, ("--omega", dict(required=True, metavar="W12,W13,W14,W23,W24,W34",
+                                 help="six independent components"))], None),
+    "einstein": ("metric family verdicts on a doubled group", cmd_einstein, [
+        [("--catalog", dict(choices=CATALOG_NAMES, help="built-in algebra")),
+         ("--algebra", dict(metavar="FILE",
+                            help="structure-constant file (JSON)"))],
+        ("--lambda", dict(dest="lam", type=float, help="first parameter")),
+        ("--mu", dict(type=float, help="second parameter")),
+        ("--classify", dict(action="store_true",
+                            help="solve for all Einstein points")),
+        ("--sweep", dict(type=float, metavar="RES",
+                         help="grid resolution for a disc scan")),
+        ("--csv", dict(metavar="PATH", help="write the sweep grid as CSV"))], None),
+    "piaq": ("integrability predicates of a model", cmd_piaq, [
+        [("--model", dict(metavar="FILE", help="model file (JSON)")),
+         ("--doubled", dict(choices=CATALOG_NAMES,
+                            help="doubled catalog algebra"))],
+        ("--predicate", dict(required=True, choices=PREDICATE_NAMES,
+                             help="which property to decide")),
+        ("--operator", dict(choices=("I", "J", "K"),
+                            help="structure operator for involutivity tests")),
+        ("--eigenvalue", dict(help="eigenvalue, e.g. 1, -1, i, -i")),
+        ("--mu", dict(type=float, help="constant slope parameter"))], None),
+    "verify": ("re-run a result document and compare", cmd_verify, [
+        ("document", dict(help="path to a result JSON, or - for stdin"))], "match"),
+    "check": ("randomized property verification", cmd_check, [
+        ("--seed", dict(type=int, default=0, help="RNG seed")),
+        ("--samples", dict(type=int, default=50,
+                           help="samples per property"))], "passed"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing keeps no state in it."""
-    parser = _Parser(
-        prog="aqlab",
-        description="Numerics for generalized quaternionic geometry.",
-    )
+    """The parser of :data:`COMMANDS`, built once per process: parsing keeps
+    no state in it."""
+    parser = _Parser(prog="aqlab", description=(
+        "Numerics for generalized quaternionic geometry."))
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_alpha(p):
-        p.add_argument("--alpha", type=int, required=True, choices=(-1, 1),
-                       help="signature parameter")
-
-    p = sub.add_parser("pauli", help="emit the generalized Pauli triple")
-    add_alpha(p)
-    p.set_defaults(func=cmd_pauli)
-
-    p = sub.add_parser("spinbasis",
-                       help="spin basis of an orthonormal imaginary triple")
-    add_alpha(p)
-    for name in ("j1", "j2", "j3"):
-        p.add_argument(f"--{name}", required=True, metavar="B,C,D",
-                       help=f"imaginary coefficients of {name}")
-    p.set_defaults(func=cmd_spinbasis)
-
-    p = sub.add_parser("selfdual",
-                       help="split a two-form and emit its endomorphism")
-    add_alpha(p)
-    p.add_argument("--omega", required=True, metavar="W12,W13,W14,W23,W24,W34",
-                   help="six independent components")
-    p.set_defaults(func=cmd_selfdual)
-
-    p = sub.add_parser("einstein",
-                       help="metric family verdicts on a doubled group")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--catalog", choices=CATALOG_NAMES,
-                     help="built-in algebra")
-    src.add_argument("--algebra", metavar="FILE",
-                     help="structure-constant file (JSON)")
-    p.add_argument("--lambda", dest="lam", type=float, help="first parameter")
-    p.add_argument("--mu", type=float, help="second parameter")
-    p.add_argument("--classify", action="store_true",
-                   help="solve for all Einstein points")
-    p.add_argument("--sweep", type=float, metavar="RES",
-                   help="grid resolution for a disc scan")
-    p.add_argument("--csv", metavar="PATH", help="write the sweep grid as CSV")
-    p.set_defaults(func=cmd_einstein)
-
-    p = sub.add_parser("piaq", help="integrability predicates of a model")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", metavar="FILE", help="model file (JSON)")
-    src.add_argument("--doubled", choices=CATALOG_NAMES,
-                     help="doubled catalog algebra")
-    p.add_argument("--predicate", required=True,
-                   choices=PREDICATE_NAMES,
-                   help="which property to decide")
-    p.add_argument("--operator", choices=("I", "J", "K"),
-                   help="structure operator for involutivity tests")
-    p.add_argument("--eigenvalue", help="eigenvalue, e.g. 1, -1, i, -i")
-    p.add_argument("--mu", type=float, help="constant slope parameter")
-    p.set_defaults(func=cmd_piaq)
-
-    p = sub.add_parser("verify", help="re-run a result document and compare")
-    p.add_argument("document", help="path to a result JSON, or - for stdin")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("check", help="randomized property verification")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--samples", type=int, default=50,
-                   help="samples per property")
-    p.set_defaults(func=cmd_check)
-
+    for name, (text, _, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in arguments:
+            group, arg = ((p.add_mutually_exclusive_group(required=True), arg)
+                          if isinstance(arg, list) else (p, [arg]))
+            for flag, kw in arg:
+                group.add_argument(flag, **kw)
     return parser
 
 
@@ -483,9 +453,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
+        _, func, _, verdict = COMMANDS[args.subcommand]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            inputs, outputs, tolerances = args.func(args)
+            inputs, outputs, tolerances = func(args)
         doc = {"command": args.subcommand, "inputs": {**inputs, "argv": argv},
                "outputs": outputs, "tolerances": tolerances}
         try:  # with allow_nan=False the encoder is the finiteness check
@@ -498,8 +469,7 @@ def main(argv=None) -> int:
             exc = AqlabError(f"result is not finite: {exc}")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    failed = {"verify": "match", "check": "passed"}.get(args.subcommand)
-    return int(failed is not None and not outputs[failed])
+    return int(verdict is not None and not outputs[verdict])
 
 
 def run() -> None:

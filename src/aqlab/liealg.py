@@ -29,6 +29,7 @@ from .tensors import (apply, is_integral, is_lie, is_number, jacobi_defect,
 
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * |c|^2
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
+_FIELDS = ("i", "j", "k", "value")  #: a bracket record's keys, when it is a dict
 
 
 class LieAlgebraModel:
@@ -56,12 +57,12 @@ class LieAlgebraModel:
 def bracket_tensor(dim: int, entries) -> np.ndarray:
     """Structure tensor of sparse bracket records, unchecked for Jacobi.
 
-    ``entries`` is an iterable of (i, j, k, value) with 1-based indices
-    meaning [e_i, e_j] contains value * e_k, a finite number; the
-    antisymmetric counterpart is filled in and omitted entries are zero.
-    ``dim`` and the indices must be integers (an integral float counts;
-    a bool or a string does not), ``dim`` from 1 to ``MAX_DIM``, checked
-    before anything is allocated, and i = j only with the value 0.
+    A record, a list or tuple (i, j, k, value) or a dict with those keys,
+    puts value * e_k in [e_i, e_j]: i, j, k are 1-based integers (an integral
+    float counts; a bool or a string does not) and value a finite number,
+    nonzero only for i != j.  The antisymmetric counterpart is filled in and
+    omitted entries are zero.  ``dim`` must be an integer from 1 to
+    ``MAX_DIM``, checked before anything is allocated.
     """
     if not (is_integral(dim) and 1 <= dim <= MAX_DIM):
         raise InvalidModel(f"dim must be an integer from 1 to {MAX_DIM}, "
@@ -69,7 +70,10 @@ def bracket_tensor(dim: int, entries) -> np.ndarray:
     dim = int(dim)
     c = np.zeros((dim, dim, dim))
     for rec in entries:
-        i, j, k, v = rec
+        vals = tuple(map(rec.get, _FIELDS)) if isinstance(rec, dict) else rec
+        if not isinstance(vals, (list, tuple)) or len(vals) != 4 or None in vals:
+            raise InvalidModel(f"bracket record {rec!r} is not [i, j, k, value]")
+        i, j, k, v = vals
         if not (all(is_integral(n) and 1 <= n <= dim for n in (i, j, k))
                 and is_number(v) and (i != j or v == 0)):
             raise InvalidModel(
@@ -84,8 +88,7 @@ def bracket_tensor(dim: int, entries) -> np.ndarray:
 
 def from_brackets(dim: int, entries, name: str = "") -> LieAlgebraModel:
     """The Lie algebra of :func:`bracket_tensor`'s records."""
-    c = bracket_tensor(dim, entries)
-    return LieAlgebraModel(len(c), c, name=name)
+    return LieAlgebraModel(dim, bracket_tensor(dim, entries), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,23 @@ from .errors import (
 )
 from .scalars import _check_alpha, _within
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, is_lie, jacobi_defect,
-                      post, structure_tensor, transport, twistor_sign)
+                      curvature_slab, curvature_slabs, is_lie, is_number,
+                      jacobi_defect, post, structure_tensor, transport,
+                      twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
 TIE_TOL = 1e-12  #: defects within this fraction of the largest tie for the witness
+
+
+def _operator(F, name: str) -> np.ndarray:
+    """The operator F as a float array, or InvalidModel naming it."""
+    if isinstance(F, np.ndarray) and F.dtype.kind in "iuf":  # real by dtype
+        return F.astype(float, copy=False)
+    F = np.asarray(F, dtype=object)  # a ragged F holds lists, no numbers
+    if not all(map(is_number, F.flat)):
+        raise InvalidModel(f"{name} must be rows of finite numbers")
+    return F.astype(float)
 
 
 class PiAQModel:
@@ -53,7 +64,9 @@ class PiAQModel:
         c: structure tensor, [e_i, e_j] = c[i, j, k] e_k (antisymmetric in
            i, j; the Jacobi identity is not required, but curvature-based
            predicates warn when it fails).
-        I, J: m x m matrices with I^2 = J^2 = alpha id and IJ + JI = 0.
+        I, J: m x m matrices with I^2 = J^2 = alpha id and IJ + JI = 0,
+           each entry a number by :func:`aqlab.tensors.is_number` (a string,
+           a bool, a complex or a 400-digit int is not).
         alpha: signature -1 or +1 (:func:`aqlab.scalars._check_alpha`).
     """
 
@@ -61,7 +74,7 @@ class PiAQModel:
         self.alpha = _check_alpha(alpha)
         self.dim, self.c, self._c_top = structure_tensor(dim, c)  # |c|
         self.name = name
-        self.I, self.J = np.asarray(I, dtype=float), np.asarray(J, dtype=float)
+        self.I, self.J = _operator(I, "I"), _operator(J, "J")
         if not self.I.shape == self.J.shape == (self.dim, self.dim):
             raise InvalidModel("shape mismatch between dim, I, J")
         if twistor_sign(self.I, self.J) != self.alpha:

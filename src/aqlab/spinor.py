@@ -19,7 +19,6 @@ from .errors import (
     IsotropicScalar,
     NotAQStructure,
     OrthonormalityViolated,
-    SignatureMismatch,
     ZeroVector,
 )
 from .quat import (QuaternionA, SpinMatrix, _inverse, _matmul, _ring_floats,
@@ -165,8 +164,7 @@ def check_iq_basis(basis: IQBasis):
     js = list(basis)
     alpha = js[0].alpha
     for q in js:
-        if q.alpha != alpha:
-            raise SignatureMismatch("basis members carry different signatures")
+        sk._check_signatures(js[0], q)
         if not qt.is_purely_imaginary(q):
             raise OrthonormalityViolated("basis member is not purely imaginary")
     expected = (-float(alpha), -float(alpha), 1.0)

@@ -993,6 +993,25 @@ class TestLazyStartup:
                 for m in layers}
         assert self.loaded(argv) == want
 
+    @pytest.mark.parametrize("argv,layers", [
+        (("einstein", "--algebra", "{algebra}", "--classify"),
+         {"numpy", "liealg", "tensors", "scalars", "family", "fractions"}),
+        (("piaq", "--model", "{model}", "--predicate", "integrable"),
+         {"numpy", "liealg", "tensors", "scalars", "piaq"}),
+    ])
+    def test_file_subcommand_loads_only_its_layers(self, tmp_path, argv,
+                                                   layers):
+        """A model file is judged by liealg and piaq alone: an algebra file
+        loads no piaq or gxg, a model file no gxg or family."""
+        files = {"algebra": SU2_FILE, "model": doubled_file(la.su2())}
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files})
+                for a in argv]
+        want = {m if m in ("numpy", "fractions") else f"aqlab.{m}"
+                for m in layers}
+        assert self.loaded(argv) == want
+
     def test_spin_commands_and_their_verify_never_load_numpy(self, capsys,
                                                               tmp_path):
         argv = ("spinbasis", "--alpha", "1", "--j1", "1,0,0", "--j2", "0,1,0",

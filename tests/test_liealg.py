@@ -26,6 +26,73 @@ def doubled_by_block(dm):
             "c2": np.kron(diag, dm.obase.c)}
 
 
+def bracket_loop(dim, records) -> np.ndarray:
+    """Every record put in list form first, a dict by its four keys, then
+    added one by one; the reference for the one-pass reader
+    ``bracket_tensor``."""
+    entries = [[rec.get(k) for k in ("i", "j", "k", "value")]
+               if isinstance(rec, dict) else list(rec) for rec in records]
+    c = np.zeros((int(dim),) * 3)
+    for i, j, k, v in entries:
+        i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
+        c[i, j, k] += v
+        c[j, i, k] -= v
+    return c
+
+
+def as_dict(rec) -> dict:
+    return dict(zip(("i", "j", "k", "value"), rec))
+
+
+def dense_so8_records() -> list:
+    """so(8) in a random orthonormal basis, every record (i < j, all k)
+    written out: 378 * 28 = 10,584, nearly all of them nonzero."""
+    q = np.linalg.qr(np.random.default_rng(8).normal(size=(28, 28)))[0]
+    c = conjugate_structure(so_algebra(8).c, q)
+    return [[i + 1, j + 1, k + 1, float(c[i, j, k])] for i in range(28)
+            for j in range(i + 1, 28) for k in range(28)]
+
+
+SU2_RECORDS = [(1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0)]
+#: a repeated record and its (j, i, k) reverse, whose sum depends on the order
+ORDERED_RECORDS = [(1, 2, 3, 0.1), (1, 2, 3, 0.2), (2, 1, 3, 0.3),
+                   (1, 2, 3, 1e-17), (2, 3, 1, 0.7), (3, 2, 1, 0.1)]
+
+
+class TestRecordReader:
+    @pytest.mark.parametrize("records", [
+        [list(r) for r in SU2_RECORDS],
+        [as_dict(r) for r in SU2_RECORDS],
+        SU2_RECORDS,
+        [as_dict(SU2_RECORDS[0]), list(SU2_RECORDS[1]), SU2_RECORDS[2]],
+        ORDERED_RECORDS,
+        [as_dict(r) if n % 2 else list(r) for n, r in enumerate(ORDERED_RECORDS)],
+        [(float(i), float(j), float(k), v) for i, j, k, v in ORDERED_RECORDS],
+        [{"value": v, "k": k, "j": j * 1.0, "i": i} for i, j, k, v in SU2_RECORDS],
+    ], ids=["lists", "dicts", "tuples", "mixed", "ordered", "ordered-mixed",
+            "float-indices", "dict-key-order"])
+    def test_equals_the_loop_to_the_bit(self, records):
+        got = la.bracket_tensor(3, records)
+        assert got.tobytes() == bracket_loop(3, records).tobytes()
+
+    def test_dense_so8_equals_the_loop_to_the_bit(self):
+        records = dense_so8_records()
+        assert len(records) == 10_584
+        for form in (records, [as_dict(r) for r in records]):
+            got = la.bracket_tensor(28, form)
+            assert got.tobytes() == bracket_loop(28, form).tobytes()
+        assert la.is_semisimple(la.from_brackets(28, records))
+
+    @pytest.mark.parametrize("rec", [
+        [1, 2, 3], [1, 2, 3, 1.0, 5], {"i": 1, "j": 2, "k": 3},
+        {"i": 1, "j": 2, "k": 3, "value": None}, [1, None, 3, 1.0], "1231",
+        7, None, {1, 2, 3, 4}])
+    def test_a_record_of_the_wrong_form_is_named(self, rec):
+        with pytest.raises(InvalidModel) as err:
+            la.bracket_tensor(3, [SU2_RECORDS[0], rec])
+        assert str(err.value) == f"bracket record {rec!r} is not [i, j, k, value]"
+
+
 class TestModelValidation:
     def test_from_brackets_antisymmetrizes(self):
         m = la.from_brackets(3, [(1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0)])

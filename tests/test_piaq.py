@@ -95,6 +95,35 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             pq.PiAQModel(4, c, I, J, 1)
 
+    @pytest.mark.parametrize("entry", ["1", True, 1j, 10**400, None, [1.0]],
+                             ids=["str", "bool", "complex", "int-400-digits",
+                                  "None", "list"])
+    @pytest.mark.parametrize("name", ["I", "J"])
+    def test_rejects_an_operator_entry_that_is_no_number(self, name, entry):
+        """An entry is taken as given, not converted: a string or a bool is
+        no number, nor is a complex or an int past the float range."""
+        ops = {key: F.tolist() for key, F in zip("IJ", standard_pair(4, 1))}
+        ops[name][0][0] = entry
+        with pytest.raises(InvalidModel,
+                           match=f"^{name} must be rows of finite numbers$"):
+            pq.PiAQModel(4, np.zeros((4, 4, 4)), ops["I"], ops["J"], 1)
+
+    @pytest.mark.parametrize("I", [
+        np.eye(4, dtype=bool), np.eye(4, dtype=complex),
+        np.array([["1", 0, 0, 0]] * 4, dtype=object), [[1, 0], [0]]],
+        ids=["bool-array", "complex-array", "object-array", "ragged"])
+    def test_rejects_an_operator_of_no_real_numbers(self, I):
+        with pytest.raises(InvalidModel, match="^I must be rows of finite"):
+            pq.PiAQModel(4, np.zeros((4, 4, 4)), I, standard_pair(4, 1)[1], 1)
+
+    def test_takes_real_operators_of_any_form_as_floats(self):
+        I, J = standard_pair(4, 1)
+        for given in (I.astype(int), I.astype(np.float32), I.tolist(),
+                      [list(map(np.float64, row)) for row in I],
+                      np.array(I.tolist(), dtype=object)):
+            M = pq.PiAQModel(4, np.zeros((4, 4, 4)), given, J, 1)
+            assert M.I.dtype == float and np.array_equal(M.I, I)
+
     def test_rejects_nan(self):
         I, J = standard_pair(4, -1)
         with pytest.raises(InvalidModel, match="twistor-pair"):

@@ -290,6 +290,19 @@ class TestSpinBasis:
         with pytest.raises(SignatureMismatch):
             sp.check_iq_basis(sp.IQBasis(qt.i_(-1), qt.j_(1), qt.k_(-1)))
 
+    @pytest.mark.parametrize("alphas", [(-1, 1, -1), (1, 1, -1), (1, -1, -1)])
+    def test_mixed_signatures_use_the_package_message(self, alphas):
+        """The basis check is the package's one signature comparison, with
+        its message: the first member's alpha against the first other."""
+        first, other = alphas[0], next(a for a in alphas if a != alphas[0])
+        basis = sp.IQBasis(*(f(a) for f, a in zip((qt.i_, qt.j_, qt.k_),
+                                                  alphas)))
+        for check in (sp.check_iq_basis, sp.spinbasis):
+            with pytest.raises(SignatureMismatch) as err:
+                check(basis)
+            assert str(err.value) == (f"cannot combine alpha={first} "
+                                      f"with alpha={other}")
+
     def test_non_imaginary_member_rejected(self):
         real_part = qt.from_coeffs([1.0, 1.0, 0.0, 0.0], -1)
         with pytest.raises(OrthonormalityViolated, match="purely imaginary"):

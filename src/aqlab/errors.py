@@ -52,6 +52,11 @@ class InvalidSignature(InvalidModel, ValueError):
     """A signature alpha that is not the real number -1 or +1."""
 
 
+class InvalidInput(AqlabError, ValueError):
+    """A vector or matrix argument that :func:`aqlab.tensors.real_array`
+    refuses, or an unknown operator name; the message names the argument."""
+
+
 class NotTwistor(AqlabError):
     """Endomorphism does not square to a scalar +/-1 multiple of the identity."""
 

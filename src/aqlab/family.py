@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import Degenerate, Overflow
+from .scalars import is_number
 
 DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
 EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to |nabla| |calJ|^k
@@ -43,11 +44,12 @@ def _d0(lam, mu):
 
 def check_point(lam, mu) -> tuple:
     """(lam, mu, d0) as floats for a point of the family: Degenerate when
-    lam or mu is not finite or the point lies on the degeneracy circle,
-    Overflow when lam^2 + mu^2 leaves the float range."""
+    lam or mu fails :func:`aqlab.scalars.is_number` or the point lies on the
+    degeneracy circle, Overflow when lam^2 + mu^2 leaves the float range."""
+    if not (is_number(lam) and is_number(mu)):
+        raise Degenerate(f"lam and mu must be finite real numbers, got "
+                         f"{lam!r}, {mu!r}")
     flam, fmu = float(lam), float(mu)
-    if not (math.isfinite(flam) and math.isfinite(fmu)):
-        raise Degenerate(f"lam and mu must be finite, got {lam!r}, {mu!r}")
     try:  # ** raises OverflowError; the subtractions give -inf instead
         d0 = _d0(flam, fmu)
     except OverflowError:

@@ -34,15 +34,15 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import Degenerate, InvalidResolution
+from .errors import Degenerate, InvalidInput, InvalidResolution
 # the closed forms, re-exported: callers may import any of them from here
 from .family import (DEGENERACY_TOL, EINSTEIN_CANDIDATES, EINSTEIN_TOL,
                      _cd_cofactors, _d0, check_point, einstein_constant,
                      ricci_coefficients)
 from .liealg import DoubledModel
-from .scalars import _within
+from .scalars import _within, is_number
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      post, ricci, transport)
+                      post, real_array, real_vectors, ricci, transport)
 
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
@@ -160,10 +160,10 @@ class MetricFamily:
         return 0.5 * post(self.sheaf_inverse, rhs)
 
     def levi_civita(self, X, Y) -> np.ndarray:
-        return apply(self.nabla, X, Y)
+        return apply(self.nabla, *real_vectors(self.model.dim2, X=X, Y=Y))
 
     def levi_civita_koszul(self, X, Y) -> np.ndarray:
-        return apply(self.nabla_koszul, X, Y)
+        return apply(self.nabla_koszul, *real_vectors(self.model.dim2, X=X, Y=Y))
 
     # -- curvature ------------------------------------------------------------
 
@@ -175,6 +175,7 @@ class MetricFamily:
 
     def curvature(self, X, Y, Z) -> np.ndarray:
         """Compositional R(X, Y)Z from the connection tensor."""
+        X, Y, Z = real_vectors(self.model.dim2, X=X, Y=Y, Z=Z)
         return curvature_at(self.model.c2, self.nabla, X, Y, Z)
 
     def curvature_closed(self, X, Y, Z) -> np.ndarray:
@@ -187,7 +188,7 @@ class MetricFamily:
         """
         m = self.model
         d = m.dim2
-        xyz = np.array([X, Y, Z], float)
+        xyz = real_vectors(d, X=X, Y=Y, Z=Z)
         vecs = np.concatenate([xyz, xyz @ m.J.T, xyz @ m.K.T])
         c = m.c2.reshape(d, d * d)
         k, i, j, u, v, w = _CURVATURE_ROWS
@@ -199,11 +200,11 @@ class MetricFamily:
 
     def ricci_closed(self, X) -> np.ndarray:
         """Ricci operator through the four-coefficient closed form."""
-        return self.ricci_matrix(closed=True) @ np.asarray(X, float)
+        return self.ricci_matrix(closed=True) @ real_array(X, (self.model.dim2,), "X")
 
     def ricci_contracted(self, X) -> np.ndarray:
         """Ricci operator as the metric trace of the compositional curvature."""
-        return self.ricci_matrix(closed=False) @ np.asarray(X, float)
+        return self.ricci_matrix(closed=False) @ real_array(X, (self.model.dim2,), "X")
 
     def ricci_matrix(self, closed: bool = True) -> np.ndarray:
         """Matrix of the Ricci operator.
@@ -235,16 +236,18 @@ class MetricFamily:
 
     def nabla_endo(self, T: np.ndarray, X, Y) -> np.ndarray:
         """Definitional oracle nabla_X(T) Y = nabla_X(TY) - T nabla_X Y."""
-        T = np.asarray(T, float)
+        T = real_array(T, (self.model.dim2,) * 2, "T")
+        X, Y = real_vectors(len(T), X=X, Y=Y)
         return self.levi_civita(X, T @ Y) - T @ self.levi_civita(X, Y)
 
     def nabla_endo_closed(self, which: str, X, Y) -> np.ndarray:
         """Closed-form displays of nabla(I), nabla(J), nabla(K), nabla(calJ)."""
         m = self.model
         B = m.bracket2
+        X, Y = real_vectors(m.dim2, X=X, Y=Y)
         lam, mu, d0 = self.lam, self.mu, self.d0
         cp, cq = 2 * self._p, 2 * self._q
-        which = which.upper() if which != "calJ" else "calJ"
+        which = str(which).upper() if which != "calJ" else "calJ"
         if which == "I":
             return -cp * B(X, m.K @ Y) + cq * B(X, m.J @ Y)
         if which == "J":
@@ -273,7 +276,7 @@ class MetricFamily:
                         - lam ** 2) * B(X, m.K @ Y)
                      + (lam ** 2 * mu - mu ** 2 - mu) * B(m.K @ X, Y))
             return brace / (2.0 * d0 * math.sqrt(d0))
-        raise ValueError(f"unknown operator name {which!r}")
+        raise InvalidInput(f"unknown operator name {which!r}")
 
     # -- Hermitian class checks ------------------------------------------------
 
@@ -339,12 +342,15 @@ def einstein_residuals(lam, mu):
     """Vectorized Einstein defect: (off-diagonal size, diagonal anisotropy).
 
     The Ricci operator in block form is -(1/d0) [[A, C], [D, B]] applied
-    blockwise, so the metric is Einstein iff C = D = 0 and A = B.
+    blockwise, so the metric is Einstein iff C = D = 0 and A = B.  lam and
+    mu are vectors of one length off the degeneracy circle, else Degenerate.
     """
-    lam = np.asarray(lam, float)
-    mu = np.asarray(mu, float)
-    A, B, C, D = ricci_coefficients(lam, mu)
+    lam = real_array(lam, (None,), "lam", Degenerate)
+    mu = real_array(mu, lam.shape, "mu", Degenerate)
     r = np.abs(_d0(lam, mu))
+    if not (r > DEGENERACY_TOL).all():
+        raise Degenerate("a point (lam, mu) lies on the degeneracy circle")
+    A, B, C, D = ricci_coefficients(lam, mu)
     return (np.abs(C) + np.abs(D)) / r, np.abs(A - B) / r
 
 
@@ -367,9 +373,9 @@ def classify_einstein(model: DoubledModel):
 
 
 def check_sweep_resolution(res: float) -> None:
-    """Raise InvalidResolution unless ``res`` is finite and at least
-    ``MIN_SWEEP_RES``."""
-    if not (math.isfinite(res) and res >= MIN_SWEEP_RES):
+    """Raise InvalidResolution unless ``res`` is a number by
+    :func:`aqlab.scalars.is_number` of at least ``MIN_SWEEP_RES``."""
+    if not (is_number(res) and res >= MIN_SWEEP_RES):
         raise InvalidResolution(
             f"sweep resolution must be finite and >= {MIN_SWEEP_RES:g}, "
             f"got {res!r}")

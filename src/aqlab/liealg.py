@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidModel, NotSemisimple
-from .scalars import _within
-from .tensors import (apply, is_integral, is_lie, is_number, jacobi_defect,
-                      post, structure_tensor, transport)
+from .scalars import _within, is_integral, is_number
+from .tensors import (apply, is_lie, jacobi_defect, post, real_array,
+                      structure_tensor, transport)
 
 SEMISIMPLE_TOL = 1e-9  #: degenerate form: least |eigenvalue| <= this * |c|^2
 MAX_DIM = 32  #: largest bracket_tensor dim, checked before anything is allocated
@@ -159,6 +159,7 @@ def lemma2_check(A: LieAlgebraModel, X) -> np.ndarray:
 
     Equals -X on every semisimple algebra, independently of the basis.
     """
+    X = real_array(X, (A.dim,), "X")
     K = killing_form(A)
     require_semisimple(A, np.linalg.eigvalsh(K))
     xe = apply(A.c, X)  # xe[i] = [X, e_i]

@@ -35,25 +35,15 @@ from .errors import (
     NotTwistor,
     WrongSignature,
 )
-from .scalars import _check_alpha, _within
+from .scalars import _check_alpha, _within, is_number
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, is_lie, is_number,
-                      jacobi_defect, post, structure_tensor, transport,
-                      twistor_sign)
+                      curvature_slab, curvature_slabs, is_lie, jacobi_defect,
+                      post, real_array, real_vectors, structure_tensor,
+                      transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
 TIE_TOL = 1e-12  #: defects within this fraction of the largest tie for the witness
-
-
-def _operator(F, name: str) -> np.ndarray:
-    """The operator F as a float array, or InvalidModel naming it."""
-    if isinstance(F, np.ndarray) and F.dtype.kind in "iuf":  # real by dtype
-        return F.astype(float, copy=False)
-    F = np.asarray(F, dtype=object)  # a ragged F holds lists, no numbers
-    if not all(map(is_number, F.flat)):
-        raise InvalidModel(f"{name} must be rows of finite numbers")
-    return F.astype(float)
 
 
 class PiAQModel:
@@ -65,8 +55,8 @@ class PiAQModel:
            i, j; the Jacobi identity is not required, but curvature-based
            predicates warn when it fails).
         I, J: m x m matrices with I^2 = J^2 = alpha id and IJ + JI = 0,
-           each entry a number by :func:`aqlab.tensors.is_number` (a string,
-           a bool, a complex or a 400-digit int is not).
+           read by :func:`aqlab.tensors.real_array` (a string, a bool, a
+           complex, NaN or a 400-digit int is no entry).
         alpha: signature -1 or +1 (:func:`aqlab.scalars._check_alpha`).
     """
 
@@ -74,9 +64,8 @@ class PiAQModel:
         self.alpha = _check_alpha(alpha)
         self.dim, self.c, self._c_top = structure_tensor(dim, c)  # |c|
         self.name = name
-        self.I, self.J = _operator(I, "I"), _operator(J, "J")
-        if not self.I.shape == self.J.shape == (self.dim, self.dim):
-            raise InvalidModel("shape mismatch between dim, I, J")
+        self.I = real_array(I, (self.dim,) * 2, "I", InvalidModel)
+        self.J = real_array(J, (self.dim,) * 2, "J", InvalidModel)
         if twistor_sign(self.I, self.J) != self.alpha:
             raise InvalidModel("I, J fail the twistor-pair relations")
         self.K = self.I @ self.J
@@ -153,16 +142,17 @@ class PiAQModel:
 
 def canonical_connection(M: PiAQModel, X, Y) -> np.ndarray:
     """nabla_X Y by the eight-term expansion."""
-    return apply(M.nabla, X, Y)
+    return apply(M.nabla, *real_vectors(M.dim, X=X, Y=Y))
 
 
 def canonical_connection_split(M: PiAQModel, X, Y) -> np.ndarray:
     """nabla_X Y through the eigenspace projectors of I (``M.nabla_split``)."""
-    return apply(M.nabla_split, X, Y)
+    return apply(M.nabla_split, *real_vectors(M.dim, X=X, Y=Y))
 
 
 def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
     """R(X, Y)Z of the canonical connection; warns on non-Lie brackets."""
+    X, Y, Z = real_vectors(M.dim, X=X, Y=Y, Z=Z)
     if not M.is_lie:
         warnings.warn(
             f"bracket fails the Jacobi identity by {jacobi_defect(M.c):.3e}; "
@@ -175,14 +165,14 @@ def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
 
 def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
     """Nijenhuis tensor s[X,Y] + [FX,FY] - F[FX,Y] - F[X,FY], s = scalar of F^2."""
-    F = np.asarray(F, dtype=float)
+    d = M.dim
+    F = real_array(F, (d, d), "F", NotTwistor)
     s = twistor_sign(F)
     if s is None:
         raise NotTwistor("operator does not square to a +/- identity multiple")
-    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    X, Y = real_vectors(d, X=X, Y=Y)
     FX, FY = F @ X, F @ Y
     # the brackets [X, Y], [FX, FY], [FX, Y], [X, FY] in one stacked product
-    d = M.dim
     t = (np.array([X, FX, FX, X]) @ M.c.reshape(d, d * d)).reshape(4, d, d)
     b = (np.array([Y, FY, Y, FY])[:, None] @ t)[:, 0]
     Fb = b[2:] @ F.T
@@ -251,12 +241,15 @@ _EIGEN_NAMES = {"1": 1.0, "+1": 1.0, "-1": -1.0,
 
 
 def _parse_eigenvalue(lam) -> complex:
+    """lam as a complex: a literal, a number (is_number) or a complex."""
     if isinstance(lam, str):
         key = lam.strip().lower()
         if key not in _EIGEN_NAMES:
             raise NotEigenvalue(f"unrecognized eigenvalue literal {lam!r}")
         return complex(_EIGEN_NAMES[key])
-    return complex(lam)
+    if is_number(lam) or isinstance(lam, complex):
+        return complex(lam)
+    raise NotEigenvalue(f"eigenvalue must be a number, got {lam!r}")
 
 
 def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
@@ -271,13 +264,13 @@ def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
     """
     if F_name is None or lam is None:
         raise NotEigenvalue("involutivity needs --operator and --eigenvalue")
-    F_name = F_name.upper()
-    if F_name not in ("I", "J", "K"):
+    if not (isinstance(F_name, str) and F_name.upper() in ("I", "J", "K")):
         raise NotEigenvalue("operator must be one of I, J, K")
+    F_name = F_name.upper()
     F = {"I": M.I, "J": M.J, "K": M.K}[F_name]
     lamc = _parse_eigenvalue(lam)
     fsq = -1.0 if F_name == "K" else float(M.alpha)
-    if abs(lamc * lamc - fsq) > VALUE_TOL:
+    if not abs(lamc * lamc - fsq) <= VALUE_TOL:  # NaN fails too
         raise NotEigenvalue(
             f"{lam!r} is not an eigenvalue of {F_name} (square must be {fsq:g})"
         )
@@ -304,6 +297,9 @@ def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
     """
     if mu is None:
         raise InvalidMu("isoclinic_geodesic needs the slope (--mu)")
+    if not is_number(mu):
+        raise InvalidMu(f"slope must be a finite real number, got {mu!r}")
+    mu = float(mu)
     if abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
         raise InvalidMu("slope must differ from +1 and -1")
     if not predicate_report(M, "semiholonomic")["verdict"]:
@@ -342,7 +338,8 @@ def predicate_report(M: PiAQModel, name: str, lam=None, f_name=None, mu=None) ->
     """Decide the predicate ``name`` of :data:`PREDICATES` on M, the one
     public way to ask a verdict: ``involutive`` takes the operator ``f_name``
     (I, J or K) and its eigenvalue ``lam``, ``isoclinic_geodesic`` the slope
-    ``mu``; a keyword the predicate does not read is an AqlabError.
+    ``mu`` (:func:`aqlab.scalars.is_number`, else InvalidMu); a keyword the
+    predicate does not read is an AqlabError.
 
     Returns a dict with ``verdict``, ``residual`` (sup norm of the defect
     tensor) and, when the verdict is false, ``witness`` holding 0-based

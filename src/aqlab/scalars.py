@@ -8,13 +8,15 @@ elements instead of silently dividing.
 Every operation is a pure function.  Values are immutable slotted records
 on :class:`Record`, the base of the values of :mod:`aqlab.quat` and
 :mod:`aqlab.spinor` too.  This bottom layer also holds the package's one
-homogeneous bound rule, :func:`_within`, its one isotropy test and its one
-signature check, :func:`_check_alpha`, which every model calls too.
+homogeneous bound rule, :func:`_within`, its one isotropy test, its one
+signature check, :func:`_check_alpha`, and its one number rule,
+:func:`is_number`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import (InvalidSignature, IsotropicScalar, Overflow,
                      SignatureMismatch)
@@ -45,6 +47,25 @@ def _isotropic(n: float, *floats) -> bool:
     if all(map(math.isfinite, floats)):
         raise Overflow(f"squared norm {n} of a finite value")
     return False
+
+
+def is_number(x) -> bool:
+    """x is a finite real number within float range (an int of 400 digits is
+    not): an exact int or float by its type, else a ``numbers.Real`` that is
+    not a bool (a numpy number, a Fraction; no complex, string or array)."""
+    if type(x) is float or type(x) is int:
+        return abs(x) <= sys.float_info.max  # NaN fails too
+    import numbers  # kept off the start-up of the numpy-free commands
+    try:  # abs(x) <= max would cast max to a float32 x's type, overflowing
+        return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+                and math.isfinite(x))
+    except OverflowError:  # an int subclass or a Fraction past float range
+        return False
+
+
+def is_integral(n) -> bool:
+    """n is a number with an integer value (an integral float counts)."""
+    return is_number(n) and n == int(n)
 
 
 class Record:
@@ -78,13 +99,11 @@ class Record:
 
 def _check_alpha(alpha) -> int:
     """alpha as the int -1 or +1.  An int returns at once; any other value
-    must be a real number equal to -1 or +1 (an integral float counts, a
-    bool or a complex does not), else InvalidSignature."""
+    must be a number by :func:`is_number` equal to -1 or +1 (an integral
+    float counts, a bool or a complex does not), else InvalidSignature."""
     if type(alpha) is int and (alpha == 1 or alpha == -1):
         return alpha
-    import numbers
-    if (isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
-            and alpha in (-1, 1)):
+    if is_number(alpha) and alpha in (-1, 1):
         return int(alpha)
     raise InvalidSignature(f"alpha must be -1 or +1, got {alpha!r}")
 

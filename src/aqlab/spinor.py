@@ -305,7 +305,8 @@ def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
 def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     """Real dimension of the orbit {q(X)} of a represented algebra.
 
-    ``I`` and ``J`` must be nonempty and satisfy I^2 = J^2 = alpha id and
+    ``I``, ``J`` (n x n) and ``X`` (nonempty) are read by
+    :func:`aqlab.tensors.real_array` and satisfy I^2 = J^2 = alpha id and
     IJ + JI = 0 for a common alpha (:func:`aqlab.tensors.twistor_sign`);
     the orbit is spanned by X, IX, JX, IJX and its dimension is the rank of
     that column family.  The value is always 2 or 4, and it is 2 exactly
@@ -314,18 +315,13 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     Singular values at or below ``RANK_TOL`` times the largest count as zero.
     """
     import numpy as np
-    from .tensors import twistor_sign
-    I = np.asarray(I, dtype=float)
-    J = np.asarray(J, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n = I.shape[0]
-    if n < 1 or I.shape != (n, n) or J.shape != (n, n) or X.shape != (n,):
-        raise NotAQStructure("I, J must be nonempty square matrices and X a "
-                             "matching vector")
+    from .tensors import real_array, twistor_sign
+    X = real_array(X, (None,), "X", NotAQStructure)
+    n = len(X)
+    I = real_array(I, (n, n), "I", NotAQStructure)
+    J = real_array(J, (n, n), "J", NotAQStructure)
     if twistor_sign(I, J) is None:
         raise NotAQStructure("operators fail the anticommuting twistor relations")
-    if not np.isfinite(X).all():
-        raise NotAQStructure("X must be a finite vector")
     if not X.any():
         raise ZeroVector("orbit of the zero vector is not defined")
     cols = np.array([X, I @ X, J @ X, I @ (J @ X)]).T

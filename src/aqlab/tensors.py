@@ -17,18 +17,16 @@ a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 with alpha read from the operators (:func:`twistor_sign`).  Each fails on
 NaN; the bracket bounds go through the package's one homogeneous rule,
 :func:`aqlab.scalars._within`.  Every model takes its dimension and
-structure tensor through :func:`structure_tensor`.
+structure tensor through :func:`structure_tensor`, and every caller's array
+through the one array rule, :func:`real_array`.
 """
 
 from __future__ import annotations
 
-import numbers
-import sys
-
 import numpy as np
 
-from .errors import InvalidModel
-from .scalars import _within
+from .errors import InvalidInput, InvalidModel
+from .scalars import _within, is_integral, is_number
 
 SLAB_FLOATS = 32768  #: floats per rank-4 slab (256 KiB), but at least one first index
 JACOBI_TOL = 1e-10  #: antisymmetry rel. to |c|, Jacobiator to |c|^2
@@ -80,17 +78,41 @@ def jacobi_defect(c: np.ndarray) -> float:
     return float(top)
 
 
-def is_number(x) -> bool:
-    """x is a finite real number within float range (an int of 400 digits
-    is not), and not a bool (nor a string)."""
-    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
-            and abs(x) <= sys.float_info.max)  # NaN fails too
+def real_array(x, shape: tuple, name: str, error=InvalidInput) -> np.ndarray:
+    """x as a C-contiguous float64 array of ``shape`` (None: any length but
+    0) with finite entries, else ``error`` naming x ``name``.  A real-dtype
+    ndarray is read by its dtype, anything else (a list, an object array)
+    entry by entry through :func:`aqlab.scalars.is_number`."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        a, ok = x, np.isfinite(x).all()
+    else:
+        try:  # a ragged x holds lists, no numbers, or does not broadcast
+            a = np.asarray(x, dtype=object)
+            ok = all(map(is_number, a.flat))
+        except ValueError:
+            ok = False
+    if not ok:
+        form = {1: "a vector", 2: "rows"}.get(len(shape), "an array")
+        raise error(f"{name} must be {form} of finite numbers")
+    if a.shape != shape and (a.ndim != len(shape) or not all(
+            n == s or (s is None and n) for s, n in zip(shape, a.shape))):
+        want = " x ".join("n" if s is None else str(s) for s in shape)
+        raise error(f"{name} shape must be {want}"
+                    f"{' (nonempty)' if None in shape else ''}, got {a.shape}")
+    return np.ascontiguousarray(a, dtype=float)
 
 
-def is_integral(n) -> bool:
-    """n is a number with an integer value: the test of every model
-    dimension and bracket index (an integral float counts)."""
-    return is_number(n) and n == int(n)
+def real_vectors(d: int, **vectors) -> np.ndarray:
+    """The named vectors of one call, each of length d, as the rows of one
+    array: real-dtype ndarrays in one finiteness check, else each read by
+    :func:`real_array`, so that InvalidInput names a refused one."""
+    vs = list(vectors.values())
+    if all(isinstance(v, np.ndarray) and v.dtype.kind in "iuf"
+           and v.shape == (d,) for v in vs):
+        a = np.array(vs, dtype=float)
+        if np.isfinite(a).all():
+            return a
+    return np.array([real_array(v, (d,), name) for name, v in vectors.items()])
 
 
 def is_antisymmetric(c: np.ndarray, top=None) -> bool:
@@ -102,15 +124,14 @@ def is_antisymmetric(c: np.ndarray, top=None) -> bool:
 
 def structure_tensor(dim, c) -> tuple:
     """(dim, c, |c|), dim an int and c a float array, of a model whose dim is
-    an integer of at least 1 (an integral float counts) and whose c has shape
-    dim^3 and is antisymmetric (:func:`is_antisymmetric`); else InvalidModel."""
+    an integer of at least 1 (an integral float counts) and whose c, read by
+    :func:`real_array`, is dim^3 and antisymmetric; else InvalidModel."""
     if not is_integral(dim):
         raise InvalidModel(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise InvalidModel(f"dim must be at least 1, got {dim!r}")
-    d, c = int(dim), np.asarray(c, dtype=float)
-    if c.shape != (d, d, d):
-        raise InvalidModel(f"structure tensor shape must be {d}^3, got {c.shape}")
+    d = int(dim)
+    c = real_array(c, (d, d, d), "structure tensor", InvalidModel)
     if not is_antisymmetric(c, top := np.abs(c).max()):
         raise InvalidModel("structure constants are not antisymmetric")
     return d, c, top

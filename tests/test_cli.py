@@ -747,9 +747,9 @@ class TestNumbers:
         (("spinbasis", "--alpha", "-1", "--j1", "nan,0,0", "--j2", "0,1,0",
           "--j3", "0,0,1"), "OrthonormalityViolated"),
         (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
-          "--mu", "nan"), "AqlabError"),
+          "--mu", "nan"), "InvalidMu"),
         (("piaq", "--doubled", "su2", "--predicate", "isoclinic_geodesic",
-          "--mu=-inf"), "AqlabError"),
+          "--mu=-inf"), "InvalidMu"),
         (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,x"), "AqlabError"),
         (("spinbasis", "--alpha", "1", "--j1", "a,0,0", "--j2", "0,1,0",
           "--j3", "0,0,-1"), "AqlabError"),
@@ -982,7 +982,7 @@ class TestLazyStartup:
         (("selfdual", "--alpha", "1", "--omega", "1,2,3,4,5,6"),
          {"fourdim", "scalars", "fractions"}),
         (("einstein", "--catalog", "su2", "--lambda", "0", "--mu", "-0.5"),
-         {"family", "fractions"}),
+         {"family", "scalars", "fractions"}),
         (("piaq", "--doubled", "su2", "--predicate", "three_web"),
          {"numpy", "liealg", "tensors", "scalars", "piaq"}),
         (("check", "--seed", "1", "--samples", "2"),
@@ -1044,7 +1044,7 @@ class TestLazyStartup:
             ("einstein", "--catalog", "su2", "--classify"),
             ("einstein", "--catalog", "sl2r", "--classify"),
             classify, ("verify", str(path)))
-        assert loaded == {"aqlab.family", "fractions"}
+        assert loaded == {"aqlab.family", "aqlab.scalars", "fractions"}
 
     def stdlib_loaded(self, *argvs) -> set:
         """Which of ``dataclasses`` and ``inspect`` the argvs load."""

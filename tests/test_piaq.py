@@ -126,9 +126,9 @@ class TestModelValidation:
 
     def test_rejects_nan(self):
         I, J = standard_pair(4, -1)
-        with pytest.raises(InvalidModel, match="twistor-pair"):
+        with pytest.raises(InvalidModel, match="^I must be rows of finite numbers$"):
             pq.PiAQModel(4, np.zeros((4, 4, 4)), np.full((4, 4), np.nan), J, -1)
-        with pytest.raises(InvalidModel, match="antisymmetric"):
+        with pytest.raises(InvalidModel, match="^structure tensor must be an array of finite numbers$"):
             pq.PiAQModel(4, np.full((4, 4, 4), np.nan), I, J, -1)
 
     def test_jacobi_flag(self, rng):

@@ -78,11 +78,9 @@ def _smat_doc(m) -> list:
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
     parts = text.replace(",", " ").split()
-    try:
+    with contextlib.suppress(ValueError):  # a part that is no number
         if len(parts) == n:
             return [float(p) for p in parts]
-    except ValueError:
-        pass
     raise AqlabError(f"{what} needs {n} comma-separated numbers")
 
 

@@ -53,8 +53,8 @@ class InvalidSignature(InvalidModel, ValueError):
 
 
 class InvalidInput(AqlabError, ValueError):
-    """A vector or matrix argument that :func:`aqlab.tensors.real_array`
-    refuses, or an unknown operator name; the message names the argument."""
+    """An array argument that :func:`aqlab.tensors.real_array` refuses, two
+    that do not broadcast, or an unknown operator name; the message names it."""
 
 
 class NotTwistor(AqlabError):

@@ -47,8 +47,7 @@ def check_point(lam, mu) -> tuple:
     lam or mu fails :func:`aqlab.scalars.is_number` or the point lies on the
     degeneracy circle, Overflow when lam^2 + mu^2 leaves the float range."""
     if not (is_number(lam) and is_number(mu)):
-        raise Degenerate(f"lam and mu must be finite real numbers, got "
-                         f"{lam!r}, {mu!r}")
+        raise Degenerate(f"lam and mu must be finite real numbers, got {lam!r}, {mu!r}")
     flam, fmu = float(lam), float(mu)
     try:  # ** raises OverflowError; the subtractions give -inf instead
         d0 = _d0(flam, fmu)

@@ -162,8 +162,6 @@ def canonical_aq_basis(g: Metric4, orientation: int = 1):
     if orientation not in (-1, 1):
         raise ValueError("orientation must be +1 or -1")
     build = selfdual_form if orientation == 1 else antiselfdual_form
-    w1 = build(g.alpha, 1.0, 0.0, 0.0)
-    w2 = build(g.alpha, 0.0, 1.0, 0.0)
-    J1 = form_to_endo(g, w1)
-    J2 = form_to_endo(g, w2)
+    J1 = form_to_endo(g, build(g.alpha, 1.0, 0.0, 0.0))
+    J2 = form_to_endo(g, build(g.alpha, 0.0, 1.0, 0.0))
     return J1, J2, J1 @ J2

@@ -42,7 +42,7 @@ from .family import (DEGENERACY_TOL, EINSTEIN_CANDIDATES, EINSTEIN_TOL,
 from .liealg import DoubledModel
 from .scalars import _within, is_number
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      post, real_array, real_vectors, ricci, transport)
+                      post, real_array, ricci, transport)
 
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
@@ -110,9 +110,8 @@ class MetricFamily:
     def sheaf_inverse_blocks(self) -> np.ndarray:
         """Closed block form of the inverse Gram matrix."""
         e = np.diag(self.model.eps)
-        blocks = np.block([[(1 - self.lam) * e, -self.mu * e],
-                           [-self.mu * e, (1 + self.lam) * e]])
-        return blocks / self.d0
+        return np.block([[(1 - self.lam) * e, -self.mu * e],
+                         [-self.mu * e, (1 + self.lam) * e]]) / self.d0
 
     # -- compatible almost Hermitian operators -------------------------------
 
@@ -160,10 +159,13 @@ class MetricFamily:
         return 0.5 * post(self.sheaf_inverse, rhs)
 
     def levi_civita(self, X, Y) -> np.ndarray:
-        return apply(self.nabla, *real_vectors(self.model.dim2, X=X, Y=Y))
+        d = self.model.dim2
+        return apply(self.nabla, real_array(X, (d,), "X"), real_array(Y, (d,), "Y"))
 
     def levi_civita_koszul(self, X, Y) -> np.ndarray:
-        return apply(self.nabla_koszul, *real_vectors(self.model.dim2, X=X, Y=Y))
+        d = self.model.dim2
+        return apply(self.nabla_koszul, real_array(X, (d,), "X"),
+                     real_array(Y, (d,), "Y"))
 
     # -- curvature ------------------------------------------------------------
 
@@ -175,7 +177,8 @@ class MetricFamily:
 
     def curvature(self, X, Y, Z) -> np.ndarray:
         """Compositional R(X, Y)Z from the connection tensor."""
-        X, Y, Z = real_vectors(self.model.dim2, X=X, Y=Y, Z=Z)
+        d = self.model.dim2
+        X, Y, Z = (real_array(v, (d,), k) for k, v in zip("XYZ", (X, Y, Z)))
         return curvature_at(self.model.c2, self.nabla, X, Y, Z)
 
     def curvature_closed(self, X, Y, Z) -> np.ndarray:
@@ -188,7 +191,7 @@ class MetricFamily:
         """
         m = self.model
         d = m.dim2
-        xyz = real_vectors(d, X=X, Y=Y, Z=Z)
+        xyz = np.array([real_array(v, (d,), k) for k, v in zip("XYZ", (X, Y, Z))])
         vecs = np.concatenate([xyz, xyz @ m.J.T, xyz @ m.K.T])
         c = m.c2.reshape(d, d * d)
         k, i, j, u, v, w = _CURVATURE_ROWS
@@ -228,26 +231,26 @@ class MetricFamily:
         r = self.ricci_matrix()
         dim = self.model.dim2
         eps = float(np.trace(r)) / dim
-        if np.abs(r - eps * np.eye(dim)).max() <= EINSTEIN_TOL * max(1.0, abs(eps)):
-            return eps
-        return None
+        ok = np.abs(r - eps * np.eye(dim)).max() <= EINSTEIN_TOL * max(1.0, abs(eps))
+        return eps if ok else None
 
     # -- covariant derivatives of the structure operators ---------------------
 
     def nabla_endo(self, T: np.ndarray, X, Y) -> np.ndarray:
         """Definitional oracle nabla_X(T) Y = nabla_X(TY) - T nabla_X Y."""
-        T = real_array(T, (self.model.dim2,) * 2, "T")
-        X, Y = real_vectors(len(T), X=X, Y=Y)
-        return self.levi_civita(X, T @ Y) - T @ self.levi_civita(X, Y)
+        d = self.model.dim2
+        T = real_array(T, (d, d), "T")
+        X, Y = real_array(X, (d,), "X"), real_array(Y, (d,), "Y")
+        return apply(self.nabla, X, T @ Y) - T @ apply(self.nabla, X, Y)
 
     def nabla_endo_closed(self, which: str, X, Y) -> np.ndarray:
         """Closed-form displays of nabla(I), nabla(J), nabla(K), nabla(calJ)."""
         m = self.model
         B = m.bracket2
-        X, Y = real_vectors(m.dim2, X=X, Y=Y)
+        X, Y = real_array(X, (m.dim2,), "X"), real_array(Y, (m.dim2,), "Y")
         lam, mu, d0 = self.lam, self.mu, self.d0
         cp, cq = 2 * self._p, 2 * self._q
-        which = str(which).upper() if which != "calJ" else "calJ"
+        which = which.upper() if isinstance(which, str) and which != "calJ" else which
         if which == "I":
             return -cp * B(X, m.K @ Y) + cq * B(X, m.J @ Y)
         if which == "J":
@@ -343,11 +346,15 @@ def einstein_residuals(lam, mu):
 
     The Ricci operator in block form is -(1/d0) [[A, C], [D, B]] applied
     blockwise, so the metric is Einstein iff C = D = 0 and A = B.  lam and
-    mu are vectors of one length off the degeneracy circle, else Degenerate.
+    mu are numbers or arrays whose shapes broadcast (else InvalidInput), at
+    points off the degeneracy circle (else Degenerate).
     """
-    lam = real_array(lam, (None,), "lam", Degenerate)
-    mu = real_array(mu, lam.shape, "mu", Degenerate)
-    r = np.abs(_d0(lam, mu))
+    lam, mu = real_array(lam, None, "lam"), real_array(mu, None, "mu")
+    try:
+        r = np.abs(_d0(lam, mu))
+    except ValueError:  # numpy's refusal of shapes that do not broadcast
+        raise InvalidInput(
+            f"lam {lam.shape} and mu {mu.shape} do not broadcast") from None
     if not (r > DEGENERACY_TOL).all():
         raise Degenerate("a point (lam, mu) lies on the degeneracy circle")
     A, B, C, D = ricci_coefficients(lam, mu)
@@ -363,13 +370,8 @@ def classify_einstein(model: DoubledModel):
     mu = -2/3 forces lam^2 = 1/9.  Each solution is verified on the model
     and returned with its Ricci constant.
     """
-    out = []
-    for lam, mu in EINSTEIN_CANDIDATES:
-        fam = MetricFamily(model, lam, mu)
-        eps = fam.einstein_check()
-        if eps is not None:
-            out.append((lam, mu, eps))
-    return out
+    return [(lam, mu, eps) for lam, mu in EINSTEIN_CANDIDATES
+            if (eps := MetricFamily(model, lam, mu).einstein_check()) is not None]
 
 
 def check_sweep_resolution(res: float) -> None:

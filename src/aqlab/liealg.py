@@ -198,13 +198,10 @@ class DoubledModel:
     def __init__(self, base: LieAlgebraModel):
         self.base = base
         self.obase, self.eps, self.basis = pseudo_orthonormalize(base)
-        n = base.dim
-        self.n = n
+        self.n = n = base.dim
         self.dim2 = 2 * n
-        c2 = np.zeros((2 * n, 2 * n, 2 * n))
-        c2[:n, :n, :n] = self.obase.c
-        c2[n:, n:, n:] = self.obase.c
-        self.c2 = c2
+        self.c2 = c2 = np.zeros((2 * n, 2 * n, 2 * n))
+        c2[:n, :n, :n] = c2[n:, n:, n:] = self.obase.c
         # I = diag(1, -1), J swaps the factors, K = IJ and g0 = diag(eps, eps),
         # each written entry by entry
         e, f = np.arange(n), np.arange(n, 2 * n)
@@ -226,8 +223,7 @@ class DoubledModel:
         ads = self.c2.transpose(0, 2, 1)  # ads[a] is the matrix of ad(e_a)
         w = np.zeros((2, d))  # eps on each factor's half of the basis
         w[0, :self.n] = w[1, self.n:] = self.eps
-        C1, C2 = np.dot(w, (ads @ ads).reshape(d, d * d)).reshape(2, d, d)
-        return C1, C2
+        return tuple(np.dot(w, (ads @ ads).reshape(d, d * d)).reshape(2, d, d))
 
     @property
     def name(self) -> str:

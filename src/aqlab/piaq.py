@@ -26,20 +26,12 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import (
-    AqlabError,
-    InvalidMu,
-    InvalidModel,
-    NonLieBracket,
-    NotEigenvalue,
-    NotTwistor,
-    WrongSignature,
-)
+from .errors import (AqlabError, InvalidMu, InvalidModel, NonLieBracket,
+                     NotEigenvalue, NotTwistor, WrongSignature)
 from .scalars import _check_alpha, _within, is_number
 from .tensors import (apply, curvature as compose_curvature, curvature_at,
                       curvature_slab, curvature_slabs, is_lie, jacobi_defect,
-                      post, real_array, real_vectors, structure_tensor,
-                      transport, twistor_sign)
+                      post, real_array, structure_tensor, transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
@@ -142,24 +134,22 @@ class PiAQModel:
 
 def canonical_connection(M: PiAQModel, X, Y) -> np.ndarray:
     """nabla_X Y by the eight-term expansion."""
-    return apply(M.nabla, *real_vectors(M.dim, X=X, Y=Y))
+    return apply(M.nabla, real_array(X, (M.dim,), "X"), real_array(Y, (M.dim,), "Y"))
 
 
 def canonical_connection_split(M: PiAQModel, X, Y) -> np.ndarray:
     """nabla_X Y through the eigenspace projectors of I (``M.nabla_split``)."""
-    return apply(M.nabla_split, *real_vectors(M.dim, X=X, Y=Y))
+    d = M.dim
+    return apply(M.nabla_split, real_array(X, (d,), "X"), real_array(Y, (d,), "Y"))
 
 
 def curvature(M: PiAQModel, X, Y, Z) -> np.ndarray:
     """R(X, Y)Z of the canonical connection; warns on non-Lie brackets."""
-    X, Y, Z = real_vectors(M.dim, X=X, Y=Y, Z=Z)
+    X, Y, Z = (real_array(v, (M.dim,), k) for k, v in zip("XYZ", (X, Y, Z)))
     if not M.is_lie:
-        warnings.warn(
-            f"bracket fails the Jacobi identity by {jacobi_defect(M.c):.3e}; "
-            "curvature has no integrability meaning",
-            NonLieBracket,
-            stacklevel=2,
-        )
+        warnings.warn(f"bracket fails the Jacobi identity by {jacobi_defect(M.c):.3e}; "
+                      "curvature has no integrability meaning", NonLieBracket,
+                      stacklevel=2)
     return curvature_at(M.c, M.nabla, X, Y, Z)
 
 
@@ -170,7 +160,7 @@ def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
     s = twistor_sign(F)
     if s is None:
         raise NotTwistor("operator does not square to a +/- identity multiple")
-    X, Y = real_vectors(d, X=X, Y=Y)
+    X, Y = real_array(X, (d,), "X"), real_array(Y, (d,), "Y")
     FX, FY = F @ X, F @ Y
     # the brackets [X, Y], [FX, FY], [FX, Y], [X, FY] in one stacked product
     t = (np.array([X, FX, FX, X]) @ M.c.reshape(d, d * d)).reshape(4, d, d)
@@ -247,7 +237,7 @@ def _parse_eigenvalue(lam) -> complex:
         if key not in _EIGEN_NAMES:
             raise NotEigenvalue(f"unrecognized eigenvalue literal {lam!r}")
         return complex(_EIGEN_NAMES[key])
-    if is_number(lam) or isinstance(lam, complex):
+    if is_number(lam) or isinstance(lam, (complex, np.complexfloating)):
         return complex(lam)
     raise NotEigenvalue(f"eigenvalue must be a number, got {lam!r}")
 
@@ -295,10 +285,9 @@ def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:
     non-constant theory vanishes identically, so this identity alone decides
     the property.
     """
-    if mu is None:
-        raise InvalidMu("isoclinic_geodesic needs the slope (--mu)")
     if not is_number(mu):
-        raise InvalidMu(f"slope must be a finite real number, got {mu!r}")
+        raise InvalidMu("isoclinic_geodesic needs the slope (--mu), a finite "
+                        f"real number, got {mu!r}")
     mu = float(mu)
     if abs(mu - 1.0) <= VALUE_TOL or abs(mu + 1.0) <= VALUE_TOL:
         raise InvalidMu("slope must differ from +1 and -1")

@@ -16,7 +16,6 @@ signature check, :func:`_check_alpha`, and its one number rule,
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import (InvalidSignature, IsotropicScalar, Overflow,
                      SignatureMismatch)
@@ -53,13 +52,13 @@ def is_number(x) -> bool:
     """x is a finite real number within float range (an int of 400 digits is
     not): an exact int or float by its type, else a ``numbers.Real`` that is
     not a bool (a numpy number, a Fraction; no complex, string or array)."""
-    if type(x) is float or type(x) is int:
-        return abs(x) <= sys.float_info.max  # NaN fails too
-    import numbers  # kept off the start-up of the numpy-free commands
-    try:  # abs(x) <= max would cast max to a float32 x's type, overflowing
-        return (not isinstance(x, bool) and isinstance(x, numbers.Real)
-                and math.isfinite(x))
-    except OverflowError:  # an int subclass or a Fraction past float range
+    if type(x) is not float and type(x) is not int:
+        import numbers  # kept off the start-up of the numpy-free commands
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int or a Fraction past float range
         return False
 
 

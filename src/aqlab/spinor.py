@@ -14,13 +14,8 @@ import math
 
 from . import quat as qt
 from . import scalars as sk
-from .errors import (
-    DegenerateEigenvector,
-    IsotropicScalar,
-    NotAQStructure,
-    OrthonormalityViolated,
-    ZeroVector,
-)
+from .errors import (DegenerateEigenvector, IsotropicScalar, NotAQStructure,
+                     OrthonormalityViolated, ZeroVector)
 from .quat import (QuaternionA, SpinMatrix, _inverse, _matmul, _ring_floats,
                    _spin_entries)
 from .scalars import Record, ScalarKA, _set
@@ -316,7 +311,9 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
     """
     import numpy as np
     from .tensors import real_array, twistor_sign
-    X = real_array(X, (None,), "X", NotAQStructure)
+    X = real_array(X, None, "X", NotAQStructure)
+    if X.ndim != 1 or not len(X):
+        raise NotAQStructure(f"X must be a nonempty vector, got shape {X.shape}")
     n = len(X)
     I = real_array(I, (n, n), "I", NotAQStructure)
     J = real_array(J, (n, n), "J", NotAQStructure)

@@ -78,13 +78,14 @@ def jacobi_defect(c: np.ndarray) -> float:
     return float(top)
 
 
-def real_array(x, shape: tuple, name: str, error=InvalidInput) -> np.ndarray:
-    """x as a C-contiguous float64 array of ``shape`` (None: any length but
-    0) with finite entries, else ``error`` naming x ``name``.  A real-dtype
-    ndarray is read by its dtype, anything else (a list, an object array)
-    entry by entry through :func:`aqlab.scalars.is_number`."""
+def real_array(x, shape: tuple | None, name: str, error=InvalidInput) -> np.ndarray:
+    """x as a C-contiguous float64 array of ``shape`` (None: any shape) with
+    finite entries, else ``error`` naming x ``name``.  A real-dtype ndarray
+    is read by its dtype (a C-contiguous float64 one is returned as it is),
+    anything else entry by entry through :func:`aqlab.scalars.is_number`."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
-        a, ok = x, np.isfinite(x).all()
+        # the squares sum to a finite value only when every entry is finite
+        a, ok = x, np.vdot(x, x) < np.inf or np.isfinite(x).all()
     else:
         try:  # a ragged x holds lists, no numbers, or does not broadcast
             a = np.asarray(x, dtype=object)
@@ -92,27 +93,11 @@ def real_array(x, shape: tuple, name: str, error=InvalidInput) -> np.ndarray:
         except ValueError:
             ok = False
     if not ok:
-        form = {1: "a vector", 2: "rows"}.get(len(shape), "an array")
+        form = {1: "a vector", 2: "rows"}.get(len(shape or ()), "an array")
         raise error(f"{name} must be {form} of finite numbers")
-    if a.shape != shape and (a.ndim != len(shape) or not all(
-            n == s or (s is None and n) for s, n in zip(shape, a.shape))):
-        want = " x ".join("n" if s is None else str(s) for s in shape)
-        raise error(f"{name} shape must be {want}"
-                    f"{' (nonempty)' if None in shape else ''}, got {a.shape}")
-    return np.ascontiguousarray(a, dtype=float)
-
-
-def real_vectors(d: int, **vectors) -> np.ndarray:
-    """The named vectors of one call, each of length d, as the rows of one
-    array: real-dtype ndarrays in one finiteness check, else each read by
-    :func:`real_array`, so that InvalidInput names a refused one."""
-    vs = list(vectors.values())
-    if all(isinstance(v, np.ndarray) and v.dtype.kind in "iuf"
-           and v.shape == (d,) for v in vs):
-        a = np.array(vs, dtype=float)
-        if np.isfinite(a).all():
-            return a
-    return np.array([real_array(v, (d,), name) for name, v in vectors.items()])
+    if shape is not None and a.shape != shape:
+        raise error(f"{name} shape must be {' x '.join(map(str, shape))}, got {a.shape}")
+    return np.asarray(a, dtype=float, order="C")
 
 
 def is_antisymmetric(c: np.ndarray, top=None) -> bool:

@@ -24,6 +24,7 @@ from aqlab import spinor as sp
 from aqlab.errors import (AqlabError, Degenerate, InvalidInput, InvalidModel,
                           InvalidMu, NotAQStructure, NotEigenvalue)
 from aqlab.scalars import is_number
+from aqlab.tensors import real_array
 from conftest import standard_pair
 
 NAN, INF = float("nan"), float("inf")
@@ -87,6 +88,10 @@ PROBES = {
                               lambda: gxg.check_sweep_resolution(True)),
     "residuals on the circle": (Degenerate, lambda: gxg.einstein_residuals(
         [0.0, 1.0], [0.5, 0.0])),
+    "residuals of strings": (InvalidInput, lambda: gxg.einstein_residuals(
+        np.array(["0.1", "0.2"]), 0.3)),
+    "residuals that do not broadcast": (InvalidInput, lambda: gxg.einstein_residuals(
+        [0.1, 0.2, 0.3], [0.1, 0.2])),
     "operator name": (InvalidInput, lambda: FAM.nabla_endo_closed(5, X6, X6)),
 }
 
@@ -114,6 +119,38 @@ def test_invalid_input_names_the_refused_vector(name, X):
     args = (X6, X) if name == "Y" else (X, X6)
     with pytest.raises(InvalidInput, match=f"^{name} "):
         pq.canonical_connection(MODEL, *args)
+
+
+def test_einstein_residuals_broadcast_like_the_formulas():
+    lam, mu = np.meshgrid([0.0, 0.1, -0.3], [0.2, -0.5], indexing="ij")
+    off, aniso = gxg.einstein_residuals(lam, mu)
+    assert off.shape == aniso.shape == (3, 2)
+    assert np.array_equal(gxg.einstein_residuals(lam[:, :1], mu[0])[1], aniso)
+    point = gxg.einstein_residuals(0.1, 0.2)
+    assert np.ndim(point[0]) == 0 and point == (off[1, 0], aniso[1, 0])
+
+
+@pytest.mark.parametrize("lam", [1j, -1j, np.complex64(1j), np.complex128(-1j)])
+def test_a_numpy_complex_eigenvalue_is_a_number(lam):
+    assert strict(lambda: pq.predicate_report(
+        MODEL, "involutive", f_name="K", lam=lam))["verdict"] in (True, False)
+
+
+def test_operator_names_are_read_as_strings_only():
+    assert np.array_equal(FAM.nabla_endo_closed("i", X6, X6),
+                          FAM.nabla_endo_closed("I", X6, X6))
+    for name in (None, 1, b"I", "calj"):
+        with pytest.raises(InvalidInput, match="unknown operator name"):
+            FAM.nabla_endo_closed(name, X6, X6)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_finite_entries_whose_squares_overflow_are_read(dtype):
+    X = np.full(6, np.finfo(dtype).max, dtype)[::-1]
+    assert np.array_equal(strict(lambda: real_array(X, (6,), "X")), X)
+    X[2] = np.inf
+    with pytest.raises(InvalidInput, match="^X must be a vector of finite numbers$"):
+        real_array(X, (6,), "X")
 
 
 def test_exact_int_and_float_are_decided_by_type():

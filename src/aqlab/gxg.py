@@ -41,8 +41,8 @@ from .family import (DEGENERACY_TOL, EINSTEIN_CANDIDATES, EINSTEIN_TOL,
                      ricci_coefficients)
 from .liealg import DoubledModel
 from .scalars import _within, is_number
-from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      post, real_array, ricci, transport)
+from .tensors import (apply, apply_rows, curvature as compose_curvature,
+                      curvature_at, post, real_array, ricci, transport)
 
 # Finest sweep resolution: the scan grid has (2 / res + 1)^2 points, about
 # 4e6 here (3.1e6 of them inside the disc).
@@ -185,19 +185,17 @@ class MetricFamily:
         """Closed-form expansion of R(X, Y)Z in iterated brackets.
 
         Sums the rows k p^i q^j [u, [v, w]] of ``_CURVATURE_TERMS``, all
-        brackets [v, w] in one stacked product and all outer ones in a
-        second; an independent code path from :meth:`curvature`, which
-        composes the connection tensor.
+        brackets [v, w] by one :func:`~aqlab.tensors.apply_rows` and all
+        outer ones by a second; an independent code path from
+        :meth:`curvature`, which composes the connection tensor.
         """
         m = self.model
         d = m.dim2
         xyz = np.array([real_array(v, (d,), k) for k, v in zip("XYZ", (X, Y, Z))])
         vecs = np.concatenate([xyz, xyz @ m.J.T, xyz @ m.K.T])
-        c = m.c2.reshape(d, d * d)
         k, i, j, u, v, w = _CURVATURE_ROWS
-        vw = vecs[w, None] @ (vecs[v] @ c).reshape(-1, d, d)
-        outer = vw @ (vecs[u] @ c).reshape(-1, d, d)
-        return (k * self._p ** i * self._q ** j) @ outer[:, 0]
+        outer = apply_rows(m.c2, vecs[u], apply_rows(m.c2, vecs[v], vecs[w]))
+        return (k * self._p ** i * self._q ** j) @ outer
 
     # -- Ricci ---------------------------------------------------------------
 

@@ -47,26 +47,30 @@ class LieAlgebraModel:
                 f"Jacobi identity fails by {jacobi_defect(self.c):.3e}")
 
     def bracket(self, x, y) -> np.ndarray:
-        return apply(self.c, x, y)
+        d = self.dim
+        return apply(self.c, real_array(x, (d,), "x"), real_array(y, (d,), "y"))
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x): y -> [x, y]."""
-        return apply(self.c, x).T
+        return apply(self.c, real_array(x, (self.dim,), "x")).T
 
 
 def bracket_tensor(dim: int, entries) -> np.ndarray:
     """Structure tensor of sparse bracket records, unchecked for Jacobi.
 
-    A record, a list or tuple (i, j, k, value) or a dict with those keys,
-    puts value * e_k in [e_i, e_j]: i, j, k are 1-based integers (an integral
-    float counts; a bool or a string does not) and value a finite number,
-    nonzero only for i != j.  The antisymmetric counterpart is filled in and
-    omitted entries are zero.  ``dim`` must be an integer from 1 to
-    ``MAX_DIM``, checked before anything is allocated.
+    ``entries`` is a list or tuple of records.  A record, a list or tuple
+    (i, j, k, value) or a dict with those keys, puts value * e_k in
+    [e_i, e_j]: i, j, k are 1-based integers (an integral float counts; a
+    bool or a string does not) and value a finite number, nonzero only for
+    i != j.  The antisymmetric counterpart is filled in and omitted entries
+    are zero.  ``dim`` must be an integer from 1 to ``MAX_DIM``, checked
+    before anything is allocated.
     """
     if not (is_integral(dim) and 1 <= dim <= MAX_DIM):
         raise InvalidModel(f"dim must be an integer from 1 to {MAX_DIM}, "
                            f"got {dim!r}")
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidModel(f"bracket records must be a list, got {entries!r}")
     dim = int(dim)
     c = np.zeros((dim, dim, dim))
     for rec in entries:
@@ -135,22 +139,18 @@ def killing_form(A: LieAlgebraModel) -> np.ndarray:
     return -(c.reshape(d, d * d) @ c.transpose(2, 1, 0).reshape(d * d, d))
 
 
-def _nondegenerate(w: np.ndarray, A: LieAlgebraModel) -> bool:
-    """The semisimplicity decision on the eigenvalues w of A's trace form,
-    which is quadratic in c: the least |w| must exceed its degree-2 bound
-    (false on NaN)."""
+def is_semisimple(A: LieAlgebraModel, w=None) -> bool:
+    """The semisimplicity decision on the eigenvalues w of A's trace form
+    (computed when w is None), which is quadratic in c: the least |w| must
+    exceed its degree-2 bound (false on NaN)."""
+    w = np.linalg.eigvalsh(killing_form(A)) if w is None else w
     least = np.abs(w).min()
     return not (np.isnan(least) or _within(least, A._c_top, 2, SEMISIMPLE_TOL))
 
 
-def is_semisimple(A: LieAlgebraModel) -> bool:
-    return _nondegenerate(np.linalg.eigvalsh(killing_form(A)), A)
-
-
 def require_semisimple(A: LieAlgebraModel, w=None) -> None:
-    """Raise NotSemisimple naming A unless :func:`_nondegenerate` passes w,
-    the eigenvalues of A's trace form (:func:`is_semisimple` when w is None)."""
-    if not (is_semisimple(A) if w is None else _nondegenerate(w, A)):
+    """Raise NotSemisimple naming A unless :func:`is_semisimple` passes."""
+    if not is_semisimple(A, w):
         raise NotSemisimple(f"{A.name or 'algebra'}: trace form is degenerate")
 
 
@@ -231,7 +231,8 @@ class DoubledModel:
 
     def bracket2(self, X, Y) -> np.ndarray:
         """Componentwise bracket; mixed-factor arguments commute."""
-        return apply(self.c2, X, Y)
+        d = self.dim2
+        return apply(self.c2, real_array(X, (d,), "X"), real_array(Y, (d,), "Y"))
 
     def as_piaq(self):
         """View as a parallelizable twistor-pair model (alpha = +1)."""

@@ -8,10 +8,11 @@ S(IX, Y) = S(X, IY); its global expression is the eight-term average
     nabla_X Y = (1/4) { [X,Y] - a [IX,IY] + a J[X,JY] - J[IX,KY]
                         - a I[IX,Y] + a I[X,IY] - K[X,KY] + K[IX,JY] },
 
-with a = alpha and K = I J.  The same connection can be evaluated through
-the eigenspace projectors of I over the extension by a square root of
-alpha; both code paths are implemented and the test suite asserts they
-agree, which also certifies uniqueness.
+with a = alpha and K = I J.  The same connection is the real part of a
+four-term expression in the eigenspace projectors of I, evaluated on the
+m^3 bracket over the extension by a square root of alpha; neither route
+reads the other, and the test suite asserts they agree, which also
+certifies uniqueness.
 
 The torsion S equips the tangent space with an anticommutative product
 X * Y = S(X, Y) (the adjoint algebra); the integrability predicates below
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import (AqlabError, InvalidMu, InvalidModel, NonLieBracket,
                      NotEigenvalue, NotTwistor, WrongSignature)
 from .scalars import _check_alpha, _within, is_number
-from .tensors import (apply, curvature as compose_curvature, curvature_at,
-                      curvature_slab, curvature_slabs, is_lie, jacobi_defect,
-                      post, real_array, structure_tensor, transport, twistor_sign)
+from .tensors import (apply, apply_rows, curvature as compose_curvature,
+                      curvature_at, curvature_slab, curvature_slabs, is_lie,
+                      jacobi_defect, post, real_array, structure_tensor,
+                      transport, twistor_sign)
 
 PRED_TOL = 1e-10  #: predicate defects rel. to |c|, curvature to |c|^2
 VALUE_TOL = 1e-12  #: absolute: |lam^2 - F^2| of an eigenvalue, |mu -+ 1| of a bad slope
@@ -63,7 +65,8 @@ class PiAQModel:
         self.K = self.I @ self.J
 
     def bracket(self, x, y) -> np.ndarray:
-        return apply(self.c, x, y)
+        d = self.dim
+        return apply(self.c, real_array(x, (d,), "x"), real_array(y, (d,), "y"))
 
     @property
     def is_lie(self) -> bool:
@@ -85,33 +88,21 @@ class PiAQModel:
 
     @cached_property
     def nabla_split(self) -> np.ndarray:
-        """The same tensor through the eigenspace projectors V, H of I:
+        """The same tensor through the eigenspace projectors V, H = 1 - V
+        of I (:func:`_projector`), J^3 = alpha J:
 
             V{[HX, VY] + J^3 [VX, J VY]} + H{[VX, HY] + J^3 [HX, J HY]}
 
-        over the scalar extension R + iR, i^2 = alpha, realified as pairs
-        (u, v) = u + iv on R^2m; X, Y and the value are the real block.
-        The bracket has blocks 1 * 1 = 1, 1 * i = i * 1 = i, i * i = alpha,
-        J acts on both parts, and V = (1 + alpha iI)/2 maps (u, v) to
-        ((u + I v)/2, (v + alpha I u)/2).
+        on the m^3 bracket over R + iR, i^2 = alpha, read off as its real
+        part.  For alpha = +1, i -> -1 swaps V and H and leaves the sum as
+        it is, so i = 1 serves and every product is real.
         """
-        a, m = float(self.alpha), self.dim
-        r, i = slice(None, m), slice(m, None)
-        c = np.zeros((2 * m,) * 3)
-        c[r, r, r] = c[r, i, i] = c[i, r, i] = self.c
-        c[i, i, r] = a * self.c
-        J = np.zeros((2 * m, 2 * m))
-        J[r, r] = J[i, i] = self.J
-        V = np.eye(2 * m)
-        V[r, i] = self.I
-        V[i, r] = a * self.I
-        V *= 0.5
-        H = np.eye(2 * m) - V
-        aJ = a * J
-        cV, cH = transport(c, V), transport(c, H)
+        J, V = self.J, _projector(self, 1 if self.alpha == 1 else 1j)
+        H, aJ = np.eye(self.dim) - V, self.alpha * J
+        cV, cH = transport(self.c, V), transport(self.c, H)
         n = (post(V, transport(cH, None, V) + post(aJ, transport(cV, None, J @ V)))
              + post(H, transport(cV, None, H) + post(aJ, transport(cH, None, J @ H))))
-        return n[:m, :m, :m]
+        return n.real
 
     @cached_property
     def torsion_tensor(self) -> np.ndarray:
@@ -162,9 +153,8 @@ def nijenhuis(M: PiAQModel, F, X, Y) -> np.ndarray:
         raise NotTwistor("operator does not square to a +/- identity multiple")
     X, Y = real_array(X, (d,), "X"), real_array(Y, (d,), "Y")
     FX, FY = F @ X, F @ Y
-    # the brackets [X, Y], [FX, FY], [FX, Y], [X, FY] in one stacked product
-    t = (np.array([X, FX, FX, X]) @ M.c.reshape(d, d * d)).reshape(4, d, d)
-    b = (np.array([Y, FY, Y, FY])[:, None] @ t)[:, 0]
+    # the brackets [X, Y], [FX, FY], [FX, Y], [X, FY], row by row
+    b = apply_rows(M.c, np.array([X, FX, FX, X]), np.array([Y, FY, Y, FY]))
     Fb = b[2:] @ F.T
     return s * b[0] + b[1] - Fb[0] - Fb[1]
 
@@ -274,7 +264,7 @@ def _involutive_defect(M: PiAQModel, F_name: str, lam) -> np.ndarray:
 def _projector(M: PiAQModel, lam: complex) -> np.ndarray:
     """(1 + alpha lam I)/2, the projector onto the lam-eigenspace of I over
     the scalar extension (lam^2 = alpha, so I^3 = alpha I)."""
-    return 0.5 * (np.eye(M.dim, dtype=complex) + M.alpha * lam * M.I)
+    return 0.5 * (np.eye(M.dim) + (M.alpha * lam) * M.I)
 
 
 def _isoclinic_geodesic_defect(M: PiAQModel, mu: float) -> np.ndarray:

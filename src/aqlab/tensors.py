@@ -2,10 +2,10 @@
 
 A structure tensor t[a, b, k] holds the e_k coefficient of a bilinear
 product of e_a and e_b (a bracket, a torsion, a connection).  Every basis
-change, operator transport, composition and evaluation on vectors goes
-through the kernels below, each a chain of two-operand matrix products on
-reshaped arrays, so that BLAS does the work; no module of the package calls
-einsum or tensordot.
+change, operator transport, composition and evaluation on vectors (by
+:func:`apply`, or row by row by :func:`apply_rows`) goes through the
+kernels below, each a chain of two-operand matrix products on reshaped
+arrays, so that BLAS does the work; no module calls einsum or tensordot.
 
 The rank-4 quantities (curvature, Jacobiator) are computed in slabs over
 their first index of at most ``SLAB_FLOATS`` floats each, so their working
@@ -55,6 +55,12 @@ def apply(t: np.ndarray, *vectors) -> np.ndarray:
     return t.reshape(shape)
 
 
+def apply_rows(t: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row k is t(U[k], V[k]), by two stacked products, one per slot."""
+    tu = (U @ t.reshape(len(t), -1)).reshape(len(U), *t.shape[1:])
+    return (V[:, None] @ tu)[:, 0]
+
+
 def _slabs(d: int):
     """(a0, a1) bounds of the first-index slabs of a d^4 tensor."""
     step = max(1, SLAB_FLOATS // d ** 3)
@@ -84,8 +90,8 @@ def real_array(x, shape: tuple | None, name: str, error=InvalidInput) -> np.ndar
     is read by its dtype (a C-contiguous float64 one is returned as it is),
     anything else entry by entry through :func:`aqlab.scalars.is_number`."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
-        # the squares sum to a finite value only when every entry is finite
-        a, ok = x, np.vdot(x, x) < np.inf or np.isfinite(x).all()
+        # a reduction of its own, not a BLAS call, which threads large arrays
+        a, ok = x, np.logical_and.reduce(np.isfinite(x), axis=None)
     else:
         try:  # a ragged x holds lists, no numbers, or does not broadcast
             a = np.asarray(x, dtype=object)

@@ -22,6 +22,7 @@ from aqlab.gxg import (
     DEGENERACY_TOL,
     MIN_SWEEP_RES,
     MetricFamily,
+    _CURVATURE_ROWS,
     _d0,
     _einstein_system,
     classify_einstein,
@@ -133,6 +134,20 @@ def curvature_expanded(fam, X, Y, Z):
     r = r - p * (B(B(X, Y), JZ) - B(B(JX, JY), Z))
     r = r + q * (B(B(X, Y), KZ) - B(B(KX, JY), Z))
     return r
+
+
+def curvature_closed_stacked(fam, X, Y, Z):
+    """The two stacked bracket products ``curvature_closed`` wrote out by
+    hand before ``tensors.apply_rows``; its reference, bit for bit."""
+    m = fam.model
+    d = m.dim2
+    xyz = np.array([X, Y, Z])
+    vecs = np.concatenate([xyz, xyz @ m.J.T, xyz @ m.K.T])
+    c = m.c2.reshape(d, d * d)
+    k, i, j, u, v, w = _CURVATURE_ROWS
+    vw = vecs[w, None] @ (vecs[v] @ c).reshape(-1, d, d)
+    outer = vw @ (vecs[u] @ c).reshape(-1, d, d)
+    return (k * fam._p ** i * fam._q ** j) @ outer[:, 0]
 
 
 def sample_disc(rng, bound=0.9):
@@ -304,6 +319,15 @@ class TestCurvature:
                 a = fam.curvature(x, y, z)
                 b = fam.curvature_closed(x, y, z)
                 assert np.abs(a - b).max() < 1e-9 * (1 + np.abs(a).max())
+
+    @pytest.mark.parametrize("base", [la.su2, la.sl2r, la.so4])
+    def test_row_kernel_equals_stacked_products(self, base, rng):
+        model = la.doubled(base())
+        for _ in range(10):
+            fam = MetricFamily(model, *sample_disc(rng))
+            x, y, z = rng.normal(size=(3, model.dim2)) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(fam.curvature_closed(x, y, z),
+                                  curvature_closed_stacked(fam, x, y, z))
 
     @pytest.mark.parametrize("base", [
         la.su2, la.sl2r, la.so4, lambda: la.direct_sum(la.su2(), la.sl2r())])

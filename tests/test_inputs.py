@@ -93,6 +93,15 @@ PROBES = {
     "residuals that do not broadcast": (InvalidInput, lambda: gxg.einstein_residuals(
         [0.1, 0.2, 0.3], [0.1, 0.2])),
     "operator name": (InvalidInput, lambda: FAM.nabla_endo_closed(5, X6, X6)),
+    "NaN in a bracket": (InvalidInput, lambda: SU2.bracket([NAN, 0, 0], [0, 1, 0])),
+    "short bracket vector": (InvalidInput, lambda: SU2.bracket([1, 0], [0, 1, 0])),
+    "string in a bracket": (InvalidInput, lambda: SU2.bracket(["1", 0, 0], [0, 1, 0])),
+    "complex ad": (InvalidInput, lambda: SU2.ad([1j, 0, 0])),
+    "short bracket2 vector": (InvalidInput, lambda: DSU2.bracket2(X6[:5], X6)),
+    "inf in a piaq bracket": (InvalidInput, lambda: MODEL.bracket(
+        np.where(X6 == 1.0, INF, X6), X6)),
+    "records not iterable": (InvalidModel, lambda: la.bracket_tensor(3, None)),
+    "records an int": (InvalidModel, lambda: la.bracket_tensor(3, 5)),
 }
 
 
@@ -151,6 +160,21 @@ def test_finite_entries_whose_squares_overflow_are_read(dtype):
     X[2] = np.inf
     with pytest.raises(InvalidInput, match="^X must be a vector of finite numbers$"):
         real_array(X, (6,), "X")
+
+
+def test_finiteness_is_decided_without_blas(monkeypatch):
+    """A BLAS call threads a large array, and the threads cost more than
+    the check; ``real_array`` reads finiteness with no dot product."""
+    def refuse(*args):
+        raise AssertionError("real_array called BLAS")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    grid = np.linspace(-1.0, 1.0, 31397)
+    assert real_array(grid, None, "lam") is grid
+    grid[100] = NAN
+    with pytest.raises(InvalidInput, match="^lam must be an array of finite numbers$"):
+        real_array(grid, None, "lam")
 
 
 def test_exact_int_and_float_are_decided_by_type():
@@ -248,6 +272,10 @@ ENTRIES = {
                    st.booleans().flatmap(lambda one: st.just(1) if one
                                          else NUMBERS)]),
     "LieAlgebraModel": (lambda c: la.LieAlgebraModel(3, c), [arrays(SU2.c)]),
+    "LieAlgebraModel.bracket": (SU2.bracket, [vectors(3)] * 2),
+    "LieAlgebraModel.ad": (SU2.ad, [vectors(3)]),
+    "bracket2": (DSU2.bracket2, [vectors(6)] * 2),
+    "PiAQModel.bracket": (MODEL.bracket, [vectors(6)] * 2),
     "orbit_dimension": (sp.orbit_dimension,
                         [arrays(I4), arrays(J4), vectors(4)]),
     "lemma2_check": (lambda X: la.lemma2_check(SU2, X), [vectors(3)]),

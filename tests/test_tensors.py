@@ -173,6 +173,16 @@ def test_apply(rng, d):
                  np.einsum("a,b,abl->l", X, Y, t3))
 
 
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_apply_rows(rng, d):
+    t = rng.normal(size=(d, d, 3))  # a value slot of its own size
+    U, V = rng.normal(size=(2, 5, d))
+    rows = tensors.apply_rows(t, U, V)
+    assert rows.shape == (5, 3)
+    for k in range(5):
+        assert close(rows[k], tensors.apply(t, U[k], V[k]))
+
+
 def u2_bracket(delta: float = 0.0) -> np.ndarray:
     """su(2) + R, with [e1, e4] = delta e1 added: Jacobi fails by delta."""
     c = np.zeros((4, 4, 4))

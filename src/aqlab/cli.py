@@ -196,6 +196,7 @@ def cmd_einstein(args):
         rows = _einstein_rows(family.einstein_points())
         outputs = {"einstein_points": rows, "count": len(rows)}
     elif args.sweep is not None:
+        import numpy as np
         from .gxg import check_sweep_resolution, einstein_sweep
         # a bad resolution or --csv path fails before the sweep runs
         check_sweep_resolution(args.sweep)
@@ -204,10 +205,9 @@ def cmd_einstein(args):
                   else contextlib.nullcontext()) as fh:
                 grid = einstein_sweep(res=args.sweep)
                 if fh is not None:
-                    fh.write("lambda,mu,ricci_off_diagonal,ricci_anisotropy\n")
-                    for l, m, o, a in zip(grid["lam"], grid["mu"],
-                                          grid["off"], grid["aniso"]):
-                        fh.write(f"{l:.17g},{m:.17g},{o:.17g},{a:.17g}\n")
+                    columns = [grid[k] for k in ("lam", "mu", "off", "aniso")]
+                    np.savetxt(fh, np.column_stack(columns), "%.17g", ",", comments="",
+                               header="lambda,mu,ricci_off_diagonal,ricci_anisotropy")
         except OSError as exc:
             raise AqlabError(f"--csv {args.csv}: {exc}") from None
         if args.csv:
@@ -327,11 +327,9 @@ def cmd_check(args):
 
     worst = 0.0
     base = la.doubled(la.su2())
-    points = []
+    fams = []
     for _ in range(n):
-        lam, mu = rng.uniform(-0.7, 0.7, size=2)
-        points.append((lam, mu))
-        fam = MetricFamily(base, lam, mu)
+        fams.append(fam := MetricFamily(base, *rng.uniform(-0.7, 0.7, size=2)))
         X, Y, Z = rng.normal(size=(3, 6))
         worst = max(worst,
                     float(np.abs(fam.levi_civita(X, Y)
@@ -342,12 +340,11 @@ def cmd_check(args):
                                  - fam.ricci_contracted(X)).max()))
     results["metric_family_oracle_agreement"] = worst
 
-    # the scalar Einstein verdict against the doubled model's Ricci matrix;
-    # a verdict that differs counts as a residual of 1
+    # the scalar Einstein verdict against the doubled model's Ricci matrix on
+    # the sampled families and the candidates; a differing verdict counts as 1
     worst = 0.0
-    for lam, mu in [*points, *EINSTEIN_CANDIDATES]:
-        eps = einstein_constant(lam, mu)
-        want = MetricFamily(base, lam, mu).einstein_check()
+    for fam in [*fams, *(MetricFamily(base, *p) for p in EINSTEIN_CANDIDATES)]:
+        eps, want = einstein_constant(fam.lam, fam.mu), fam.einstein_check()
         if (eps is None) != (want is None):
             worst = 1.0
         elif eps is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import Degenerate, Overflow
-from .scalars import is_number
+from .scalars import _within, is_number
 
 DEGENERACY_TOL = 1e-12  #: absolute: metric degenerate when |1 - lam^2 - mu^2| <= this
 EINSTEIN_TOL = 1e-9  #: Ricci rel. to max(1, |eps|); Hermitian classes to |nabla| |calJ|^k
@@ -100,7 +100,7 @@ def einstein_constant(lam, mu):
     A, B, C, D = ricci_coefficients(lam, mu)
     eps = -(A + B) / (2.0 * d0)
     defect = max(abs(A - B) / 2.0, abs(C), abs(D)) / abs(d0)
-    if math.isfinite(eps) and defect <= EINSTEIN_TOL * max(1.0, abs(eps)):
+    if math.isfinite(eps) and _within(defect, max(1.0, abs(eps)), 1, EINSTEIN_TOL):
         return eps
     return None
 

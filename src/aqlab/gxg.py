@@ -227,10 +227,9 @@ class MetricFamily:
         """Return the Ricci constant when the closed Ricci matrix is eps * id;
         the model-side oracle of :func:`aqlab.family.einstein_constant`."""
         r = self.ricci_matrix()
-        dim = self.model.dim2
-        eps = float(np.trace(r)) / dim
-        ok = np.abs(r - eps * np.eye(dim)).max() <= EINSTEIN_TOL * max(1.0, abs(eps))
-        return eps if ok else None
+        eps = float(np.trace(r)) / len(r)
+        defect = np.abs(r - eps * np.eye(len(r))).max()
+        return eps if _within(defect, max(1.0, abs(eps)), 1, EINSTEIN_TOL) else None
 
     # -- covariant derivatives of the structure operators ---------------------
 
@@ -244,7 +243,7 @@ class MetricFamily:
     def nabla_endo_closed(self, which: str, X, Y) -> np.ndarray:
         """Closed-form displays of nabla(I), nabla(J), nabla(K), nabla(calJ)."""
         m = self.model
-        B = m.bracket2
+        B = partial(apply, m.c2)
         X, Y = real_array(X, (m.dim2,), "X"), real_array(Y, (m.dim2,), "Y")
         lam, mu, d0 = self.lam, self.mu, self.d0
         cp, cq = 2 * self._p, 2 * self._q
@@ -386,14 +385,14 @@ def einstein_sweep(res: float = 0.01):
 
     Returns flat arrays (lam, mu, off, aniso) over the grid points with d0 >
     ``DEGENERACY_TOL`` (:func:`aqlab.family.check_point`'s rule), plus the
-    list ``einstein_points`` of (lam, mu, ricci constant): every grid point
-    of defect at most 2 res takes ``SWEEP_STEPS`` Gauss-Newton steps on the
-    system :func:`_einstein_system`, all at once, and a result with d0 >
+    list ``einstein_points`` of (lam, mu, eps): every grid point of defect
+    at most 2 res takes ``SWEEP_STEPS`` Gauss-Newton steps on the system
+    :func:`_einstein_system`, all at once, and a result with d0 >
     ``DEGENERACY_TOL`` that :func:`aqlab.family.einstein_constant` finds
-    Einstein is kept, once per point, from its start of least coarse defect
-    (on the mu axis for (0, 0) and (0, -1/2), and the steps keep lam = 0
-    there exactly).  Base independent, hence no model argument.  ``res``
-    must pass :func:`check_sweep_resolution`.
+    Einstein is kept with the eps it returns, once per point, from its start
+    of least coarse defect (on the mu axis for (0, 0) and (0, -1/2), and the
+    steps keep lam = 0 there exactly).  Base independent, hence no model
+    argument.  ``res`` must pass :func:`check_sweep_resolution`.
     """
     check_sweep_resolution(res)
     k = int(np.floor(1.0 / res))
@@ -416,11 +415,10 @@ def einstein_sweep(res: float = 0.01):
         pm = pm - (n11 * r2 - n12 * r1) / det
     keep = _d0(pl, pm) > DEGENERACY_TOL  # (0, -1) is a root too
     pl, pm = pl[keep], pm[keep]
-    eps = -ricci_coefficients(pl, pm)[0] / _d0(pl, pm)
     points = []
-    for rl, rm, re in zip(pl.tolist(), pm.tolist(), eps.tolist()):
-        if all(math.hypot(rl - l, rm - m) >= SWEEP_POINT_SEP
-               for l, m, _ in points) and einstein_constant(rl, rm) is not None:
-            points.append((rl, rm, re))
+    for rl, rm in zip(pl.tolist(), pm.tolist()):
+        new = all(math.hypot(rl - l, rm - m) >= SWEEP_POINT_SEP for l, m, _ in points)
+        if new and (eps := einstein_constant(rl, rm)) is not None:
+            points.append((rl, rm, eps))
     out["einstein_points"] = sorted(points, key=lambda p: (-p[1], -p[0]))
     return out

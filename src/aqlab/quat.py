@@ -110,7 +110,7 @@ def qconj(q: QuaternionA) -> QuaternionA:
 
 def qnormsq(q: QuaternionA) -> float:
     """q * conj(q) = a^2 - alpha b^2 - alpha c^2 + d^2 (real)."""
-    return q.a * q.a - q.alpha * (q.b * q.b + q.c * q.c) + q.d * q.d
+    return scalar_product(q, q)
 
 
 def scalar_product(p: QuaternionA, q: QuaternionA) -> float:

@@ -361,6 +361,16 @@ class TestEinstein:
                                    [[1, 3], [-2, 3], [3, 8]],
                                    [[-1, 3], [-2, 3], [3, 8]]]
 
+    def test_sweep_prints_the_classify_constants(self, capsys):
+        """The sweep's epsilon values are --classify's, bit for bit: both
+        are ``family.einstein_constant``'s."""
+        def eps(*mode):
+            code, doc, _ = run(capsys, "einstein", "--catalog", "su2", *mode)
+            assert code == 0
+            return [r["epsilon"]["value"].hex()
+                    for r in doc["outputs"]["einstein_points"]]
+        assert eps("--sweep", "0.05") == eps("--classify")
+
     def test_missing_mode_is_error(self, capsys):
         code, doc, err = run(capsys, "einstein", "--catalog", "su2")
         assert code == 1

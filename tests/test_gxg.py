@@ -588,6 +588,15 @@ class TestClassification:
                 if want[0] == 0.0:
                     assert lam.hex() == "0x0.0p+0", (res, mu)
 
+    @pytest.mark.parametrize("res", [0.05, 0.01, 0.3])
+    def test_sweep_eps_is_the_family_constant(self, res):
+        """Every point's eps is ``einstein_constant`` at its (lam, mu), bit
+        for bit."""
+        pts = einstein_sweep(res=res)["einstein_points"]
+        assert len(pts) == 4
+        for lam, mu, eps in pts:
+            assert eps.hex() == einstein_constant(lam, mu).hex(), (res, lam, mu)
+
     def test_sweep_scans_the_disc_by_the_family_rule(self):
         """``points_scanned`` is the number of ticks (res i, res j), counted
         one by one over a square wider than the grid, with d0 >

@@ -21,11 +21,6 @@ from the scalar closed form of :mod:`aqlab.family`, which holds for every
 semisimple base, takes a catalog algebra's dimension from
 ``CATALOG_DIMS`` and builds no model.  An ``--algebra`` file is still
 loaded, checked for the Jacobi identity and semisimplicity with numpy.
-
-:func:`main` parses with one parser per process, writes and flushes the
-document and returns the exit status; the console script and ``python -m
-aqlab.cli`` run :func:`run`, which then ends the process with ``os._exit``,
-skipping interpreter teardown.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ CATALOG_NAMES = tuple(CATALOG_DIMS)
 PREDICATE_NAMES = ("integrable", "involutive", "isoclinic_geodesic",
                    "semiholonomic", "three_web")
 VERIFY_TOL = 1e-9  #: verify's comparison tolerance
-CHECK_TOL = 1e-8  #: bound on check's worst residuals
+CHECK_TOL = 1e-8  #: check's residuals, relative to size^degree of each pair
 _MISSING = object()  #: in verify, the value at a key or index one side lacks
 
 
@@ -300,60 +295,64 @@ def _compare(a, b, tol: float, path=()):
     return None if same else (path, a, b)
 
 
-def cmd_check(args):
-    """Randomized property verification across the modules."""
-    import numpy as np
-    from . import liealg as la
-    from . import quat as qt
-    from .family import EINSTEIN_CANDIDATES, einstein_constant
-    from .gxg import MetricFamily
-    n = args.samples
-    if n < 1 or args.seed < 0:
-        raise AqlabError("check needs --samples >= 1 and --seed >= 0")
-    rng = np.random.default_rng(args.seed)
-    results = {}
-
-    worst = 0.0
-    for alpha in (-1, 1):
-        for _ in range(n):
-            p = qt.from_coeffs(rng.normal(size=4), alpha)
-            q = qt.from_coeffs(rng.normal(size=4), alpha)
-            d1 = abs(qt.qnormsq(qt.qmul(p, q)) - qt.qnormsq(p) * qt.qnormsq(q))
-            prod = qt.spin_matrix(qt.qmul(p, q))
-            comp = qt.spin_matrix(p) @ qt.spin_matrix(q)
-            d2 = (prod - comp).max_abs()
-            worst = max(worst, d1 / (1 + abs(qt.qnormsq(p) * qt.qnormsq(q))), d2)
-    results["quaternion_norm_and_spin_homomorphism"] = worst
-
-    worst = 0.0
+def check_pairs() -> dict:
+    """The oracle pairs of ``check``, built on call so that no other command
+    loads a layer: name: (sample(rng, n), (target, route), oracle, shared,
+    size, degree); the oracle runs without ``target``, whose closed form the
+    route runs, and with ``shared``, dotted names under ``aqlab``."""
+    from . import family, liealg as la, quat as qt
+    from .gxg import MetricFamily as MF
     base = la.doubled(la.su2())
-    fams = []
-    for _ in range(n):
-        fams.append(fam := MetricFamily(base, *rng.uniform(-0.7, 0.7, size=2)))
-        X, Y, Z = rng.normal(size=(3, 6))
-        worst = max(worst,
-                    float(np.abs(fam.levi_civita(X, Y)
-                                 - fam.levi_civita_koszul(X, Y)).max()),
-                    float(np.abs(fam.curvature(X, Y, Z)
-                                 - fam.curvature_closed(X, Y, Z)).max()),
-                    float(np.abs(fam.ricci_closed(X)
-                                 - fam.ricci_contracted(X)).max()))
-    results["metric_family_oracle_agreement"] = worst
+    quats = lambda rng, n: [tuple(qt.from_coeffs(rng.normal(size=4), al) for _ in "pq")
+                            for al in (-1, 1) for _ in range(n)]
+    fams = lambda k, extra=(): lambda rng, n: [
+        (MF(base, *rng.uniform(-0.7, 0.7, size=2)), *rng.normal(size=(k, 6)))
+        for _ in range(n)] + [(MF(base, *p),) for p in extra]
+    norms = lambda p, q: abs(p.coeffs()).max() * abs(q.coeffs()).max()
+    over_d0 = lambda m: lambda f, *v: max(abs(x).max() for x in v) / abs(f.d0) ** m
+    eps = lambda e: (1.0, 0.0) if e is None else (0.0, e)  # a verdict as floats
+    return {
+        "quaternion_norm_multiplicative": (
+            quats, ("quat.qmul", lambda p, q: qt.qnormsq(qt.qmul(p, q))),
+            lambda p, q: qt.qnormsq(p) * qt.qnormsq(q),
+            ("quat.qnormsq", "quat.scalar_product"), norms, 2),
+        "spin_homomorphism": (
+            quats, ("quat.qmul", lambda p, q: qt.spin_matrix(qt.qmul(p, q)).e),
+            lambda p, q: (qt.spin_matrix(p) @ qt.spin_matrix(q)).e,
+            ("quat.spin_matrix", "quat._spin_entries"), norms, 1),
+        "levi_civita_closed_vs_koszul": (
+            fams(2), ("gxg.MetricFamily.nabla", MF.levi_civita),
+            MF.levi_civita_koszul, ("tensors.apply",), over_d0(1), 2),
+        "curvature_composed_vs_closed": (
+            fams(3), ("gxg.MetricFamily.nabla", MF.curvature), MF.curvature_closed,
+            ("gxg.MetricFamily._p", "gxg.MetricFamily._q"), over_d0(1), 3),
+        "ricci_closed_vs_contracted": (  # the contraction loses a further 1/d0^2
+            fams(1), ("gxg.ricci_coefficients", MF.ricci_closed),
+            MF.ricci_contracted, ("gxg.MetricFamily.ricci_matrix",), over_d0(3), 1),
+        "einstein_verdict_scalar_vs_model": (
+            fams(0, family.EINSTEIN_CANDIDATES), ("family.einstein_constant",
+            lambda f: eps(family.einstein_constant(f.lam, f.mu))),
+            lambda f: eps(f.einstein_check()), ("family.ricci_coefficients",
+            "family._cd_cofactors", "family._d0", "scalars._within", "scalars._bound"),
+            lambda f: max(1.0, abs(f.einstein_check() or 0.0)), 1),  # as in family
+    }
 
-    # the scalar Einstein verdict against the doubled model's Ricci matrix on
-    # the sampled families and the candidates; a differing verdict counts as 1
-    worst = 0.0
-    for fam in [*fams, *(MetricFamily(base, *p) for p in EINSTEIN_CANDIDATES)]:
-        eps, want = einstein_constant(fam.lam, fam.mu), fam.einstein_check()
-        if (eps is None) != (want is None):
-            worst = 1.0
-        elif eps is not None:
-            worst = max(worst, abs(eps - want) / max(1.0, abs(want)))
-    results["einstein_verdict_scalar_vs_model"] = worst
 
-    passed = all(v <= CHECK_TOL for v in results.values())
-    return ({"seed": args.seed, "samples": n},
-            {"passed": passed, "worst_residuals": results}, {"bound": CHECK_TOL})
+def cmd_check(args):
+    """Each pair of :func:`check_pairs`, its samples decided by ``_within``."""
+    import numpy as np
+    from .scalars import _bound, _within
+    if args.samples < 1 or args.seed < 0:
+        raise AqlabError("check needs --samples >= 1 and --seed >= 0")
+    rng, passed, worst = np.random.default_rng(args.seed), True, {}
+    for name, (sample, (_, route), oracle, _, size, k) in check_pairs().items():
+        runs = [(float(np.abs(np.subtract(route(*a), oracle(*a))).max()), size(*a))
+                for a in sample(rng, args.samples)]
+        passed &= all(_within(r, s, k, CHECK_TOL) for r, s in runs)
+        r, s = max(runs, key=lambda rs: rs[0] / _bound(rs[1], k, 1.0))
+        worst[name] = {"residual": r, "bound": _bound(s, k, CHECK_TOL)}
+    return ({"seed": args.seed, "samples": args.samples},
+            {"passed": passed, "worst_residuals": worst}, {"bound": CHECK_TOL})
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class InvalidSignature(InvalidModel, ValueError):
 
 
 class InvalidInput(AqlabError, ValueError):
-    """An array argument that :func:`aqlab.tensors.real_array` refuses, two
-    that do not broadcast, or an unknown operator name; the message names it."""
+    """An array that :func:`aqlab.tensors.real_array` refuses, two that do not
+    broadcast, a wrong count of floats, or an unknown name; the message names it."""
 
 
 class NotTwistor(AqlabError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import Overflow
+from .errors import InvalidInput, Overflow
 from .scalars import _check_alpha
 
 # Two-form components are stored in this fixed pair order.
@@ -47,7 +47,7 @@ class TwoForm4:
     def __init__(self, comp):
         self.comp = tuple(float(x) for x in comp)  # in PAIRS order
         if len(self.comp) != 6:
-            raise ValueError("a two-form has six independent components")
+            raise InvalidInput("a two-form has six independent components")
 
     def __add__(self, other):
         return TwoForm4(tuple(x + y for x, y in zip(self.comp, other.comp)))
@@ -160,7 +160,7 @@ def canonical_aq_basis(g: Metric4, orientation: int = 1):
     {id, J1, J2, J3} multiplies like the basis (1, i, j, k).
     """
     if orientation not in (-1, 1):
-        raise ValueError("orientation must be +1 or -1")
+        raise InvalidInput("orientation must be +1 or -1")
     build = selfdual_form if orientation == 1 else antiselfdual_form
     J1 = form_to_endo(g, build(g.alpha, 1.0, 0.0, 0.0))
     J2 = form_to_endo(g, build(g.alpha, 0.0, 1.0, 0.0))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from . import scalars as sk
-from .errors import IsotropicScalar, NotPurelyImaginary
+from .errors import InvalidInput, IsotropicScalar, NotPurelyImaginary
 from .scalars import Record, ScalarKA, _set, _within
 
 PURE_IMAG_TOL = 1e-9  #: purely imaginary when |a| <= this * max|coeff|
@@ -186,7 +186,7 @@ def _ring_floats(values, n: int) -> tuple:
     """The n floats of a spin value, validated."""
     e = tuple(map(float, values))
     if len(e) != n:
-        raise ValueError(f"expected {n} floats, got {len(e)}")
+        raise InvalidInput(f"expected {n} floats, got {len(e)}")
     return e
 
 

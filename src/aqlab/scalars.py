@@ -26,11 +26,15 @@ ISOTROPY_TOL = 1e-9  #: isotropic (no inverse): |z|^2 <= this max(|re|, |im|)^2
 _set = object.__setattr__  #: how a constructor sets its record's fields
 
 
+def _bound(size, degree: int, tol: float):
+    """tol size^degree, the power a product: ``**`` would raise OverflowError."""
+    return tol * math.prod([size] * degree)
+
+
 def _within(residual, size, degree: int, tol: float) -> bool:
-    """residual <= tol size^degree, the bound of a defect homogeneous of
-    ``degree`` in an input of sup norm ``size``; false on NaN.  The power is
-    a product: ``**`` raises OverflowError past the float range."""
-    return bool(residual <= tol * math.prod([size] * degree))
+    """residual <= :func:`_bound`, the bound of a defect homogeneous of
+    ``degree`` in an input of sup norm ``size``; false on NaN."""
+    return bool(residual <= _bound(size, degree, tol))
 
 
 def _isotropic(n: float, *floats) -> bool:

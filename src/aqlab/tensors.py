@@ -15,7 +15,7 @@ The two relations every model rests on are decided here and nowhere else:
 a bracket is antisymmetric (:func:`is_antisymmetric`) and Lie
 (:func:`is_lie`), and a twistor pair squares to alpha id and anticommutes,
 with alpha read from the operators (:func:`twistor_sign`).  Each fails on
-NaN; the bracket bounds go through the package's one homogeneous rule,
+NaN, and each bound goes through the package's one homogeneous rule,
 :func:`aqlab.scalars._within`.  Every model takes its dimension and
 structure tensor through :func:`structure_tensor`, and every caller's array
 through the one array rule, :func:`real_array`.
@@ -150,14 +150,11 @@ def twistor_sign(*ops: np.ndarray):
     np.matmul(S, S, out=rel[:k])
     alpha = 1.0 if rel[0].trace() > 0 else -1.0
     rel[:k].reshape(k, n * n)[:, ::n + 1] -= alpha
-    r = k
-    for a in range(1, k):
-        for b in range(a):
-            np.add(S[a] @ S[b], S[b] @ S[a], out=rel[r])
-            r += 1
+    for r, (a, b) in enumerate([(a, b) for a in range(1, k) for b in range(a)], k):
+        np.add(S[a] @ S[b], S[b] @ S[a], out=rel[r])
     A = np.abs(S)  # block (a, b) of the product is |S[a]||S[b]|
     top = (A.reshape(k * n, n) @ A.transpose(1, 0, 2).reshape(n, k * n)).max()
-    return alpha if np.abs(rel).max() <= STRUCT_TOL * top else None  # NaN fails too
+    return alpha if _within(np.abs(rel).max(), top, 1, STRUCT_TOL) else None
 
 
 def curvature_slab(c: np.ndarray, nabla: np.ndarray, a0: int, a1: int,

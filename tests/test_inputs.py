@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqlab import family
+from aqlab import fourdim as fd
 from aqlab import gxg
 from aqlab import liealg as la
 from aqlab import piaq as pq
+from aqlab import quat as qt
 from aqlab import spinor as sp
 from aqlab.errors import (AqlabError, Degenerate, InvalidInput, InvalidModel,
                           InvalidMu, NotAQStructure, NotEigenvalue)
@@ -102,6 +104,13 @@ PROBES = {
         np.where(X6 == 1.0, INF, X6), X6)),
     "records not iterable": (InvalidModel, lambda: la.bracket_tensor(3, None)),
     "records an int": (InvalidModel, lambda: la.bracket_tensor(3, 5)),
+    "ragged rows": (InvalidInput, lambda: real_array(
+        [np.zeros((2, 2)), np.zeros((2, 3))], None, "rows")),
+    "two-form of five components": (InvalidInput, lambda: fd.TwoForm4(
+        (1.0, 2.0, 3.0, 4.0, 5.0))),
+    "orientation 0": (InvalidInput, lambda: fd.canonical_aq_basis(
+        fd.Metric4(1), 0)),
+    "spin value of six floats": (InvalidInput, lambda: qt.SpinMatrix(range(6), 1)),
 }
 
 
@@ -109,6 +118,14 @@ PROBES = {
 def test_a_refused_input_raises_its_typed_error(error, call):
     with pytest.raises(error):
         strict(call)
+
+
+@pytest.mark.parametrize("probe", ["two-form of five components", "orientation 0",
+                                   "spin value of six floats"])
+def test_a_shape_fault_is_still_a_value_error(probe):
+    """InvalidInput subclasses ValueError, which these raised before it."""
+    with pytest.raises(ValueError):
+        PROBES[probe][1]()
 
 
 @pytest.mark.parametrize("form", [np.array, np.ndarray.tolist,

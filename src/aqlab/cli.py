@@ -142,8 +142,7 @@ def cmd_spinbasis(args):
     outputs = {"change_matrix": _smat_doc(result.matrix),
                "orientation_sign": result.sign}
     return ({"alpha": alpha, **dict(zip(names, triples))}, outputs,
-            {"isotropy": sk.ISOTROPY_TOL, "gram": sp.GRAM_TOL,
-             "conjugation": sp.CONJ_TOL})
+            {"isotropy": sk.ISOTROPY_TOL, "gram": sp.GRAM_TOL})
 
 
 def cmd_selfdual(args):

@@ -18,10 +18,9 @@ from .errors import (DegenerateEigenvector, IsotropicScalar, NotAQStructure,
                      OrthonormalityViolated, ZeroVector)
 from .quat import (QuaternionA, SpinMatrix, _inverse, _matmul, _ring_floats,
                    _spin_entries)
-from .scalars import Record, ScalarKA, _set
+from .scalars import Record, ScalarKA, _bound, _set
 
 GRAM_TOL = 1e-9  #: absolute (not scale-aware): Gram-entry error of an input triple
-CONJ_TOL = 1e-7  #: absolute: entries of P^-1 [j_m] P against the Pauli matrices
 RANK_TOL = 1e-8  #: orbit rank counts singular values > this * the largest
 
 
@@ -187,84 +186,21 @@ _SEEDS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0),
           (1.0, 1.0, 3.0, 0.0))
 
 
-def _close(m: tuple, n: tuple) -> bool:
-    for x, y in zip(m, n):
-        if not abs(x - y) <= CONJ_TOL:  # NaN fails too
-            return False
-    return True
-
-
-#: per alpha, the targets of the seed conjugation: the Pauli triple and
-#: -sigma3 = [[0, -alpha*i], [i, 0]], whose match flips the orientation sign
-_PAULI = {alpha: tuple(m.e for m in (
-    *qt.pauli_matrices(alpha),
-    qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha)))
-    for alpha in (-1, 1)}
-
-
-def _try_spinbasis_from_seed(basis: IQBasis, X: tuple):
-    """One attempt of the eigenvector construction from the seed X; the
-    change-of-basis entries and sign, or None when the seed fails."""
-    j1, j2, j3 = basis
-    al = j1.alpha
-    fa = float(al)
-    iar, iai = fa * 0.0, fa * 1.0  # i * [j1]^3 acts as (alpha i) * [j1]
-
-    S1 = _spin_entries(j1)
-    wr1, wi1, wr2, wi2 = _times(iar, iai, _matvec(S1, X, al), al)
-    xr1, xi1, xr2, xi2 = X
-    ep1 = (xr1 + wr1, xi1 + wi1, xr2 + wr2, xi2 + wi2)
-    ep2 = (xr1 - wr1, xi1 - wi1, xr2 - wr2, xi2 - wi2)
-    n1 = _hermitian(ep1, ep1, al)[0]
-    n2 = _hermitian(ep2, ep2, al)[0]
-    if sk._isotropic(n1, *ep1) or sk._isotropic(n2, *ep2):
-        return None  # eigenvector seed or isotropic normalization denominator
-
-    ep1 = _times(1.0 / math.sqrt(abs(n1)), 0.0, ep1, al)
-    ep2 = _times(1.0 / math.sqrt(abs(n2)), 0.0, ep2, al)
-    # Fix the norm signs to the standard pattern (+1, -alpha), read from n1
-    # and n2: the positive rescaling keeps them.  Multiplying by i flips the
-    # sign of <<v, v>> exactly when alpha = +1.
-    if n1 < 0:
-        ep1 = _times(0.0, 1.0, ep1, al)
-    if n2 * fa > 0:
-        ep2 = _times(0.0, 1.0, ep2, al)
-
-    # [j2] ep1 = a ep2 with |a|^2 = 1; the second basis operator becomes
-    # [[0, alpha], [1, 0]] exactly after rescaling the second vector by a.
-    S2 = _spin_entries(j2)
-    hr, hi = _hermitian(ep2, _matvec(S2, ep1, al), al)
-    e2 = _times(-fa * hr, -fa * hi, ep2, al)
-
-    P = (ep1[0], ep1[1], e2[0], e2[1], ep1[2], ep1[3], e2[2], e2[3])
-    Pinv = _inverse(P, al)
-    if Pinv is None:
-        return None
-
-    s1, s2, s3, neg_s3 = _PAULI[al]
-    if not (_close(_matmul(_matmul(Pinv, S1, al), P, al), s1)
-            and _close(_matmul(_matmul(Pinv, S2, al), P, al), s2)):
-        return None
-    m3 = _matmul(_matmul(Pinv, _spin_entries(j3), al), P, al)
-    if _close(m3, s3):
-        return P, +1
-    if _close(m3, neg_s3):
-        return P, -1
-    return None
-
-
 def spinbasis(basis: IQBasis) -> SpinBasisResult:
     """Construct the basis of S that represents the triple by Pauli matrices.
 
-    Sweeps a fixed list of seed vectors, takes the first one that is not an
-    eigenvector of the first operator and yields non-isotropic normalization
-    denominators, builds the two eigenvectors, and rescales the second so the
-    middle operator comes out exactly as [[0, alpha], [1, 0]].  The remaining
-    free unit scale is fixed to 1, which makes the output deterministic.
+    Takes the first seed vector of ``_SEEDS`` that is not an eigenvector of
+    the first operator and yields non-isotropic eigenvector normalizations,
+    normalizes its eigenvector e1 of [j1] to <<e1, e1>> = 1, and takes
+    e2 = [j2] e1.  Since [j2] anticommutes with [j1] and squares to alpha,
+    the first two operators come out exactly as sigma1 and sigma2; the
+    remaining free unit scale is fixed to 1, which makes the output
+    deterministic.
 
     Returns the change-of-basis matrix (columns are the new basis vectors in
     the standard basis) and the orientation sign carried by the third
-    operator.
+    operator: +1 when the determinant of the imaginary coefficients of the
+    triple is positive (j3 = j1 j2), else -1 (j3 = -j1 j2).
 
     Raises:
         OrthonormalityViolated: input triple fails its Gram check.
@@ -272,14 +208,36 @@ def spinbasis(basis: IQBasis) -> SpinBasisResult:
             (possible only for alpha = +1).
     """
     check_iq_basis(basis)
+    j1, j2, _ = basis
+    al = j1.alpha
+    fa = float(al)
+    iar, iai = fa * 0.0, fa * 1.0  # i * [j1]^3 acts as (alpha i) * [j1]
+    S1 = _spin_entries(j1)
     for X in _SEEDS:
-        result = _try_spinbasis_from_seed(basis, X)
-        if result is not None:
-            P, sign = result
-            return SpinBasisResult(SpinMatrix(P, basis.j1.alpha), sign)
-    raise DegenerateEigenvector(
-        "no seed vector produced non-isotropic eigenvector normalizations"
-    )
+        wr1, wi1, wr2, wi2 = _times(iar, iai, _matvec(S1, X, al), al)
+        xr1, xi1, xr2, xi2 = X
+        ep1 = (xr1 + wr1, xi1 + wi1, xr2 + wr2, xi2 + wi2)
+        ep2 = (xr1 - wr1, xi1 - wi1, xr2 - wr2, xi2 - wi2)
+        n1 = _hermitian(ep1, ep1, al)[0]
+        if not (sk._isotropic(n1, *ep1)
+                or sk._isotropic(_hermitian(ep2, ep2, al)[0], *ep2)):
+            break  # neither an eigenvector seed nor an isotropic denominator
+    else:
+        raise DegenerateEigenvector(
+            "no seed vector produced non-isotropic eigenvector normalizations")
+
+    e1 = _times(1.0 / math.sqrt(abs(n1)), 0.0, ep1, al)
+    # The positive rescaling keeps the sign of n1; multiplying by i flips the
+    # sign of <<v, v>> exactly when alpha = +1.
+    if n1 < 0:
+        e1 = _times(0.0, 1.0, e1, al)
+    e2 = _matvec(_spin_entries(j2), e1, al)
+    P = (e1[0], e1[1], e2[0], e2[1], e1[2], e1[3], e2[2], e2[3])
+
+    (b1, c1, d1), (b2, c2, d2), (b3, c3, d3) = ((j.b, j.c, j.d) for j in basis)
+    det = (b1 * (c2 * d3 - d2 * c3) - c1 * (b2 * d3 - d2 * b3)
+           + d1 * (b2 * c3 - c2 * b3))
+    return SpinBasisResult(SpinMatrix(P, al), 1 if det > 0 else -1)
 
 
 def matrix_in_spinbasis(q: QuaternionA, result: SpinBasisResult) -> SpinMatrix:
@@ -323,4 +281,4 @@ def orbit_dimension(I: np.ndarray, J: np.ndarray, X: np.ndarray) -> int:
         raise ZeroVector("orbit of the zero vector is not defined")
     cols = np.array([X, I @ X, J @ X, I @ (J @ X)]).T
     svals = np.linalg.svd(cols, compute_uv=False)
-    return int((svals > RANK_TOL * svals[0]).sum())
+    return int((svals > _bound(svals[0], 1, RANK_TOL)).sum())

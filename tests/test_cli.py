@@ -144,15 +144,14 @@ class TestSpinBasis:
         assert doc["outputs"]["orientation_sign"] == -1
 
     def test_names_every_tolerance_that_decides_it(self, capsys):
-        """The Gram check of the triple and the conjugation check of the
-        change matrix decide the document, beside the isotropy of seeds."""
+        """The Gram check of the triple and the isotropy of seeds decide
+        the document; the sign is read off the triple, with no tolerance."""
         from aqlab import scalars as sk
         from aqlab import spinor as sp
         code, doc, _ = run(capsys, "spinbasis", "--alpha", "1",
                            "--j1", "1,0,0", "--j2", "0,1,0", "--j3", "0,0,-1")
         assert code == 0 and doc["tolerances"] == {
-            "isotropy": sk.ISOTROPY_TOL, "gram": sp.GRAM_TOL,
-            "conjugation": sp.CONJ_TOL}
+            "isotropy": sk.ISOTROPY_TOL, "gram": sp.GRAM_TOL}
 
     def test_gram_violation_fails(self, capsys):
         code, doc, err = run(capsys, "spinbasis", "--alpha", "-1",

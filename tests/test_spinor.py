@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aqlab import quat as qt
@@ -56,53 +56,33 @@ def ring_seeds(alpha):
 
 
 def spinbasis_by_ring(basis):
-    """``spinbasis`` through the ScalarKA and SpinMatrix operations: the
-    reference for bit equality of the float-pair route."""
-    alpha = basis.j1.alpha
-    pauli = (*qt.pauli_matrices(alpha),
-             qt.smat((((0, 0), (0, -alpha)), ((0, 1), (0, 0))), alpha))
-    for x1, x2 in ring_seeds(alpha):
-        result = seed_attempt_by_ring(basis, sp.svec(x1, x2, alpha), pauli)
-        if result is not None:
-            return result
-    return None
-
-
-def seed_attempt_by_ring(basis, X, pauli):
+    """``spinbasis`` through the ScalarKA, SpinVector and quaternion
+    operations: the reference for bit equality of the float-pair route;
+    None when every seed is isotropic.  The sign is read off the product,
+    j3 = +-j1 j2, not off the determinant the library takes."""
     j1, j2, j3 = basis
     alpha = j1.alpha
     i = sk.imag_unit(alpha)
     ialpha = sk.scale(float(alpha), i)
-    W = sp.apply(j1, X)
-    ep1 = X + sp.scalar_mul(ialpha, W)
-    ep2 = X - sp.scalar_mul(ialpha, W)
-    n1 = sp.hermitian_form(ep1, ep1).re
-    n2 = sp.hermitian_form(ep2, ep2).re
-    if sk._isotropic(n1, *ep1.v) or sk._isotropic(n2, *ep2.v):
+    for x1, x2 in ring_seeds(alpha):
+        X = sp.svec(x1, x2, alpha)
+        W = sp.apply(j1, X)
+        ep1 = X + sp.scalar_mul(ialpha, W)
+        ep2 = X - sp.scalar_mul(ialpha, W)
+        n1 = sp.hermitian_form(ep1, ep1).re
+        n2 = sp.hermitian_form(ep2, ep2).re
+        if not (sk._isotropic(n1, *ep1.v) or sk._isotropic(n2, *ep2.v)):
+            break
+    else:
         return None
-    ep1 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
-    ep2 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n2)), alpha), ep2)
+    e1 = sp.scalar_mul(sk.from_real(1.0 / math.sqrt(abs(n1)), alpha), ep1)
     if n1 < 0:
-        ep1 = sp.scalar_mul(i, ep1)
-    if n2 * float(alpha) > 0:
-        ep2 = sp.scalar_mul(i, ep2)
-    a = sk.scale(-float(alpha), sp.hermitian_form(ep2, sp.apply(j2, ep1)))
-    e1, e2 = ep1, sp.scalar_mul(a, ep2)
+        e1 = sp.scalar_mul(i, e1)
+    e2 = sp.apply(j2, e1)
     P = qt.SpinMatrix([f for x in (e1.x1, e2.x1, e1.x2, e2.x2)
                        for f in (x.re, x.im)], alpha)
-    if sk.is_isotropic(P.det()):
-        return None
-    Pinv = P.inv()
-    s1, s2, s3, neg_s3 = pauli
-    m1, m2, m3 = (Pinv @ qt.spin_matrix(j) @ P for j in (j1, j2, j3))
-    tol = sp.CONJ_TOL
-    if not (smat_close(m1, s1, tol) and smat_close(m2, s2, tol)):
-        return None
-    if smat_close(m3, s3, tol):
-        return sp.SpinBasisResult(P, +1)
-    if smat_close(m3, neg_s3, tol):
-        return sp.SpinBasisResult(P, -1)
-    return None
+    sign = 1 if qt.scalar_product(j3, qt.qmul(j1, j2)) > 0 else -1
+    return sp.SpinBasisResult(P, sign)
 
 
 class TestFloatPairRoute:
@@ -245,6 +225,20 @@ def rotated_basis(alpha, rot):
                         for m in range(3)))
 
 
+def assert_conjugates_to_pauli(basis, res):
+    """P^-1 [j_m] P is (sigma1, sigma2, sign sigma3), each within 1e-12 of
+    the size of the product, 1 + max|P^-1| max|[j_m]| max|P|."""
+    alpha = basis.j1.alpha
+    P = res.matrix
+    Pinv = P.inv()
+    s1, s2, _ = qt.pauli_matrices(alpha)
+    targets = (s1, s2, qt.spin_matrix(qt.scale(res.sign, qt.k_(alpha))))
+    for j, want in zip(basis, targets):
+        S = qt.spin_matrix(j)
+        size = Pinv.max_abs() * S.max_abs() * P.max_abs()
+        assert (Pinv @ S @ P - want).max_abs() <= 1e-12 * (1 + size)
+
+
 class TestSpinBasis:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_standard_triple_is_identity(self, alpha):
@@ -272,6 +266,39 @@ class TestSpinBasis:
             for m, want in enumerate(paulis):
                 got = sp.matrix_in_spinbasis(list(basis)[m], res)
                 assert smat_close(got, want, tol=1e-9)
+
+    @given(alphas, st.booleans(), st.floats(0.0, 3.5),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_conjugates_to_pauli_with_the_rotation_sign(self, alpha, reverse,
+                                                        scale, seed):
+        """Both orientations, up to scales whose split triples have entries
+        in the thousands; triples the Gram check refuses are left out."""
+        gram = np.diag([-float(alpha), -float(alpha), 1.0])
+        rot = random_pseudo_rotation(gram, np.random.default_rng(seed), scale)
+        if reverse:
+            rot[:, 2] = -rot[:, 2]
+        basis = rotated_basis(alpha, rot)
+        try:
+            sp.check_iq_basis(basis)
+        except OrthonormalityViolated:
+            assume(False)
+        res = sp.spinbasis(basis)
+        assert res.sign == np.sign(np.linalg.det(rot))
+        assert_conjugates_to_pauli(basis, res)
+
+    def test_large_split_triple_builds(self):
+        """A valid reversed alpha = +1 triple with entries up to 5.0e4: every
+        seed missed an absolute conjugation tolerance of 1e-7 by rounding
+        alone, so the retry over seeds raised DegenerateEigenvector."""
+        rows = ((25045.39212669229, -31879.766062410545, 40541.227780788824),
+                (-18346.819663696708, 23355.297130984414, -29699.75917156193),
+                (-31046.37591655406, 39519.48111084699, -50256.01303150281))
+        basis = sp.IQBasis(*(qt.from_coeffs([0.0, *r], 1) for r in rows))
+        sp.check_iq_basis(basis)
+        res = sp.spinbasis(basis)
+        assert res.sign == -1
+        assert_conjugates_to_pauli(basis, res)
 
     def test_gram_failure_reports_entry(self):
         bad = sp.IQBasis(qt.i_(-1), qt.i_(-1), qt.k_(-1))
